@@ -170,9 +170,9 @@ def test_bench_compile_search(label, record_table, baseline_results):
 def test_bench_compile_phases(record_table):
     """Per-phase wall-time breakdown of the bounded 5ESS search.
 
-    Runs the profiled search (``profile=True`` wires the explorer's
-    ``phase_profile`` hook into :class:`repro.obs.HotSpotProfiler`)
-    under each engine, with state caching on so every phase — engine
+    Runs the profiled search (``profile=True`` times the explorer's
+    named calls into :attr:`repro.obs.HotSpotProfiler.phases`) under
+    each engine, with state caching on so every phase — engine
     stepping, canonical fingerprints, POR analysis, cache lookups — is
     exercised, and records seconds and shares per phase.  The engine
     phase is where compilation bites; everything else is

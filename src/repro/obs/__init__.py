@@ -9,10 +9,14 @@ closing transform → search/replay/shrink):
   Chrome trace-event JSON export (``chrome://tracing`` / Perfetto):
   pipeline phases, per-path DFS spans, replay prefixes, per-worker
   parallel timelines;
-* :mod:`repro.obs.profile` — a hot-spot profiler riding the explorer's
-  ``on_step`` observer: per-CFG-node / per-operation / per-toss-point
-  execution counts plus depth and branching histograms, rendered as
-  top-N tables (``repro search --profile`` / ``repro profile``);
+* :mod:`repro.obs.observer` — the one observer protocol every search
+  driver reports to (run start and restore, steps, tosses, recorded
+  events, path end, finish), and :class:`Observation`, which builds the
+  observers a search's options ask for;
+* :mod:`repro.obs.profile` — a hot-spot profiler observing the search:
+  per-CFG-node / per-operation / per-toss-point execution counts plus
+  depth and branching histograms, rendered as top-N tables (``repro
+  search --profile`` / ``repro profile``);
 * :mod:`repro.obs.heartbeat` — worker heartbeats and stall detection
   for the parallel search: per-worker progress lines in the ticker and
   warnings when a worker stops making progress;
@@ -29,14 +33,14 @@ closing transform → search/replay/shrink):
 * :mod:`repro.obs.metrics` — Prometheus textfile exporter for the job
   service (``repro serve --metrics-out FILE``).
 
-Every hook is **zero-cost when disabled**: instrumentation sites are
-guarded by a single ``if tracer is not None`` / ``if on_step is not
-None`` and nothing is constructed unless requested (overhead measured
-by ``benchmarks/bench_obs.py``).
+Observation is **near zero-cost when disabled**: a search holds one
+observer reference that is ``None`` when nothing observes, so each
+event site costs one branch, and nothing is constructed unless
+requested (overhead measured by ``benchmarks/bench_obs.py``).
 """
 
 from .coverage import CoverageCollector
-from .heartbeat import Heartbeat, HeartbeatMonitor, WorkerHealth
+from .heartbeat import Heartbeat, HeartbeatMonitor, HeartbeatSender, WorkerHealth
 from .manifest import (
     MANIFEST_NAME,
     MANIFEST_VERSION,
@@ -46,6 +50,7 @@ from .manifest import (
     write_manifest,
 )
 from .metrics import render_prometheus, write_metrics
+from .observer import Observation, SearchObserver
 from .profile import HotSpotProfiler
 from .report import load_manifest, render_html, write_report
 from .tracer import Tracer, validate_chrome_trace
@@ -54,9 +59,12 @@ __all__ = [
     "CoverageCollector",
     "Heartbeat",
     "HeartbeatMonitor",
+    "HeartbeatSender",
     "HotSpotProfiler",
     "MANIFEST_NAME",
     "MANIFEST_VERSION",
+    "Observation",
+    "SearchObserver",
     "Tracer",
     "WorkerHealth",
     "build_manifest",

@@ -14,10 +14,10 @@ as the hot-spot profiler:
   carrying the call site's :class:`~repro.lang.errors.SourceLocation`,
   so toss-point coverage is extern-call-site coverage.
 
-The explorer drains each engine's trace buffer right after the segment
-that produced it (process startup, a toss answer, a visible-operation
-execution) and tells the collector whether that segment ran on *fresh*
-ground (``_ExecState.fresh_edge``) or was prefix replay.  Replayed
+As a search observer the collector drains each engine's trace buffer
+right after the segment that produced it (process startup, a toss
+answer, a visible-operation execution), and the event says whether that
+segment ran on *fresh* ground (``fresh_edge``) or was prefix replay.  Replayed
 segments still advance the collector's control-context parser (the call
 stack must track every executed node) but are not counted — which is
 what makes coverage merge counter-exactly across parallel workers and
@@ -54,6 +54,7 @@ from itertools import chain
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..cfg.nodes import NodeKind
+from .observer import SearchObserver
 
 __all__ = ["CoverageCollector"]
 
@@ -117,8 +118,9 @@ def _static_tables(system: Any) -> tuple[dict, dict]:
     return static, kinds
 
 
-class CoverageCollector:
-    """Accumulates node/edge/toss-value coverage from engine traces.
+class CoverageCollector(SearchObserver):
+    """Accumulates node/edge/toss-value coverage from engine traces; a
+    :class:`~repro.obs.observer.SearchObserver`.
 
     Construct with the :class:`~repro.runtime.system.System` being
     explored (the static universe); a bare ``CoverageCollector()`` is an
@@ -169,10 +171,6 @@ class CoverageCollector:
         self._parsers = {}
 
     # -- trace consumption -----------------------------------------------------------
-
-    def begin_run(self) -> None:
-        """Reset parser state for a fresh ``Run`` (new ``_execute`` pass)."""
-        self._parsers.clear()
 
     def sync(self, process: str, control: Sequence[tuple[str, int]]) -> None:
         """Re-anchor the parser after a checkpoint restore.
@@ -269,9 +267,39 @@ class CoverageCollector:
             lkind = ekind
         parser.last = last
 
-    def toss_value(self, proc_name: str, node_id: int, value: int) -> None:
-        """Record one fresh toss answer at ``(proc_name, node_id)``."""
-        self.toss_values[(proc_name, node_id, value)] += 1
+    # -- the observer -----------------------------------------------------------------
+
+    def on_run_start(self, run: Any, counted: bool) -> None:
+        """A fresh run: reset the parsers, consume the startup segments."""
+        self._parsers.clear()
+        for process in run.processes:
+            entries = process.engine.take_trace()
+            if entries:
+                self.segment(process.name, entries, counted)
+
+    def on_restore(self, run: Any) -> None:
+        """Re-anchor the parsers on the restored control stacks.  Trace
+        buffers are empty here (every drain immediately follows the
+        resume that filled it), but drain defensively so a stale tail
+        can never be attributed to post-restore ground."""
+        for process in run.processes:
+            process.engine.take_trace()
+            self.sync(process.name, process.engine.control_nodes())
+
+    def on_step(self, process, request, depth, fanout, created, fresh_edge) -> None:
+        entries = process.engine.take_trace()
+        if entries:
+            self.segment(process.name, entries, fresh_edge)
+
+    def on_toss(self, process, request, value, depth, created, fresh_edge) -> None:
+        # Toss *values* anchor on the answering edge, not on point
+        # creation: each fresh traversal of a toss arc counts once
+        # system-wide.
+        if fresh_edge:
+            self.toss_values[(request.proc_name, request.node_id, value)] += 1
+        entries = process.engine.take_trace()
+        if entries:
+            self.segment(process.name, entries, fresh_edge)
 
     # -- merging ----------------------------------------------------------------------
 

@@ -8,9 +8,9 @@ that:
 
 * each worker periodically puts a :class:`Heartbeat` — worker pid, the
   prefix (subtree) it is exploring, its live state/transition counters
-  and a wall-clock timestamp — onto a shared queue (piggybacking on the
-  explorer's existing ``progress`` callback, so the reporting interval
-  is the search's ``progress_interval``);
+  and a wall-clock timestamp — onto a shared queue (the
+  :class:`HeartbeatSender` search observer, reporting between paths at
+  the search's ``progress_interval``);
 * the coordinator drains the queue between result completions, keeps a
   :class:`WorkerHealth` record per worker, surfaces per-worker lines in
   the progress ticker, and raises a warning when a worker has made *no
@@ -25,9 +25,12 @@ and a recovery is announced when the counters move again.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
+
+from .observer import SearchObserver
 
 #: Heartbeat message kinds.
 KINDS = ("start", "beat", "done")
@@ -50,6 +53,43 @@ class Heartbeat:
     transitions: int
     #: ``time.time()`` at the worker when the beat was sent.
     sent_at: float
+
+
+class HeartbeatSender(SearchObserver):
+    """The worker side: a search observer that puts a ``start``
+    heartbeat on ``queue`` when built, a ``beat`` at most once per
+    ``interval`` seconds between paths, and ``done`` when the search
+    finishes.  ``prefix`` is the index of the subtree (prefix or lease)
+    being explored; transitions include replayed ones."""
+
+    def __init__(self, queue: Any, prefix: int, interval: float):
+        self._queue = queue
+        self._prefix = prefix
+        self._interval = interval
+        self._pid = os.getpid()
+        self._next_tick = time.monotonic() + interval
+        self._send("start", 0, 0)
+
+    def _send(self, kind: str, states: int, transitions: int) -> None:
+        try:  # a closed/full queue must never sink the worker
+            self._queue.put_nowait(
+                Heartbeat(kind, self._pid, self._prefix, states, transitions, time.time())
+            )
+        except Exception:
+            pass
+
+    def _send_counters(self, kind: str, report: Any) -> None:
+        replayed = report.stats.replayed_transitions if report.stats else 0
+        self._send(kind, report.states_visited, report.transitions_executed + replayed)
+
+    def on_path_end(self, report: Any) -> None:
+        now = time.monotonic()
+        if now >= self._next_tick:
+            self._send_counters("beat", report)
+            self._next_tick = now + self._interval
+
+    def on_finish(self, report: Any) -> None:
+        self._send_counters("done", report)
 
 
 class WorkerHealth:

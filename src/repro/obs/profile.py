@@ -2,8 +2,8 @@
 
 A stateless search's cost is execution: almost every cycle is spent
 re-running transitions.  The :class:`HotSpotProfiler` answers *which*
-transitions — it attaches to the explorer's ``on_step`` observer (see
-:class:`repro.verisoft.explorer.Explorer`) and accumulates
+transitions — it is a search observer (:mod:`repro.obs.observer`) and
+accumulates
 
 * per-CFG-node execution counts (which program points dominate),
 * per-operation counts (``send`` on which object, ``sem_p``, ...),
@@ -14,8 +14,8 @@ transitions — it attaches to the explorer's ``on_step`` observer (see
 * a **per-phase wall-time breakdown** (:attr:`HotSpotProfiler.phases`):
   seconds spent in the engine (stepping processes), computing canonical
   state fingerprints, in POR analysis, in the state cache and in the
-  coverage collector.  The explorer fills it through its
-  ``phase_profile`` hook; phases not exercised by a configuration
+  coverage collector.  The explorer times its named calls into it;
+  phases not exercised by a configuration
   (e.g. ``fingerprint`` with nothing consuming state keys) simply stay
   absent.
 
@@ -34,26 +34,20 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any
 
+from .observer import SearchObserver
+
 #: Default number of rows in each rendered top-N table.
 DEFAULT_TOP = 10
 
 
-class HotSpotProfiler:
-    """Accumulates hot-spot counters; also the ``on_step`` callable.
+class HotSpotProfiler(SearchObserver):
+    """Accumulates hot-spot counters; a
+    :class:`~repro.obs.observer.SearchObserver`.
 
-    The explorer invokes the observer as ``on_step(kind, process,
-    request, depth, fanout, created)`` where
-
-    * ``kind`` — ``"schedule"`` (a visible transition just executed on a
-      fresh edge) or ``"toss"`` (a fresh ``VS_toss`` choice point was
-      created);
-    * ``process`` — scheduled process name;
-    * ``request`` — the runtime request (carries ``proc_name``,
-      ``node_id``, and for visible operations ``op``/``obj``);
-    * ``depth`` — transitions executed before this one on the path;
-    * ``fanout`` — alternatives at the governing choice point;
-    * ``created`` — whether the choice point was created by this call
-      (``False`` for siblings reached by backtracking).
+    It counts every :meth:`on_step` on a fresh edge (node, operation,
+    process and depth; the branching degree when the step created its
+    choice point) and every :meth:`on_toss` that created a choice point
+    (toss point and branching degree).
     """
 
     def __init__(self) -> None:
@@ -71,33 +65,27 @@ class HotSpotProfiler:
         self.branching_hist: Counter = Counter()
         #: explorer phase name -> wall seconds (``engine`` /
         #: ``fingerprint`` / ``por`` / ``cache`` / ``coverage``), filled
-        #: through the explorer's ``phase_profile`` hook.  A ``Counter``
-        #: so absent phases read as 0.0 and merging is a plain sum.
+        #: by the explorer's timed calls.  A ``Counter`` so absent
+        #: phases read as 0.0 and merging is a plain sum.
         self.phases: Counter = Counter()
 
     # -- the observer --------------------------------------------------------
 
-    def __call__(
-        self,
-        kind: str,
-        process: str,
-        request: Any,
-        depth: int,
-        fanout: int,
-        created: bool,
-    ) -> None:
-        """The ``on_step`` observer protocol (see the class docstring)."""
-        if kind == "schedule":
-            self.nodes[(request.proc_name, request.node_id)] += 1
-            obj = request.obj
-            self.operations[(request.op, obj.name if obj is not None else None)] += 1
-            self.processes[process] += 1
-            self.depth_hist[depth] += 1
-            if created:
-                self.branching_hist[fanout] += 1
-        else:  # "toss": fires at creation only
-            self.tosses[(request.proc_name, request.node_id)] += 1
+    def on_step(self, process, request, depth, fanout, created, fresh_edge) -> None:
+        if not fresh_edge:
+            return
+        self.nodes[(request.proc_name, request.node_id)] += 1
+        obj = request.obj
+        self.operations[(request.op, obj.name if obj is not None else None)] += 1
+        self.processes[process.name] += 1
+        self.depth_hist[depth] += 1
+        if created:
             self.branching_hist[fanout] += 1
+
+    def on_toss(self, process, request, value, depth, created, fresh_edge) -> None:
+        if created:
+            self.tosses[(request.proc_name, request.node_id)] += 1
+            self.branching_hist[request.bound + 1] += 1
 
     # -- aggregation ---------------------------------------------------------
 

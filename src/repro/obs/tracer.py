@@ -84,7 +84,8 @@ class Tracer:
 
     # -- recording -----------------------------------------------------------
 
-    def _now_us(self) -> float:
+    def now_us(self) -> float:
+        """The timeline clock: microseconds since construction."""
         return (self._clock() - self._epoch) * 1e6
 
     def _emit(self, event: dict[str, Any]) -> None:
@@ -94,26 +95,30 @@ class Tracer:
                 return
             self._events.append(event)
 
+    def complete(self, name: str, start_us: float, cat: str = "span", **args: Any) -> None:
+        """Record a complete (``ph="X"``) event from ``start_us`` (a
+        :meth:`now_us` reading) until now."""
+        event: dict[str, Any] = {
+            "name": name,
+            "cat": cat,
+            "ph": "X",
+            "ts": start_us,
+            "dur": self.now_us() - start_us,
+            "pid": self._pid,
+            "tid": threading.get_native_id(),
+        }
+        if args:
+            event["args"] = args
+        self._emit(event)
+
     @contextmanager
     def span(self, name: str, cat: str = "span", **args: Any) -> Iterator[None]:
         """Record a complete (``ph="X"``) event covering the ``with`` body."""
-        start = self._now_us()
+        start = self.now_us()
         try:
             yield
         finally:
-            now = self._now_us()
-            event: dict[str, Any] = {
-                "name": name,
-                "cat": cat,
-                "ph": "X",
-                "ts": start,
-                "dur": now - start,
-                "pid": self._pid,
-                "tid": threading.get_native_id(),
-            }
-            if args:
-                event["args"] = args
-            self._emit(event)
+            self.complete(name, start, cat, **args)
 
     def phase(self, name: str, **args: Any):
         """A :meth:`span` in the ``"phase"`` category — one top-level
@@ -129,7 +134,7 @@ class Tracer:
             "cat": cat,
             "ph": "i",
             "s": "t",  # thread-scoped instant
-            "ts": self._now_us(),
+            "ts": self.now_us(),
             "pid": self._pid,
             "tid": threading.get_native_id(),
         }
@@ -145,7 +150,7 @@ class Tracer:
                 "name": name,
                 "cat": cat,
                 "ph": "C",
-                "ts": self._now_us(),
+                "ts": self.now_us(),
                 "pid": self._pid,
                 "tid": threading.get_native_id(),
                 "args": dict(values),

@@ -57,27 +57,26 @@ import multiprocessing
 import os
 import queue as queue_mod
 import signal
-import sys
 import time
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from ..runtime.system import System
-from ..statespace.stores import make_store
 from ..verisoft.explorer import Explorer
 from ..verisoft.parallel import (
     ChoicePrefix,
-    _merge_events,
     _thaw,
+    finish_parallel,
     harvest_residual,
+    merge_reports,
     prefix_key,
     warn_oversubscription,
+    warner,
+    worker_options,
 )
 from ..verisoft.results import ExplorationReport
+from ..verisoft.search import SearchOptions, search_options
 from ..verisoft.stats import SearchStats
 from .frontier import SearchCheckpoint, canonical_fingerprint, pending_key
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..verisoft.search import SearchOptions
 
 __all__ = ["explore_lease", "work_stealing_search"]
 
@@ -90,26 +89,12 @@ __all__ = ["explore_lease", "work_stealing_search"]
 def explore_lease(
     system: System,
     prefix: ChoicePrefix | None,
+    options: SearchOptions | None = None,
     *,
     yield_check: Callable[[], bool] | None = None,
     heartbeat_queue: Any | None = None,
     lease_index: int = 0,
-    max_depth: int = 100,
-    backtrack: str = "restore",
-    engine: str = "walk",
-    por: bool = True,
-    sleep_sets: bool = True,
-    count_states: bool = False,
-    stop_on_first: bool = False,
-    max_paths: int | None = None,
-    max_transitions: int | None = None,
-    time_budget: float | None = None,
-    max_events: int = 25,
-    state_cache: str = "off",
-    cache_bits: int = 24,
-    profile: bool = False,
-    coverage: bool = False,
-    heartbeat_interval: float = 0.5,
+    **overrides: Any,
 ) -> tuple[ExplorationReport, list[ChoicePrefix], frozenset | None]:
     """Explore the subtree leased by ``prefix`` (``None`` = whole tree).
 
@@ -120,82 +105,34 @@ def explore_lease(
     partition the lease losslessly.  ``residuals`` is empty for a lease
     run to exhaustion.  Fingerprints (``count_states``) come back
     canonicalized (:func:`~repro.service.frontier.canonical_fingerprint`)
-    so they survive checkpoint round-trips.
+    so they survive checkpoint round-trips.  ``heartbeat_queue`` gets a
+    :class:`~repro.obs.heartbeat.HeartbeatSender`'s messages.
 
     Unlike the static driver's frontier prefixes, a lease prefix pins an
     *untried* decision at its tip, so the explorer runs in
     ``prefix_mode="resume"``: the tip's out-edge and everything below it
     is fresh, counted ground.
     """
-    profiler = None
-    if profile:
-        from ..obs import HotSpotProfiler
-
-        profiler = HotSpotProfiler()
-    collector = None
-    if coverage:
-        from ..obs import CoverageCollector
-
-        collector = CoverageCollector(system)
-
-    progress = None
-    send = None
+    options = search_options(options, overrides)
+    heartbeats = None
     if heartbeat_queue is not None:
-        from ..obs import Heartbeat
+        from ..obs import HeartbeatSender
 
-        pid = os.getpid()
-
-        def send(kind: str, states: int, transitions: int) -> None:
-            try:  # a closed/full queue must never sink the worker
-                heartbeat_queue.put_nowait(
-                    Heartbeat(kind, pid, lease_index, states, transitions, time.time())
-                )
-            except Exception:
-                pass
-
-        def progress(stats: SearchStats) -> None:
-            send(
-                "beat",
-                stats.states_visited,
-                stats.transitions_executed + stats.replayed_transitions,
-            )
-
-        send("start", 0, 0)
-
-    fingerprints: set[Any] | None = set() if count_states else None
+        heartbeats = HeartbeatSender(heartbeat_queue, lease_index, options.progress_interval)
+    fingerprints: set[Any] | None = set() if options.count_states else None
     explorer = Explorer(
         system,
-        max_depth=max_depth,
-        backtrack=backtrack,
-        engine=engine,
-        por=por,
-        sleep_sets=sleep_sets,
-        state_store=make_store(state_cache, cache_bits=cache_bits),
-        count_states=count_states,
-        stop_on_first=stop_on_first,
-        max_paths=max_paths,
-        max_transitions=max_transitions,
-        time_budget=time_budget,
-        max_events=max_events,
+        options,
         initial_stack=_thaw(prefix) if prefix is not None else None,
         prefix_mode="resume",
         yield_check=yield_check,
         fingerprint_set=fingerprints,
-        progress=progress,
-        progress_interval=heartbeat_interval,
-        on_step=profiler,
-        coverage=collector,
-        phase_profile=profiler.phases if profiler is not None else None,
+        observer=heartbeats,
     )
     report = explorer.run()
     residuals: list[ChoicePrefix] = []
     if explorer.suspended and explorer.final_stack is not None:
         residuals = harvest_residual(explorer.final_stack, explorer.final_base)
-    if send is not None:
-        replayed = report.stats.replayed_transitions if report.stats else 0
-        send("done", report.states_visited, report.transitions_executed + replayed)
-    report.profile = profiler
-    report.coverage = collector
     canonical = (
         None
         if fingerprints is None
@@ -212,7 +149,7 @@ def explore_lease(
 def _worker_main(
     worker_id: int,
     system_or_factory: Any,
-    worker_kwargs: dict[str, Any],
+    options: SearchOptions,
     task_queue: Any,
     result_queue: Any,
     heartbeat_queue: Any,
@@ -262,10 +199,10 @@ def _worker_main(
             report, residuals, fps = explore_lease(
                 system,
                 prefix,
+                options,
                 yield_check=yield_check,
                 heartbeat_queue=heartbeat_queue,
                 lease_index=seq,
-                **worker_kwargs,
             )
         except Exception as err:  # commit the failure; don't strand the lease
             result_queue.put((worker_id, seq, err, [], None, False))
@@ -287,75 +224,6 @@ class _WorkerHandle:
         self.label = label
         self.leases_done = 0
         self.stolen_from = 0
-
-
-# ---------------------------------------------------------------------------
-# Deterministic merge
-# ---------------------------------------------------------------------------
-
-
-def _merge_lease_blocks(
-    blocks: list[tuple[tuple[int, ...], ExplorationReport]],
-    *,
-    max_events: int,
-    fingerprints: set[str] | None,
-) -> ExplorationReport:
-    """Merge completed lease blocks in sequential DFS order.
-
-    Every explored path of a suspended lease precedes (in DFS order)
-    every path of its harvested residuals, and a parent block's key is
-    a strict tuple-prefix of its residuals' keys — so sorting blocks by
-    key reproduces the sequential search's event order exactly, and
-    there is no frontier pseudo-path accounting to undo (lease prefixes
-    pin untried decisions; no path is ever cut short)."""
-    ordered = sorted(blocks, key=lambda entry: entry[0])
-    merged = ExplorationReport()
-    for _, report in ordered:
-        merged.states_visited += report.states_visited
-        merged.transitions_executed += report.transitions_executed
-        merged.toss_points += report.toss_points
-        merged.paths_explored += report.paths_explored
-        merged.max_depth_reached = max(
-            merged.max_depth_reached, report.max_depth_reached
-        )
-        merged.truncated = merged.truncated or report.truncated
-        merged.incomplete = merged.incomplete or report.incomplete
-
-    _merge_events(
-        merged.deadlocks, (r.deadlocks for _, r in ordered), max_events, keep_count=False
-    )
-    _merge_events(
-        merged.violations, (r.violations for _, r in ordered), max_events, keep_count=True
-    )
-    _merge_events(
-        merged.crashes, (r.crashes for _, r in ordered), max_events, keep_count=True
-    )
-    _merge_events(
-        merged.divergences, (r.divergences for _, r in ordered), max_events, keep_count=True
-    )
-
-    if fingerprints is not None:
-        merged.distinct_states = len(fingerprints)
-
-    profiles = [r.profile for _, r in ordered if r.profile is not None]
-    if profiles:
-        from ..obs import HotSpotProfiler
-
-        merged.profile = HotSpotProfiler.merged(profiles)
-
-    coverages = [r.coverage for _, r in ordered if r.coverage is not None]
-    if coverages:
-        from ..obs import CoverageCollector
-
-        merged.coverage = CoverageCollector.merged(coverages)
-
-    merged.stats = SearchStats.merged(
-        [r.stats for _, r in ordered if r.stats is not None], strategy="parallel"
-    )
-    if merged.coverage is not None:
-        merged.stats.coverage_nodes = merged.coverage.nodes_covered
-        merged.stats.coverage_nodes_total = merged.coverage.nodes_total
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -401,26 +269,13 @@ def work_stealing_search(
     * ``kill_worker_after_paths`` — crash-test hook, forwarded to the
       *first* worker only (see :func:`_worker_main`).
     """
-    from ..verisoft.search import SearchOptions
-
-    if options is None:
-        options = SearchOptions(strategy="parallel", scheduler="steal")
-    if overrides:
-        from dataclasses import replace
-
-        options = replace(options, **overrides)
-
+    # The options record what ran: this driver is the steal scheduler.
+    options = search_options(options, {**overrides, "strategy": "parallel", "scheduler": "steal"})
     jobs = options.jobs or os.cpu_count() or 1
     started = time.monotonic()
     deadline = None if options.time_budget is None else started + options.time_budget
 
-    def _warn(message: str) -> None:
-        warn = getattr(options.progress, "warn", None)
-        if warn is not None:
-            warn(message)
-        else:
-            print(f"warning: {message}", file=sys.stderr)
-
+    _warn = warner(options)
     # Judged on the *requested* job count, once, before any fan-out —
     # exactly like the static driver (the jobs=0 default never warns).
     warn_oversubscription(options.jobs, _warn)
@@ -428,16 +283,7 @@ def work_stealing_search(
     # Resolve the effective modes up front (the per-lease explorers
     # resolve them identically) so stats are right even if the search
     # suspends before any lease completes.
-    resolved_backtrack = (
-        "restore"
-        if options.backtrack == "restore" and system.journalable()
-        else "replay"
-    )
-    resolved_engine = (
-        "walk"
-        if options.engine == "compiled" and system.compiled_program() is None
-        else options.engine
-    )
+    modes = options.resolve(system)
 
     # -- seed the lease pool (fresh root lease, or a checkpoint) ----------
     pending: list[tuple[tuple[int, ...], int, ChoicePrefix | None]] = []
@@ -463,29 +309,12 @@ def work_stealing_search(
         lease_seq = 1
         leases = 1
 
-    worker_kwargs = dict(
-        max_depth=options.max_depth,
-        backtrack=options.backtrack,
-        engine=options.engine,
-        por=options.por,
-        sleep_sets=options.sleep_sets_active,
-        count_states=options.count_states,
-        stop_on_first=options.stop_on_first,
-        max_paths=options.max_paths,
-        max_transitions=options.max_transitions,
-        time_budget=None if deadline is None else max(0.0, deadline - time.monotonic()),
-        max_events=options.max_events,
-        state_cache=options.state_cache,
-        cache_bits=options.cache_bits,
-        profile=options.profile,
-        coverage=options.coverage,
-        heartbeat_interval=options.progress_interval,
-    )
+    lease_options = worker_options(options, deadline)
 
     # Live coverage gauge: incrementally merged at block commit so
     # heartbeats don't re-merge every shard on each tick.  The *final*
     # report's coverage is still rebuilt from scratch by
-    # ``_merge_lease_blocks`` (the counter-exact path).
+    # ``merge_reports`` (the counter-exact path).
     live_coverage = None
     if options.coverage:
         from ..obs import CoverageCollector
@@ -536,8 +365,8 @@ def work_stealing_search(
         live = SearchStats.merged(
             [r.stats for _, r in blocks if r.stats is not None],
             strategy="parallel",
-            backtrack=resolved_backtrack,
-            engine=resolved_engine,
+            backtrack=modes.backtrack,
+            engine=modes.engine,
             jobs=jobs,
             prefixes=leases,
             leases=leases,
@@ -554,6 +383,17 @@ def work_stealing_search(
             live.coverage_nodes_total = live_coverage.nodes_total
         live.frontier_pending = len(pending)
         return live
+
+    def budget_spent() -> bool:
+        """Whether the committed blocks used up ``max_paths`` or
+        ``max_transitions`` (enforced per lease, re-checked here)."""
+        return (
+            options.max_paths is not None
+            and sum(r.paths_explored for _, r in blocks) >= options.max_paths
+        ) or (
+            options.max_transitions is not None
+            and sum(r.transitions_executed for _, r in blocks) >= options.max_transitions
+        )
 
     next_checkpoint = (
         None if checkpoint_interval is None else started + checkpoint_interval
@@ -589,9 +429,9 @@ def work_stealing_search(
             report, residuals, lease_fps = explore_lease(
                 target_system,
                 prefix,
+                lease_options,
                 yield_check=should_suspend,
                 lease_index=seq,
-                **worker_kwargs,
             )
             commit(key, report, residuals, lease_fps, was_steal=False)
             worker_summary["w0"]["leases"] += 1
@@ -604,14 +444,7 @@ def work_stealing_search(
             if options.stop_on_first and not report.ok:
                 stop_early = True
                 break
-            totals = sum(r.paths_explored for _, r in blocks)
-            if options.max_paths is not None and totals >= options.max_paths:
-                break
-            if (
-                options.max_transitions is not None
-                and sum(r.transitions_executed for _, r in blocks)
-                >= options.max_transitions
-            ):
+            if budget_spent():
                 break
     else:
         # --------------------------------------------------------------
@@ -651,7 +484,7 @@ def work_stealing_search(
                 args=(
                     wid,
                     system_payload,
-                    worker_kwargs,
+                    lease_options,
                     task_queue,
                     result_queue,
                     heartbeat_queue,
@@ -772,16 +605,7 @@ def work_stealing_search(
                 if deadline is not None and time.monotonic() > deadline:
                     expired = True
                     break
-                if (
-                    options.max_paths is not None
-                    and sum(r.paths_explored for _, r in blocks) >= options.max_paths
-                ):
-                    break
-                if (
-                    options.max_transitions is not None
-                    and sum(r.transitions_executed for _, r in blocks)
-                    >= options.max_transitions
-                ):
+                if budget_spent():
                     break
 
                 # Liveness: a dead worker's uncommitted lease is re-queued
@@ -822,7 +646,7 @@ def work_stealing_search(
                     while pending:
                         key, seq, prefix = heapq.heappop(pending)
                         report, residuals, lease_fps = explore_lease(
-                            target_system, prefix, lease_index=seq, **worker_kwargs
+                            target_system, prefix, lease_options, lease_index=seq
                         )
                         commit(key, report, residuals, lease_fps, was_steal=False)
                     break
@@ -882,40 +706,26 @@ def work_stealing_search(
     # ------------------------------------------------------------------
     # Merge
     # ------------------------------------------------------------------
-    merged = _merge_lease_blocks(
-        blocks, max_events=options.max_events, fingerprints=fingerprints
+    # Sorting the blocks by prefix key reproduces the sequential DFS
+    # order: every explored path of a suspended lease precedes every
+    # path of its residuals, and a parent block's key is a strict
+    # tuple-prefix of its residuals' keys.  Lease prefixes pin untried
+    # decisions, so no path is ever cut short (no pseudo-paths).
+    merged = merge_reports(
+        None,
+        [report for _, report in sorted(blocks, key=lambda entry: entry[0])],
+        max_events=options.max_events,
+        fingerprints=fingerprints,
     )
-    if expired:
-        merged.incomplete = True
+    if budget_spent():
         merged.truncated = True
-    if options.max_paths is not None or options.max_transitions is not None:
-        totals_paths = merged.paths_explored
-        if options.max_paths is not None and totals_paths >= options.max_paths:
-            merged.truncated = True
-        if (
-            options.max_transitions is not None
-            and merged.transitions_executed >= options.max_transitions
-        ):
-            merged.truncated = True
     if suspended:
         merged.incomplete = True
         merged.checkpoint = build_checkpoint()
-
-    merged.stats.strategy = "parallel"
-    merged.stats.backtrack = resolved_backtrack
-    merged.stats.engine = resolved_engine
-    merged.stats.jobs = jobs
     merged.stats.prefixes = leases
     merged.stats.leases = leases
     merged.stats.steals = steals
     merged.stats.leases_requeued = requeued
-    merged.stats.wall_time = time.monotonic() - started
-    merged.options = options
     merged.worker_summary = dict(sorted(worker_summary.items())) or None
-    if options.state_cache != "off":
-        merged.stats.state_cache = options.state_cache
-        merged.state_caching = {
-            **(options.state_caching_info() or {}),
-            "per_worker_stores": True,
-        }
+    finish_parallel(merged, options, system, jobs, started, expired)
     return merged

@@ -45,13 +45,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Any, Callable, Iterable
 
-from ..runtime.engine import validate_engine
-from ..runtime.process import Process, ProcessStatus
+from ..obs.observer import Observation, SearchObserver, timed
+from ..runtime.process import ProcessStatus
 from ..runtime.system import Run, System
-from ..statespace.stores import StateStore
 from .por import (
     PersistentSetComputer,
     TransitionSig,
@@ -61,6 +59,7 @@ from .por import (
     signature_of,
 )
 from .results import (
+    NO_TRACE,
     AssertionViolationEvent,
     Choice,
     CrashEvent,
@@ -71,7 +70,9 @@ from .results import (
     TossChoice,
     Trace,
     TraceStep,
+    without_trace,
 )
+from .search import SearchOptions, search_options
 from .stats import SearchStats
 
 
@@ -128,204 +129,113 @@ _EMPTY_SLEEP: frozenset = frozenset()
 class Explorer:
     """Drives the systematic search over a :class:`repro.runtime.System`.
 
-    Arguments:
-        system: the (closed) system to explore.
-        max_depth: bound on transitions per path; exploration is complete
-            up to this depth.
-        backtrack: ``"replay"`` (default; stateless re-execution from the
-            initial state) or ``"restore"`` (undo-journal checkpointing:
-            backtracking rewinds the live run in O(changes) — see the
-            module docstring).  ``"restore"`` silently degrades to
-            replay when the system is not journalable; both modes visit
-            the identical choice tree and report identical counters
-            apart from ``replays``/``replayed_transitions``/``restores``.
-        engine: the process stepper (see :mod:`repro.runtime.engine`):
-            ``"walk"`` (default; the tree-walking reference engine) or
-            ``"compiled"`` (CFGs pre-translated to Python closures).
-            ``"compiled"`` silently degrades to ``"walk"`` when the
-            program cannot be compiled (pointer programs); both engines
-            explore the identical choice tree and report identical
-            counters.
-        por: enable persistent-set + sleep-set reduction.
-        sleep_sets: with ``por``, whether the sleep-set part of the
-            reduction is active (persistent sets always are).  The safe
-            state-caching mode turns sleep sets off — see the module
-            docstring.
-        state_store: a :class:`~repro.statespace.stores.StateStore`
-            consulted at every fresh global state; a state the store has
-            already expanded (at no smaller remaining depth budget) is
-            pruned instead of re-explored.  ``None`` (the default) keeps
-            the search purely stateless.
-        count_states: additionally hash every visited global state to
-            report the number of *distinct* states (not part of VeriSoft,
-            which stores no states; used by the benchmarks to measure
-            true state-space sizes).
-        stop_on_first: stop at the first deadlock/violation/crash.
-        max_paths / max_transitions / max_seconds: work budgets; the
-            report's ``truncated`` flag is set when one trips.
-        time_budget: wall-clock budget in seconds, checked at every
-            global state (not merely between paths like ``max_seconds``);
-            when it expires the report is flagged ``incomplete=True``
-            (and ``truncated``) instead of the search running unbounded.
-        max_events: cap on recorded events of each kind (traces can be
-            large; counting continues).
-        initial_stack: a frozen choice prefix (see
-            :mod:`repro.verisoft.parallel`); the search replays it and
-            explores only the subtree below — backtracking never climbs
-            above the prefix.  Prefix states/transitions are not
-            re-counted.
-        prefix_mode: how the *last* pinned decision of ``initial_stack``
-            is accounted.  ``"frontier"`` (default; the static parallel
-            partition): the edge into the frontier state was already
-            executed and counted by the coordinator that enumerated the
-            prefix, so the first replay does not re-count it.
-            ``"resume"`` (work-stealing leases and suspended-search
-            resumption, :mod:`repro.service`): the last pinned decision
-            was *never executed* — it is an untried sibling harvested
-            from a suspended DFS stack — so its out-edge and everything
-            below it is fresh ground and is counted, exactly as the
-            sequential search would count it after bumping that choice
-            point.
-        yield_check: cooperative suspension hook, polled between paths.
-            When it returns true *and* untried alternatives remain above
-            the frozen prefix, the DFS stops cleanly: :attr:`suspended`
-            is set and :attr:`final_stack`/:attr:`final_base` expose the
-            live choice stack so the caller can harvest the remaining
-            subtrees (see :func:`repro.verisoft.parallel.harvest_residual`).
-            The report returned covers exactly the paths completed so
-            far — every counter and event is final for the explored
-            region, so a partial report plus the residual prefixes
-            partitions the subtree losslessly.
-        frontier_depth / on_frontier: cut every path at this depth and
-            hand the current choice stack to ``on_frontier`` instead of
-            descending — the prefix-enumeration mode of the parallel
-            driver.
-        fingerprint_set: with ``count_states``, collect fingerprints
-            into this caller-owned set (so a parallel coordinator can
-            union worker sets).
-        progress / progress_interval: periodic live-telemetry callback
-            receiving the running :class:`~repro.verisoft.stats.SearchStats`.
-        on_step: per-step observer (the hot-spot profiler's hook,
-            :class:`repro.obs.profile.HotSpotProfiler`), invoked as
-            ``on_step(kind, process, request, depth, fanout, created)``
-            — on every *fresh-edge* visible transition
-            (``kind="schedule"``) and on every freshly created
-            ``VS_toss`` choice point (``kind="toss"``).  Anchored
-            exactly like ``transitions_executed``/``toss_points``, so
-            observer totals match the report and parallel merges are
-            exact.  ``None`` (default) costs one branch per transition.
-        tracer: a :class:`repro.obs.tracer.Tracer`; when given, the
-            explorer records one span per DFS path (category ``"dfs"``)
-            and an instant event per recorded deadlock/violation.
-            ``None`` (default) costs one branch per path.
-        coverage: a :class:`repro.obs.coverage.CoverageCollector`; when
-            given, every run is started with engine node tracing on and
-            the explorer drains each trace segment right after the step
-            that produced it, tagged with the same ``fresh`` /
-            ``fresh_edge`` anchoring as the counters — so coverage from
-            parallel shards merges counter-exactly and the walk and
-            compiled engines produce bit-identical coverage.  ``None``
-            (default) costs one branch per step.
-        phase_profile: a mutable mapping accumulating wall seconds per
-            explorer phase (``"engine"``, ``"fingerprint"``, ``"por"``,
-            ``"cache"``, ``"coverage"``) — the per-phase breakdown the
-            hot-spot profiler reports.  ``None`` (default) skips all
-            timing.
+    Takes the driver convention ``(system, options, *, <driver-owned
+    state>, **overrides)``: every knob — depth bound, backtracking mode,
+    engine, POR, state caching, budgets, event cap, observers — comes
+    from ``options`` (a :class:`~repro.verisoft.search.SearchOptions`,
+    whose defaults are the only defaults), with fields overridable by
+    keyword.  ``options.resolve`` decides the restore → replay and
+    compiled → walk fallbacks; both modes and both engines walk the
+    identical choice tree and report identical counters apart from the
+    backtracking-cost group.  The one wall-clock budget,
+    ``time_budget``, is checked at every global state; when it expires
+    the report is flagged ``incomplete`` (and ``truncated``).
+
+    The state only this driver owns:
+
+    * ``initial_stack`` — a frozen choice prefix (see
+      :mod:`repro.verisoft.parallel`); the search replays it and
+      explores only the subtree below — backtracking never climbs above
+      the prefix.  Prefix states/transitions are not re-counted.
+    * ``prefix_mode`` — how the *last* pinned decision of
+      ``initial_stack`` is accounted.  ``"frontier"`` (the static
+      parallel partition): the edge into the frontier state was already
+      executed and counted by the coordinator that enumerated the
+      prefix, so the first replay does not re-count it.  ``"resume"``
+      (work-stealing leases and suspended-search resumption,
+      :mod:`repro.service`): the last pinned decision was *never
+      executed* — an untried sibling harvested from a suspended DFS
+      stack — so its out-edge and everything below it is counted,
+      exactly as the sequential search would after bumping that point.
+    * ``yield_check`` — cooperative suspension, polled between paths.
+      When it returns true *and* untried alternatives remain above the
+      frozen prefix, the DFS stops cleanly: :attr:`suspended` is set
+      and :attr:`final_stack`/:attr:`final_base` expose the live choice
+      stack for :func:`repro.verisoft.parallel.harvest_residual`.  The
+      report covers exactly the paths completed so far, so a partial
+      report plus the residual prefixes partitions the subtree
+      losslessly.
+    * ``frontier_depth`` / ``on_frontier`` — the frontier cut: every
+      path is cut at this depth and the choice stack handed to
+      ``on_frontier`` instead of descending (the parallel driver's
+      prefix enumeration).
+    * ``fingerprint_set`` — with ``count_states``, collect fingerprints
+      into this caller-owned set (so a coordinator can union worker
+      sets).
+    * ``observer`` — a driver-owned
+      :class:`~repro.obs.observer.SearchObserver` (the parallel
+      workers' heartbeats) observing alongside the ones the options ask
+      for (:class:`~repro.obs.observer.Observation`).
 
     The hot loop shares **one** canonical state key per global state
     (:meth:`Run.state_key`, incremental for pointer-free programs)
-    between seen-state dedup, the state store and the POR memo — and
-    with ``por`` on, memoizes the per-state analysis (deadlock /
-    termination flags, enabled count, persistent candidates and their
-    signatures) keyed by those bytes.  Sound because the canonical key
-    is injective over the complete runtime state and each memoized
-    value is a pure function of the state; the path-dependent sleep-set
-    filtering stays per-visit.
+    between seen-state dedup and the state store, and with ``por`` on
+    memoizes the persistent candidates on the state's control
+    projection.  With ``profile`` its named calls — the engine steps,
+    :meth:`Run.state_key`, the store visit, the per-state analysis and
+    the coverage observer — are timed into the profile's ``engine``,
+    ``fingerprint``, ``cache``, ``por`` and ``coverage`` phases.
     """
 
     def __init__(
         self,
         system: System,
-        max_depth: int = 100,
-        backtrack: str = "replay",
-        engine: str = "walk",
-        por: bool = True,
-        sleep_sets: bool = True,
-        state_store: StateStore | None = None,
-        count_states: bool = False,
-        stop_on_first: bool = False,
-        max_paths: int | None = None,
-        max_transitions: int | None = None,
-        max_seconds: float | None = None,
-        time_budget: float | None = None,
-        max_events: int = 25,
-        on_leaf: Callable[[Run, Trace], None] | None = None,
-        stop_when: Callable[[ExplorationReport], bool] | None = None,
+        options: SearchOptions | None = None,
+        *,
         initial_stack: list[_ChoicePoint] | None = None,
         prefix_mode: str = "frontier",
         yield_check: Callable[[], bool] | None = None,
         frontier_depth: int | None = None,
         on_frontier: Callable[[list[_ChoicePoint]], None] | None = None,
         fingerprint_set: set[Any] | None = None,
-        progress: Callable[[SearchStats], None] | None = None,
-        progress_interval: float = 0.5,
-        on_step: Callable[..., None] | None = None,
-        tracer: Any | None = None,
-        coverage: Any | None = None,
-        phase_profile: dict[str, float] | None = None,
+        observer: SearchObserver | None = None,
+        **overrides: Any,
     ):
-        if backtrack not in ("replay", "restore"):
-            raise ValueError(f"unknown backtrack mode {backtrack!r}")
         if prefix_mode not in ("frontier", "resume"):
             raise ValueError(f"unknown prefix mode {prefix_mode!r}")
-        validate_engine(engine)
+        self._options = options = search_options(options, overrides)
+        modes = options.resolve(system)
         self._system = system
-        self._max_depth = max_depth
-        self._restore = backtrack == "restore" and system.journalable()
-        # The engine actually used may degrade to "walk" when the
-        # program cannot be compiled; resolve it once so telemetry and
-        # every run agree.
-        if engine == "compiled" and system.compiled_program() is None:
-            engine = "walk"
-        self._engine = engine
-        self._live: _ExecState | None = None
-        self._live_checkpoint_bytes = 0
-        self._peak_checkpoint_bytes = 0
-        self._por = por
-        self._sleep_sets = sleep_sets and por
-        self._state_store = state_store
-        self._count_states = count_states
-        self._stop_on_first = stop_on_first
-        self._max_paths = max_paths
-        self._max_transitions = max_transitions
-        self._max_seconds = max_seconds
-        self._time_budget = time_budget
-        self._max_events = max_events
-        self._on_leaf = on_leaf
-        self._stop_when = stop_when
+        self._max_depth = options.max_depth
+        self._restore = modes.backtrack == "restore"
+        self._engine = modes.engine
+        self._sleep_sets = modes.sleep_sets
+        self._state_store = options.make_state_store()
+        self._count_states = options.count_states
+        self._stop_on_first = options.stop_on_first
+        self._max_events = options.max_events
+        self._on_leaf = options.on_leaf
         self._initial_stack = initial_stack
         self._prefix_mode = prefix_mode
         self._yield_check = yield_check
+        self._frontier_depth = frontier_depth
+        self._on_frontier = on_frontier
+        self._fingerprint_set = fingerprint_set
+        self._extra_observer = observer
+        self._observer: SearchObserver | None = None
         #: Set when ``yield_check`` stopped the DFS before exhaustion;
         #: :attr:`final_stack`/:attr:`final_base` then hold the live
         #: choice stack for residual harvesting.
         self.suspended = False
         self.final_stack: list[_ChoicePoint] | None = None
         self.final_base = 0
-        self._frontier_depth = frontier_depth
-        self._on_frontier = on_frontier
-        self._fingerprint_set = fingerprint_set
-        self._progress = progress
-        self._progress_interval = progress_interval
-        self._on_step = on_step
-        self._tracer = tracer
-        self._coverage = coverage
-        self._phases = phase_profile
+        self._live: PathState | None = None
+        self._live_checkpoint_bytes = 0
+        self._peak_checkpoint_bytes = 0
         self._deadline: float | None = None
         self._persistent: PersistentSetComputer | None = None
-        if por:
-            footprints = self._compute_footprints(system)
-            self._persistent = PersistentSetComputer(footprints)
+        if options.por:
+            self._persistent = PersistentSetComputer(self._compute_footprints(system))
         #: Persistent-set memo keyed by the *control projection* of a
         #: state — ``(tuple of interned per-process signature ids,
         #: enabled bitmask)`` — holding ``(candidate names,
@@ -333,10 +243,9 @@ class Explorer:
         #: signatures, enabledness and static footprints, so states
         #: sharing a projection share the result; the projection both
         #: hashes faster than a full state key and hits far more often.
-        #: Only kept with POR on — without it the analysis is one scan.
-        self._state_memo: dict[tuple, tuple] | None = {} if por else None
+        self._state_memo: dict[tuple, tuple] = {}
         # Whether any consumer needs the canonical key at each state.
-        self._need_key = state_store is not None or count_states
+        self._need_key = self._state_store is not None or options.count_states
         #: Interned trace records: ScheduleChoice / TossChoice /
         #: TraceStep are frozen value objects drawn from a tiny
         #: per-system domain, so each distinct record is allocated once
@@ -344,6 +253,7 @@ class Explorer:
         self._sched_cache: dict[str, ScheduleChoice] = {}
         self._toss_cache: dict[tuple[str, int], TossChoice] = {}
         self._step_cache: dict[tuple, TraceStep] = {}
+        self._bind_calls(None)
 
     @staticmethod
     def _compute_footprints(system: System) -> dict[str, set[str]]:
@@ -359,6 +269,21 @@ class Explorer:
             )
         return footprints
 
+    def _bind_calls(self, phases: dict | None) -> None:
+        """Bind the hot loop's named calls; with a profile's ``phases``
+        each is timed into its phase."""
+
+        def bind(fn: Callable, phase: str) -> Callable:
+            return fn if phases is None else timed(fn, phases, phase)
+
+        self._start = bind(Run.start_processes, "engine")
+        self._answer = bind(Run.answer_toss, "engine")
+        self._step = bind(Run.execute_visible, "engine")
+        self._state_key = bind(Run.state_key, "fingerprint")
+        self._analyze = bind(_analyze_state, "por")
+        store = self._state_store
+        self._store_visit = None if store is None else bind(store.visit, "cache")
+
     # -- public API -------------------------------------------------------------
 
     def run(self) -> ExplorationReport:
@@ -373,90 +298,55 @@ class Explorer:
                 **self._state_store.config(),
                 "sleep_sets": self._sleep_sets,
             }
+        seen_states: set[Any] | None = None
         if self._count_states:
             report.distinct_states = 0
+            seen_states = self._fingerprint_set
+            if seen_states is None:
+                seen_states = set()
         stack: list[_ChoicePoint] = list(self._initial_stack or ())
         base = len(stack)
-        if self._count_states:
-            seen_states: set[Any] | None = (
-                self._fingerprint_set if self._fingerprint_set is not None else set()
-            )
-        else:
-            seen_states = None
         started = time.monotonic()
         cpu_started = time.process_time()
-        if self._time_budget is not None:
-            self._deadline = started + self._time_budget
-        next_tick = started + self._progress_interval
+
+        def live_stats() -> SearchStats:
+            self._sync_stats(report, stats, started, cpu_started)
+            return stats
+
+        observation = Observation(
+            self._options,
+            self._system,
+            live_stats=live_stats,
+            span=("path", "dfs"),
+            extra=self._extra_observer,
+        )
+        self._observer = observer = observation.observer
+        self._bind_calls(observation.phases)
+        if self._options.time_budget is not None:
+            self._deadline = started + self._options.time_budget
         executions = 0
         resume_point: _ChoicePoint | None = None
 
         while True:
+            # On the very first pass over a frozen frontier prefix
+            # nothing has been bumped: the prefix's edges were all
+            # executed (and recorded) by the coordinator that produced
+            # it.  A "resume" prefix instead pins an *untried* decision
+            # at its tip, whose out-edge is fresh ground.
+            frozen_replay = (
+                executions == 0 and base > 0 and self._prefix_mode == "frontier"
+            )
             try:
-                # On the very first pass over a frozen frontier prefix
-                # nothing has been bumped: the prefix's edges were all
-                # executed (and recorded) by the coordinator that
-                # produced it.  A "resume" prefix instead pins an
-                # *untried* decision at its tip, whose out-edge is fresh
-                # ground (see the ``prefix_mode`` argument).
-                frozen_replay = (
-                    executions == 0 and base > 0 and self._prefix_mode == "frontier"
-                )
-                if self._tracer is None:
-                    self._execute(
-                        stack, report, seen_states, stats, frozen_replay, resume_point
-                    )
-                else:
-                    with self._tracer.span("path", cat="dfs", path=executions):
-                        self._execute(
-                            stack, report, seen_states, stats, frozen_replay, resume_point
-                        )
+                self._execute(stack, report, stats, seen_states, frozen_replay, resume_point)
             except _Leaf:
                 pass
             report.paths_explored += 1
             if executions and not self._restore:
                 stats.replays += 1
             executions += 1
-
-            if self._progress is not None:
-                now = time.monotonic()
-                if now >= next_tick:
-                    self._sync_stats(report, stats, started, cpu_started)
-                    self._progress(stats)
-                    next_tick = now + self._progress_interval
-
-            if report.incomplete:
-                report.truncated = True
-                break
-            if self._stop_on_first and not report.ok:
-                break
-            if self._stop_when is not None and self._stop_when(report):
-                break
-            if self._max_paths is not None and report.paths_explored >= self._max_paths:
-                report.truncated = True
-                break
-            if (
-                self._max_transitions is not None
-                and report.transitions_executed >= self._max_transitions
-            ):
-                report.truncated = True
-                break
-            if self._max_seconds is not None and time.monotonic() - started > self._max_seconds:
-                report.truncated = True
-                break
-
-            # Cooperative suspension: a steal request or a stop request
-            # arrived between paths.  Only worth honouring while untried
-            # alternatives remain above the frozen prefix — otherwise the
-            # search is one pop-loop away from finishing anyway.
-            if (
-                self._yield_check is not None
-                and self._yield_check()
-                and any(not stack[j].exhausted() for j in range(base, len(stack)))
-            ):
-                self.suspended = True
-                self.final_stack = stack
-                self.final_base = base
+            if observer is not None:
+                observer.on_path_end(report)
+            if self._should_stop(report, stack, base):
                 break
 
             # Backtrack to the deepest choice point with untried options,
@@ -475,8 +365,45 @@ class Explorer:
 
         if seen_states is not None:
             report.distinct_states = len(seen_states)
-        self._sync_stats(report, stats, started, cpu_started)
+        live_stats()
+        observation.finish(report)
         return report
+
+    def _should_stop(
+        self, report: ExplorationReport, stack: list[_ChoicePoint], base: int
+    ) -> bool:
+        """The between-paths checks: the budgets, the first-event stop,
+        the stop predicate and cooperative suspension."""
+        options = self._options
+        if report.incomplete:
+            report.truncated = True
+            return True
+        if self._stop_on_first and not report.ok:
+            return True
+        if options.stop_when is not None and options.stop_when(report):
+            return True
+        if (
+            options.max_paths is not None and report.paths_explored >= options.max_paths
+        ) or (
+            options.max_transitions is not None
+            and report.transitions_executed >= options.max_transitions
+        ):
+            report.truncated = True
+            return True
+        # Cooperative suspension: a steal request or a stop request
+        # arrived between paths.  Only worth honouring while untried
+        # alternatives remain above the frozen prefix — otherwise the
+        # search is one pop-loop away from finishing anyway.
+        if (
+            self._yield_check is not None
+            and self._yield_check()
+            and any(not stack[j].exhausted() for j in range(base, len(stack)))
+        ):
+            self.suspended = True
+            self.final_stack = stack
+            self.final_base = base
+            return True
+        return False
 
     def _sync_stats(
         self,
@@ -505,9 +432,6 @@ class Explorer:
             stats.checkpoint_memory_bytes = (
                 journal.peak_memory_bytes() + self._peak_checkpoint_bytes
             )
-        if self._coverage is not None:
-            stats.coverage_nodes = self._coverage.nodes_covered
-            stats.coverage_nodes_total = self._coverage.nodes_total
 
     # -- one (re-)execution -------------------------------------------------------
 
@@ -515,449 +439,280 @@ class Explorer:
         self,
         stack: list[_ChoicePoint],
         report: ExplorationReport,
-        seen_states: set[Any] | None,
         stats: SearchStats,
-        frozen_replay: bool = False,
-        resume_point: _ChoicePoint | None = None,
+        seen_states: set[Any] | None,
+        frozen_replay: bool,
+        resume_point: _ChoicePoint | None,
     ) -> None:
-        pending_schedule: _ChoicePoint | None = None
-        coverage = self._coverage
+        """One (re-)execution, from a fresh run or a restored checkpoint
+        down to a leaf (which raises :class:`_Leaf`)."""
         if resume_point is None:
-            run = self._system.start(
-                journal=self._restore,
-                engine=self._engine,
-                trace=coverage is not None,
-            )
-            if coverage is not None:
-                coverage.begin_run()
-            if self._phases is None:
-                run.start_processes()
-            else:
-                t0 = perf_counter()
-                run.start_processes()
-                self._phases["engine"] += perf_counter() - t0
-            replay_len = len(stack)
-            state = _ExecState(
-                run=run,
-                stack=stack,
-                replay_len=replay_len,
-                edge_replay_len=replay_len + 1 if frozen_replay else replay_len,
-                report=report,
-            )
-            if coverage is not None:
-                # The initial invisible segments are fresh ground exactly
-                # when nothing precedes them: the sequential first path,
-                # the coordinator's (empty-prefix) enumeration, the root
-                # steal lease.  Prefixed/replayed runs re-execute them.
-                counted = replay_len == 0
-                for process in run.processes:
-                    entries = process.engine.take_trace()
-                    if entries:
-                        coverage.segment(process.name, entries, counted)
-            if self._restore:
-                self._live = state
-            self._note_broken_processes(state)
-            current_sleep: frozenset[TransitionSig] = frozenset()
-            depth = 0
-            may_toss = True
+            state = self._start_run(stack, report, frozen_replay)
+            depth, sleep, may_toss, point = 0, _EMPTY_SLEEP, True, None
         else:
-            # Restore-mode re-entry: rewind the live run to the bumped
-            # choice point's checkpoint and resume the DFS there.  The
-            # execution state is exactly what a replay would have rebuilt
-            # on reaching the point: choices/steps truncated to the
-            # prefix, ptr past every stacked point (so ``fresh`` /
-            # ``fresh_edge`` hold on all ground below, as they would
-            # after consuming the bumped point during a replay).
-            info = resume_point.resume
-            state = self._live
-            run = state.run
-            run.restore(info.checkpoint)
-            del state.choices[info.choices_len :]
-            del state.steps[info.steps_len :]
-            state.noted_broken = set(info.noted_broken)
-            state.ptr = len(stack)
-            depth = info.depth
-            current_sleep = info.sleep
-            if coverage is not None:
-                # Re-anchor the per-process parsers on the restored
-                # control stacks.  Trace buffers are empty here (every
-                # drain immediately follows the resume that filled it),
-                # but drain defensively so a stale tail can never be
-                # attributed to post-restore ground.
-                for process in run.processes:
-                    process.engine.take_trace()
-                    coverage.sync(process.name, process.engine.control_nodes())
-            if resume_point.kind == "toss":
-                # Answer the bumped toss and fall into the normal loop —
-                # mirroring a replay's pass over the bumped point (no
-                # on_step, no toss_points increment: both fire at
-                # creation only).
-                tossing = run.toss_pending()
-                value = resume_point.chosen
-                request = tossing.toss_request if coverage is not None else None
-                state.choices.append(self._toss_choice(tossing.name, value))
-                run.answer_toss(tossing, value)
-                if coverage is not None:
-                    # A bumped point sits above the frozen prefix, so
-                    # ``fresh_edge`` holds — same anchoring as a replay
-                    # pass consuming the bumped decision.
-                    if state.fresh_edge:
-                        coverage.toss_value(request.proc_name, request.node_id, value)
-                    entries = tossing.engine.take_trace()
-                    if entries:
-                        coverage.segment(tossing.name, entries, state.fresh_edge)
-                self._note_broken_one(state, tossing)
-                may_toss = True
-            else:
-                pending_schedule = resume_point
-                may_toss = False
-
-        phases = self._phases
+            state, depth, sleep, may_toss, point = self._reenter(resume_point)
+        run = state.run
+        observer = self._observer
+        step = self._step
+        sched_cache = self._sched_cache
+        step_cache = self._step_cache
         while True:
-            if pending_schedule is None:
-                # Resolve pending toss choices (invisible, intra-transition).
-                # Only the process(es) resumed since the last global state
-                # can be awaiting a toss, so the scan is skipped entirely
-                # on the common transition where the stepped process came
-                # back AT_VISIBLE (``may_toss`` tracks that).
-                while may_toss:
-                    tossing = run.toss_pending()
-                    if tossing is None:
-                        break
-                    request = tossing.toss_request
-                    before = len(state.stack)
-                    point = self._choice(
-                        state,
-                        "toss",
-                        range(request.bound + 1),
-                        frozenset(),
-                        (),
-                        depth,
-                        current_sleep,
-                    )
-                    if self._on_step is not None and len(state.stack) > before:
-                        self._on_step(
-                            "toss", tossing.name, request, depth, request.bound + 1, True
-                        )
-                    value = point.chosen
-                    state.choices.append(self._toss_choice(tossing.name, value))
-                    if phases is None:
-                        run.answer_toss(tossing, value)
-                    else:
-                        t0 = perf_counter()
-                        run.answer_toss(tossing, value)
-                        phases["engine"] += perf_counter() - t0
-                    if coverage is not None:
-                        # Toss *values* anchor on the answering edge (not
-                        # point creation): each fresh traversal of a toss
-                        # arc counts once system-wide.
-                        t0 = perf_counter() if phases is not None else 0.0
-                        if state.fresh_edge:
-                            coverage.toss_value(
-                                request.proc_name, request.node_id, value
-                            )
-                        entries = tossing.engine.take_trace()
-                        if entries:
-                            coverage.segment(tossing.name, entries, state.fresh_edge)
-                        if phases is not None:
-                            phases["coverage"] += perf_counter() - t0
-                    self._note_broken_one(state, tossing)
-
-                # Frontier cut: hand the subtree below this state to the
-                # parallel driver instead of descending into it.
+            if point is not None:
+                # Resuming at a bumped schedule point: its global state
+                # was processed when the point was created (a replay
+                # would not re-count it either), so go straight to
+                # executing the next alternative.
+                created = False
+                fanout = len(point.alternatives)
+            else:
+                if may_toss:
+                    self._answer_tosses(state, depth, sleep)
                 if self._frontier_depth is not None and depth >= self._frontier_depth:
+                    # Frontier cut: hand the subtree below this state to
+                    # the parallel driver instead of descending into it.
                     if self._on_frontier is not None:
                         self._on_frontier(state.stack)
                     raise _Leaf()
-
-                # A global state.  Key computation, dedup, store consult,
-                # POR analysis and the leaf checks are all pure functions
-                # of the state; a *replayed* state (inside the stacked
-                # prefix) was fully processed when first reached and —
-                # having a choice point below it — is by construction not
-                # a leaf, so replay passes skip straight to the recorded
-                # decision.  ``ptr < replay_len`` is exactly ``not fresh``.
                 if state.ptr < state.replay_len:
+                    # A replayed state (inside the stacked prefix) was
+                    # fully processed when first reached and — having a
+                    # choice point below it — is not a leaf: skip
+                    # straight to the recorded decision.
                     point = self._choice(
-                        state, "schedule", (), frozenset(), (), depth, current_sleep
+                        state, "schedule", (), _EMPTY_SLEEP, (), depth, sleep
                     )
                     created = False
                     fanout = len(point.alternatives)
                 else:
-                    report.states_visited += 1
-                    if depth > report.max_depth_reached:
-                        report.max_depth_reached = depth
-
-                    # One canonical key per state (satellite of the
-                    # incremental fingerprint work): shared by seen-state
-                    # dedup and the state store — never computed twice,
-                    # and skipped entirely when nothing consumes it (the
-                    # POR memo below keys on the control projection
-                    # instead).
-                    if self._need_key:
-                        if phases is None:
-                            key = run.state_key()
-                        else:
-                            t0 = perf_counter()
-                            key = run.state_key()
-                            phases["fingerprint"] += perf_counter() - t0
-                        if seen_states is not None:
-                            seen_states.add(key)
-                    else:
-                        key = None
-
-                    if self._deadline is not None and time.monotonic() > self._deadline:
-                        report.incomplete = True
-                        raise _Leaf()
-
-                    # State-space caching: prune the subtree below a state
-                    # that the store has already expanded.
-                    if self._state_store is not None:
-                        remaining = self._max_depth - depth
-                        if phases is None:
-                            live = self._state_store.visit(key, remaining)
-                        else:
-                            t0 = perf_counter()
-                            live = self._state_store.visit(key, remaining)
-                            phases["cache"] += perf_counter() - t0
-                        if not live:
-                            self._leaf(state)
-
-                    # Fused per-state analysis: ONE pass over the
-                    # processes computes the deadlock/termination flags,
-                    # the enabled set and the control projection — per
-                    # process the interned id of its pending transition
-                    # signature (or a status marker), plus the enabled
-                    # bitmask — replacing the three full scans of
-                    # is_deadlock / all_terminated / enabled_processes.
-                    t0 = perf_counter() if phases is not None else 0.0
-                    enabled = []
-                    control_ids = []
-                    enabled_mask = 0
-                    any_visible = False
-                    all_parked = True  # AT_VISIBLE or blocked forever
-                    all_terminated = True
-                    for index, process in enumerate(run.processes):
-                        status = process.status
-                        if status is ProcessStatus.AT_VISIBLE:
-                            any_visible = True
-                            all_terminated = False
-                            request = process.pending
-                            entry = process._sig_entry
-                            if entry is None or entry[0] is not request:
-                                entry = intern_signature(process, request)
-                            control_ids.append(entry[2])
-                            if request.obj is None or request.obj.enabled(request.op):
-                                enabled.append(process)
-                                enabled_mask |= 1 << index
-                        elif status is ProcessStatus.TERMINATED:
-                            control_ids.append(-1)
-                        else:
-                            all_terminated = False
-                            if status is ProcessStatus.CRASHED:
-                                control_ids.append(-2)
-                            elif status is ProcessStatus.DIVERGED:
-                                control_ids.append(-3)
-                            else:
-                                control_ids.append(-4)
-                                all_parked = False
-                    enabled_count = len(enabled)
-                    is_deadlock = all_parked and any_visible and not enabled_count
-
-                    # The persistent candidate set is a pure function of
-                    # the control projection (the closure reads only
-                    # transition signatures, enabledness and the static
-                    # footprints), so it is memoized on an int-tuple key —
-                    # far cheaper to build and hash than a full state key.
-                    memo = self._state_memo
-                    if (
-                        memo is not None
-                        and self._persistent is not None
-                        and enabled_count > 1
-                    ):
-                        pkey = (tuple(control_ids), enabled_mask)
-                        entry = memo.get(pkey)
-                        if entry is None:
-                            candidates = self._persistent.persistent_choices(run, enabled)
-                            cand_names = tuple(p.name for p in candidates)
-                            sigs = tuple(signature_of(p) for p in candidates)
-                            memo[pkey] = (cand_names, sigs)
-                        else:
-                            cand_names, sigs = entry
-                    else:
-                        if self._persistent is not None and enabled_count > 1:
-                            candidates = self._persistent.persistent_choices(run, enabled)
-                        else:
-                            candidates = enabled
-                        cand_names = tuple(p.name for p in candidates)
-                        sigs = tuple(signature_of(p) for p in candidates)
-                    if phases is not None:
-                        phases["por"] += perf_counter() - t0
-
-                    if is_deadlock:
-                        if len(report.deadlocks) < self._max_events:
-                            report.deadlocks.append(
-                                DeadlockEvent(state.trace(), *_blocked_info(run))
-                            )
-                            if self._tracer is not None:
-                                self._tracer.instant("deadlock", cat="event", depth=depth)
-                        self._leaf(state)
-                    if all_terminated:
-                        self._leaf(state)
-                    if depth >= self._max_depth:
-                        report.truncated = True
-                        self._leaf(state)
-
-                    if not enabled_count:
-                        # Every live process is blocked but some processes
-                        # crashed/diverged/terminated: nothing can move.
-                        self._leaf(state)
-
-                    stats.enabled_transitions += enabled_count
-                    stats.persistent_transitions += len(cand_names)
-
-                    if current_sleep:
-                        filtered_names: Any = []
-                        filtered_sigs: Any = []
-                        for name, sig in zip(cand_names, sigs):
-                            if sig is not None and sig in current_sleep:
-                                stats.sleep_prunes += 1
-                                continue
-                            filtered_names.append(name)
-                            filtered_sigs.append(sig)
-                        if not filtered_names:
-                            # All moves are asleep: covered elsewhere.
-                            self._leaf(state)
-                    else:
-                        # Empty sleep set (the common case): the memoized
-                        # tuples are the filtered lists — no copies.
-                        filtered_names = cand_names
-                        filtered_sigs = sigs
-
+                    names, sigs = self._visit(state, stats, seen_states, depth, sleep)
                     before = len(state.stack)
-                    point = self._choice(
-                        state,
-                        "schedule",
-                        filtered_names,
-                        current_sleep,
-                        filtered_sigs,
-                        depth,
-                        current_sleep,
-                    )
+                    point = self._choice(state, "schedule", names, sleep, sigs, depth, sleep)
                     created = len(state.stack) > before
-                    fanout = len(filtered_names)
-            else:
-                # Resuming at a bumped schedule point: the global state was
-                # processed when the point was created (a replay would not
-                # re-count it either — it is not fresh ground on a replay
-                # pass), so go straight to executing the next alternative.
-                # The creation-time fan-out equals len(alternatives).
-                point = pending_schedule
-                pending_schedule = None
-                created = False
-                fanout = len(point.alternatives)
+                    fanout = len(names)
 
-            chosen_name = point.chosen
-            chosen = run.process_map[chosen_name]
+            name = point.chosen
+            chosen = run.process_map[name]
             chosen_sig = point.sigs[point.index] if point.sigs else signature_of(chosen)
-            sched = self._sched_cache.get(chosen_name)
-            if sched is None:
-                sched = self._sched_cache[chosen_name] = ScheduleChoice(chosen_name)
-            state.choices.append(sched)
-
+            choice = sched_cache.get(name)
+            if choice is None:
+                choice = sched_cache[name] = ScheduleChoice(name)
+            state.choices.append(choice)
             request = chosen.visible_request
-            detail = ""
-            obj_name = request.obj.name if request.obj is not None else None
-            if phases is None:
-                outcome = run.execute_visible(chosen)
-            else:
-                t0 = perf_counter()
-                outcome = run.execute_visible(chosen)
-                phases["engine"] += perf_counter() - t0
-            if coverage is not None:
-                if phases is None:
-                    entries = chosen.engine.take_trace()
-                    if entries:
-                        coverage.segment(chosen_name, entries, state.fresh_edge)
-                else:
-                    t0 = perf_counter()
-                    entries = chosen.engine.take_trace()
-                    if entries:
-                        coverage.segment(chosen_name, entries, state.fresh_edge)
-                    phases["coverage"] += perf_counter() - t0
-            if state.fresh_edge:
+            outcome = step(run, chosen)
+            fresh_edge = state.ptr >= state.edge_replay_len
+            if observer is not None:
+                observer.on_step(chosen, request, depth, fanout, created, fresh_edge)
+            if fresh_edge:
                 report.transitions_executed += 1
-                if self._on_step is not None:
-                    self._on_step(
-                        "schedule", chosen_name, request, depth, fanout, created
-                    )
             else:
                 stats.replayed_transitions += 1
-            step_key = (chosen_name, request.op, obj_name, detail)
-            step = self._step_cache.get(step_key)
-            if step is None:
-                step = self._step_cache[step_key] = TraceStep(
-                    chosen_name, request.op, obj_name, detail
-                )
-            state.steps.append(step)
+            obj = request.obj
+            key = (name, request.op, None if obj is None else obj.name)
+            trace_step = step_cache.get(key)
+            if trace_step is None:
+                trace_step = step_cache[key] = TraceStep(*key)
+            state.steps.append(trace_step)
             depth += 1
-            if outcome is not None and outcome.violated and state.fresh_edge:
-                if self._tracer is not None:
-                    self._tracer.instant(
-                        "assertion-violation",
-                        cat="event",
-                        process=outcome.proc_name,
-                        depth=depth,
-                    )
-                if len(report.violations) < self._max_events:
-                    report.violations.append(
-                        AssertionViolationEvent(
-                            state.trace(),
-                            outcome.process,
-                            outcome.proc_name,
-                            outcome.node_id,
-                        )
-                    )
-                else:
-                    report.violations.append(
-                        AssertionViolationEvent(
-                            Trace((), ()), outcome.process, outcome.proc_name, outcome.node_id
-                        )
-                    )
-            self._note_broken_one(state, chosen)
+            if outcome is not None and outcome.violated and fresh_edge:
+                state.record(
+                    AssertionViolationEvent,
+                    depth,
+                    outcome.process,
+                    outcome.proc_name,
+                    outcome.node_id,
+                )
+            state.note_broken(chosen, depth)
             may_toss = chosen.status is ProcessStatus.NEEDS_TOSS
             if self._stop_on_first and not report.ok:
                 self._leaf(state)
 
-            # Sleep set carried into the successor state.
-            if not self._sleep_sets:
-                current_sleep = _EMPTY_SLEEP
-            elif chosen_sig is not None:
-                if point.index == 0 and not point.sleep:
-                    # First alternative under an empty inherited set:
-                    # nothing to merge, nothing to filter.
-                    current_sleep = _EMPTY_SLEEP
-                else:
-                    explored = [
-                        sig
-                        for sig in point.sigs[: point.index]
-                        if sig is not None
-                    ]
-                    current_sleep = augment_sleep(point.sleep, explored, chosen_sig)
+            # Sleep set carried into the successor state.  The first
+            # alternative under an empty inherited set has nothing to
+            # merge and nothing to filter.
+            if (
+                not self._sleep_sets
+                or chosen_sig is None
+                or (point.index == 0 and not point.sleep)
+            ):
+                sleep = _EMPTY_SLEEP
             else:
-                current_sleep = _EMPTY_SLEEP
+                explored = [sig for sig in point.sigs[: point.index] if sig is not None]
+                sleep = augment_sleep(point.sleep, explored, chosen_sig)
+            point = None
+
+    def _start_run(
+        self, stack: list[_ChoicePoint], report: ExplorationReport, frozen_replay: bool
+    ) -> PathState:
+        """Start a fresh run that replays ``stack`` from the initial
+        state."""
+        run = self._system.start(
+            journal=self._restore, engine=self._engine, trace=self._options.coverage
+        )
+        self._start(run)
+        replay_len = len(stack)
+        state = PathState(
+            run,
+            stack,
+            replay_len,
+            report,
+            self._max_events,
+            self._observer,
+            edge_replay_len=replay_len + 1 if frozen_replay else replay_len,
+        )
+        if self._observer is not None:
+            # The startup segments are fresh ground exactly when nothing
+            # precedes them: the sequential first path, the coordinator's
+            # (empty-prefix) enumeration, the root steal lease.
+            self._observer.on_run_start(run, replay_len == 0)
+        if self._restore:
+            self._live = state
+        for process in run.processes:
+            state.note_broken(process, 0)
+        return state
+
+    def _reenter(self, point: _ChoicePoint) -> tuple:
+        """Restore-mode re-entry: rewind the live run to the bumped
+        choice ``point``'s checkpoint and resume the DFS there.
+
+        The execution state is exactly what a replay would have rebuilt
+        on reaching the point: choices/steps truncated to the prefix,
+        ``ptr`` past every stacked point (so ``fresh`` / ``fresh_edge``
+        hold on all ground below, as they would after consuming the
+        bumped point during a replay).  Returns ``(state, depth, sleep,
+        may_toss, pending schedule point)``.
+        """
+        info = point.resume
+        state = self._live
+        run = state.run
+        run.restore(info.checkpoint)
+        del state.choices[info.choices_len :]
+        del state.steps[info.steps_len :]
+        state.noted_broken = set(info.noted_broken)
+        state.ptr = len(state.stack)
+        if self._observer is not None:
+            self._observer.on_restore(run)
+        if point.kind == "schedule":
+            return state, info.depth, info.sleep, False, point
+        # Answer the bumped toss and fall into the normal loop —
+        # mirroring a replay's pass over the bumped point (not a created
+        # point: toss points count at creation only).
+        tossing = run.toss_pending()
+        request = tossing.toss_request
+        value = point.chosen
+        state.choices.append(self._toss_choice(tossing.name, value))
+        self._answer(run, tossing, value)
+        if self._observer is not None:
+            self._observer.on_toss(tossing, request, value, info.depth, False, state.fresh_edge)
+        state.note_broken(tossing, info.depth)
+        return state, info.depth, info.sleep, True, None
+
+    def _answer_tosses(self, state: PathState, depth: int, sleep: frozenset) -> None:
+        """Resolve the pending toss choices (invisible, intra-transition).
+
+        Only the process(es) resumed since the last global state can be
+        awaiting a toss, so the caller skips this on the common
+        transition where the stepped process came back AT_VISIBLE.
+        """
+        run = state.run
+        while True:
+            tossing = run.toss_pending()
+            if tossing is None:
+                return
+            request = tossing.toss_request
+            before = len(state.stack)
+            point = self._choice(
+                state, "toss", range(request.bound + 1), _EMPTY_SLEEP, (), depth, sleep
+            )
+            value = point.chosen
+            state.choices.append(self._toss_choice(tossing.name, value))
+            self._answer(run, tossing, value)
+            if self._observer is not None:
+                self._observer.on_toss(
+                    tossing, request, value, depth, len(state.stack) > before, state.fresh_edge
+                )
+            state.note_broken(tossing, depth)
+
+    # -- per-state analysis ---------------------------------------------------------
+
+    def _visit(
+        self,
+        state: PathState,
+        stats: SearchStats,
+        seen_states: set[Any] | None,
+        depth: int,
+        sleep: frozenset,
+    ) -> tuple:
+        """A freshly reached global state: count it, key it for dedup
+        and the store, analyze it and apply the leaf checks (raising
+        :class:`_Leaf`); returns the schedule alternatives and their
+        signatures that the sleep set leaves awake."""
+        report = state.report
+        run = state.run
+        report.states_visited += 1
+        if depth > report.max_depth_reached:
+            report.max_depth_reached = depth
+        # One canonical key per state, shared by seen-state dedup and the
+        # state store, and skipped when nothing consumes it.
+        key = None
+        if self._need_key:
+            key = self._state_key(run)
+            if seen_states is not None:
+                seen_states.add(key)
+        if self._deadline is not None and time.monotonic() > self._deadline:
+            report.incomplete = True
+            raise _Leaf()
+        # State-space caching: prune the subtree below a state that the
+        # store has already expanded.
+        if self._store_visit is not None and not self._store_visit(
+            key, self._max_depth - depth
+        ):
+            self._leaf(state)
+
+        deadlock, terminated, enabled_count, names, sigs = self._analyze(
+            run, self._persistent, self._state_memo
+        )
+        if deadlock:
+            state.record(DeadlockEvent, depth, *_blocked_info(run))
+            self._leaf(state)
+        if terminated:
+            self._leaf(state)
+        if depth >= self._max_depth:
+            report.truncated = True
+            self._leaf(state)
+        if not enabled_count:
+            # Every live process is blocked but some processes
+            # crashed/diverged/terminated: nothing can move.
+            self._leaf(state)
+        stats.enabled_transitions += enabled_count
+        stats.persistent_transitions += len(names)
+        if not sleep:
+            # Empty sleep set (the common case): the memoized tuples are
+            # the awake alternatives — no copies.
+            return names, sigs
+        awake_names = []
+        awake_sigs = []
+        for name, sig in zip(names, sigs):
+            if sig is not None and sig in sleep:
+                stats.sleep_prunes += 1
+                continue
+            awake_names.append(name)
+            awake_sigs.append(sig)
+        if not awake_names:
+            # All moves are asleep: covered elsewhere.
+            self._leaf(state)
+        return awake_names, awake_sigs
 
     # -- choice handling ---------------------------------------------------------------
 
     def _choice(
         self,
-        state: "_ExecState",
+        state: PathState,
         kind: str,
-        alternatives: list[Any],
+        alternatives: Iterable[Any],
         sleep: frozenset[TransitionSig],
-        sigs: list[TransitionSig | None],
-        depth: int = 0,
-        resume_sleep: frozenset[TransitionSig] = frozenset(),
+        sigs: Iterable[TransitionSig | None],
+        depth: int,
+        resume_sleep: frozenset[TransitionSig],
     ) -> _ChoicePoint:
         if state.ptr < len(state.stack):
             point = state.stack[state.ptr]
@@ -977,7 +732,7 @@ class Explorer:
         if kind == "toss":
             # Counted at creation so replays do not double-count.
             state.report.toss_points += 1
-        if self._restore and len(alternatives) > 1:
+        if self._restore and len(point.alternatives) > 1:
             # Checkpoint *before* the point's own choice/step is appended,
             # so re-entry truncates back to exactly this prefix.  Points
             # with a single alternative are exhausted at creation — they
@@ -1006,41 +761,71 @@ class Explorer:
             choice = self._toss_cache[key] = TossChoice(name, value)
         return choice
 
-    def _leaf(self, state: "_ExecState") -> None:
+    def _leaf(self, state: PathState) -> None:
         if self._on_leaf is not None and state.fresh:
             self._on_leaf(state.run, state.trace())
         raise _Leaf()
 
-    def _note_broken_processes(self, state: "_ExecState") -> None:
-        for process in state.run.processes:
-            self._note_broken_one(state, process)
 
-    def _note_broken_one(self, state: "_ExecState", process: Process) -> None:
-        """Record ``process`` if it just crashed or diverged.
+def _analyze_state(
+    run: Run, persistent: PersistentSetComputer | None, memo: dict[tuple, tuple]
+) -> tuple:
+    """The pure per-state analysis: ``(deadlock, all terminated,
+    enabled count, persistent candidate names, their signatures)``.
 
-        Only the process that was last resumed can have changed status,
-        so the per-transition path checks that single process instead of
-        rescanning the whole system.
-        """
+    ONE pass over the processes computes the deadlock/termination
+    flags, the enabled set and the control projection — per process
+    the interned id of its pending transition signature (or a
+    status marker), plus the enabled bitmask.  The persistent
+    candidates are a pure function of that projection (the closure
+    reads only transition signatures, enabledness and the static
+    footprints), so they are memoized in ``memo`` on it.
+    """
+    enabled = []
+    control_ids = []
+    enabled_mask = 0
+    any_visible = False
+    all_parked = True  # AT_VISIBLE or blocked forever
+    all_terminated = True
+    for index, process in enumerate(run.processes):
         status = process.status
-        if status is not ProcessStatus.CRASHED and status is not ProcessStatus.DIVERGED:
-            return
-        if process.name in state.noted_broken:
-            return
-        report = state.report
-        state.noted_broken.add(process.name)
-        if status is ProcessStatus.CRASHED:
-            if state.fresh_edge and len(report.crashes) < self._max_events:
-                report.crashes.append(
-                    CrashEvent(state.trace(), process.name, str(process.crash))
-                )
-            elif state.fresh_edge:
-                report.crashes.append(CrashEvent(Trace((), ()), process.name, ""))
+        if status is ProcessStatus.AT_VISIBLE:
+            any_visible = True
+            all_terminated = False
+            request = process.pending
+            entry = process._sig_entry
+            if entry is None or entry[0] is not request:
+                entry = intern_signature(process, request)
+            control_ids.append(entry[2])
+            if request.obj is None or request.obj.enabled(request.op):
+                enabled.append(process)
+                enabled_mask |= 1 << index
+        elif status is ProcessStatus.TERMINATED:
+            control_ids.append(-1)
         else:
-            if state.fresh_edge and len(report.divergences) < self._max_events:
-                report.divergences.append(DivergenceEvent(state.trace(), process.name))
-            elif state.fresh_edge:
-                report.divergences.append(DivergenceEvent(Trace((), ()), process.name))
+            all_terminated = False
+            if status is ProcessStatus.CRASHED:
+                control_ids.append(-2)
+            elif status is ProcessStatus.DIVERGED:
+                control_ids.append(-3)
+            else:
+                control_ids.append(-4)
+                all_parked = False
+    enabled_count = len(enabled)
+    deadlock = all_parked and any_visible and not enabled_count
+    if persistent is not None and enabled_count > 1:
+        pkey = (tuple(control_ids), enabled_mask)
+        entry = memo.get(pkey)
+        if entry is None:
+            candidates = persistent.persistent_choices(run, enabled)
+            entry = memo[pkey] = (
+                tuple(p.name for p in candidates),
+                tuple(signature_of(p) for p in candidates),
+            )
+        return deadlock, all_terminated, enabled_count, entry[0], entry[1]
+    names = tuple(p.name for p in enabled)
+    sigs = tuple(signature_of(p) for p in enabled)
+    return deadlock, all_terminated, enabled_count, names, sigs
 
 
 def _blocked_info(run: Run) -> tuple[tuple[str, ...], tuple[tuple[str, str, str | None], ...]]:
@@ -1056,14 +841,27 @@ def _blocked_info(run: Run) -> tuple[tuple[str, ...], tuple[tuple[str, str, str 
     return tuple(blocked), tuple(waiting)
 
 
+#: The report list each event type is recorded in.
+_EVENT_LISTS = {
+    DeadlockEvent: "deadlocks",
+    AssertionViolationEvent: "violations",
+    CrashEvent: "crashes",
+    DivergenceEvent: "divergences",
+}
+
+
 @dataclass
-class _ExecState:
-    """Mutable state of one (re-)execution."""
+class PathState:
+    """Mutable state of one (re-)execution of a path, and the one place
+    its events are recorded (shared by the explorer and the random
+    walks)."""
 
     run: Run
     stack: list[_ChoicePoint]
     replay_len: int
     report: ExplorationReport
+    max_events: int
+    observer: SearchObserver | None = None
     #: Replay length for *edge-anchored* recording (transitions executed,
     #: violations, crashes).  Normally equal to ``replay_len`` — the last
     #: replayed choice point was freshly bumped, so the edge out of it is
@@ -1092,6 +890,44 @@ class _ExecState:
 
     def trace(self) -> Trace:
         return Trace(tuple(self.choices), tuple(self.steps))
+
+    def record(self, event_type: type, depth: int, *details: Any) -> None:
+        """Record one event of ``event_type`` (built from ``details``)
+        on the report and tell the observer.  The first ``max_events``
+        of each kind carry the path's trace; past the cap counting
+        continues with trace-less placeholders, except for deadlocks,
+        which stop at the cap (as in the parallel merge)."""
+        events = getattr(self.report, _EVENT_LISTS[event_type])
+        if len(events) < self.max_events:
+            event = event_type(self.trace(), *details)
+        elif event_type is DeadlockEvent:
+            return
+        else:
+            event = without_trace(event_type(NO_TRACE, *details))
+        events.append(event)
+        if self.observer is not None:
+            self.observer.on_event(event, depth)
+
+    def note_broken(self, process: Any, depth: int) -> None:
+        """Record ``process`` if it just crashed or diverged (on a fresh
+        edge, once per path).
+
+        Only the process that was last resumed can have changed status,
+        so the per-transition path checks that single process instead of
+        rescanning the whole system.
+        """
+        status = process.status
+        if status is not ProcessStatus.CRASHED and status is not ProcessStatus.DIVERGED:
+            return
+        if process.name in self.noted_broken:
+            return
+        self.noted_broken.add(process.name)
+        if not self.fresh_edge:
+            return
+        if status is ProcessStatus.CRASHED:
+            self.record(CrashEvent, depth, process.name, str(process.crash))
+        else:
+            self.record(DivergenceEvent, depth, process.name)
 
 
 class ReplayMismatch(RuntimeError):
@@ -1202,27 +1038,21 @@ def replay(
 def collect_output_traces(
     system: System,
     sink: str,
-    max_depth: int = 200,
-    max_paths: int | None = None,
+    options: SearchOptions | None = None,
+    **overrides: Any,
 ) -> set[tuple]:
     """All visible output traces of ``system`` on environment sink ``sink``.
 
-    Explores every path (partial-order reduction off, so every
-    interleaving's outputs are observed) and collects the sink's output
-    sequence at each leaf.  Used by the Figure 2/3 behaviour-equivalence
-    experiments.
+    Explores every path of the search ``options`` describe, with
+    partial-order reduction off so every interleaving's outputs are
+    observed, and collects the sink's output sequence at each leaf.
+    Used by the Figure 2/3 behaviour-equivalence experiments.
     """
     traces: set[tuple] = set()
 
     def on_leaf(run: Run, _trace: Trace) -> None:
         traces.add(tuple(run.env_outputs(sink)))
 
-    explorer = Explorer(
-        system,
-        max_depth=max_depth,
-        por=False,
-        max_paths=max_paths,
-        on_leaf=on_leaf,
-    )
-    explorer.run()
+    options = search_options(options, overrides)
+    Explorer(system, options, por=False, on_leaf=on_leaf).run()
     return traces

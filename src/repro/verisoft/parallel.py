@@ -54,25 +54,15 @@ import multiprocessing
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Iterable
 
 from ..runtime.system import System
-from ..statespace.stores import make_store
 from .explorer import Explorer, _ChoicePoint
 from .por import TransitionSig
-from .results import (
-    AssertionViolationEvent,
-    CrashEvent,
-    DeadlockEvent,
-    DivergenceEvent,
-    ExplorationReport,
-    Trace,
-)
+from .results import ExplorationReport, without_trace
+from .search import SearchOptions, search_options
 from .stats import SearchStats
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .search import SearchOptions
 
 __all__ = [
     "ChoicePrefix",
@@ -218,70 +208,61 @@ def _thaw(prefix: ChoicePrefix) -> list[_ChoicePoint]:
 def enumerate_prefixes(
     system: System,
     prefix_depth: int,
+    options: SearchOptions | None = None,
     *,
-    max_depth: int = 100,
-    backtrack: str = "replay",
-    engine: str = "walk",
-    por: bool = True,
-    sleep_sets: bool = True,
-    count_states: bool = False,
-    max_events: int = 25,
-    state_cache: str = "off",
-    cache_bits: int = 24,
     fingerprint_set: set[Any] | None = None,
-    profile: bool = False,
-    coverage: bool = False,
-    tracer: Any | None = None,
+    **overrides: Any,
 ) -> tuple[list[ChoicePrefix], ExplorationReport]:
     """Enumerate the frontier of the choice tree at ``prefix_depth``.
 
     Returns the prefixes in deterministic DFS order plus the
     coordinator's report covering everything *above* the frontier
     (frontier states themselves are accounted to the workers).  Paths
-    shorter than the frontier are fully explored here.  With
+    shorter than the frontier are fully explored here.  The enumeration
+    covers the whole frontier: the budgets, the first-event stop and
+    the progress callback of ``options`` are the workers' concern.  With
     ``state_cache`` the enumeration owns a private, fresh store — its
-    prunes never leak into the workers' subtrees.  With ``profile`` the
-    above-frontier transitions are profiled into ``report.profile``
-    (exactly the fresh edges the sequential search would count there).
+    prunes never leak into the workers' subtrees.  With ``profile`` /
+    ``coverage`` the above-frontier work is observed into
+    ``report.profile`` / ``report.coverage`` (exactly the fresh edges the
+    sequential search would count there).
     """
+    options = search_options(options, overrides)
     prefixes: list[ChoicePrefix] = []
-    profiler = None
-    if profile:
-        from ..obs import HotSpotProfiler
-
-        profiler = HotSpotProfiler()
-    collector = None
-    if coverage:
-        from ..obs import CoverageCollector
-
-        collector = CoverageCollector(system)
     explorer = Explorer(
         system,
-        max_depth=max_depth,
-        backtrack=backtrack,
-        engine=engine,
-        por=por,
-        sleep_sets=sleep_sets,
-        state_store=make_store(state_cache, cache_bits=cache_bits),
-        count_states=count_states,
-        max_events=max_events,
+        replace(
+            options,
+            stop_on_first=False,
+            max_paths=None,
+            max_transitions=None,
+            time_budget=None,
+            progress=None,
+        ),
         frontier_depth=prefix_depth,
         on_frontier=lambda stack: prefixes.append(_snapshot(stack)),
         fingerprint_set=fingerprint_set,
-        on_step=profiler,
-        tracer=tracer,
-        coverage=collector,
-        phase_profile=profiler.phases if profiler is not None else None,
     )
-    report = explorer.run()
-    report.profile = profiler
-    report.coverage = collector
-    return prefixes, report
+    return prefixes, explorer.run()
 
 
 # ---------------------------------------------------------------------------
 # Phase 2: workers
 # ---------------------------------------------------------------------------
+
+
+def worker_options(options: SearchOptions, deadline: float | None) -> SearchOptions:
+    """The options a unit of parallel work runs with: the caller's,
+    minus the in-process handles (``tracer``, ``progress``), with the
+    wall-clock budget cut down to what is left before ``deadline``.
+    Picklable, so the same object travels to worker processes."""
+    return replace(
+        options,
+        tracer=None,
+        progress=None,
+        time_budget=None if deadline is None else max(0.0, deadline - time.monotonic()),
+    )
+
 
 #: Per-worker-process cache, populated once by the pool initializer so
 #: the system is unpickled (or rebuilt by the factory) once per worker
@@ -290,15 +271,16 @@ _WORKER_STATE: dict[str, Any] = {}
 
 
 def _init_worker(
-    system_or_factory, worker_kwargs: dict[str, Any], heartbeat_queue: Any = None
+    system_or_factory, options: SearchOptions, heartbeat_queue: Any, trace: bool
 ) -> None:
     if callable(system_or_factory):
         system = system_or_factory()
     else:
         system = system_or_factory
     _WORKER_STATE["system"] = system
-    _WORKER_STATE["kwargs"] = worker_kwargs
+    _WORKER_STATE["options"] = options
     _WORKER_STATE["heartbeats"] = heartbeat_queue
+    _WORKER_STATE["trace"] = trace
 
 
 def _pool_task(
@@ -308,9 +290,10 @@ def _pool_task(
     report, fingerprints = explore_subtree(
         _WORKER_STATE["system"],
         prefix,
+        _WORKER_STATE["options"],
         prefix_index=index,
-        heartbeat_queue=_WORKER_STATE.get("heartbeats"),
-        **_WORKER_STATE["kwargs"],
+        heartbeat_queue=_WORKER_STATE["heartbeats"],
+        trace=_WORKER_STATE["trace"],
     )
     return index, report, fingerprints
 
@@ -318,27 +301,12 @@ def _pool_task(
 def explore_subtree(
     system: System,
     prefix: ChoicePrefix,
+    options: SearchOptions | None = None,
     *,
-    max_depth: int = 100,
-    backtrack: str = "replay",
-    engine: str = "walk",
-    por: bool = True,
-    sleep_sets: bool = True,
-    count_states: bool = False,
-    stop_on_first: bool = False,
-    max_paths: int | None = None,
-    max_transitions: int | None = None,
-    time_budget: float | None = None,
-    max_events: int = 25,
-    state_cache: str = "off",
-    cache_bits: int = 24,
-    profile: bool = False,
-    coverage: bool = False,
-    trace: bool = False,
-    tracer: Any | None = None,
-    heartbeat_interval: float = 0.5,
     prefix_index: int = 0,
     heartbeat_queue: Any | None = None,
+    trace: bool = False,
+    **overrides: Any,
 ) -> tuple[ExplorationReport, frozenset | None]:
     """Complete the DFS below ``prefix`` (the single-worker unit of work).
 
@@ -348,97 +316,43 @@ def explore_subtree(
     ``state_cache`` each call builds its own fresh store: revisits are
     pruned within the subtree only (see the module caveat).
 
-    Observability (:mod:`repro.obs`): ``profile`` attaches a
-    :class:`~repro.obs.profile.HotSpotProfiler` as ``report.profile``;
-    ``tracer`` records spans directly into an in-process tracer, while
-    ``trace`` (used across process boundaries, where a live tracer
-    cannot travel) builds a private one and ships its buffer back as
-    ``report.trace_payload``.  ``heartbeat_queue``, when given, receives
-    :class:`~repro.obs.heartbeat.Heartbeat` messages: ``start``/``done``
-    around the subtree and a ``beat`` every ``heartbeat_interval``
-    seconds (piggybacking on the explorer's progress callback).
+    ``options.tracer`` records spans directly into an in-process
+    tracer, while ``trace`` (used across process boundaries, where a
+    live tracer cannot travel) builds a private one and ships its buffer
+    back as ``report.trace_payload``.  ``heartbeat_queue``, when given,
+    receives :class:`~repro.obs.heartbeat.Heartbeat` messages from a
+    :class:`~repro.obs.heartbeat.HeartbeatSender`: ``start``/``done``
+    around the subtree and a ``beat`` every ``progress_interval``
+    seconds.
     """
-    profiler = None
-    if profile:
-        from ..obs import HotSpotProfiler
-
-        profiler = HotSpotProfiler()
-    collector = None
-    if coverage:
-        from ..obs import CoverageCollector
-
-        collector = CoverageCollector(system)
-    export_trace = False
-    if tracer is None and trace:
+    options = search_options(options, overrides)
+    tracer = options.tracer
+    export_trace = tracer is None and trace
+    if export_trace:
         from ..obs import Tracer
 
         tracer = Tracer()
-        export_trace = True
-
-    progress = None
-    send = None
+        options = replace(options, tracer=tracer)
+    heartbeats = None
     if heartbeat_queue is not None:
-        from ..obs import Heartbeat
+        from ..obs import HeartbeatSender
 
-        pid = os.getpid()
-
-        def send(kind: str, states: int, transitions: int) -> None:
-            try:  # a closed/full queue must never sink the worker
-                heartbeat_queue.put_nowait(
-                    Heartbeat(
-                        kind, pid, prefix_index, states, transitions, time.time()
-                    )
-                )
-            except Exception:
-                pass
-
-        def progress(stats: SearchStats) -> None:
-            send(
-                "beat",
-                stats.states_visited,
-                stats.transitions_executed + stats.replayed_transitions,
-            )
-
-        send("start", 0, 0)
-
-    fingerprints: set[Any] | None = set() if count_states else None
+        heartbeats = HeartbeatSender(
+            heartbeat_queue, prefix_index, options.progress_interval
+        )
+    fingerprints: set[Any] | None = set() if options.count_states else None
     explorer = Explorer(
         system,
-        max_depth=max_depth,
-        backtrack=backtrack,
-        engine=engine,
-        por=por,
-        sleep_sets=sleep_sets,
-        state_store=make_store(state_cache, cache_bits=cache_bits),
-        count_states=count_states,
-        stop_on_first=stop_on_first,
-        max_paths=max_paths,
-        max_transitions=max_transitions,
-        time_budget=time_budget,
-        max_events=max_events,
+        options,
         initial_stack=_thaw(prefix),
         fingerprint_set=fingerprints,
-        progress=progress,
-        progress_interval=heartbeat_interval,
-        on_step=profiler,
-        tracer=tracer,
-        coverage=collector,
-        phase_profile=profiler.phases if profiler is not None else None,
+        observer=heartbeats,
     )
     if tracer is None:
         report = explorer.run()
     else:
         with tracer.span("subtree", cat="parallel", prefix=prefix_index):
             report = explorer.run()
-    if send is not None:
-        replayed = report.stats.replayed_transitions if report.stats else 0
-        send(
-            "done",
-            report.states_visited,
-            report.transitions_executed + replayed,
-        )
-    report.profile = profiler
-    report.coverage = collector
     if export_trace:
         report.trace_payload = tracer.export(label=f"worker-{os.getpid()}")
     return report, None if fingerprints is None else frozenset(fingerprints)
@@ -453,17 +367,13 @@ def _event_key(event) -> tuple:
     return (type(event).__name__, event.trace.choices)
 
 
-def _merge_events(
-    merged_list: list, parts: Iterable[list], max_events: int, keep_count: bool
-) -> None:
+def _merge_events(merged_list: list, parts: Iterable[list], max_events: int, keep_count: bool) -> None:
     """Concatenate event lists in stable order, dropping duplicate
     traces.  Beyond ``max_events`` recorded traces, either keep counting
     with trace-less placeholder events (``keep_count``, matching the
     sequential explorer's behaviour for violations/crashes/divergences)
     or stop (deadlocks)."""
     seen: set = set()
-    for event in list(merged_list):
-        seen.add(_event_key(event))
     for events in parts:
         for event in events:
             key = _event_key(event)
@@ -473,54 +383,34 @@ def _merge_events(
             if len(merged_list) < max_events:
                 merged_list.append(event)
             elif keep_count:
-                merged_list.append(_strip_trace(event))
-
-
-def _strip_trace(event):
-    empty = Trace((), ())
-    if isinstance(event, AssertionViolationEvent):
-        return AssertionViolationEvent(empty, event.process, event.proc_name, event.node_id)
-    if isinstance(event, CrashEvent):
-        return CrashEvent(empty, event.process, "")
-    if isinstance(event, DivergenceEvent):
-        return DivergenceEvent(empty, event.process)
-    if isinstance(event, DeadlockEvent):
-        return DeadlockEvent(empty, event.blocked, event.waiting)
-    return event
+                merged_list.append(without_trace(event))
 
 
 def merge_reports(
-    coordinator: ExplorationReport,
+    coordinator: ExplorationReport | None,
     worker_reports: Iterable[ExplorationReport],
     *,
-    num_prefixes: int,
+    num_prefixes: int = 0,
     max_events: int = 25,
     fingerprints: set[Any] | None = None,
 ) -> ExplorationReport:
-    """Deterministically merge the coordinator's above-frontier report
-    with the per-subtree worker reports (in prefix enumeration order).
+    """Deterministically merge disjoint parts of one search, in
+    sequential DFS order: the ``coordinator``'s above-frontier report
+    (``None`` for the work-stealing driver, whose lease blocks arrive
+    pre-sorted) followed by the subtree reports.
 
-    Counters sum exactly to the sequential search's values: the
-    coordinator counted everything strictly above the frontier, each
-    worker everything at and below its own frontier state, and the
-    coordinator's frontier-cut pseudo-paths (one per prefix) are
-    subtracted from the path total.
+    Counters sum exactly to the sequential search's values: the parts
+    partition the tree, so every fresh edge, state, toss point and
+    path was counted by exactly one part — except the coordinator's
+    frontier-cut pseudo-paths (``num_prefixes`` of them), which are
+    subtracted.  Events are concatenated in order (duplicate traces
+    dropped, the ``max_events`` cap applied as the sequential explorer
+    applies it); profiles, coverage shards and stats are merged the
+    same disjoint way.
     """
-    workers = list(worker_reports)
+    parts = [*([] if coordinator is None else [coordinator]), *worker_reports]
     merged = ExplorationReport()
-    merged.states_visited = coordinator.states_visited
-    merged.transitions_executed = coordinator.transitions_executed
-    merged.toss_points = coordinator.toss_points
-    merged.paths_explored = coordinator.paths_explored - num_prefixes
-    merged.max_depth_reached = coordinator.max_depth_reached
-    merged.truncated = coordinator.truncated
-    merged.incomplete = coordinator.incomplete
-    merged.deadlocks = list(coordinator.deadlocks)
-    merged.violations = list(coordinator.violations)
-    merged.crashes = list(coordinator.crashes)
-    merged.divergences = list(coordinator.divergences)
-
-    for report in workers:
+    for report in parts:
         merged.states_visited += report.states_visited
         merged.transitions_executed += report.transitions_executed
         merged.toss_points += report.toss_points
@@ -528,47 +418,36 @@ def merge_reports(
         merged.max_depth_reached = max(merged.max_depth_reached, report.max_depth_reached)
         merged.truncated = merged.truncated or report.truncated
         merged.incomplete = merged.incomplete or report.incomplete
-
-    _merge_events(
-        merged.deadlocks, (r.deadlocks for r in workers), max_events, keep_count=False
-    )
-    _merge_events(
-        merged.violations, (r.violations for r in workers), max_events, keep_count=True
-    )
-    _merge_events(
-        merged.crashes, (r.crashes for r in workers), max_events, keep_count=True
-    )
-    _merge_events(
-        merged.divergences, (r.divergences for r in workers), max_events, keep_count=True
-    )
-
+    merged.paths_explored -= num_prefixes
+    for name, keep_count in (
+        ("deadlocks", False),
+        ("violations", True),
+        ("crashes", True),
+        ("divergences", True),
+    ):
+        _merge_events(
+            getattr(merged, name),
+            (getattr(r, name) for r in parts),
+            max_events,
+            keep_count,
+        )
     if fingerprints is not None:
         merged.distinct_states = len(fingerprints)
 
-    profiles = [
-        r.profile for r in [coordinator, *workers] if r.profile is not None
-    ]
+    profiles = [r.profile for r in parts if r.profile is not None]
     if profiles:
         from ..obs import HotSpotProfiler
 
-        # Counter-for-counter identical to a sequential profile: the
-        # coordinator profiled everything above the frontier, each
-        # worker its own subtree, and the partitions are disjoint.
         merged.profile = HotSpotProfiler.merged(profiles)
-
-    coverages = [
-        r.coverage for r in [coordinator, *workers] if r.coverage is not None
-    ]
+    coverages = [r.coverage for r in parts if r.coverage is not None]
     if coverages:
         from ..obs import CoverageCollector
 
-        # Same disjoint-partition argument as the profile: every fresh
-        # edge/node/toss was counted by exactly one shard, so the merged
-        # counters are bit-identical to a sequential run's.
         merged.coverage = CoverageCollector.merged(coverages)
 
-    parts = [r.stats for r in [coordinator, *workers] if r.stats is not None]
-    merged.stats = SearchStats.merged(parts, strategy="parallel")
+    merged.stats = SearchStats.merged(
+        [r.stats for r in parts if r.stats is not None], strategy="parallel"
+    )
     merged.stats.paths_explored = merged.paths_explored
     merged.stats.prefixes = num_prefixes
     if merged.coverage is not None:
@@ -610,56 +489,81 @@ def warn_oversubscription(
     return True
 
 
-def _auto_prefix_depth(
+def warner(options: SearchOptions) -> Callable[[str], None]:
+    """Where a parallel driver's warnings go: the progress printer's
+    ``warn`` when it has one (keeps the warning from colliding with the
+    self-overwriting ticker), else stderr."""
+    warn = getattr(options.progress, "warn", None)
+    if warn is not None:
+        return warn
+    return lambda message: print(f"warning: {message}", file=sys.stderr)
+
+
+def finish_parallel(
+    merged: ExplorationReport,
+    options: SearchOptions,
     system: System,
     jobs: int,
-    *,
-    max_depth: int,
-    backtrack: str,
-    engine: str,
-    por: bool,
-    sleep_sets: bool,
-    max_events: int,
-    state_cache: str,
-    cache_bits: int,
-    profile: bool = False,
-    coverage: bool = False,
-) -> tuple[int, list[ChoicePrefix], ExplorationReport]:
-    """Deepen the frontier until it yields enough prefixes to keep the
-    pool busy (≥4 per worker), or the tree runs out.  Only the kept
-    (deepest) enumeration's profile survives, so probe passes never
-    double-count."""
-    target = max(4 * jobs, jobs)
-    depth_cap = max(1, min(max_depth - 1, 12))
-    best: tuple[int, list[ChoicePrefix], ExplorationReport] | None = None
+    started: float,
+    expired: bool,
+) -> None:
+    """What both parallel drivers stamp on the merged report: the
+    *effective* modes (resolved exactly as every unit of work resolved
+    them), the pool shape, the wall time, the options (self-reproducing,
+    like :func:`~repro.verisoft.search.run_search` reports) and the
+    per-worker-stores caching provenance.  ``expired``: the wall-clock
+    budget cut the search short, so some subtrees were never searched —
+    the sequential explorer's ``incomplete`` flag."""
+    if expired:
+        merged.incomplete = True
+        merged.truncated = True
+    modes = options.resolve(system)
+    merged.stats.backtrack = modes.backtrack
+    merged.stats.engine = modes.engine
+    merged.stats.jobs = jobs
+    merged.stats.wall_time = time.monotonic() - started
+    merged.options = options
+    if options.state_cache != "off":
+        merged.stats.state_cache = options.state_cache
+        merged.state_caching = {
+            **(options.state_caching_info() or {}),
+            "per_worker_stores": True,
+        }
+
+
+def _enumerate_frontier(
+    system: System,
+    options: SearchOptions,
+    jobs: int,
+    fingerprints: set[Any] | None,
+) -> tuple[list[ChoicePrefix], ExplorationReport]:
+    """The coordinator's enumeration at ``options.prefix_depth`` or,
+    when that is ``None``, deepened until the frontier yields enough
+    prefixes to keep the pool busy (≥4 per worker) or the tree runs
+    out.  Only the kept (deepest) enumeration's report and fingerprints
+    survive, so probe passes never double-count."""
+    if options.prefix_depth is not None:
+        return enumerate_prefixes(
+            system, options.prefix_depth, options, fingerprint_set=fingerprints
+        )
+    depth_cap = max(1, min(options.max_depth - 1, 12))
     depth = 1
     while True:
-        prefixes, report = enumerate_prefixes(
-            system,
-            depth,
-            max_depth=max_depth,
-            backtrack=backtrack,
-            engine=engine,
-            por=por,
-            sleep_sets=sleep_sets,
-            max_events=max_events,
-            state_cache=state_cache,
-            cache_bits=cache_bits,
-            profile=profile,
-            coverage=coverage,
-        )
-        best = (depth, prefixes, report)
-        if len(prefixes) >= target or depth >= depth_cap or not prefixes:
-            return best
+        probe = None if fingerprints is None else set()
+        prefixes, report = enumerate_prefixes(system, depth, options, fingerprint_set=probe)
+        if len(prefixes) >= 4 * jobs or depth >= depth_cap or not prefixes:
+            if fingerprints is not None:
+                fingerprints |= probe
+            return prefixes, report
         depth += 1
 
 
 def parallel_search(
     system: System,
-    options: "SearchOptions | None" = None,
+    options: SearchOptions | None = None,
     *,
     system_factory: Callable[[], System] | None = None,
-    **overrides,
+    **overrides: Any,
 ) -> ExplorationReport:
     """Explore ``system`` with a pool of stateless worker processes.
 
@@ -670,28 +574,12 @@ def parallel_search(
     top-level ``system_factory`` callable that rebuilds the system
     inside each worker.
     """
-    from .search import SearchOptions
-
-    if options is None:
-        options = SearchOptions(strategy="parallel")
-    if overrides:
-        from dataclasses import replace
-
-        options = replace(options, **overrides)
-
+    # The options record what ran: this driver is the static scheduler.
+    options = search_options(options, {**overrides, "strategy": "parallel", "scheduler": "static"})
     jobs = options.jobs or os.cpu_count() or 1
     tracer = options.tracer
 
-    def _warn(message: str) -> None:
-        # Route through the progress printer when it knows how (keeps
-        # the warning from colliding with the self-overwriting ticker),
-        # else fall back to stderr.
-        warn = getattr(options.progress, "warn", None)
-        if warn is not None:
-            warn(message)
-        else:
-            print(f"warning: {message}", file=sys.stderr)
-
+    _warn = warner(options)
     # Judge oversubscription on the *requested* job count: an explicit
     # --jobs beyond what the machine can co-schedule alongside the
     # coordinator warns; the jobs=0 "all cores" default never does.
@@ -707,100 +595,30 @@ def parallel_search(
         else tracer.phase("enumerate-prefixes")
     )
     with enumerate_phase:
-        if options.prefix_depth is not None:
-            prefix_depth = options.prefix_depth
-            prefixes, coordinator = enumerate_prefixes(
-                system,
-                prefix_depth,
-                max_depth=options.max_depth,
-                backtrack=options.backtrack,
-                engine=options.engine,
-                por=options.por,
-                sleep_sets=options.sleep_sets_active,
-                count_states=options.count_states,
-                max_events=options.max_events,
-                state_cache=options.state_cache,
-                cache_bits=options.cache_bits,
-                fingerprint_set=fingerprints,
-                profile=options.profile,
-                coverage=options.coverage,
-                tracer=tracer,
-            )
-        else:
-            prefix_depth, prefixes, coordinator = _auto_prefix_depth(
-                system,
-                jobs,
-                max_depth=options.max_depth,
-                backtrack=options.backtrack,
-                engine=options.engine,
-                por=options.por,
-                sleep_sets=options.sleep_sets_active,
-                max_events=options.max_events,
-                state_cache=options.state_cache,
-                cache_bits=options.cache_bits,
-                profile=options.profile,
-                coverage=options.coverage,
-            )
-            if options.count_states:
-                # Re-enumerate once at the chosen depth to collect the
-                # coordinator's fingerprints (auto-probing skips them).
-                prefixes, coordinator = enumerate_prefixes(
-                    system,
-                    prefix_depth,
-                    max_depth=options.max_depth,
-                    backtrack=options.backtrack,
-                    engine=options.engine,
-                    por=options.por,
-                    sleep_sets=options.sleep_sets_active,
-                    count_states=True,
-                    max_events=options.max_events,
-                    state_cache=options.state_cache,
-                    cache_bits=options.cache_bits,
-                    fingerprint_set=fingerprints,
-                    profile=options.profile,
-                    coverage=options.coverage,
-                    tracer=tracer,
-                )
+        prefixes, coordinator = _enumerate_frontier(system, options, jobs, fingerprints)
 
-    worker_kwargs = dict(
-        max_depth=options.max_depth,
-        backtrack=options.backtrack,
-        engine=options.engine,
-        por=options.por,
-        sleep_sets=options.sleep_sets_active,
-        count_states=options.count_states,
-        stop_on_first=options.stop_on_first,
-        max_paths=options.max_paths,
-        max_transitions=options.max_transitions,
-        time_budget=None if deadline is None else max(0.0, deadline - time.monotonic()),
-        max_events=options.max_events,
-        state_cache=options.state_cache,
-        cache_bits=options.cache_bits,
-        profile=options.profile,
-        coverage=options.coverage,
-        trace=tracer is not None,
-        heartbeat_interval=options.progress_interval,
-    )
-
+    subtree_options = worker_options(options, deadline)
     indexed = list(enumerate(prefixes))
     results: list[tuple[ExplorationReport, frozenset | None]] = []
     stop_early = False  # first-event stop requested and hit
     expired = False  # wall-clock budget ran out mid-fan-out
+
+    def live_stats(reports: Iterable[ExplorationReport]) -> SearchStats:
+        live = SearchStats.merged(
+            [r.stats for r in [coordinator, *reports] if r.stats is not None],
+            strategy="parallel",
+            jobs=jobs,
+            prefixes=len(prefixes),
+        )
+        live.wall_time = time.monotonic() - started
+        return live
 
     def note_result(report: ExplorationReport, prints: frozenset | None) -> None:
         results.append((report, prints))
         if fingerprints is not None and prints is not None:
             fingerprints.update(prints)
         if options.progress is not None:
-            live = SearchStats.merged(
-                [r.stats for r, _ in results if r.stats is not None]
-                + ([coordinator.stats] if coordinator.stats else []),
-                strategy="parallel",
-                jobs=jobs,
-                prefixes=len(prefixes),
-            )
-            live.wall_time = time.monotonic() - started
-            options.progress(live)
+            options.progress(live_stats(r for r, _ in results))
 
     fanout_phase = (
         contextlib.nullcontext()
@@ -814,9 +632,8 @@ def parallel_search(
                 report, prints = explore_subtree(
                     target_system,
                     prefix,
+                    replace(subtree_options, tracer=tracer),
                     prefix_index=index,
-                    tracer=tracer,
-                    **worker_kwargs,
                 )
                 note_result(report, prints)
                 if options.stop_on_first and not report.ok:
@@ -850,17 +667,10 @@ def parallel_search(
                 worker_lines = getattr(options.progress, "worker_lines", None)
                 if worker_lines is not None:
                     worker_lines(monitor.lines())
-                live = SearchStats.merged(
-                    [r.stats for r, _ in ordered.values() if r.stats is not None]
-                    + ([coordinator.stats] if coordinator.stats else []),
-                    strategy="parallel",
-                    jobs=jobs,
-                    prefixes=len(prefixes),
-                )
+                live = live_stats(r for r, _ in ordered.values())
                 inflight_states, inflight_transitions = monitor.inflight()
                 live.states_visited += inflight_states
                 live.transitions_executed += inflight_transitions
-                live.wall_time = time.monotonic() - started
                 options.progress(live)
 
             pool = multiprocessing.Pool(
@@ -868,8 +678,9 @@ def parallel_search(
                 initializer=_init_worker,
                 initargs=(
                     system_factory if system_factory is not None else system,
-                    worker_kwargs,
+                    subtree_options,
                     heartbeat_queue,
+                    tracer is not None,
                 ),
             )
             try:
@@ -930,27 +741,6 @@ def parallel_search(
             max_events=options.max_events,
             fingerprints=fingerprints,
         )
-    if expired:
-        # The budget cut the fan-out short: some subtrees were never
-        # searched, matching the sequential explorer's incomplete flag.
-        merged.incomplete = True
-        merged.truncated = True
-
-    merged.stats.strategy = "parallel"
-    # Report the *effective* modes: the coordinator's explorer already
-    # resolved any journalability/compilability fallback, identically to
-    # the workers.
-    if coordinator.stats is not None:
-        merged.stats.backtrack = coordinator.stats.backtrack
-        merged.stats.engine = coordinator.stats.engine
-    merged.stats.jobs = jobs
     merged.stats.prefixes = len(prefixes)
-    merged.stats.wall_time = time.monotonic() - started
-    merged.options = options  # self-reproducing, like run_search reports
-    if options.state_cache != "off":
-        merged.stats.state_cache = options.state_cache
-        merged.state_caching = {
-            **(options.state_caching_info() or {}),
-            "per_worker_stores": True,
-        }
+    finish_parallel(merged, options, system, jobs, started, expired)
     return merged

@@ -13,80 +13,54 @@ randomness is the seeded PRNG), so a failing walk can be re-run exactly.
 
 from __future__ import annotations
 
-import contextlib
 import random
 import time
-from typing import Any, Callable
+from typing import Any
 
-from ..runtime.engine import validate_engine
-from ..runtime.process import ProcessStatus
+from ..obs.observer import Observation
 from ..runtime.system import System
-from .stats import SearchStats
+from .explorer import PathState, _blocked_info
 from .results import (
     AssertionViolationEvent,
-    CrashEvent,
     DeadlockEvent,
-    DivergenceEvent,
     ExplorationReport,
     ScheduleChoice,
     TossChoice,
-    Trace,
     TraceStep,
 )
+from .search import SearchOptions, search_options
+from .stats import SearchStats
 
 
 def random_walks(
-    system: System,
-    walks: int = 100,
-    max_depth: int = 1000,
-    seed: int = 0,
-    max_events: int = 25,
-    stop_on_first: bool = False,
-    time_budget: float | None = None,
-    progress: Callable[[SearchStats], None] | None = None,
-    progress_interval: float = 0.5,
-    on_step: Callable[..., None] | None = None,
-    tracer: Any | None = None,
-    engine: str = "walk",
-    coverage: Any | None = None,
+    system: System, options: SearchOptions | None = None, **overrides: Any
 ) -> ExplorationReport:
-    """Run ``walks`` independent random executions of ``system``.
+    """Run ``options.walks`` independent random executions of ``system``.
+
+    Takes the driver convention ``(system, options, **overrides)``; the
+    fields used are ``walks``, ``seed``, ``max_depth`` (steps per walk),
+    ``engine``, ``max_events``, ``stop_on_first``, ``time_budget``
+    (checked between walks; flags the report ``incomplete``) and the
+    observers (``profile``, ``coverage``, ``tracer``, ``progress``).
 
     Returns an :class:`ExplorationReport`; ``paths_explored`` counts the
     walks.  Unlike the exhaustive explorer, revisited states are neither
-    detected nor avoided.  A ``time_budget`` (seconds of wall clock,
-    checked between walks) flags the report ``incomplete`` when it
-    expires; ``progress`` receives the live
-    :class:`~repro.verisoft.stats.SearchStats` every
-    ``progress_interval`` seconds.
-
-    ``on_step`` is the explorer's hot-spot observer protocol (see
-    :class:`~repro.obs.profile.HotSpotProfiler`); every walk transition
-    is fresh, so ``created`` is always ``True``.  ``tracer`` (a
-    :class:`~repro.obs.tracer.Tracer`) gets one span per walk.
-
-    ``engine`` selects the execution engine driving each walk (see
-    :data:`~repro.runtime.engine.ENGINES`); ``"compiled"`` falls back
-    to ``"walk"`` when the program is not compilable, and the resolved
-    engine is recorded in ``report.stats.engine``.
-
-    ``coverage`` (a :class:`~repro.obs.coverage.CoverageCollector`)
-    accumulates node/edge/toss coverage over the walks; every walk is
-    fresh ground, so all segments count.
+    detected nor avoided.  Every walk transition is fresh ground, so
+    observers see every step with ``created`` and ``fresh_edge`` set,
+    and events are recorded exactly like the explorer's (past
+    ``max_events`` counting continues with trace-less placeholders).
     """
-    validate_engine(engine)
-    if engine == "compiled" and system.compiled_program() is None:
-        engine = "walk"
-    rng = random.Random(seed)
+    options = search_options(options, overrides)
+    engine = options.resolve(system).engine
+    rng = random.Random(options.seed)
     report = ExplorationReport()
-    report.seed = seed  # walks are reproducible from the seed alone
+    report.seed = options.seed  # walks are reproducible from the seed alone
     stats = report.stats = SearchStats(strategy="random", engine=engine)
     started = time.monotonic()
     cpu_started = time.process_time()
-    deadline = None if time_budget is None else started + time_budget
-    next_tick = started + progress_interval
+    deadline = None if options.time_budget is None else started + options.time_budget
 
-    def sync_stats() -> None:
+    def live_stats() -> SearchStats:
         stats.states_visited = report.states_visited
         stats.transitions_executed = report.transitions_executed
         stats.toss_points = report.toss_points
@@ -94,136 +68,76 @@ def random_walks(
         stats.max_depth_reached = report.max_depth_reached
         stats.wall_time = time.monotonic() - started
         stats.cpu_time = time.process_time() - cpu_started
-        if coverage is not None:
-            stats.coverage_nodes = coverage.nodes_covered
-            stats.coverage_nodes_total = coverage.nodes_total
+        return stats
 
-    def drain(process) -> None:
-        entries = process.engine.take_trace()
-        if entries:
-            coverage.segment(process.name, entries, True)
+    observation = Observation(
+        options, system, live_stats=live_stats, span=("walk", "walk")
+    )
+    observer = observation.observer
 
-    for _ in range(walks):
+    for _ in range(options.walks):
         if deadline is not None and time.monotonic() > deadline:
             report.incomplete = True
             report.truncated = True
             break
-        run = system.start(engine=engine, trace=coverage is not None)
-        if coverage is not None:
-            coverage.begin_run()
+        run = system.start(engine=engine, trace=options.coverage)
         run.start_processes()
-        if coverage is not None:
-            for process in run.processes:
-                drain(process)
-        choices: list = []
-        steps: list[TraceStep] = []
-        noted: set[str] = set()
+        state = PathState(run, [], 0, report, options.max_events, observer)
+        if observer is not None:
+            observer.on_run_start(run, True)
         depth = 0
+        for process in run.processes:
+            state.note_broken(process, depth)
+        while depth < options.max_depth:
+            tossing = run.toss_pending()
+            if tossing is not None:
+                report.toss_points += 1
+                request = tossing.toss_request
+                value = rng.randint(0, request.bound)
+                state.choices.append(TossChoice(tossing.name, value))
+                run.answer_toss(tossing, value)
+                if observer is not None:
+                    observer.on_toss(tossing, request, value, depth, True, True)
+                state.note_broken(tossing, depth)
+                continue
 
-        def note_broken() -> None:
-            for process in run.processes:
-                if process.name in noted:
-                    continue
-                if process.status is ProcessStatus.CRASHED:
-                    noted.add(process.name)
-                    if len(report.crashes) < max_events:
-                        report.crashes.append(
-                            CrashEvent(
-                                Trace(tuple(choices), tuple(steps)),
-                                process.name,
-                                str(process.crash),
-                            )
-                        )
-                elif process.status is ProcessStatus.DIVERGED:
-                    noted.add(process.name)
-                    if len(report.divergences) < max_events:
-                        report.divergences.append(
-                            DivergenceEvent(
-                                Trace(tuple(choices), tuple(steps)), process.name
-                            )
-                        )
+            report.states_visited += 1
+            if run.is_deadlock():
+                state.record(DeadlockEvent, depth, *_blocked_info(run))
+                break
+            enabled = run.enabled_processes()
+            if not enabled:
+                break
 
-        note_broken()
-        walk_span = (
-            contextlib.nullcontext()
-            if tracer is None
-            else tracer.span("walk", cat="walk", walk=report.paths_explored)
-        )
-        with walk_span:
-            while depth < max_depth:
-                tossing = run.toss_pending()
-                if tossing is not None:
-                    report.toss_points += 1
-                    request = tossing.toss_request
-                    if on_step is not None:
-                        on_step(
-                            "toss", tossing.name, request, depth,
-                            request.bound + 1, True,
-                        )
-                    value = rng.randint(0, request.bound)
-                    choices.append(TossChoice(tossing.name, value))
-                    run.answer_toss(tossing, value)
-                    if coverage is not None:
-                        coverage.toss_value(request.proc_name, request.node_id, value)
-                        drain(tossing)
-                    note_broken()
-                    continue
-
-                report.states_visited += 1
-                if run.is_deadlock():
-                    if len(report.deadlocks) < max_events:
-                        from .explorer import _blocked_info
-
-                        blocked, waiting = _blocked_info(run)
-                        report.deadlocks.append(
-                            DeadlockEvent(
-                                Trace(tuple(choices), tuple(steps)), blocked, waiting
-                            )
-                        )
-                    break
-                enabled = run.enabled_processes()
-                if not enabled:
-                    break
-
-                chosen = rng.choice(enabled)
-                request = chosen.visible_request
-                choices.append(ScheduleChoice(chosen.name))
-                obj_name = request.obj.name if request.obj is not None else None
-                outcome = run.execute_visible(chosen)
-                if coverage is not None:
-                    drain(chosen)
-                steps.append(TraceStep(chosen.name, request.op, obj_name))
-                report.transitions_executed += 1
-                if on_step is not None:
-                    on_step(
-                        "schedule", chosen.name, request, depth,
-                        len(enabled), True,
-                    )
-                depth += 1
-                if outcome is not None and outcome.violated:
-                    if len(report.violations) < max_events:
-                        report.violations.append(
-                            AssertionViolationEvent(
-                                Trace(tuple(choices), tuple(steps)),
-                                outcome.process,
-                                outcome.proc_name,
-                                outcome.node_id,
-                            )
-                        )
-                note_broken()
-            else:
-                report.truncated = True
+            chosen = rng.choice(enabled)
+            request = chosen.visible_request
+            state.choices.append(ScheduleChoice(chosen.name))
+            obj_name = request.obj.name if request.obj is not None else None
+            outcome = run.execute_visible(chosen)
+            if observer is not None:
+                observer.on_step(chosen, request, depth, len(enabled), True, True)
+            state.steps.append(TraceStep(chosen.name, request.op, obj_name))
+            report.transitions_executed += 1
+            depth += 1
+            if outcome is not None and outcome.violated:
+                state.record(
+                    AssertionViolationEvent,
+                    depth,
+                    outcome.process,
+                    outcome.proc_name,
+                    outcome.node_id,
+                )
+            state.note_broken(chosen, depth)
+        else:
+            report.truncated = True
 
         report.max_depth_reached = max(report.max_depth_reached, depth)
         report.paths_explored += 1
-        if progress is not None:
-            now = time.monotonic()
-            if now >= next_tick:
-                sync_stats()
-                progress(stats)
-                next_tick = now + progress_interval
-        if stop_on_first and not report.ok:
+        if observer is not None:
+            observer.on_path_end(report)
+        if options.stop_on_first and not report.ok:
             break
 
-    sync_stats()
+    live_stats()
+    observation.finish(report)
     return report

@@ -9,7 +9,7 @@ back through the deterministic runtime replays the buggy execution
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -122,6 +122,18 @@ class DivergenceEvent:
 
     trace: Trace
     process: str
+
+
+#: The empty trace of an event recorded past the ``max_events`` cap.
+NO_TRACE = Trace((), ())
+
+
+def without_trace(event):
+    """The trace-less placeholder that stands for ``event`` past the
+    ``max_events`` cap (a crash also drops its message)."""
+    if isinstance(event, CrashEvent):
+        return CrashEvent(NO_TRACE, event.process, "")
+    return replace(event, trace=NO_TRACE)
 
 
 @dataclass

@@ -1,10 +1,8 @@
 """The unified search API: one options object, one entry point.
 
-Historically the package grew three entry points with overlapping knob
-sets — ``Explorer(...)``/``explore()`` for exhaustive DFS,
-``random_walks()`` for testing mode, and the parallel driver.
-:class:`SearchOptions` puts every depth/budget/POR/telemetry knob in one
-dataclass and :func:`run_search` dispatches on ``options.strategy``:
+:class:`SearchOptions` puts every depth/budget/POR/telemetry knob of
+every search strategy in one dataclass, with each default in one place,
+and :func:`run_search` dispatches on ``options.strategy``:
 
     from repro import SearchOptions, run_search
 
@@ -12,8 +10,13 @@ dataclass and :func:`run_search` dispatches on ``options.strategy``:
     print(report.summary())
     print(report.stats.describe())
 
-:func:`run_search` is the only entry point — the historical
-``explore()``/``random_walks()`` wrappers have been removed.
+Every search driver underneath — the
+:class:`~repro.verisoft.explorer.Explorer`,
+:func:`~repro.verisoft.random_walk.random_walks` and the parallel
+drivers' units of work — takes the same ``(system, options, *,
+<driver-owned state>, **overrides)`` arguments; :func:`search_options`
+is that convention, so a direct driver call sees exactly the defaults
+:func:`run_search` would.
 """
 
 from __future__ import annotations
@@ -201,8 +204,7 @@ class SearchOptions:
     def make_state_store(self):
         """A fresh :class:`~repro.statespace.stores.StateStore` per the
         cache configuration (``None`` when caching is off).  Each call
-        returns a *new empty* store: sequential searches own one, the
-        parallel driver builds one per worker."""
+        returns a *new empty* store: every explorer owns one."""
         from ..statespace.stores import make_store
 
         return make_store(self.state_cache, cache_bits=self.cache_bits)
@@ -213,6 +215,20 @@ class SearchOptions:
         caching, only in ``unsafe-fast`` mode with it (sleep sets are
         path-dependent and unsound under revisit pruning)."""
         return self.state_cache == "off" or self.cache_mode != "safe"
+
+    def resolve(self, system: System) -> "ResolvedModes":
+        """The modes a search of ``system`` actually runs with, after the
+        silent fallbacks: ``"restore"`` becomes ``"replay"`` when an
+        object of the system does not journal, and ``"compiled"``
+        becomes ``"walk"`` when the program cannot be compiled.  Every
+        driver derives its modes here."""
+        backtrack = self.backtrack
+        if backtrack == "restore" and not system.journalable():
+            backtrack = "replay"
+        engine = self.engine
+        if engine == "compiled" and system.compiled_program() is None:
+            engine = "walk"
+        return ResolvedModes(backtrack, engine, self.por and self.sleep_sets_active)
 
     def state_caching_info(self) -> dict | None:
         """The ``state_caching`` provenance block recorded on reports
@@ -274,6 +290,32 @@ class SearchOptions:
                 raise ValueError("jobs must be >= 0 (0 = all cores)")
 
 
+@dataclass(frozen=True)
+class ResolvedModes:
+    """What :meth:`SearchOptions.resolve` derives for one system."""
+
+    #: ``"restore"`` or ``"replay"`` (the fallback when not journalable).
+    backtrack: str
+    #: ``"walk"`` or ``"compiled"`` (the fallback when not compilable).
+    engine: str
+    #: Whether sleep-set pruning is on (needs POR; off under safe caching).
+    sleep_sets: bool
+
+
+def search_options(
+    options: SearchOptions | None, overrides: dict[str, Any]
+) -> SearchOptions:
+    """The ``(options, **overrides)`` convention of every search driver:
+    ``options`` (the defaults when ``None``) with the ``overrides``
+    fields replaced, validated."""
+    if options is None:
+        options = SearchOptions()
+    if overrides:
+        options = replace(options, **overrides)
+    options.validate()
+    return options
+
+
 def run_search(
     system: System,
     options: SearchOptions | None = None,
@@ -290,12 +332,7 @@ def run_search(
     ``system_factory`` (parallel only) rebuilds the system inside each
     worker for systems that cannot be pickled.
     """
-    if options is None:
-        options = SearchOptions()
-    if overrides:
-        options = replace(options, **overrides)
-    options.validate()
-
+    options = search_options(options, overrides)
     report = _dispatch(system, options, system_factory)
     # Every report is self-reproducing: it records how it was produced
     # (including the PRNG seed for the random strategy), so a saved
@@ -320,68 +357,15 @@ def _dispatch(
     options: SearchOptions,
     system_factory: Callable[[], System] | None,
 ) -> ExplorationReport:
-    profiler = None
-    if options.profile:
-        from ..obs import HotSpotProfiler
-
-        profiler = HotSpotProfiler()
-    collector = None
-    if options.coverage:
-        from ..obs import CoverageCollector
-
-        collector = CoverageCollector(system)
-
     if options.strategy == "dfs":
         from .explorer import Explorer
 
-        report = Explorer(
-            system,
-            max_depth=options.max_depth,
-            backtrack=options.backtrack,
-            engine=options.engine,
-            por=options.por,
-            sleep_sets=options.sleep_sets_active,
-            state_store=options.make_state_store(),
-            count_states=options.count_states,
-            stop_on_first=options.stop_on_first,
-            max_paths=options.max_paths,
-            max_transitions=options.max_transitions,
-            time_budget=options.time_budget,
-            max_events=options.max_events,
-            on_leaf=options.on_leaf,
-            stop_when=options.stop_when,
-            progress=options.progress,
-            progress_interval=options.progress_interval,
-            on_step=profiler,
-            tracer=options.tracer,
-            coverage=collector,
-            phase_profile=profiler.phases if profiler is not None else None,
-        ).run()
-        report.profile = profiler
-        report.coverage = collector
-        return report
+        return Explorer(system, options).run()
 
     if options.strategy == "random":
         from .random_walk import random_walks
 
-        report = random_walks(
-            system,
-            walks=options.walks,
-            max_depth=options.max_depth,
-            seed=options.seed,
-            engine=options.engine,
-            max_events=options.max_events,
-            stop_on_first=options.stop_on_first,
-            time_budget=options.time_budget,
-            progress=options.progress,
-            progress_interval=options.progress_interval,
-            on_step=profiler,
-            tracer=options.tracer,
-            coverage=collector,
-        )
-        report.profile = profiler
-        report.coverage = collector
-        return report
+        return random_walks(system, options)
 
     if options.scheduler == "steal":
         from ..service.scheduler import work_stealing_search

@@ -1,7 +1,7 @@
 """Hypothesis fuzzing of the front end: no input may crash the tools
 with anything but a LangError, and several semantic oracles."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.lang.errors import LangError
 from repro.lang.lexer import tokenize
@@ -10,6 +10,7 @@ from repro.lang.parser import parse_program
 
 class TestLexerRobustness:
     @given(st.text(max_size=200))
+    @example("'\\")  # a backslash escape cut off by EOF
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_text_never_crashes(self, text):
         try:

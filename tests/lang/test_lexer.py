@@ -126,6 +126,10 @@ class TestStrings:
         with pytest.raises(LexError):
             tokenize("'abc")
 
+    def test_backslash_at_eof_raises(self):
+        with pytest.raises(LexError, match="unterminated string literal"):
+            tokenize("'\\")
+
     def test_newline_in_string_raises(self):
         with pytest.raises(LexError):
             tokenize("'ab\ncd'")

@@ -64,14 +64,14 @@ class TestParallelParity:
 class TestAggregation:
     def test_merged_skips_none_parts(self):
         part = HotSpotProfiler()
-        part("schedule", "P", _FakeRequest(), 0, 1, True)
+        part.on_step(_FakeProcess(), _FakeRequest(), 0, 1, True, True)
         merged = HotSpotProfiler.merged([None, part, None])
         assert merged.total_transitions == 1
 
     def test_add_sums_every_counter(self):
         a, b = HotSpotProfiler(), HotSpotProfiler()
-        a("toss", "P", _FakeRequest(), 1, 2, True)
-        b("toss", "P", _FakeRequest(), 1, 2, True)
+        a.on_toss(_FakeProcess(), _FakeRequest(), 0, 1, True, True)
+        b.on_toss(_FakeProcess(), _FakeRequest(), 0, 1, True, True)
         a.add(b)
         assert a.tosses[("p", 4)] == 2
         assert a.branching_hist[2] == 2
@@ -84,6 +84,13 @@ class _FakeRequest:
     node_id = 4
     op = "send"
     obj = None
+    bound = 1
+
+
+class _FakeProcess:
+    """The slice of a runtime process the profiler reads."""
+
+    name = "P"
 
 
 class TestPresentation:
@@ -97,7 +104,7 @@ class TestPresentation:
 
     def test_render_table_without_system(self):
         profile = HotSpotProfiler()
-        profile("schedule", "P", _FakeRequest(), 0, 1, True)
+        profile.on_step(_FakeProcess(), _FakeRequest(), 0, 1, True, True)
         table = profile.render_table()
         assert "p:4" in table
 

@@ -28,10 +28,10 @@ class TestBudgets:
         assert report.truncated
         assert report.transitions_executed <= 5
 
-    def test_max_seconds_zero_truncates(self):
+    def test_time_budget_zero_truncates(self):
         from repro.verisoft import Explorer
 
-        report = Explorer(toss_system(), max_depth=10, max_seconds=0.0, por=False).run()
+        report = Explorer(toss_system(), max_depth=10, time_budget=0.0, por=False).run()
         assert report.truncated
         assert report.paths_explored >= 1
 

@@ -103,3 +103,21 @@ class TestRandomWalks:
         report = random_walks(system, walks=400, max_depth=80, seed=11)
         classes = {app.classify_deadlock(d.blocked) for d in report.deadlocks}
         assert "seeded-lock-order" in classes
+
+    def test_counting_continues_past_max_events(self):
+        system = System("proc main() { var t; t = VS_toss(9); VS_assert(t < 2); }")
+        system.add_process("p", "main", [])
+        capped = random_walks(system, walks=200, seed=0, max_events=2)
+        full = random_walks(system, walks=200, seed=0, max_events=1000)
+        assert len(full.violations) == 152
+        assert len(capped.violations) == len(full.violations)
+        assert all(event.trace.choices for event in capped.violations[:2])
+        assert not any(event.trace.choices for event in capped.violations[2:])
+
+    def test_crashes_counted_past_max_events(self):
+        system = System("proc main() { var t; t = VS_toss(9); var x = 1 / (t % 2); }")
+        system.add_process("p", "main", [])
+        capped = random_walks(system, walks=50, seed=0, max_events=1)
+        full = random_walks(system, walks=50, seed=0, max_events=1000)
+        assert len(full.crashes) > 1
+        assert len(capped.crashes) == len(full.crashes)

@@ -149,13 +149,6 @@ class TestTimeBudget:
         assert report.paths_explored == 1
         assert report.incomplete
 
-    def test_explorer_max_seconds_still_truncates_without_incomplete(self):
-        from repro.verisoft import Explorer
-
-        report = Explorer(toss_system(9), max_seconds=0.0, por=False).run()
-        assert report.truncated
-        assert not report.incomplete
-
 
 class TestExports:
     def test_machinery_names_still_exported(self):

@@ -50,13 +50,13 @@ class TestExplorerStats:
         assert stats.max_depth_reached == report.max_depth_reached
 
     def test_replays_count_backtracking(self):
-        report = Explorer(toss_system(bound=3)).run()
+        report = Explorer(toss_system(bound=3), backtrack="replay").run()
         # 4 paths: the first execution is not a replay, the other 3 are.
         assert report.paths_explored == 4
         assert report.stats.replays == 3
 
     def test_replayed_transitions_counted(self):
-        report = Explorer(two_proc_system(), por=False).run()
+        report = Explorer(two_proc_system(), por=False, backtrack="replay").run()
         assert report.stats.replayed_transitions > 0
         assert report.stats.replay_overhead is not None
         assert 0 < report.stats.replay_overhead < 1
