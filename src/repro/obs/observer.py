@@ -148,7 +148,8 @@ class PhaseTimer(SearchObserver):
         self.on_finish = timed(observer.on_finish, phases, phase)
 
 
-#: Tracer instant names of the recorded event types.
+#: Tracer instant names of the recorded event types, keyed by class
+#: name because the observability layer does not import the search layer.
 _INSTANT_NAMES = {
     "DeadlockEvent": "deadlock",
     "AssertionViolationEvent": "assertion-violation",

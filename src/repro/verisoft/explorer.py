@@ -253,7 +253,6 @@ class Explorer:
         self._sched_cache: dict[str, ScheduleChoice] = {}
         self._toss_cache: dict[tuple[str, int], TossChoice] = {}
         self._step_cache: dict[tuple, TraceStep] = {}
-        self._bind_calls(None)
 
     @staticmethod
     def _compute_footprints(system: System) -> dict[str, set[str]]:

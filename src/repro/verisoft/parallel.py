@@ -367,7 +367,9 @@ def _event_key(event) -> tuple:
     return (type(event).__name__, event.trace.choices)
 
 
-def _merge_events(merged_list: list, parts: Iterable[list], max_events: int, keep_count: bool) -> None:
+def _merge_events(
+    merged_list: list, parts: Iterable[list], max_events: int, keep_count: bool
+) -> None:
     """Concatenate event lists in stable order, dropping duplicate
     traces.  Beyond ``max_events`` recorded traces, either keep counting
     with trace-less placeholder events (``keep_count``, matching the
