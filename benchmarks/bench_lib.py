@@ -7,7 +7,8 @@ the three concerns every bench script shares:
 
 * :func:`provenance_block` — one uniform ``_provenance`` block per file
   (when it was generated, on what interpreter/platform/CPU count, at
-  which commit), so a number can always be traced back to its run;
+  which commit, and whether ``src/`` had uncommitted changes), so a
+  number can always be traced back to its run;
 * :func:`merge_bench_json` — label-wise merging, so a filtered run
   (``-k "fig2 or fig3"``) refreshes only its own entries and never
   clobbers the rest of the file;
@@ -40,8 +41,11 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 def provenance_block() -> dict[str, Any]:
-    """The uniform ``_provenance`` block stamped into every BENCH file."""
-    commit = None
+    """The uniform ``_provenance`` block stamped into every BENCH file.
+
+    ``dirty`` is true when ``src/`` differs from ``git_commit`` (the
+    numbers then come from uncommitted code), ``None`` without git."""
+    commit = dirty = None
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
@@ -51,8 +55,17 @@ def provenance_block() -> dict[str, Any]:
             timeout=5,
         )
         commit = proc.stdout.strip() or None
+        if commit is not None:
+            status = subprocess.run(
+                ["git", "status", "--porcelain", "--", "src"],
+                cwd=ROOT,
+                capture_output=True,
+                text=True,
+                timeout=5,
+            )
+            dirty = bool(status.stdout.strip())
     except (OSError, subprocess.SubprocessError):
-        commit = None
+        commit = dirty = None
     return {
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
@@ -62,6 +75,7 @@ def provenance_block() -> dict[str, Any]:
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "git_commit": commit,
+        "dirty": dirty,
     }
 
 

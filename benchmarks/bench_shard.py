@@ -1,23 +1,32 @@
-"""Experiment BENCH-SHARD — static partitioning vs work stealing.
+"""Experiment BENCH-SHARD — the two lease policies of the parallel driver.
 
-The static parallel scheduler cuts the choice tree at a fixed frontier
-depth and assigns each prefix to a worker up front; a skewed tree —
-one giant subtree among trivial siblings — leaves one worker holding
-almost all the work while the rest idle.  The work-stealing scheduler
-(:mod:`repro.service.scheduler`) hands out subtree *leases* and lets
-idle workers steal unexplored siblings from the busy one, so skew is
-dissolved at runtime instead of being baked in at partition time.
+The parallel driver (:mod:`repro.verisoft.parallel`) hands out subtree
+*leases* to worker processes.  Under ``--scheduler static`` it splits
+the tree in-process first — one path of the shallowest lease at a time,
+the rest of it becoming new leases — until there are 16 leases per
+worker, then hands them out with stealing off; a tree that runs out
+before that (Figures 2 and 3) is searched without forking at all.
+Under ``--scheduler steal`` it starts from the one root lease and lets
+idle workers steal unexplored siblings from busy ones, so skew is
+dissolved at runtime.  The skewed toss tree — one giant subtree among
+trivial siblings — was the worst case of cutting the tree at a fixed
+frontier depth.
 
 This experiment runs the identical bounded search three ways — the
 sequential DFS baseline, ``--scheduler static`` and ``--scheduler
-steal`` — over Figure 2, Figure 3 and a deliberately skewed toss tree,
-and records wall time plus the lease/steal telemetry.
+steal`` — over Figure 2, Figure 3 and the skewed tree, and records wall
+time plus the lease/steal telemetry.  Each row is timed ``REPEATS``
+times: ``wall_time_s`` is the median, with ``wall_time_min_s`` and
+``wall_time_max_s`` beside it (these rows take milliseconds on a host
+whose speed swings by ~1.5x, so one run is not a measurement), and the
+counters are the median run's.
 
-Asserted unconditionally (the schedulers must differ *only* in how
-work is distributed):
+Asserted unconditionally (the policies must differ *only* in how work
+is distributed):
 
 * states / transitions / paths / toss points / violation groups all
-  identical to sequential DFS for both schedulers;
+  identical to sequential DFS for both policies, on every repeat;
+* the static policy never steals (``steals == 0``);
 * on the skewed tree, stealing actually happens (``steals > 0``) and
   the work is split across leases (``leases > jobs``).
 
@@ -46,6 +55,9 @@ pytestmark = pytest.mark.slow
 
 JOBS = 4
 
+#: Timed runs per row; the row records their median, min and max.
+REPEATS = 5
+
 PARITY_KEYS = ("states", "transitions", "paths", "toss_points", "violation_groups")
 
 SKEWED_SRC = """
@@ -69,7 +81,7 @@ proc main() {
 
 def _skewed_system():
     """One subtree holds 2**8 paths, its three siblings one each — the
-    static partition's worst case."""
+    worst case of a fixed-depth frontier cut."""
     system = System(SKEWED_SRC)
     system.add_env_sink("out")
     system.add_process("p", "main", [])
@@ -84,13 +96,18 @@ CASES = {
 
 
 def _run_one(build, bounds, *, strategy, scheduler="static", jobs=0):
-    system = build()
-    options = SearchOptions(
-        strategy=strategy, scheduler=scheduler, jobs=jobs, **bounds
-    )
-    started = time.perf_counter()
-    report = run_search(system, options)
-    elapsed = time.perf_counter() - started
+    runs = []
+    for _ in range(REPEATS):
+        system = build()
+        options = SearchOptions(
+            strategy=strategy, scheduler=scheduler, jobs=jobs, **bounds
+        )
+        started = time.perf_counter()
+        report = run_search(system, options)
+        runs.append((time.perf_counter() - started, report))
+    assert len({report.summary() for _, report in runs}) == 1
+    runs.sort(key=lambda run: run[0])
+    elapsed, report = runs[len(runs) // 2]
     stats = report.stats
     return {
         "strategy": stats.strategy,
@@ -104,7 +121,10 @@ def _run_one(build, bounds, *, strategy, scheduler="static", jobs=0):
         "leases": stats.leases,
         "steals": stats.steals,
         "leases_requeued": stats.leases_requeued,
+        "repeats": REPEATS,
         "wall_time_s": round(elapsed, 4),
+        "wall_time_min_s": round(runs[0][0], 4),
+        "wall_time_max_s": round(runs[-1][0], 4),
         "states_per_second": round(stats.states_per_second),
     }
 
@@ -129,6 +149,8 @@ def test_bench_shard(label, record_table, baseline_results):
                 f"{label}: {key} differs between {variant} and dfs: "
                 f"{rows[variant][key]} vs {rows['dfs'][key]}"
             )
+
+    assert rows["static"]["steals"] == 0, "the static policy never steals"
 
     if label == "skewed":
         assert rows["steal"]["steals"] > 0, "skewed tree must trigger steals"

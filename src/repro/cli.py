@@ -254,7 +254,6 @@ def _options_from_args(args) -> SearchOptions:
         seed=args.seed,
         jobs=args.jobs,
         scheduler=getattr(args, "scheduler", "static"),
-        prefix_depth=args.prefix_depth,
         profile=args.profile,
         coverage=getattr(args, "coverage", False)
         or getattr(args, "coverage_json", None) is not None,
@@ -843,17 +842,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--scheduler",
         choices=SCHEDULERS,
         default="static",
-        help="parallel strategy: 'static' partitions the tree up front "
-        "into fixed prefixes; 'steal' hands out subtree leases "
-        "dynamically and lets idle workers steal from busy ones "
-        "(identical reports either way; default: static)",
-    )
-    search_parser.add_argument(
-        "--prefix-depth",
-        type=int,
-        default=None,
-        help="parallel strategy: frontier depth of the prefix partition "
-        "(default: auto-tuned)",
+        help="parallel strategy: 'static' splits the tree into subtree "
+        "leases up front and hands them out with stealing off; 'steal' "
+        "starts from one root lease and lets idle workers steal from "
+        "busy ones (identical reports either way; default: static)",
     )
     search_parser.add_argument(
         "--progress",
@@ -951,7 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
         state_cache="off",
         cache_bits=24,
         cache_mode="safe",
-        prefix_depth=None,
         stats=False,
         save_traces=None,
         profile=True,
@@ -1120,7 +1111,6 @@ def build_parser() -> argparse.ArgumentParser:
         scheduler="steal",
         walks=100,
         seed=0,
-        prefix_depth=None,
         profile=False,
         stall_timeout=10.0,
     )

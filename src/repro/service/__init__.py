@@ -12,13 +12,14 @@ lives and dies inside one Python process.  This package turns it into a
   between machines and resumed bit-identically on either execution
   engine.
 
-* :mod:`repro.service.scheduler` — the **work-stealing scheduler**.
-  Subtree leases are handed to worker processes from a shared queue;
-  idle workers steal from busy ones (a busy worker suspends
-  cooperatively and donates its unexplored siblings as new leases),
-  dead workers are detected by heartbeat/liveness monitoring and their
-  leases re-queued.  Merged reports are counter-for-counter identical
-  to the sequential search, modulo the backtracking-cost group.
+* :mod:`repro.service.scheduler` — the **work-stealing scheduler**:
+  the parallel driver (:mod:`repro.verisoft.parallel`) under its
+  ``"steal"`` lease policy.  Idle workers steal from busy ones (a busy
+  worker suspends cooperatively and donates its unexplored siblings as
+  new leases), dead workers are detected by heartbeat/liveness
+  monitoring and their leases re-queued.  Merged reports are
+  counter-for-counter identical to the sequential search, modulo the
+  backtracking-cost group.
 
 * :mod:`repro.service.jobs` — the **async job service**: an on-disk
   :class:`~repro.service.jobs.JobStore` plus the ``repro submit`` /

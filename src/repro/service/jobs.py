@@ -35,7 +35,7 @@ import pathlib
 import sys
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
 from ..sysdesc import description_language, system_from_description
@@ -153,11 +153,12 @@ class Job:
 
     def search_options(self):
         """The job's :class:`~repro.verisoft.search.SearchOptions`,
-        forced onto the work-stealing scheduler (the only driver that
-        can suspend/resume)."""
+        forced onto the parallel driver's work-stealing policy."""
         from ..verisoft.search import SearchOptions
 
-        options = SearchOptions(**self.options)
+        # Job files written before an option was retired still carry it.
+        known = {f.name for f in fields(SearchOptions)}
+        options = SearchOptions(**{k: v for k, v in self.options.items() if k in known})
         options.strategy = "parallel"
         options.scheduler = "steal"
         return options

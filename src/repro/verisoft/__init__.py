@@ -24,7 +24,6 @@ from .explorer import (
 from .parallel import (
     ChoicePrefix,
     PrefixPoint,
-    enumerate_prefixes,
     harvest_residual,
     merge_reports,
     parallel_search,
@@ -79,7 +78,6 @@ __all__ = [
     "apply_choice",
     "behavior_inclusion",
     "collect_output_traces",
-    "enumerate_prefixes",
     "harvest_residual",
     "independent",
     "matches_with_erasure",

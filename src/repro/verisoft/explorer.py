@@ -143,20 +143,14 @@ class Explorer:
 
     The state only this driver owns:
 
-    * ``initial_stack`` — a frozen choice prefix (see
+    * ``initial_stack`` — a frozen choice prefix (a lease of
       :mod:`repro.verisoft.parallel`); the search replays it and
       explores only the subtree below — backtracking never climbs above
-      the prefix.  Prefix states/transitions are not re-counted.
-    * ``prefix_mode`` — how the *last* pinned decision of
-      ``initial_stack`` is accounted.  ``"frontier"`` (the static
-      parallel partition): the edge into the frontier state was already
-      executed and counted by the coordinator that enumerated the
-      prefix, so the first replay does not re-count it.  ``"resume"``
-      (work-stealing leases and suspended-search resumption,
-      :mod:`repro.service`): the last pinned decision was *never
-      executed* — an untried sibling harvested from a suspended DFS
-      stack — so its out-edge and everything below it is counted,
-      exactly as the sequential search would after bumping that point.
+      the prefix.  The last pinned decision was *never executed* (an
+      untried sibling harvested from a suspended DFS stack), so its
+      out-edge and everything below it is counted, exactly as the
+      sequential search would after bumping that point; the states and
+      transitions before it are not re-counted.
     * ``yield_check`` — cooperative suspension, polled between paths.
       When it returns true *and* untried alternatives remain above the
       frozen prefix, the DFS stops cleanly: :attr:`suspended` is set
@@ -165,10 +159,6 @@ class Explorer:
       report covers exactly the paths completed so far, so a partial
       report plus the residual prefixes partitions the subtree
       losslessly.
-    * ``frontier_depth`` / ``on_frontier`` — the frontier cut: every
-      path is cut at this depth and the choice stack handed to
-      ``on_frontier`` instead of descending (the parallel driver's
-      prefix enumeration).
     * ``fingerprint_set`` — with ``count_states``, collect fingerprints
       into this caller-owned set (so a coordinator can union worker
       sets).
@@ -193,16 +183,11 @@ class Explorer:
         options: SearchOptions | None = None,
         *,
         initial_stack: list[_ChoicePoint] | None = None,
-        prefix_mode: str = "frontier",
         yield_check: Callable[[], bool] | None = None,
-        frontier_depth: int | None = None,
-        on_frontier: Callable[[list[_ChoicePoint]], None] | None = None,
         fingerprint_set: set[Any] | None = None,
         observer: SearchObserver | None = None,
         **overrides: Any,
     ):
-        if prefix_mode not in ("frontier", "resume"):
-            raise ValueError(f"unknown prefix mode {prefix_mode!r}")
         self._options = options = search_options(options, overrides)
         modes = options.resolve(system)
         self._system = system
@@ -216,10 +201,7 @@ class Explorer:
         self._max_events = options.max_events
         self._on_leaf = options.on_leaf
         self._initial_stack = initial_stack
-        self._prefix_mode = prefix_mode
         self._yield_check = yield_check
-        self._frontier_depth = frontier_depth
-        self._on_frontier = on_frontier
         self._fingerprint_set = fingerprint_set
         self._extra_observer = observer
         self._observer: SearchObserver | None = None
@@ -327,16 +309,8 @@ class Explorer:
         resume_point: _ChoicePoint | None = None
 
         while True:
-            # On the very first pass over a frozen frontier prefix
-            # nothing has been bumped: the prefix's edges were all
-            # executed (and recorded) by the coordinator that produced
-            # it.  A "resume" prefix instead pins an *untried* decision
-            # at its tip, whose out-edge is fresh ground.
-            frozen_replay = (
-                executions == 0 and base > 0 and self._prefix_mode == "frontier"
-            )
             try:
-                self._execute(stack, report, stats, seen_states, frozen_replay, resume_point)
+                self._execute(stack, report, stats, seen_states, resume_point)
             except _Leaf:
                 pass
             report.paths_explored += 1
@@ -440,13 +414,12 @@ class Explorer:
         report: ExplorationReport,
         stats: SearchStats,
         seen_states: set[Any] | None,
-        frozen_replay: bool,
         resume_point: _ChoicePoint | None,
     ) -> None:
         """One (re-)execution, from a fresh run or a restored checkpoint
         down to a leaf (which raises :class:`_Leaf`)."""
         if resume_point is None:
-            state = self._start_run(stack, report, frozen_replay)
+            state = self._start_run(stack, report)
             depth, sleep, may_toss, point = 0, _EMPTY_SLEEP, True, None
         else:
             state, depth, sleep, may_toss, point = self._reenter(resume_point)
@@ -466,12 +439,6 @@ class Explorer:
             else:
                 if may_toss:
                     self._answer_tosses(state, depth, sleep)
-                if self._frontier_depth is not None and depth >= self._frontier_depth:
-                    # Frontier cut: hand the subtree below this state to
-                    # the parallel driver instead of descending into it.
-                    if self._on_frontier is not None:
-                        self._on_frontier(state.stack)
-                    raise _Leaf()
                 if state.ptr < state.replay_len:
                     # A replayed state (inside the stacked prefix) was
                     # fully processed when first reached and — having a
@@ -498,10 +465,10 @@ class Explorer:
             state.choices.append(choice)
             request = chosen.visible_request
             outcome = step(run, chosen)
-            fresh_edge = state.ptr >= state.edge_replay_len
+            fresh = state.ptr >= state.replay_len
             if observer is not None:
-                observer.on_step(chosen, request, depth, fanout, created, fresh_edge)
-            if fresh_edge:
+                observer.on_step(chosen, request, depth, fanout, created, fresh)
+            if fresh:
                 report.transitions_executed += 1
             else:
                 stats.replayed_transitions += 1
@@ -512,7 +479,7 @@ class Explorer:
                 trace_step = step_cache[key] = TraceStep(*key)
             state.steps.append(trace_step)
             depth += 1
-            if outcome is not None and outcome.violated and fresh_edge:
+            if outcome is not None and outcome.violated and fresh:
                 state.record(
                     AssertionViolationEvent,
                     depth,
@@ -539,9 +506,7 @@ class Explorer:
                 sleep = augment_sleep(point.sleep, explored, chosen_sig)
             point = None
 
-    def _start_run(
-        self, stack: list[_ChoicePoint], report: ExplorationReport, frozen_replay: bool
-    ) -> PathState:
+    def _start_run(self, stack: list[_ChoicePoint], report: ExplorationReport) -> PathState:
         """Start a fresh run that replays ``stack`` from the initial
         state."""
         run = self._system.start(
@@ -549,19 +514,10 @@ class Explorer:
         )
         self._start(run)
         replay_len = len(stack)
-        state = PathState(
-            run,
-            stack,
-            replay_len,
-            report,
-            self._max_events,
-            self._observer,
-            edge_replay_len=replay_len + 1 if frozen_replay else replay_len,
-        )
+        state = PathState(run, stack, replay_len, report, self._max_events, self._observer)
         if self._observer is not None:
             # The startup segments are fresh ground exactly when nothing
-            # precedes them: the sequential first path, the coordinator's
-            # (empty-prefix) enumeration, the root steal lease.
+            # precedes them: the sequential first path, the root lease.
             self._observer.on_run_start(run, replay_len == 0)
         if self._restore:
             self._live = state
@@ -575,9 +531,9 @@ class Explorer:
 
         The execution state is exactly what a replay would have rebuilt
         on reaching the point: choices/steps truncated to the prefix,
-        ``ptr`` past every stacked point (so ``fresh`` / ``fresh_edge``
-        hold on all ground below, as they would after consuming the
-        bumped point during a replay).  Returns ``(state, depth, sleep,
+        ``ptr`` past every stacked point (so ``fresh`` holds on all
+        ground below, as it would after consuming the bumped point
+        during a replay).  Returns ``(state, depth, sleep,
         may_toss, pending schedule point)``.
         """
         info = point.resume
@@ -601,7 +557,7 @@ class Explorer:
         state.choices.append(self._toss_choice(tossing.name, value))
         self._answer(run, tossing, value)
         if self._observer is not None:
-            self._observer.on_toss(tossing, request, value, info.depth, False, state.fresh_edge)
+            self._observer.on_toss(tossing, request, value, info.depth, False, state.fresh)
         state.note_broken(tossing, info.depth)
         return state, info.depth, info.sleep, True, None
 
@@ -627,7 +583,7 @@ class Explorer:
             self._answer(run, tossing, value)
             if self._observer is not None:
                 self._observer.on_toss(
-                    tossing, request, value, depth, len(state.stack) > before, state.fresh_edge
+                    tossing, request, value, depth, len(state.stack) > before, state.fresh
                 )
             state.note_broken(tossing, depth)
 
@@ -861,14 +817,6 @@ class PathState:
     report: ExplorationReport
     max_events: int
     observer: SearchObserver | None = None
-    #: Replay length for *edge-anchored* recording (transitions executed,
-    #: violations, crashes).  Normally equal to ``replay_len`` — the last
-    #: replayed choice point was freshly bumped, so the edge out of it is
-    #: new ground.  On the first execution over a frozen parallel prefix
-    #: nothing is bumped: every prefix edge (including the one *into* the
-    #: frontier state) was already executed and recorded by the
-    #: coordinator, so edge recording starts one choice later.
-    edge_replay_len: int = 0
     ptr: int = 0
     choices: list[Choice] = field(default_factory=list)
     steps: list[TraceStep] = field(default_factory=list)
@@ -876,16 +824,10 @@ class PathState:
 
     @property
     def fresh(self) -> bool:
-        """Whether execution has passed the replayed prefix (state-anchored
-        events and statistics are only recorded on fresh ground, so
-        replays do not double-count)."""
+        """Whether execution has passed the replayed prefix (events and
+        statistics are only recorded on fresh ground, so replays do not
+        double-count)."""
         return self.ptr >= self.replay_len
-
-    @property
-    def fresh_edge(self) -> bool:
-        """Like :attr:`fresh`, for recording anchored to the transition
-        just executed rather than to the current global state."""
-        return self.ptr >= self.edge_replay_len
 
     def trace(self) -> Trace:
         return Trace(tuple(self.choices), tuple(self.steps))
@@ -921,7 +863,7 @@ class PathState:
         if process.name in self.noted_broken:
             return
         self.noted_broken.add(process.name)
-        if not self.fresh_edge:
+        if not self.fresh:
             return
         if status is ProcessStatus.CRASHED:
             self.record(CrashEvent, depth, process.name, str(process.crash))

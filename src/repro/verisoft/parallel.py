@@ -1,4 +1,4 @@
-"""Work-partitioning parallel exploration.
+"""Parallel exploration over subtree leases.
 
 VeriSoft's defining property — the explorer stores *no* states and
 backtracks by deterministic replay from the initial state — means that
@@ -7,55 +7,71 @@ independent operating-system processes: a subtree is identified by the
 choice *prefix* leading to its root, and a worker that re-executes the
 prefix owns everything below it with no shared state whatsoever.
 
-The driver has three phases:
+:func:`parallel_search` is the one parallel driver:
 
-1. **Prefix enumeration** (sequential, cheap).  A bounded-depth DFS over
-   the top of the choice tree; every path that survives to
-   ``prefix_depth`` transitions is cut there and its choice stack —
-   including the sleep sets and sibling signatures needed to resume the
-   partial-order reduction exactly — is captured as a
-   :class:`ChoicePrefix`.  Paths that die earlier (deadlock,
-   termination, sleep-set exhaustion) are complete and are accounted to
-   the coordinator's own report.
+* Work is handed out as **subtree leases** — fully pinned
+  :class:`ChoicePrefix` snapshots, including the sleep sets and sibling
+  signatures needed to resume the partial-order reduction exactly.  A
+  lease prefix pins an *untried* decision at its tip, so everything
+  below it is fresh, counted ground and the merged search performs
+  *exactly* the transitions the sequential search would.
 
-2. **Fan-out**.  The prefixes are distributed over a
-   :mod:`multiprocessing` pool.  Each worker reconstructs the system
-   (systems are picklable, or rebuilt via ``system_factory``), replays
-   its prefix, and completes the DFS of that subtree with backtracking
-   frozen at the prefix — sleep/persistent sets carry over, so the
-   merged search performs *exactly* the transitions the sequential
-   search would.
+* A lease explored until a ``yield_check`` suspends it commits its
+  partial report *plus* every unexplored sibling subtree of its DFS
+  stack (:func:`harvest_residual`) as new leases: together they
+  partition the lease losslessly.  The unit of completion is the lease,
+  so a worker that **dies** mid-lease loses nothing but time: its lease
+  is re-queued verbatim and a replacement worker is spawned.
 
-3. **Deterministic merge**.  Per-worker reports are merged in prefix
-   enumeration order: counters are summed, events concatenated in
-   stable order and deduplicated by replay trace, distinct-state
-   fingerprints unioned.  ``--jobs 1`` and ``--jobs N`` therefore
-   produce identical reports.
+* ``options.scheduler`` picks how the tree becomes leases.
+  ``"static"`` (the default) splits it in-process before any worker
+  starts: each split completes one path of the shallowest pending lease
+  and turns the rest into leases, until there are
+  :data:`SPLIT_PER_JOB` leases per worker (a tree that runs out first is
+  searched without forking at all); the leases are then handed out with
+  stealing off, so the partition — and the reported ``leases`` — is the
+  same on every run and ``steals == 0``.  ``"steal"`` starts from the
+  one root lease: when workers go idle and no leases are pending, the
+  coordinator raises a shared **steal budget**, and a busy worker polls
+  it between paths, suspends and commits its residuals.
 
-Budget caveat: ``max_paths``/``max_transitions`` are enforced per
-worker and re-checked between worker completions, so a tripped budget
-truncates slightly differently (never *later*) than a sequential run;
-exact parity holds for unbudgeted searches.
+* A **stop request** (``should_suspend``) suspends every worker at
+  once; the pending leases plus completed blocks come back as a
+  :class:`~repro.service.frontier.SearchCheckpoint` on
+  ``report.checkpoint``, resumable later via the ``initial`` parameter.
 
-State-caching caveat: with ``state_cache`` enabled every worker owns a
-*private* store (:mod:`repro.statespace`) — nothing is shared across
-process boundaries — so a state reached in two different subtrees is
-expanded once per subtree rather than once globally.  A parallel cached
-search therefore prunes *at most* as much as the sequential cached
-search and its transition counters sit between the sequential-cached
-and uncached values; violation triage groups still match, and the
-merged report sums every worker's hit/miss/memory counters.
+**Determinism.**  Completed lease blocks are kept unmerged and sorted by
+:func:`prefix_key` at the end — sequential DFS visit order, regardless
+of which worker finished what when — so :func:`merge_reports` produces a
+report counter-for-counter identical to the sequential search, modulo
+the backtracking-cost group and the stealing counters.
+
+Budget caveat: ``max_paths``/``max_transitions`` are enforced per lease
+and re-checked between lease completions, so a tripped budget truncates
+slightly differently (never *later*) than a sequential run; exact parity
+holds for unbudgeted searches.  Checkpoints are only produced for clean
+suspensions, not for budget-truncated runs.
+
+State-caching caveat: with ``state_cache`` enabled every lease owns a
+*private* store (:mod:`repro.statespace`), so a state reached in two
+different leases is expanded once per lease rather than once globally.
+A parallel cached search therefore prunes *at most* as much as the
+sequential cached search; violation triage groups still match, and the
+merged report sums every lease's hit/miss/memory counters.
 """
 
 from __future__ import annotations
 
 import contextlib
+import heapq
 import multiprocessing
 import os
+import queue as queue_mod
+import signal
 import sys
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from ..runtime.system import System
 from .explorer import Explorer, _ChoicePoint
@@ -64,16 +80,24 @@ from .results import ExplorationReport, without_trace
 from .search import SearchOptions, search_options
 from .stats import SearchStats
 
+if TYPE_CHECKING:
+    from ..service.frontier import SearchCheckpoint
+
 __all__ = [
     "ChoicePrefix",
     "PrefixPoint",
-    "enumerate_prefixes",
+    "explore_lease",
     "harvest_residual",
     "merge_reports",
     "parallel_search",
     "prefix_key",
     "warn_oversubscription",
 ]
+
+#: The static policy splits the tree until there are this many pending
+#: leases per worker.  Fewer left one root-level lease holding most of
+#: bounded 5ESS; this many balances it as well as a frontier cut did.
+SPLIT_PER_JOB = 16
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +119,10 @@ class PrefixPoint:
 
 @dataclass(frozen=True, slots=True)
 class ChoicePrefix:
-    """A path from the root of the choice tree to a frontier state.
+    """A path from the root of the choice tree to an untried decision.
 
     Replaying the prefix and freezing backtracking at its length makes a
-    worker explore exactly the subtree rooted at the frontier state.
+    worker explore exactly the subtree below that decision.
     """
 
     points: tuple[PrefixPoint, ...]
@@ -119,11 +143,10 @@ def prefix_key(prefix: ChoicePrefix) -> tuple[int, ...]:
     Two disjoint subtree prefixes compare exactly as the sequential DFS
     would visit them (lexicographic on index tuples), and a prefix that
     extends another — a split lease's residual extending the suspended
-    lease's own prefix — sorts directly after it.  The work-stealing
-    merge (:mod:`repro.service.scheduler`) sorts completed lease reports
-    by this key so event order (and therefore ``max_events`` truncation)
-    is identical to the sequential search, regardless of which worker
-    finished what when.
+    lease's own prefix — sorts directly after it.  The merge sorts
+    completed lease reports by this key so event order (and therefore
+    ``max_events`` truncation) is identical to the sequential search,
+    regardless of which worker finished what when.
     """
     return tuple(point.index for point in prefix.points)
 
@@ -140,12 +163,6 @@ def _freeze_point(point: _ChoicePoint, index: int | None = None) -> PrefixPoint:
     )
 
 
-def _snapshot(stack: list[_ChoicePoint]) -> ChoicePrefix:
-    """Deep-copy the live DFS stack (indices mutate as the enumeration
-    backtracks, so the copy must happen at frontier time)."""
-    return ChoicePrefix(tuple(_freeze_point(point) for point in stack))
-
-
 def harvest_residual(
     stack: list[_ChoicePoint], base: int = 0
 ) -> list[ChoicePrefix]:
@@ -160,9 +177,7 @@ def harvest_residual(
     and point ``j`` at alternative ``i`` — the full alternative and
     signature lists are retained, so resuming the prefix reconstructs
     the exact sleep-set context the sequential search would have had on
-    bumping that choice point.  Resumption must use the explorer's
-    ``prefix_mode="resume"`` accounting: the pinned tip decision was
-    never executed, so its out-edge is fresh, countable ground.
+    bumping that choice point.
 
     The prefixes come back in sequential DFS visit order (deepest point
     first, ascending alternative index within a point); their union is
@@ -201,187 +216,80 @@ def _thaw(prefix: ChoicePrefix) -> list[_ChoicePoint]:
 
 
 # ---------------------------------------------------------------------------
-# Phase 1: prefix enumeration
+# One lease: the unit of work and of completion
 # ---------------------------------------------------------------------------
 
 
-def enumerate_prefixes(
+def explore_lease(
     system: System,
-    prefix_depth: int,
+    prefix: ChoicePrefix | None,
     options: SearchOptions | None = None,
     *,
-    fingerprint_set: set[Any] | None = None,
-    **overrides: Any,
-) -> tuple[list[ChoicePrefix], ExplorationReport]:
-    """Enumerate the frontier of the choice tree at ``prefix_depth``.
-
-    Returns the prefixes in deterministic DFS order plus the
-    coordinator's report covering everything *above* the frontier
-    (frontier states themselves are accounted to the workers).  Paths
-    shorter than the frontier are fully explored here.  The enumeration
-    covers the whole frontier: the budgets, the first-event stop and
-    the progress callback of ``options`` are the workers' concern.  With
-    ``state_cache`` the enumeration owns a private, fresh store — its
-    prunes never leak into the workers' subtrees.  With ``profile`` /
-    ``coverage`` the above-frontier work is observed into
-    ``report.profile`` / ``report.coverage`` (exactly the fresh edges the
-    sequential search would count there).
-    """
-    options = search_options(options, overrides)
-    prefixes: list[ChoicePrefix] = []
-    explorer = Explorer(
-        system,
-        replace(
-            options,
-            stop_on_first=False,
-            max_paths=None,
-            max_transitions=None,
-            time_budget=None,
-            progress=None,
-        ),
-        frontier_depth=prefix_depth,
-        on_frontier=lambda stack: prefixes.append(_snapshot(stack)),
-        fingerprint_set=fingerprint_set,
-    )
-    return prefixes, explorer.run()
-
-
-# ---------------------------------------------------------------------------
-# Phase 2: workers
-# ---------------------------------------------------------------------------
-
-
-def worker_options(options: SearchOptions, deadline: float | None) -> SearchOptions:
-    """The options a unit of parallel work runs with: the caller's,
-    minus the in-process handles (``tracer``, ``progress``), with the
-    wall-clock budget cut down to what is left before ``deadline``.
-    Picklable, so the same object travels to worker processes."""
-    return replace(
-        options,
-        tracer=None,
-        progress=None,
-        time_budget=None if deadline is None else max(0.0, deadline - time.monotonic()),
-    )
-
-
-#: Per-worker-process cache, populated once by the pool initializer so
-#: the system is unpickled (or rebuilt by the factory) once per worker
-#: instead of once per prefix.
-_WORKER_STATE: dict[str, Any] = {}
-
-
-def _init_worker(
-    system_or_factory, options: SearchOptions, heartbeat_queue: Any, trace: bool
-) -> None:
-    if callable(system_or_factory):
-        system = system_or_factory()
-    else:
-        system = system_or_factory
-    _WORKER_STATE["system"] = system
-    _WORKER_STATE["options"] = options
-    _WORKER_STATE["heartbeats"] = heartbeat_queue
-    _WORKER_STATE["trace"] = trace
-
-
-def _pool_task(
-    indexed_prefix: tuple[int, ChoicePrefix],
-) -> tuple[int, ExplorationReport, frozenset | None]:
-    index, prefix = indexed_prefix
-    report, fingerprints = explore_subtree(
-        _WORKER_STATE["system"],
-        prefix,
-        _WORKER_STATE["options"],
-        prefix_index=index,
-        heartbeat_queue=_WORKER_STATE["heartbeats"],
-        trace=_WORKER_STATE["trace"],
-    )
-    return index, report, fingerprints
-
-
-def explore_subtree(
-    system: System,
-    prefix: ChoicePrefix,
-    options: SearchOptions | None = None,
-    *,
-    prefix_index: int = 0,
+    yield_check: Callable[[], bool] | None = None,
     heartbeat_queue: Any | None = None,
-    trace: bool = False,
+    lease_index: int = 0,
     **overrides: Any,
-) -> tuple[ExplorationReport, frozenset | None]:
-    """Complete the DFS below ``prefix`` (the single-worker unit of work).
+) -> tuple[ExplorationReport, list[ChoicePrefix], frozenset | None]:
+    """Explore the subtree leased by ``prefix`` (``None`` = whole tree).
 
-    Returns the subtree's report and, with ``count_states``, the set of
-    state fingerprints seen (for cross-worker union — fingerprint
-    duplicates across subtrees cannot be detected locally).  With
-    ``state_cache`` each call builds its own fresh store: revisits are
-    pruned within the subtree only (see the module caveat).
-
-    ``options.tracer`` records spans directly into an in-process
-    tracer, while ``trace`` (used across process boundaries, where a
-    live tracer cannot travel) builds a private one and ships its buffer
-    back as ``report.trace_payload``.  ``heartbeat_queue``, when given,
-    receives :class:`~repro.obs.heartbeat.Heartbeat` messages from a
-    :class:`~repro.obs.heartbeat.HeartbeatSender`: ``start``/``done``
-    around the subtree and a ``beat`` every ``progress_interval``
-    seconds.
+    Returns ``(report, residuals, fingerprints)``.  When ``yield_check``
+    suspended the DFS, ``residuals`` holds the unexplored sibling
+    subtrees as new fully pinned prefixes (sequential DFS order) and
+    ``report`` covers exactly the paths completed — together they
+    partition the lease losslessly.  ``residuals`` is empty for a lease
+    run to exhaustion.  Fingerprints (``count_states``) come back
+    canonicalized (:func:`~repro.service.frontier.canonical_fingerprint`)
+    so they survive checkpoint round-trips.  ``heartbeat_queue`` gets a
+    :class:`~repro.obs.heartbeat.HeartbeatSender`'s messages, and
+    ``options.tracer`` one ``lease`` span around the lease's paths.
     """
-    options = search_options(options, overrides)
-    tracer = options.tracer
-    export_trace = tracer is None and trace
-    if export_trace:
-        from ..obs import Tracer
+    from ..service.frontier import canonical_fingerprint
 
-        tracer = Tracer()
-        options = replace(options, tracer=tracer)
+    options = search_options(options, overrides)
     heartbeats = None
     if heartbeat_queue is not None:
         from ..obs import HeartbeatSender
 
-        heartbeats = HeartbeatSender(
-            heartbeat_queue, prefix_index, options.progress_interval
-        )
+        heartbeats = HeartbeatSender(heartbeat_queue, lease_index, options.progress_interval)
     fingerprints: set[Any] | None = set() if options.count_states else None
     explorer = Explorer(
         system,
         options,
-        initial_stack=_thaw(prefix),
+        initial_stack=_thaw(prefix) if prefix is not None else None,
+        yield_check=yield_check,
         fingerprint_set=fingerprints,
         observer=heartbeats,
     )
-    if tracer is None:
+    if options.tracer is None:
         report = explorer.run()
     else:
-        with tracer.span("subtree", cat="parallel", prefix=prefix_index):
+        with options.tracer.span("lease", cat="parallel", lease=lease_index):
             report = explorer.run()
-    if export_trace:
-        report.trace_payload = tracer.export(label=f"worker-{os.getpid()}")
-    return report, None if fingerprints is None else frozenset(fingerprints)
+    residuals: list[ChoicePrefix] = []
+    if explorer.suspended and explorer.final_stack is not None:
+        residuals = harvest_residual(explorer.final_stack, explorer.final_base)
+    canonical = (
+        None
+        if fingerprints is None
+        else frozenset(canonical_fingerprint(fp) for fp in fingerprints)
+    )
+    return report, residuals, canonical
 
 
 # ---------------------------------------------------------------------------
-# Phase 3: deterministic merge
+# Deterministic merge
 # ---------------------------------------------------------------------------
-
-
-def _event_key(event) -> tuple:
-    return (type(event).__name__, event.trace.choices)
 
 
 def _merge_events(
     merged_list: list, parts: Iterable[list], max_events: int, keep_count: bool
 ) -> None:
-    """Concatenate event lists in stable order, dropping duplicate
-    traces.  Beyond ``max_events`` recorded traces, either keep counting
-    with trace-less placeholder events (``keep_count``, matching the
-    sequential explorer's behaviour for violations/crashes/divergences)
-    or stop (deadlocks)."""
-    seen: set = set()
+    """Concatenate event lists in stable order.  Beyond ``max_events``
+    recorded traces, either keep counting with trace-less placeholder
+    events (``keep_count``, matching the sequential explorer's behaviour
+    for violations/crashes/divergences) or stop (deadlocks)."""
     for events in parts:
         for event in events:
-            key = _event_key(event)
-            if key in seen and event.trace.choices:
-                continue
-            seen.add(key)
             if len(merged_list) < max_events:
                 merged_list.append(event)
             elif keep_count:
@@ -389,28 +297,22 @@ def _merge_events(
 
 
 def merge_reports(
-    coordinator: ExplorationReport | None,
-    worker_reports: Iterable[ExplorationReport],
+    parts: Iterable[ExplorationReport],
     *,
-    num_prefixes: int = 0,
     max_events: int = 25,
     fingerprints: set[Any] | None = None,
 ) -> ExplorationReport:
-    """Deterministically merge disjoint parts of one search, in
-    sequential DFS order: the ``coordinator``'s above-frontier report
-    (``None`` for the work-stealing driver, whose lease blocks arrive
-    pre-sorted) followed by the subtree reports.
+    """Deterministically merge disjoint parts of one search, given in
+    sequential DFS order.
 
     Counters sum exactly to the sequential search's values: the parts
-    partition the tree, so every fresh edge, state, toss point and
-    path was counted by exactly one part — except the coordinator's
-    frontier-cut pseudo-paths (``num_prefixes`` of them), which are
-    subtracted.  Events are concatenated in order (duplicate traces
-    dropped, the ``max_events`` cap applied as the sequential explorer
-    applies it); profiles, coverage shards and stats are merged the
-    same disjoint way.
+    partition the tree, so every fresh edge, state, toss point and path
+    was counted by exactly one part.  Events are concatenated in order
+    (the ``max_events`` cap applied as the sequential explorer applies
+    it); profiles, coverage shards and stats are merged the same
+    disjoint way.
     """
-    parts = [*([] if coordinator is None else [coordinator]), *worker_reports]
+    parts = list(parts)
     merged = ExplorationReport()
     for report in parts:
         merged.states_visited += report.states_visited
@@ -420,7 +322,6 @@ def merge_reports(
         merged.max_depth_reached = max(merged.max_depth_reached, report.max_depth_reached)
         merged.truncated = merged.truncated or report.truncated
         merged.incomplete = merged.incomplete or report.incomplete
-    merged.paths_explored -= num_prefixes
     for name, keep_count in (
         ("deadlocks", False),
         ("violations", True),
@@ -451,11 +352,105 @@ def merge_reports(
         [r.stats for r in parts if r.stats is not None], strategy="parallel"
     )
     merged.stats.paths_explored = merged.paths_explored
-    merged.stats.prefixes = num_prefixes
     if merged.coverage is not None:
         merged.stats.coverage_nodes = merged.coverage.nodes_covered
         merged.stats.coverage_nodes_total = merged.coverage.nodes_total
     return merged
+
+
+# ---------------------------------------------------------------------------
+# Worker process
+# ---------------------------------------------------------------------------
+
+
+def _worker_main(
+    worker_id: int,
+    system_or_factory: Any,
+    options: SearchOptions,
+    task_queue: Any,
+    result_queue: Any,
+    heartbeat_queue: Any,
+    steal_budget: Any,
+    suspend_flag: Any,
+    trace: bool,
+    kill_after_paths: int | None,
+) -> None:
+    """Worker loop: take a lease, explore it, commit the result.
+
+    ``steal_budget`` (a shared int) is the coordinator's standing steal
+    request: a dirty read keeps the common case to one attribute load
+    per path, and a claim takes the lock and decrements.  At most one
+    steal is honoured per lease — once this lease has donated, further
+    yields would thrash it into confetti.  ``suspend_flag`` set means
+    *everyone* suspends (stop request / checkpoint).  With ``trace`` each
+    lease records into a private tracer whose buffer travels back as
+    ``report.trace_payload``.
+
+    ``kill_after_paths`` is the crash-recovery test hook: SIGKILL our
+    own process mid-lease after that many completed paths, simulating a
+    worker lost to the OOM killer — nothing is committed, exercising
+    the coordinator's lease re-queue path.
+    """
+    system = system_or_factory() if callable(system_or_factory) else system_or_factory
+    paths_seen = 0
+    while True:
+        task = task_queue.get()
+        if task is None:
+            return
+        seq, prefix = task
+        stolen = False
+
+        def yield_check() -> bool:
+            nonlocal paths_seen, stolen
+            paths_seen += 1
+            if kill_after_paths is not None and paths_seen >= kill_after_paths:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if suspend_flag.value:
+                return True
+            if not stolen and steal_budget.value > 0:
+                with steal_budget.get_lock():
+                    if steal_budget.value > 0:
+                        steal_budget.value -= 1
+                        stolen = True
+                        return True
+            return False
+
+        lease_options = options
+        if trace:
+            from ..obs import Tracer
+
+            lease_options = replace(options, tracer=Tracer())
+        try:
+            report, residuals, fps = explore_lease(
+                system,
+                prefix,
+                lease_options,
+                yield_check=yield_check,
+                heartbeat_queue=heartbeat_queue,
+                lease_index=seq,
+            )
+        except Exception as err:  # commit the failure; don't strand the lease
+            result_queue.put((worker_id, seq, err, [], None, False))
+            continue
+        if trace:
+            report.trace_payload = lease_options.tracer.export(label=f"worker-{os.getpid()}")
+        result_queue.put(
+            (worker_id, seq, report, residuals, fps, stolen and bool(residuals))
+        )
+
+
+class _WorkerHandle:
+    """Coordinator-side record of one worker process."""
+
+    __slots__ = ("process", "task_queue", "assigned", "label", "leases_done", "stolen_from")
+
+    def __init__(self, process, task_queue, label: str):
+        self.process = process
+        self.task_queue = task_queue
+        self.assigned: tuple[tuple[int, ...], int, ChoicePrefix | None] | None = None
+        self.label = label
+        self.leases_done = 0
+        self.stolen_from = 0
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +467,11 @@ def warn_oversubscription(
     """Warn when the worker pool *plus the coordinator process* exceed
     the machine's CPUs.
 
-    Lives in the drivers — emitted exactly once per search, before any
-    fan-out, never per round — so multi-round schedulers (work stealing
-    hands out leases continuously) cannot repeat it.  ``jobs <= 1`` runs
-    in-process with no pool and no separate coordinator, so it never
-    warns.  Returns whether a warning was emitted (for the tests).
+    Emitted exactly once per search, before any fan-out, never per
+    round — work stealing hands out leases continuously, so a per-round
+    check would repeat it.  ``jobs <= 1`` runs in-process with no pool
+    and no separate coordinator, so it never warns.  Returns whether a
+    warning was emitted (for the tests).
     """
     if jobs <= 1:
         return False
@@ -491,164 +486,275 @@ def warn_oversubscription(
     return True
 
 
-def warner(options: SearchOptions) -> Callable[[str], None]:
-    """Where a parallel driver's warnings go: the progress printer's
-    ``warn`` when it has one (keeps the warning from colliding with the
-    self-overwriting ticker), else stderr."""
-    warn = getattr(options.progress, "warn", None)
-    if warn is not None:
-        return warn
-    return lambda message: print(f"warning: {message}", file=sys.stderr)
-
-
-def finish_parallel(
-    merged: ExplorationReport,
-    options: SearchOptions,
-    system: System,
-    jobs: int,
-    started: float,
-    expired: bool,
-) -> None:
-    """What both parallel drivers stamp on the merged report: the
-    *effective* modes (resolved exactly as every unit of work resolved
-    them), the pool shape, the wall time, the options (self-reproducing,
-    like :func:`~repro.verisoft.search.run_search` reports) and the
-    per-worker-stores caching provenance.  ``expired``: the wall-clock
-    budget cut the search short, so some subtrees were never searched —
-    the sequential explorer's ``incomplete`` flag."""
-    if expired:
-        merged.incomplete = True
-        merged.truncated = True
-    modes = options.resolve(system)
-    merged.stats.backtrack = modes.backtrack
-    merged.stats.engine = modes.engine
-    merged.stats.jobs = jobs
-    merged.stats.wall_time = time.monotonic() - started
-    merged.options = options
-    if options.state_cache != "off":
-        merged.stats.state_cache = options.state_cache
-        merged.state_caching = {
-            **(options.state_caching_info() or {}),
-            "per_worker_stores": True,
-        }
-
-
-def _enumerate_frontier(
-    system: System,
-    options: SearchOptions,
-    jobs: int,
-    fingerprints: set[Any] | None,
-) -> tuple[list[ChoicePrefix], ExplorationReport]:
-    """The coordinator's enumeration at ``options.prefix_depth`` or,
-    when that is ``None``, deepened until the frontier yields enough
-    prefixes to keep the pool busy (≥4 per worker) or the tree runs
-    out.  Only the kept (deepest) enumeration's report and fingerprints
-    survive, so probe passes never double-count."""
-    if options.prefix_depth is not None:
-        return enumerate_prefixes(
-            system, options.prefix_depth, options, fingerprint_set=fingerprints
-        )
-    depth_cap = max(1, min(options.max_depth - 1, 12))
-    depth = 1
-    while True:
-        probe = None if fingerprints is None else set()
-        prefixes, report = enumerate_prefixes(system, depth, options, fingerprint_set=probe)
-        if len(prefixes) >= 4 * jobs or depth >= depth_cap or not prefixes:
-            if fingerprints is not None:
-                fingerprints |= probe
-            return prefixes, report
-        depth += 1
-
-
 def parallel_search(
     system: System,
     options: SearchOptions | None = None,
     *,
     system_factory: Callable[[], System] | None = None,
+    initial: SearchCheckpoint | None = None,
+    should_suspend: Callable[[], bool] | None = None,
+    on_checkpoint: Callable[[SearchCheckpoint], None] | None = None,
+    checkpoint_interval: float | None = None,
+    kill_worker_after_paths: int | None = None,
     **overrides: Any,
 ) -> ExplorationReport:
-    """Explore ``system`` with a pool of stateless worker processes.
+    """Explore ``system`` with stateless worker processes over subtree
+    leases, under the lease policy ``options.scheduler`` names (see the
+    module docstring).
 
     ``options`` is a :class:`~repro.verisoft.search.SearchOptions`
-    (individual fields may be overridden by keyword).  ``jobs=1`` runs
-    the same partition/merge pipeline in-process — useful as the
-    determinism baseline.  For systems that cannot be pickled, pass a
-    top-level ``system_factory`` callable that rebuilds the system
-    inside each worker.
+    (individual fields may be overridden by keyword); ``jobs <= 1``
+    runs every lease in-process (the determinism baseline — identical
+    merge, no multiprocessing primitives).  For systems that cannot be
+    pickled, pass a top-level ``system_factory`` callable that rebuilds
+    the system inside each worker.
+
+    Service hooks:
+
+    * ``initial`` — resume a suspended search from its
+      :class:`~repro.service.frontier.SearchCheckpoint` (the system
+      fingerprint is verified first).
+    * ``should_suspend`` — polled by the coordinator (and, in-process,
+      between paths); returning true suspends every worker, commits all
+      in-flight leases and returns a report with ``report.checkpoint``
+      set.  The counters/events of that report cover the explored
+      region only and ``incomplete`` is flagged.
+    * ``on_checkpoint`` / ``checkpoint_interval`` — periodic *live*
+      checkpoints: every interval the coordinator snapshots completed
+      blocks plus pending **and assigned** leases (an assigned lease's
+      partial work is uncommitted, so writing it as pending is
+      consistent) and hands the checkpoint to the callback.  The search
+      keeps running.
+    * ``kill_worker_after_paths`` — crash-test hook, forwarded to the
+      *first* worker only (see :func:`_worker_main`).
     """
-    # The options record what ran: this driver is the static scheduler.
-    options = search_options(options, {**overrides, "strategy": "parallel", "scheduler": "static"})
+    from ..service import frontier
+
+    options = search_options(options, {**overrides, "strategy": "parallel"})
+    steal = options.scheduler == "steal"
     jobs = options.jobs or os.cpu_count() or 1
     tracer = options.tracer
-
-    _warn = warner(options)
-    # Judge oversubscription on the *requested* job count: an explicit
-    # --jobs beyond what the machine can co-schedule alongside the
-    # coordinator warns; the jobs=0 "all cores" default never does.
-    warn_oversubscription(options.jobs, _warn)
     started = time.monotonic()
     deadline = None if options.time_budget is None else started + options.time_budget
 
-    fingerprints: set[Any] | None = set() if options.count_states else None
-
-    enumerate_phase = (
-        contextlib.nullcontext()
-        if tracer is None
-        else tracer.phase("enumerate-prefixes")
+    # Warnings go through the progress printer when it has a ``warn``
+    # (keeps them from colliding with the self-overwriting ticker).
+    _warn = getattr(options.progress, "warn", None) or (
+        lambda message: print(f"warning: {message}", file=sys.stderr)
     )
-    with enumerate_phase:
-        prefixes, coordinator = _enumerate_frontier(system, options, jobs, fingerprints)
+    # Judged on the *requested* job count, once, before any fan-out
+    # (the jobs=0 "all cores" default never warns).
+    warn_oversubscription(options.jobs, _warn)
 
-    subtree_options = worker_options(options, deadline)
-    indexed = list(enumerate(prefixes))
-    results: list[tuple[ExplorationReport, frozenset | None]] = []
-    stop_early = False  # first-event stop requested and hit
-    expired = False  # wall-clock budget ran out mid-fan-out
+    # Resolve the effective modes up front (the per-lease explorers
+    # resolve them identically) so stats are right even if the search
+    # suspends before any lease completes.
+    modes = options.resolve(system)
 
-    def live_stats(reports: Iterable[ExplorationReport]) -> SearchStats:
+    def phase(name: str, **args: Any):
+        return contextlib.nullcontext() if tracer is None else tracer.phase(name, **args)
+
+    # -- seed the lease pool (fresh root lease, or a checkpoint) ----------
+    pending: list[tuple[tuple[int, ...], int, ChoicePrefix | None]] = []
+    blocks: list[tuple[tuple[int, ...], ExplorationReport]] = []
+    fingerprints: set[str] | None = set() if options.count_states else None
+    lease_seq = 0
+    leases = steals = requeued = 0
+    if initial is not None:
+        initial.check_system(system)
+        for prefix in initial.pending:
+            heapq.heappush(pending, (frontier.pending_key(prefix), lease_seq, prefix))
+            lease_seq += 1
+        blocks = list(initial.completed)
+        if fingerprints is not None:
+            fingerprints |= initial.fingerprints
+        leases, steals, requeued = (
+            initial.leases,
+            initial.steals,
+            initial.leases_requeued,
+        )
+    else:
+        heapq.heappush(pending, ((), 0, None))
+        lease_seq = 1
+        leases = 1
+
+    # What a lease runs with: the caller's options minus the in-process
+    # handles (picklable, so the same object travels to workers), with
+    # the wall-clock budget cut down to what is left.  Leases explored
+    # in this process record straight into the caller's tracer.
+    lease_options = replace(
+        options,
+        tracer=None,
+        progress=None,
+        time_budget=None if deadline is None else max(0.0, deadline - time.monotonic()),
+    )
+    local_options = replace(lease_options, tracer=tracer)
+
+    # Live coverage gauge: incrementally merged at block commit so
+    # heartbeats don't re-merge every shard on each tick.  The *final*
+    # report's coverage is still rebuilt from scratch by
+    # ``merge_reports`` (the counter-exact path).
+    live_coverage = None
+    if options.coverage:
+        from ..obs import CoverageCollector
+
+        live_coverage = CoverageCollector(system)
+
+    suspended = False
+    stop_early = False
+    expired = False
+    worker_summary: dict[str, dict] = {}
+
+    def commit(
+        key: tuple[int, ...],
+        report: ExplorationReport,
+        residuals: list[ChoicePrefix],
+        lease_fps: frozenset | None,
+        was_steal: bool,
+    ) -> None:
+        nonlocal lease_seq, leases, steals
+        if report.trace_payload is not None:
+            # A worker traced this lease: its timeline becomes a track.
+            tracer.merge(report.trace_payload)
+            report.trace_payload = None
+        blocks.append((key, report))
+        if live_coverage is not None and report.coverage is not None:
+            live_coverage.add(report.coverage)
+        if fingerprints is not None and lease_fps:
+            fingerprints.update(lease_fps)
+        for residual in residuals:
+            heapq.heappush(pending, (prefix_key(residual), lease_seq, residual))
+            lease_seq += 1
+            leases += 1
+        if was_steal:
+            steals += 1
+
+    def build_checkpoint(
+        extra_pending: list[tuple[tuple[int, ...], int, ChoicePrefix | None]] = (),
+    ) -> SearchCheckpoint:
+        entries = sorted([*pending, *extra_pending], key=lambda e: (e[0], e[1]))
+        return frontier.SearchCheckpoint(
+            fingerprint=system.fingerprint(),
+            options=options.as_dict(),
+            pending=[prefix for _, _, prefix in entries],
+            completed=list(blocks),
+            fingerprints=set() if fingerprints is None else set(fingerprints),
+            leases=leases,
+            steals=steals,
+            leases_requeued=requeued,
+        )
+
+    def live_stats() -> SearchStats:
         live = SearchStats.merged(
-            [r.stats for r in [coordinator, *reports] if r.stats is not None],
+            [r.stats for _, r in blocks if r.stats is not None],
             strategy="parallel",
+            backtrack=modes.backtrack,
+            engine=modes.engine,
             jobs=jobs,
-            prefixes=len(prefixes),
+            prefixes=leases,
+            leases=leases,
+            steals=steals,
+            leases_requeued=requeued,
         )
         live.wall_time = time.monotonic() - started
+        # Gauges for the heartbeat stream: coverage so far and frontier
+        # depth.  ``frontier_pending`` is a live-only gauge — the final
+        # merged stats keep it at 0 (the frontier is drained), so
+        # cross-driver parity checks are unaffected.
+        if live_coverage is not None:
+            live.coverage_nodes = live_coverage.nodes_covered
+            live.coverage_nodes_total = live_coverage.nodes_total
+        live.frontier_pending = len(pending)
         return live
 
-    def note_result(report: ExplorationReport, prints: frozenset | None) -> None:
-        results.append((report, prints))
-        if fingerprints is not None and prints is not None:
-            fingerprints.update(prints)
-        if options.progress is not None:
-            options.progress(live_stats(r for r, _ in results))
+    def budget_spent() -> bool:
+        """Whether the committed blocks used up ``max_paths`` or
+        ``max_transitions`` (enforced per lease, re-checked here)."""
+        return (
+            options.max_paths is not None
+            and sum(r.paths_explored for _, r in blocks) >= options.max_paths
+        ) or (
+            options.max_transitions is not None
+            and sum(r.transitions_executed for _, r in blocks) >= options.max_transitions
+        )
 
-    fanout_phase = (
-        contextlib.nullcontext()
-        if tracer is None
-        else tracer.phase("fan-out", prefixes=len(prefixes), jobs=jobs)
+    next_checkpoint = (
+        None if checkpoint_interval is None else started + checkpoint_interval
     )
-    with fanout_phase:
-        if jobs <= 1 or len(indexed) <= 1:
-            target_system = system_factory() if system_factory is not None else system
-            for index, prefix in indexed:
-                report, prints = explore_subtree(
-                    target_system,
-                    prefix,
-                    replace(subtree_options, tracer=tracer),
-                    prefix_index=index,
-                )
-                note_result(report, prints)
-                if options.stop_on_first and not report.ok:
-                    stop_early = True
-                    break
-                if deadline is not None and time.monotonic() > deadline:
-                    expired = True
-                    break
-        else:
-            ordered: dict[int, tuple[ExplorationReport, frozenset | None]] = {}
 
+    def checkpoint_tick(
+        extra_pending: list[tuple[tuple[int, ...], int, ChoicePrefix | None]],
+    ) -> None:
+        nonlocal next_checkpoint
+        if next_checkpoint is None or on_checkpoint is None:
+            return
+        now = time.monotonic()
+        if now < next_checkpoint:
+            return
+        next_checkpoint = now + checkpoint_interval
+        on_checkpoint(build_checkpoint(extra_pending))
+
+    next_tick = started + options.progress_interval
+
+    def run_here(split: bool) -> None:
+        """Explore pending leases in this process: all of them in DFS
+        order, or (``split``, the static policy) one path of the
+        shallowest lease at a time — the rest of it becomes new leases —
+        until there are :data:`SPLIT_PER_JOB` leases per worker."""
+        nonlocal suspended, expired, stop_early, next_tick
+        here = worker_summary.setdefault(
+            "w0" if jobs <= 1 else "coordinator",
+            {"leases": 0, "stolen_from": 0, "alive": True},
+        )
+        while pending and not (split and len(pending) >= SPLIT_PER_JOB * jobs):
+            if should_suspend is not None and should_suspend():
+                suspended = True
+                return
+            if deadline is not None and time.monotonic() > deadline:
+                expired = True
+                return
+            if split:
+                entry = min(pending, key=lambda e: (len(e[0]), e[0]))
+                pending.remove(entry)
+                heapq.heapify(pending)
+            else:
+                entry = heapq.heappop(pending)
+            key, seq, prefix = entry
+            report, residuals, lease_fps = explore_lease(
+                system,
+                prefix,
+                local_options,
+                yield_check=(lambda: True) if split else should_suspend,
+                lease_index=seq,
+            )
+            commit(key, report, residuals, lease_fps, was_steal=False)
+            here["leases"] += 1
+            checkpoint_tick([])
+            if options.progress is not None:
+                now = time.monotonic()
+                if now >= next_tick:
+                    options.progress(live_stats())
+                    next_tick = now + options.progress_interval
+            if options.stop_on_first and not report.ok:
+                stop_early = True
+                return
+            if budget_spent():
+                return
+
+    if jobs > 1 and not steal:
+        with phase("split", jobs=jobs):
+            run_here(split=True)
+    if jobs <= 1:
+        with phase("fan-out", jobs=jobs):
+            run_here(split=False)
+    elif pending and not (suspended or expired or stop_early or budget_spent()):
+        with phase("fan-out", leases=len(pending), jobs=jobs):
+            # ----------------------------------------------------------
+            # Multiprocess coordinator
+            # ----------------------------------------------------------
+            result_queue: Any = multiprocessing.Queue()
+            heartbeat_queue: Any = None
             monitor = None
-            heartbeat_queue = None
             if options.progress is not None or options.stall_timeout is not None:
                 from ..obs import HeartbeatMonitor
 
@@ -656,93 +762,283 @@ def parallel_search(
                 monitor = HeartbeatMonitor(
                     stall_timeout=options.stall_timeout, on_warn=_warn
                 )
+            steal_budget = multiprocessing.Value("i", 0)
+            suspend_flag = multiprocessing.Value("i", 0)
 
-            def fanout_tick() -> None:
-                """Between completions: fold in heartbeats, surface
-                per-worker health, refresh the live ticker."""
-                if monitor is None:
-                    return
-                monitor.drain(heartbeat_queue)
-                monitor.check_stalls()
+            workers: dict[int, _WorkerHandle] = {}
+            #: seq -> pending-heap entry of every assigned-but-uncommitted
+            #: lease.  A result whose seq is absent is a late duplicate
+            #: (its lease was already re-queued after a presumed death)
+            #: and is discarded — commits are exactly-once.
+            inflight: dict[int, tuple[tuple[int, ...], int, ChoicePrefix | None]] = {}
+            next_worker_id = 0
+            respawns = 0
+            max_respawns = 2 * jobs + 2
+            system_payload = system_factory if system_factory is not None else system
+
+            def spawn(kill_after: int | None = None) -> int:
+                nonlocal next_worker_id
+                wid = next_worker_id
+                next_worker_id += 1
+                task_queue: Any = multiprocessing.Queue()
+                process = multiprocessing.Process(
+                    target=_worker_main,
+                    args=(
+                        wid,
+                        system_payload,
+                        lease_options,
+                        task_queue,
+                        result_queue,
+                        heartbeat_queue,
+                        steal_budget,
+                        suspend_flag,
+                        tracer is not None,
+                        kill_after,
+                    ),
+                    daemon=True,
+                )
+                process.start()
+                workers[wid] = _WorkerHandle(process, task_queue, f"w{wid}")
+                return wid
+
+            for i in range(jobs):
+                spawn(kill_worker_after_paths if i == 0 else None)
+
+            tick = max(0.05, min(options.progress_interval, 1.0))
+            worker_error: Exception | None = None
+
+            def drain_results(block_for: float | None = None) -> int:
+                """Fold every queued result into the coordinator state;
+                optionally block up to ``block_for`` seconds for the
+                first."""
+                nonlocal stop_early, worker_error
+                handled = 0
+                timeout = block_for
+                while True:
+                    try:
+                        if timeout is not None:
+                            msg = result_queue.get(timeout=timeout)
+                        else:
+                            msg = result_queue.get_nowait()
+                    except queue_mod.Empty:
+                        return handled
+                    timeout = None
+                    handled += 1
+                    wid, seq, payload, residuals, fps, was_steal = msg
+                    handle = workers.get(wid)
+                    if (
+                        handle is not None
+                        and handle.assigned is not None
+                        and handle.assigned[1] == seq
+                    ):
+                        handle.assigned = None
+                    entry = inflight.pop(seq, None)
+                    if entry is None:
+                        continue  # late duplicate of a re-queued lease
+                    if isinstance(payload, Exception):
+                        # A deterministic explorer failure would repeat on
+                        # re-queue: surface it instead of spinning.
+                        worker_error = payload
+                        stop_early = True
+                        continue
+                    if handle is not None:
+                        handle.leases_done += 1
+                        if was_steal:
+                            handle.stolen_from += 1
+                    commit(entry[0], payload, residuals, fps, was_steal)
+                    if options.stop_on_first and not payload.ok:
+                        stop_early = True
+
+            def progress_tick() -> None:
+                nonlocal next_tick
+                if monitor is not None:
+                    monitor.drain(heartbeat_queue)
+                    monitor.check_stalls()
                 if options.progress is None:
                     return
+                now = time.monotonic()
+                if now < next_tick:
+                    return
+                next_tick = now + options.progress_interval
                 worker_lines = getattr(options.progress, "worker_lines", None)
-                if worker_lines is not None:
+                if worker_lines is not None and monitor is not None:
                     worker_lines(monitor.lines())
-                live = live_stats(r for r, _ in ordered.values())
-                inflight_states, inflight_transitions = monitor.inflight()
-                live.states_visited += inflight_states
-                live.transitions_executed += inflight_transitions
+                live = live_stats()
+                if monitor is not None:
+                    inflight_states, inflight_transitions = monitor.inflight()
+                    live.states_visited += inflight_states
+                    live.transitions_executed += inflight_transitions
                 options.progress(live)
 
-            pool = multiprocessing.Pool(
-                processes=min(jobs, len(indexed)),
-                initializer=_init_worker,
-                initargs=(
-                    system_factory if system_factory is not None else system,
-                    subtree_options,
-                    heartbeat_queue,
-                    tracer is not None,
-                ),
-            )
             try:
-                completions = pool.imap_unordered(_pool_task, indexed)
-                tick = max(0.05, min(options.progress_interval, 1.0))
-                remaining = len(indexed)
-                while remaining:
-                    try:
-                        index, report, prints = completions.next(timeout=tick)
-                    except multiprocessing.TimeoutError:
-                        # No completion this tick — service heartbeats so
-                        # stalls surface while workers are busy.
-                        fanout_tick()
-                        if deadline is not None and time.monotonic() > deadline:
-                            expired = True
+                while True:
+                    idle = [
+                        wid
+                        for wid, handle in sorted(workers.items())
+                        if handle.assigned is None and handle.process.is_alive()
+                    ]
+                    # Assign pending leases to known-idle workers only —
+                    # the coordinator always knows who holds what, so a
+                    # death never loses a lease.
+                    for wid in idle:
+                        if not pending:
                             break
-                        continue
-                    except StopIteration:  # pragma: no cover - defensive
+                        entry = heapq.heappop(pending)
+                        workers[wid].assigned = entry
+                        inflight[entry[1]] = entry
+                        workers[wid].task_queue.put((entry[1], entry[2]))
+                    busy = [w for w in workers.values() if w.assigned is not None]
+                    idle_count = sum(
+                        1
+                        for w in workers.values()
+                        if w.assigned is None and w.process.is_alive()
+                    )
+                    if not pending and not busy:
                         break
-                    remaining -= 1
-                    ordered[index] = (report, prints)
-                    fanout_tick()
-                    if options.stop_on_first and not report.ok:
-                        stop_early = True
+                    # Steal request (steal policy only): when the queue is
+                    # dry and hands are empty.  The value is *set* (not
+                    # added to) each tick, so grants never accumulate.
+                    steal_budget.value = idle_count if (steal and not pending and busy) else 0
+
+                    drain_results(block_for=tick)
+                    progress_tick()
+                    checkpoint_tick([w.assigned for w in busy if w.assigned is not None])
+
+                    if stop_early:
+                        break
+                    if should_suspend is not None and should_suspend():
+                        suspended = True
                         break
                     if deadline is not None and time.monotonic() > deadline:
                         expired = True
                         break
+                    if budget_spent():
+                        break
+
+                    # Liveness: a dead worker's uncommitted lease is
+                    # re-queued verbatim (commits are atomic — partial work
+                    # is never merged) and a replacement is spawned.
+                    for wid, handle in list(workers.items()):
+                        if handle.process.is_alive():
+                            continue
+                        drain_results()  # a commit may have raced the death
+                        worker_summary[handle.label] = {
+                            "leases": handle.leases_done,
+                            "stolen_from": handle.stolen_from,
+                            "alive": False,
+                        }
+                        if handle.assigned is not None:
+                            inflight.pop(handle.assigned[1], None)
+                            heapq.heappush(pending, handle.assigned)
+                            handle.assigned = None
+                            requeued += 1
+                            _warn(
+                                f"worker {handle.label} died mid-lease; "
+                                "lease re-queued"
+                            )
+                        del workers[wid]
+                        if respawns < max_respawns and (pending or any(
+                            w.assigned is not None for w in workers.values()
+                        )):
+                            respawns += 1
+                            spawn()
+
+                    if not workers and pending:
+                        # Every worker is gone and respawning is exhausted:
+                        # finish the remaining leases in-process rather than
+                        # abandoning the search.
+                        run_here(split=False)
+                        break
+
+                if suspended:
+                    # Stop everything: workers suspend cooperatively between
+                    # paths and commit their leases; anything that does not
+                    # commit within the grace period is re-queued
+                    # uncommitted.
+                    suspend_flag.value = 1
+                    grace = time.monotonic() + 10.0
+                    while (
+                        any(w.assigned is not None for w in workers.values())
+                        and time.monotonic() < grace
+                    ):
+                        drain_results(block_for=tick)
+                        for handle in workers.values():
+                            if handle.assigned is not None and not handle.process.is_alive():
+                                inflight.pop(handle.assigned[1], None)
+                                heapq.heappush(pending, handle.assigned)
+                                handle.assigned = None
+                                requeued += 1
+                    for handle in workers.values():
+                        if handle.assigned is not None:
+                            inflight.pop(handle.assigned[1], None)
+                            heapq.heappush(pending, handle.assigned)
+                            handle.assigned = None
+                            requeued += 1
             finally:
-                if stop_early or expired:
-                    pool.terminate()
-                else:
-                    pool.close()
-                pool.join()
+                suspend_flag.value = 1
+                for handle in workers.values():
+                    try:
+                        handle.task_queue.put_nowait(None)
+                    except Exception:
+                        pass
+                drain_results()
+                deadline_join = time.monotonic() + 5.0
+                for handle in workers.values():
+                    handle.process.join(max(0.1, deadline_join - time.monotonic()))
+                    if handle.process.is_alive():
+                        handle.process.terminate()
+                        handle.process.join(1.0)
+                    worker_summary[handle.label] = {
+                        "leases": handle.leases_done,
+                        "stolen_from": handle.stolen_from,
+                        "alive": not handle.process.exitcode
+                        or handle.process.exitcode >= 0,
+                    }
                 if monitor is not None:
                     monitor.drain(heartbeat_queue)
                 if heartbeat_queue is not None:
                     heartbeat_queue.close()
-            # Deterministic merge order regardless of completion order.
-            for index in sorted(ordered):
-                note_result(*ordered[index])
+                result_queue.close()
 
-    merge_phase = (
-        contextlib.nullcontext() if tracer is None else tracer.phase("merge")
-    )
-    with merge_phase:
-        if tracer is not None:
-            # Splice the worker timelines (shipped back as plain-dict
-            # payloads) onto the coordinator's trace, in prefix order.
-            for report, _ in results:
-                if report.trace_payload is not None:
-                    tracer.merge(report.trace_payload)
-                    report.trace_payload = None
+            if worker_error is not None:
+                raise worker_error
+
+    # Sorting the blocks by prefix key reproduces the sequential DFS
+    # order: every explored path of a suspended lease precedes every
+    # path of its residuals, and a parent block's key is a strict
+    # tuple-prefix of its residuals' keys.
+    with phase("merge"):
         merged = merge_reports(
-            coordinator,
-            [report for report, _ in results],
-            num_prefixes=len(prefixes),
+            [report for _, report in sorted(blocks, key=lambda entry: entry[0])],
             max_events=options.max_events,
             fingerprints=fingerprints,
         )
-    merged.stats.prefixes = len(prefixes)
-    finish_parallel(merged, options, system, jobs, started, expired)
+    if budget_spent():
+        merged.truncated = True
+    if suspended:
+        merged.incomplete = True
+        merged.checkpoint = build_checkpoint()
+    if expired:
+        # Some leases were never searched: the sequential explorer's
+        # ``incomplete`` flag.
+        merged.incomplete = True
+        merged.truncated = True
+    merged.stats.prefixes = leases
+    merged.stats.leases = leases
+    merged.stats.steals = steals
+    merged.stats.leases_requeued = requeued
+    merged.stats.backtrack = modes.backtrack
+    merged.stats.engine = modes.engine
+    merged.stats.jobs = jobs
+    merged.stats.wall_time = time.monotonic() - started
+    merged.worker_summary = dict(sorted(worker_summary.items())) or None
+    # Self-reproducing, like :func:`~repro.verisoft.search.run_search`
+    # reports, with the per-lease-stores caching provenance.
+    merged.options = options
+    if options.state_cache != "off":
+        merged.stats.state_cache = options.state_cache
+        merged.state_caching = {
+            **(options.state_caching_info() or {}),
+            "per_worker_stores": True,
+        }
     return merged

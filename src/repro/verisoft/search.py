@@ -12,8 +12,8 @@ and :func:`run_search` dispatches on ``options.strategy``:
 
 Every search driver underneath — the
 :class:`~repro.verisoft.explorer.Explorer`,
-:func:`~repro.verisoft.random_walk.random_walks` and the parallel
-drivers' units of work — takes the same ``(system, options, *,
+:func:`~repro.verisoft.random_walk.random_walks`, the parallel driver
+and its unit of work (a lease) — takes the same ``(system, options, *,
 <driver-owned state>, **overrides)`` arguments; :func:`search_options`
 is that convention, so a direct driver call sees exactly the defaults
 :func:`run_search` would.
@@ -66,7 +66,7 @@ class SearchOptions:
 
     #: ``"dfs"`` (exhaustive, bounded-depth, stateless),
     #: ``"random"`` (independent random walks), or
-    #: ``"parallel"`` (prefix-partitioned multi-process DFS).
+    #: ``"parallel"`` (multi-process DFS over subtree leases).
     strategy: str = "dfs"
 
     # -- shared bounds and budgets -----------------------------------------
@@ -128,22 +128,16 @@ class SearchOptions:
     seed: int = 0
 
     # -- parallel strategy --------------------------------------------------
-    #: Worker processes; 0 means ``os.cpu_count()``.  ``jobs=1`` runs the
-    #: partition/merge pipeline in-process (the determinism baseline).
+    #: Worker processes; 0 means ``os.cpu_count()``.  ``jobs=1`` runs
+    #: every lease in-process (the determinism baseline).
     jobs: int = 0
-    #: Depth of the sequential prefix enumeration; ``None`` auto-tunes
-    #: until there are enough prefixes to keep the pool busy.
-    prefix_depth: int | None = None
-    #: How the parallel strategy schedules subtrees over the pool:
-    #: ``"static"`` (default; one up-front prefix partition at
-    #: ``prefix_depth``, :mod:`repro.verisoft.parallel`) or ``"steal"``
-    #: (work stealing over serialized subtree leases,
-    #: :mod:`repro.service.scheduler` — idle workers split running ones,
-    #: dead workers' leases are re-queued, and the whole search can be
-    #: suspended to a frontier checkpoint and resumed later).  Both
-    #: produce reports counter-for-counter identical to sequential
-    #: search, modulo the backtracking-cost group.  ``prefix_depth`` is
-    #: ignored by ``"steal"`` (the partition is adaptive).
+    #: The lease policy of the parallel driver
+    #: (:mod:`repro.verisoft.parallel`): ``"static"`` (default; the tree
+    #: is split in-process into enough leases for every worker, which are
+    #: then handed out with stealing off — the same partition on every
+    #: run) or ``"steal"`` (one root lease; idle workers split running
+    #: ones).  Both produce reports counter-for-counter identical to
+    #: sequential search, modulo the backtracking-cost group.
     scheduler: str = "static"
 
     # -- telemetry -----------------------------------------------------------
@@ -163,13 +157,13 @@ class SearchOptions:
     #: Collect CFG/source/environment-input coverage
     #: (:class:`~repro.obs.coverage.CoverageCollector`) and attach it as
     #: ``report.coverage``.  Exact-counter anchored like the profiler:
-    #: parallel/steal runs merge per-worker shards into counters
+    #: parallel runs merge per-lease shards into counters
     #: bit-identical to a sequential run's, on either engine.
     coverage: bool = False
     #: A :class:`~repro.obs.tracer.Tracer` receiving span/instant events
     #: (pipeline phases, per-path DFS spans, worker timelines).  Not
-    #: serialized; the parallel driver builds a fresh tracer inside each
-    #: worker and merges the payloads into this one.
+    #: serialized; the parallel driver records in-process leases into it
+    #: and merges the payloads of per-lease tracers built in workers.
     tracer: Any = field(default=None, repr=False, compare=False)
     #: Parallel only: warn when a worker reports no progress for this
     #: many seconds (``None`` disables stall detection; heartbeats still
@@ -284,8 +278,6 @@ class SearchOptions:
                     "on_leaf/stop_when callbacks cannot cross process "
                     "boundaries; use strategy='dfs' or drop the callback"
                 )
-            if self.prefix_depth is not None and self.prefix_depth < 0:
-                raise ValueError("prefix_depth must be >= 0")
             if self.jobs < 0:
                 raise ValueError("jobs must be >= 0 (0 = all cores)")
 
@@ -366,11 +358,6 @@ def _dispatch(
         from .random_walk import random_walks
 
         return random_walks(system, options)
-
-    if options.scheduler == "steal":
-        from ..service.scheduler import work_stealing_search
-
-        return work_stealing_search(system, options, system_factory=system_factory)
 
     from .parallel import parallel_search
 

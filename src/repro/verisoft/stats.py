@@ -57,17 +57,15 @@ class SearchStats:
     * ``sleep_prunes`` — transitions skipped because their signature was
       asleep.
     * ``prefixes`` / ``jobs`` — parallel-driver shape (0/1 for
-      sequential strategies).  The work-stealing scheduler
-      (:mod:`repro.service.scheduler`) reports its total lease count as
-      ``prefixes``.
-    * ``leases`` / ``steals`` / ``leases_requeued`` — work-stealing
-      telemetry (all 0 under the static partition and the sequential
-      strategies): subtree leases issued over the search's lifetime,
-      how many of them were split off a busy worker by a steal request,
-      and how many were re-queued because the worker holding them died.
-      Timing-dependent — two runs of the same search may steal
-      differently — so these live with the backtracking-cost group,
-      outside the counter-parity contract.
+      sequential strategies); ``prefixes`` is the total lease count.
+    * ``leases`` / ``steals`` / ``leases_requeued`` — parallel-driver
+      telemetry (all 0 for the sequential strategies): subtree leases
+      issued over the search's lifetime, how many of them were split
+      off a busy worker by a steal request, and how many were re-queued
+      because the worker holding them died.  Under the ``"steal"``
+      policy they are timing-dependent — two runs of the same search may
+      steal differently — so these live with the backtracking-cost
+      group, outside the counter-parity contract.
     * ``state_cache`` / ``cache_*`` — state-space caching
       (:mod:`repro.statespace`): which store was active (``"off"``
       when none), pruned revisits (``cache_hits``), expanded visits

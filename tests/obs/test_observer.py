@@ -25,9 +25,7 @@ EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
 
 DRIVERS = {
     "dfs": {},
-    # An explicit prefix depth: the auto-tuner's probe enumerations are
-    # discarded, so they would be observed without being counted.
-    "static": {"strategy": "parallel", "jobs": 1, "prefix_depth": 2},
+    "static": {"strategy": "parallel", "jobs": 1},
     "steal": {"strategy": "parallel", "scheduler": "steal", "jobs": 1},
 }
 

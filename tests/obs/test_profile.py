@@ -2,7 +2,7 @@
 rendering and serialization."""
 
 from repro import SearchOptions, Tracer, run_search
-from repro.obs import HotSpotProfiler
+from repro.obs import HotSpotProfiler, validate_chrome_trace
 
 from .conftest import deadlock_system, fig2_system
 
@@ -55,7 +55,6 @@ class TestParallelParity:
             deadlock_system(),
             strategy="parallel",
             jobs=2,
-            prefix_depth=2,
             max_depth=20,
         )
         assert counters(sequential) == counters(parallel)
@@ -133,3 +132,26 @@ class TestTracerIntegration:
         run_search(fig2, SearchOptions(tracer=tracer))
         names = {event["name"] for event in tracer.events}
         assert "path" in names
+
+    def test_in_process_leases_record_into_the_tracer(self, fig2):
+        # Figure 2 is small enough that the static split searches all of
+        # it in the coordinator.
+        tracer = Tracer()
+        report = run_search(
+            fig2, SearchOptions(strategy="parallel", jobs=2, max_depth=60, tracer=tracer)
+        )
+        names = [event["name"] for event in tracer.events]
+        assert names.count("path") == report.paths_explored
+        assert names.count("lease") == report.stats.leases > 1
+
+    def test_steal_workers_ship_their_tracks(self, fig2):
+        tracer = Tracer()
+        options = SearchOptions(
+            strategy="parallel", scheduler="steal", jobs=2, max_depth=60, tracer=tracer
+        )
+        run_search(fig2, options)
+        trace = tracer.chrome_trace()
+        assert validate_chrome_trace(trace) == []
+        tracks = {e["args"]["name"] for e in trace["traceEvents"] if e["ph"] == "M"}
+        assert any(name.startswith("worker-") for name in tracks)
+        assert "lease" in {e["name"] for e in trace["traceEvents"]}

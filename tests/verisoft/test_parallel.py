@@ -1,8 +1,9 @@
 """Tests for parallel stateless exploration (repro.verisoft.parallel).
 
-The partition scheme must be *exact*: enumerating prefixes, completing
-each subtree independently and merging the reports has to reproduce the
-sequential DFS report counter for counter and event for event.  The
+The partition scheme must be *exact*: splitting the tree into subtree
+leases, completing each independently and merging the reports has to
+reproduce the sequential DFS report counter for counter and event for
+event.  The
 determinism tests pin that guarantee on the paper's Figure 2/3 programs.
 """
 
@@ -12,13 +13,8 @@ import pytest
 
 from tests.helpers import dfs_search
 from repro import SearchOptions, System, close_program, run_search
-from repro.verisoft import (
-    ChoicePrefix,
-    enumerate_prefixes,
-    merge_reports,
-    parallel_search,
-)
-from repro.verisoft.parallel import explore_subtree
+from repro.verisoft import ChoicePrefix, merge_reports, parallel_search, prefix_key
+from repro.verisoft.parallel import explore_lease
 
 P_SRC = """
 proc p(x) {
@@ -93,108 +89,105 @@ def deadlock_system():
     return system
 
 
+def capped_system():
+    system = System("proc main() { var t; t = VS_toss(3); VS_assert(t < 1); recv(c); }")
+    system.add_channel("c", capacity=1)
+    system.add_process("p", "main", [])
+    return system
+
+
+def lease_parts(build, splits, **options):
+    """Cut the tree into lease parts by hand, as the static policy does:
+    ``splits`` times, complete one path of the shallowest lease and turn
+    the rest of it into leases (``harvest_residual``); then explore every
+    remaining lease.  Returns the parts in DFS order."""
+    pending = [((), None)]
+    blocks = []
+    for _ in range(splits):
+        entry = min(pending, key=lambda e: (len(e[0]), e[0]))
+        pending.remove(entry)
+        report, residuals, _ = explore_lease(
+            build(), entry[1], yield_check=lambda: True, **options
+        )
+        blocks.append((entry[0], report))
+        pending += [(prefix_key(r), r) for r in residuals]
+    for key, prefix in pending:
+        blocks.append((key, explore_lease(build(), prefix, **options)[0]))
+    return [report for _, report in sorted(blocks, key=lambda e: e[0])]
+
+
+def split_once(system):
+    """The residual prefixes left after one path of the whole tree."""
+    _, residuals, _ = explore_lease(system, None, yield_check=lambda: True, max_depth=20)
+    return residuals
+
+
 class TestPrefixEnumeration:
+    """The subtree prefixes ``harvest_residual`` enumerates for the rest
+    of a split lease."""
+
     def test_prefixes_are_deterministic(self):
-        first, _ = enumerate_prefixes(toss_system(9), 1, max_depth=20)
-        second, _ = enumerate_prefixes(toss_system(9), 1, max_depth=20)
+        first = split_once(toss_system(9))
+        second = split_once(toss_system(9))
         assert first == second
         assert all(isinstance(p, ChoicePrefix) for p in first)
 
     def test_toss_fanout_reflected_in_prefix_count(self):
-        # VS_toss(9) at the root: cutting below the toss must yield one
-        # prefix per chosen value (10 of them).
-        prefixes, _ = enumerate_prefixes(toss_system(9), 1, max_depth=20)
-        assert len(prefixes) == 10
+        # VS_toss(9) at the root: after the path through value 0, one
+        # prefix per remaining value (9 of them).
+        assert len(split_once(toss_system(9))) == 9
 
     def test_prefix_pins_every_decision(self):
-        prefixes, _ = enumerate_prefixes(toss_system(3), 1, max_depth=20)
-        indices = [tuple(pt.index for pt in p.points) for p in prefixes]
+        indices = [prefix_key(p) for p in split_once(deadlock_system())]
         # All distinct, in DFS order.
-        assert len(set(indices)) == len(indices)
+        assert len(set(indices)) == len(indices) > 1
         assert indices == sorted(indices)
 
     def test_describe_is_readable(self):
-        prefixes, _ = enumerate_prefixes(toss_system(3), 1, max_depth=20)
-        text = prefixes[0].describe()
-        assert "toss=0" in text
-        assert "schedule='p'" in text
-
-    def test_coordinator_counts_only_above_frontier(self):
-        sequential = dfs_search(racing_system(), max_depth=30)
-        _, coordinator = enumerate_prefixes(racing_system(), 2, max_depth=30)
-        assert coordinator.transitions_executed < sequential.transitions_executed
-
-    def test_deep_frontier_yields_no_prefixes(self):
-        # Frontier beyond every path: plain sequential search, no cuts.
-        prefixes, coordinator = enumerate_prefixes(
-            toss_system(3), 50, max_depth=20
-        )
-        assert prefixes == []
-        assert coordinator.summary() == dfs_search(toss_system(3), max_depth=20).summary()
+        assert split_once(toss_system(3))[0].describe() == "toss=1"
+        texts = [p.describe() for p in split_once(deadlock_system())]
+        assert "schedule='a' / schedule='b'" in texts
 
 
 class TestManualMerge:
-    """Drive the partition pipeline by hand (no pool) and demand parity."""
+    """Drive the lease pipeline by hand (no workers) and demand parity."""
 
-    @pytest.mark.parametrize("depth", [1, 2, 3])
-    def test_merge_matches_sequential(self, depth):
+    @pytest.mark.parametrize("splits", [1, 2, 3])
+    def test_merge_matches_sequential(self, splits):
         sequential = dfs_search(toss_system(9), max_depth=20, max_events=1000)
-        prefixes, coordinator = enumerate_prefixes(
-            toss_system(9), depth, max_depth=20, max_events=1000
-        )
-        workers = [
-            explore_subtree(toss_system(9), p, max_depth=20, max_events=1000)[0]
-            for p in prefixes
-        ]
-        merged = merge_reports(
-            coordinator, workers, num_prefixes=len(prefixes), max_events=1000
-        )
+        parts = lease_parts(lambda: toss_system(9), splits, max_depth=20, max_events=1000)
+        assert len(parts) == 10  # one path split off per round, the rest leased
+        merged = merge_reports(parts, max_events=1000)
         assert merged.summary() == sequential.summary()
 
-    def test_merge_deduplicates_shared_events(self):
-        # Events found above the frontier appear only in the coordinator;
-        # feeding the coordinator itself in twice must not double-count.
+    def test_merge_matches_sequential_events(self):
         sequential = dfs_search(deadlock_system(), max_depth=20, max_events=1000)
-        prefixes, coordinator = enumerate_prefixes(
-            deadlock_system(), 2, max_depth=20, max_events=1000
-        )
-        workers = [
-            explore_subtree(deadlock_system(), p, max_depth=20, max_events=1000)[0]
-            for p in prefixes
+        parts = lease_parts(deadlock_system, 2, max_depth=20, max_events=1000)
+        merged = merge_reports(parts, max_events=1000)
+        assert merged.summary() == sequential.summary()
+        assert [str(d) for d in merged.deadlocks] == [
+            str(d) for d in sequential.deadlocks
         ]
-        merged = merge_reports(
-            coordinator, workers, num_prefixes=len(prefixes), max_events=1000
-        )
-        assert len(merged.deadlocks) == len(sequential.deadlocks)
-        keys = [d.trace.choices for d in merged.deadlocks]
-        assert len(set(keys)) == len(keys)
 
     def test_merge_respects_event_cap(self):
-        prefixes, coordinator = enumerate_prefixes(
-            deadlock_system(), 2, max_depth=20, max_events=1
-        )
-        workers = [
-            explore_subtree(deadlock_system(), p, max_depth=20, max_events=1)[0]
-            for p in prefixes
-        ]
-        merged = merge_reports(
-            coordinator, workers, num_prefixes=len(prefixes), max_events=1
-        )
-        assert len(merged.deadlocks) == 1
+        # Every path deadlocks; three of the four also violate.  Past the
+        # cap, deadlocks stop and violations keep counting without traces.
+        sequential = dfs_search(capped_system(), max_depth=20, max_events=1)
+        parts = lease_parts(capped_system, 1, max_depth=20, max_events=1)
+        assert sum(len(part.deadlocks) for part in parts) == 4
+        merged = merge_reports(parts, max_events=1)
+        assert len(merged.deadlocks) == len(sequential.deadlocks) == 1
+        assert len(merged.violations) == len(sequential.violations) == 3
+        assert [bool(v.trace.choices) for v in merged.violations] == [True, False, False]
 
     def test_merged_stats_aggregate_workers(self):
-        prefixes, coordinator = enumerate_prefixes(toss_system(9), 2, max_depth=20)
-        workers = [
-            explore_subtree(toss_system(9), p, max_depth=20)[0] for p in prefixes
-        ]
-        merged = merge_reports(
-            coordinator, workers, num_prefixes=len(prefixes), max_events=25
+        parts = lease_parts(
+            lambda: closed_figure_system(P_SRC, "p"), 1, max_depth=40, backtrack="replay"
         )
+        merged = merge_reports(parts, max_events=25)
         assert merged.stats is not None
         assert merged.stats.states_visited == merged.states_visited
-        assert merged.stats.replays == sum(
-            r.stats.replays for r in [coordinator, *workers]
-        )
+        assert merged.stats.replays == sum(r.stats.replays for r in parts) > 0
 
 
 class TestParallelSearch:
@@ -241,14 +234,6 @@ class TestParallelSearch:
         parallel = run_search(racing_system(), options, strategy="parallel", jobs=2)
         assert parallel.states_visited == sequential.states_visited
 
-    def test_explicit_prefix_depth(self):
-        report = parallel_search(
-            toss_system(9),
-            SearchOptions(strategy="parallel", jobs=2, prefix_depth=1, max_depth=20),
-        )
-        assert report.stats.prefixes == 10
-        assert report.summary() == dfs_search(toss_system(9), max_depth=20).summary()
-
     def test_stop_on_first_reports_an_event(self):
         report = parallel_search(
             deadlock_system(),
@@ -273,6 +258,24 @@ class TestParallelSearch:
             system_factory=lambda: toss_system(9),
         )
         assert report.summary() == dfs_search(toss_system(9), max_depth=20).summary()
+
+
+class TestStaticPolicy:
+    def test_forked_split_is_deterministic_and_never_steals(self):
+        # 2**7 paths: too many to finish while splitting, so leases are
+        # handed to both workers.
+        from tests.service.conftest import toss_loop_system
+
+        options = SearchOptions(strategy="parallel", jobs=2, max_depth=40)
+        sequential = dfs_search(toss_loop_system(7), max_depth=40)
+        runs = [parallel_search(toss_loop_system(7), options) for _ in range(2)]
+        for report in runs:
+            assert report.summary() == sequential.summary()
+            assert report.stats.steals == 0
+            workers = report.worker_summary
+            assert workers["w0"]["leases"] and workers["w1"]["leases"]
+            assert sum(w["leases"] for w in workers.values()) == report.stats.leases
+        assert runs[0].stats.leases == runs[1].stats.leases >= 32
 
 
 class TestPicklability:
