@@ -1,7 +1,7 @@
 """The one observer protocol of every search driver.
 
-The exhaustive explorer, the random walks and (through them) both
-parallel drivers report what they do to a single
+The exhaustive explorer, the random walks and (through them) the
+parallel driver report what they do to a single
 :class:`SearchObserver`.  Its events are anchored exactly like the
 search counters, so any observer's totals equal the report's and shards
 merge counter-exactly:
