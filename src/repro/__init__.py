@@ -24,7 +24,7 @@ The package provides, from the bottom up:
   pluggable visited-state stores (exact / hash-compact / bitstate)
   that the explorer can consult to prune revisited subtrees;
 * :mod:`repro.obs` — the observability layer: span/event tracing with
-  Chrome trace-event export, hot-spot profiling, worker heartbeats and
+  Chrome trace-event export, hot-spot profiling, coverage and
   structured run manifests;
 * :mod:`repro.fiveess` — a synthetic multi-process telephone
   call-processing application standing in for the paper's 5ESS case

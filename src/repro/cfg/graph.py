@@ -82,9 +82,6 @@ class ControlFlowGraph:
         wanted = set(kinds)
         return [node for node in self.nodes.values() if node.kind in wanted]
 
-    def out_degree(self, node_id: int) -> int:
-        return len(self._succ[node_id])
-
     def max_out_degree(self) -> int:
         """The static degree of branching (Section 1's metric)."""
         if not self.nodes:

@@ -95,7 +95,14 @@ from .sysdesc import (
     load_program,
     system_from_description,
 )
-from .verisoft import SCHEDULERS, ProgressPrinter, SearchOptions, run_search
+from .obs.profile import DEFAULT_TOP
+from .statespace import STORE_KINDS
+from .verisoft import ProgressPrinter, SearchOptions, run_search
+from .verisoft.search import BACKTRACK_MODES, CACHE_MODES, ENGINES, SCHEDULERS, STRATEGIES
+
+#: Every search default lives in :class:`SearchOptions`; the help texts
+#: quote them from here.
+_DEFAULTS = SearchOptions()
 
 
 def _load_program(path: pathlib.Path):
@@ -234,31 +241,28 @@ def _print_report(report, system=None, program: str | None = None) -> None:
 
 
 def _options_from_args(args) -> SearchOptions:
-    """Build :class:`SearchOptions` from ``search``-style CLI arguments."""
-    return SearchOptions(
-        strategy=args.strategy,
-        max_depth=args.max_depth,
-        por=not args.no_por,
-        count_states=args.count_states,
-        stop_on_first=args.stop_on_first,
-        max_paths=args.max_paths,
-        max_transitions=args.max_transitions,
-        time_budget=args.time_budget,
-        max_events=args.max_events,
-        backtrack=args.backtrack,
-        engine=args.engine,
-        state_cache=args.state_cache,
-        cache_bits=args.cache_bits,
-        cache_mode=args.cache_mode,
-        walks=args.walks,
-        seed=args.seed,
-        jobs=args.jobs,
-        scheduler=getattr(args, "scheduler", "static"),
-        profile=args.profile,
-        coverage=getattr(args, "coverage", False)
-        or getattr(args, "coverage_json", None) is not None,
-        stall_timeout=args.stall_timeout or None,
-    )
+    """The :class:`SearchOptions` a ``search``-style command asks for.
+
+    Search flags default to ``argparse.SUPPRESS``, so only the flags
+    given reach the options; every other field keeps its
+    :class:`SearchOptions` default.  Only serializable fields are copied
+    (``--progress`` is a flag, the ``progress`` field a callback): the
+    ticker and the tracer are built here when ``--progress`` or
+    ``--trace-out`` asks for them.
+    """
+    fields = _DEFAULTS.as_dict()
+    options = SearchOptions(**{k: v for k, v in vars(args).items() if k in fields})
+    if options.stall_timeout == 0:  # --stall-timeout 0 disables detection
+        options.stall_timeout = None
+    if getattr(args, "coverage_json", None) is not None:
+        options.coverage = True
+    if getattr(args, "trace_out", None) is not None:
+        from .obs import Tracer
+
+        options.tracer = Tracer()
+    if getattr(args, "progress", False):
+        options.progress = ProgressPrinter()
+    return options
 
 
 #: ``repro search`` exit code when violations were found (see
@@ -268,12 +272,8 @@ EXIT_VIOLATIONS = 3
 
 def cmd_search(args) -> int:
     """The ``search`` subcommand: the unified search front end."""
-    tracer = None
-    if args.trace_out is not None:
-        from .obs import Tracer
-
-        tracer = Tracer()
-
+    options = _options_from_args(args)
+    tracer = options.tracer
     description = _read_description(args.system)
     if tracer is None:
         system = _system_from_description(description, args.system.parent)
@@ -282,13 +282,9 @@ def cmd_search(args) -> int:
             system = _system_from_description(
                 description, args.system.parent, tracer=tracer
             )
-    options = _options_from_args(args)
-    options.tracer = tracer
     # Oversubscription warnings are emitted (once) by the search
     # drivers themselves — see repro.verisoft.parallel.warn_oversubscription.
-    ticker = ProgressPrinter() if args.progress else None
-    if ticker is not None:
-        options.progress = ticker
+    ticker = options.progress
     try:
         if tracer is None:
             report = run_search(system, options)
@@ -300,9 +296,9 @@ def cmd_search(args) -> int:
             ticker.finish()
     language = description_language(description)
     _print_report(report, system=system, program=description.get("program"))
-    if args.profile and report.profile is not None:
+    if report.profile is not None:
         print("\n" + report.profile.render_table(args.profile_top, system=system))
-    if report.coverage is not None and getattr(args, "coverage", False):
+    if report.coverage is not None:
         print("\n" + report.coverage.render_summary(program=description.get("program")))
     if getattr(args, "coverage_json", None) is not None:
         if report.coverage is None:
@@ -430,7 +426,9 @@ def cmd_replay(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     system = _system_for_trace(args, trace_file)
-    verdict = verify_trace(system, trace_file, engine=args.engine)
+    verdict = verify_trace(
+        system, trace_file, engine=getattr(args, "engine", _DEFAULTS.engine)
+    )
     print(verdict.detail)
     if args.show_trace and verdict.outcome.trace.steps:
         print("\nscenario:")
@@ -532,14 +530,11 @@ def _job_store(args):
 def cmd_submit(args) -> int:
     """The ``submit`` subcommand: enqueue a search as a durable job."""
     description = _read_description(args.system)
-    options = _options_from_args(args)
-    options.strategy = "parallel"
-    options.scheduler = "steal"
     store = _job_store(args)
     try:
         job = store.submit(
             description,
-            options,
+            _options_from_args(args),
             base_dir=args.system.parent,
             name=args.name or args.system.stem,
         )
@@ -636,8 +631,92 @@ def _add_jobs_dir_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
-    """The observability flags shared by ``search``-style commands."""
+def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--engine",
+        choices=ENGINES,
+        default=argparse.SUPPRESS,
+        help="execution engine: 'walk' is the reference tree-walking "
+        "interpreter; 'compiled' translates the CFGs to Python closures "
+        "for throughput, reporting identical results, and falls back to "
+        "'walk' when the program uses an uncompilable construct "
+        f"(default: {_DEFAULTS.engine})",
+    )
+
+
+def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags of every search-running command (``search``,
+    ``profile``, ``submit``): the system, bounds and budgets, the
+    engine and the worker count."""
+    parser.add_argument(
+        "system",
+        type=pathlib.Path,
+        help="system description (.json) or verifiable Python program (.py)",
+    )
+    parser.add_argument(
+        "--max-depth",
+        type=int,
+        default=argparse.SUPPRESS,
+        help=f"transitions per path (default: {_DEFAULTS.max_depth})",
+    )
+    parser.add_argument("--max-paths", type=int, default=argparse.SUPPRESS)
+    parser.add_argument("--max-transitions", type=int, default=argparse.SUPPRESS)
+    parser.add_argument(
+        "--time-budget",
+        type=float,
+        default=argparse.SUPPRESS,
+        metavar="SECONDS",
+        help="wall-clock budget; the report is flagged incomplete when it expires",
+    )
+    _add_engine_argument(parser)
+    parser.add_argument(
+        "--jobs",
+        "-j",
+        type=int,
+        default=argparse.SUPPRESS,
+        metavar="N",
+        help="parallel strategy: worker processes (0 = all cores)",
+    )
+
+
+def _add_strategy_arguments(parser: argparse.ArgumentParser) -> None:
+    """The strategy flags of the commands that run a search in the
+    foreground (``search``, ``profile``), with its live ticker, trace
+    and stats dump."""
+    parser.add_argument(
+        "--strategy",
+        choices=STRATEGIES,
+        default=argparse.SUPPRESS,
+        help=f"search strategy (default: {_DEFAULTS.strategy})",
+    )
+    parser.add_argument(
+        "--walks",
+        type=int,
+        default=argparse.SUPPRESS,
+        help=f"random strategy: number of walks (default: {_DEFAULTS.walks})",
+    )
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=argparse.SUPPRESS,
+        help=f"random strategy: PRNG seed (default: {_DEFAULTS.seed})",
+    )
+    parser.add_argument(
+        "--scheduler",
+        choices=SCHEDULERS,
+        default=argparse.SUPPRESS,
+        help="parallel strategy: 'static' splits the tree into subtree "
+        "leases up front and hands them out with stealing off; 'steal' "
+        "starts from one root lease and lets idle workers steal from "
+        "busy ones (identical reports either way; default: "
+        f"{_DEFAULTS.scheduler})",
+    )
+    parser.add_argument(
+        "--progress",
+        action="store_true",
+        default=argparse.SUPPRESS,
+        help="print a live one-line search ticker to stderr",
+    )
     parser.add_argument(
         "--trace-out",
         type=pathlib.Path,
@@ -648,47 +727,69 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
         "run manifest next to it",
     )
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="collect per-CFG-node / per-toss-point hot-spot counters "
-        "and print the top-N tables after the run",
+        "--stats-json",
+        type=pathlib.Path,
+        default=None,
+        metavar="FILE",
+        help="dump the SearchStats telemetry (and any profile) as "
+        "machine-readable JSON",
+    )
+
+
+def _add_exploration_arguments(parser: argparse.ArgumentParser) -> None:
+    """The DFS flags of ``search`` and ``submit``: POR, state counting
+    and caching, backtracking, the event cap and coverage."""
+    parser.add_argument("--no-por", dest="por", action="store_false", default=argparse.SUPPRESS)
+    parser.add_argument("--count-states", action="store_true", default=argparse.SUPPRESS)
+    parser.add_argument("--stop-on-first", action="store_true", default=argparse.SUPPRESS)
+    parser.add_argument(
+        "--max-events",
+        type=int,
+        default=argparse.SUPPRESS,
+        help="recorded events of each kind; counting goes on "
+        f"(default: {_DEFAULTS.max_events})",
+    )
+    parser.add_argument(
+        "--backtrack",
+        choices=BACKTRACK_MODES,
+        default=argparse.SUPPRESS,
+        help="DFS backtracking mode: 'restore' rewinds the live run via "
+        "undo-journal checkpoints (O(changes) per backtrack; falls back "
+        "to replay automatically if an object is not journalable); "
+        "'replay' is classic stateless re-execution. Both report "
+        f"identical results (default: {_DEFAULTS.backtrack})",
+    )
+    parser.add_argument(
+        "--state-cache",
+        choices=STORE_KINDS,
+        default=argparse.SUPPRESS,
+        help="prune revisited states with a visited-state store: exact "
+        "(full snapshots, sound), hashcompact (64-bit digests) or "
+        "bitstate (Bloom filter; see --cache-bits). Default: "
+        f"{_DEFAULTS.state_cache} (pure stateless search)",
+    )
+    parser.add_argument(
+        "--cache-bits",
+        type=int,
+        default=argparse.SUPPRESS,
+        metavar="N",
+        help=f"bitstate store size: 2**N bits (default: {_DEFAULTS.cache_bits})",
+    )
+    parser.add_argument(
+        "--cache-mode",
+        choices=CACHE_MODES,
+        default=argparse.SUPPRESS,
+        help="'safe' disables sleep-set pruning while caching (sound); "
+        "'unsafe-fast' keeps it and may miss interleavings "
+        f"(default: {_DEFAULTS.cache_mode})",
     )
     parser.add_argument(
         "--coverage",
         action="store_true",
+        default=argparse.SUPPRESS,
         help="collect CFG node/edge and environment-input (VS_toss) "
-        "coverage and print the summary after the run",
-    )
-    parser.add_argument(
-        "--coverage-json",
-        type=pathlib.Path,
-        default=None,
-        metavar="FILE",
-        help="dump the coverage data as machine-readable JSON "
-        "(implies --coverage)",
-    )
-    parser.add_argument(
-        "--manifest-out",
-        type=pathlib.Path,
-        default=None,
-        metavar="FILE",
-        help="write the run manifest (run.json) here; feed it to "
-        "'repro report' for a self-contained HTML run report",
-    )
-    parser.add_argument(
-        "--profile-top",
-        type=int,
-        default=10,
-        metavar="N",
-        help="rows per hot-spot table (default: 10)",
-    )
-    parser.add_argument(
-        "--stall-timeout",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="parallel strategy: warn when a worker makes no progress "
-        "for this long (0 disables; default: 10)",
+        "coverage: printed after a search, streamed into a job's "
+        "stats.json heartbeats and its final manifest",
     )
 
 
@@ -755,114 +856,13 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_SYSTEM_SCHEMA,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    search_parser.add_argument(
-        "system",
-        type=pathlib.Path,
-        help="system description (.json) or verifiable Python program (.py)",
-    )
-    search_parser.add_argument(
-        "--strategy",
-        choices=("dfs", "random", "parallel"),
-        default="dfs",
-        help="search strategy (default: dfs)",
-    )
-    search_parser.add_argument("--max-depth", type=int, default=100)
-    search_parser.add_argument("--max-paths", type=int, default=None)
-    search_parser.add_argument("--max-transitions", type=int, default=None)
-    search_parser.add_argument(
-        "--time-budget",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget; the report is flagged incomplete when it expires",
-    )
-    search_parser.add_argument("--no-por", action="store_true")
-    search_parser.add_argument("--count-states", action="store_true")
-    search_parser.add_argument("--stop-on-first", action="store_true")
-    search_parser.add_argument("--max-events", type=int, default=25)
-    search_parser.add_argument(
-        "--backtrack",
-        choices=("restore", "replay"),
-        default="restore",
-        help="DFS backtracking mode: 'restore' rewinds the live run via "
-        "undo-journal checkpoints (O(changes) per backtrack; falls back "
-        "to replay automatically if an object is not journalable); "
-        "'replay' is classic stateless re-execution. Both report "
-        "identical results (default: restore)",
-    )
-    search_parser.add_argument(
-        "--engine",
-        choices=("walk", "compiled"),
-        default="walk",
-        help="execution engine: 'walk' is the reference tree-walking "
-        "interpreter; 'compiled' translates the CFGs to Python closures "
-        "for throughput, reporting identical results, and falls back to "
-        "'walk' when the program uses an uncompilable construct "
-        "(default: walk)",
-    )
-    search_parser.add_argument(
-        "--state-cache",
-        choices=("off", "exact", "hashcompact", "bitstate"),
-        default="off",
-        help="prune revisited states with a visited-state store: exact "
-        "(full snapshots, sound), hashcompact (64-bit digests) or "
-        "bitstate (Bloom filter; see --cache-bits). Default: off "
-        "(pure stateless search)",
-    )
-    search_parser.add_argument(
-        "--cache-bits",
-        type=int,
-        default=24,
-        metavar="N",
-        help="bitstate store size: 2**N bits (default: 24, i.e. 2 MiB)",
-    )
-    search_parser.add_argument(
-        "--cache-mode",
-        choices=("safe", "unsafe-fast"),
-        default="safe",
-        help="'safe' disables sleep-set pruning while caching (sound); "
-        "'unsafe-fast' keeps it and may miss interleavings "
-        "(default: safe)",
-    )
-    search_parser.add_argument(
-        "--walks", type=int, default=100, help="random strategy: number of walks"
-    )
-    search_parser.add_argument(
-        "--seed", type=int, default=0, help="random strategy: PRNG seed"
-    )
-    search_parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=0,
-        metavar="N",
-        help="parallel strategy: worker processes (0 = all cores)",
-    )
-    search_parser.add_argument(
-        "--scheduler",
-        choices=SCHEDULERS,
-        default="static",
-        help="parallel strategy: 'static' splits the tree into subtree "
-        "leases up front and hands them out with stealing off; 'steal' "
-        "starts from one root lease and lets idle workers steal from "
-        "busy ones (identical reports either way; default: static)",
-    )
-    search_parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="print a live one-line search ticker to stderr",
-    )
+    _add_search_arguments(search_parser)
+    _add_strategy_arguments(search_parser)
+    _add_exploration_arguments(search_parser)
     search_parser.add_argument(
         "--stats",
         action="store_true",
         help="print the full search-telemetry summary after the run",
-    )
-    search_parser.add_argument(
-        "--stats-json",
-        type=pathlib.Path,
-        default=None,
-        metavar="FILE",
-        help="dump the SearchStats telemetry as machine-readable JSON",
     )
     search_parser.add_argument(
         "--save-traces",
@@ -872,7 +872,44 @@ def build_parser() -> argparse.ArgumentParser:
         help="write one replayable JSON trace file per violation to DIR "
         "(replay with 'repro replay', minimize with 'repro shrink')",
     )
-    _add_obs_arguments(search_parser)
+    search_parser.add_argument(
+        "--profile",
+        action="store_true",
+        default=argparse.SUPPRESS,
+        help="collect per-CFG-node / per-toss-point hot-spot counters "
+        "and print the top-N tables after the run",
+    )
+    search_parser.add_argument(
+        "--profile-top",
+        type=int,
+        default=DEFAULT_TOP,
+        metavar="N",
+        help=f"rows per hot-spot table (default: {DEFAULT_TOP})",
+    )
+    search_parser.add_argument(
+        "--coverage-json",
+        type=pathlib.Path,
+        default=None,
+        metavar="FILE",
+        help="dump the coverage data as machine-readable JSON "
+        "(implies --coverage)",
+    )
+    search_parser.add_argument(
+        "--manifest-out",
+        type=pathlib.Path,
+        default=None,
+        metavar="FILE",
+        help="write the run manifest (run.json) here; feed it to "
+        "'repro report' for a self-contained HTML run report",
+    )
+    search_parser.add_argument(
+        "--stall-timeout",
+        type=float,
+        default=argparse.SUPPRESS,
+        metavar="SECONDS",
+        help="parallel strategy: warn when a worker makes no progress "
+        f"for this long (0 disables; default: {_DEFAULTS.stall_timeout:g})",
+    )
     search_parser.set_defaults(func=cmd_search)
 
     profile_parser = sub.add_parser(
@@ -881,72 +918,18 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_SYSTEM_SCHEMA,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    profile_parser.add_argument(
-        "system",
-        type=pathlib.Path,
-        help="system description (.json) or verifiable Python program (.py)",
-    )
-    profile_parser.add_argument(
-        "--strategy",
-        choices=("dfs", "random", "parallel"),
-        default="dfs",
-        help="search strategy to profile (default: dfs)",
-    )
-    profile_parser.add_argument("--max-depth", type=int, default=100)
-    profile_parser.add_argument("--max-paths", type=int, default=None)
-    profile_parser.add_argument("--max-transitions", type=int, default=None)
-    profile_parser.add_argument(
-        "--time-budget", type=float, default=None, metavar="SECONDS"
-    )
-    profile_parser.add_argument("--walks", type=int, default=100)
-    profile_parser.add_argument("--seed", type=int, default=0)
-    profile_parser.add_argument("--jobs", "-j", type=int, default=0, metavar="N")
-    profile_parser.add_argument(
-        "--scheduler", choices=SCHEDULERS, default="static"
-    )
-    profile_parser.add_argument(
-        "--engine",
-        choices=("walk", "compiled"),
-        default="walk",
-        help="execution engine to profile (default: walk)",
-    )
+    _add_search_arguments(profile_parser)
+    _add_strategy_arguments(profile_parser)
     profile_parser.add_argument(
         "--top",
         dest="profile_top",
         type=int,
-        default=10,
+        default=DEFAULT_TOP,
         metavar="N",
-        help="rows per hot-spot table (default: 10)",
+        help=f"rows per hot-spot table (default: {DEFAULT_TOP})",
     )
-    profile_parser.add_argument(
-        "--trace-out",
-        type=pathlib.Path,
-        default=None,
-        metavar="FILE",
-        help="also export a Chrome trace-event JSON timeline",
-    )
-    profile_parser.add_argument(
-        "--stats-json",
-        type=pathlib.Path,
-        default=None,
-        metavar="FILE",
-        help="dump telemetry + profile as machine-readable JSON",
-    )
-    profile_parser.add_argument("--progress", action="store_true")
     profile_parser.set_defaults(
-        func=cmd_profile,
-        no_por=False,
-        count_states=False,
-        stop_on_first=False,
-        max_events=25,
-        backtrack="restore",
-        state_cache="off",
-        cache_bits=24,
-        cache_mode="safe",
-        stats=False,
-        save_traces=None,
-        profile=True,
-        stall_timeout=10.0,
+        func=cmd_profile, profile=True, stats=False, save_traces=None
     )
 
     report_parser = sub.add_parser(
@@ -1005,14 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also print the replayed scenario's visible operations",
     )
-    replay_parser.add_argument(
-        "--engine",
-        choices=("walk", "compiled"),
-        default="walk",
-        help="execution engine for the re-execution; a note is printed "
-        "when it differs from the engine the trace was found under "
-        "(default: walk)",
-    )
+    _add_engine_argument(replay_parser)
     replay_parser.set_defaults(func=cmd_replay)
 
     shrink_parser = sub.add_parser(
@@ -1059,61 +1035,11 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_SYSTEM_SCHEMA,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    submit_parser.add_argument(
-        "system",
-        type=pathlib.Path,
-        help="system description (.json) or verifiable Python program (.py)",
-    )
+    _add_search_arguments(submit_parser)
+    _add_exploration_arguments(submit_parser)
     _add_jobs_dir_argument(submit_parser)
     submit_parser.add_argument("--name", default=None, help="job display name")
-    submit_parser.add_argument("--max-depth", type=int, default=100)
-    submit_parser.add_argument("--max-paths", type=int, default=None)
-    submit_parser.add_argument("--max-transitions", type=int, default=None)
-    submit_parser.add_argument(
-        "--time-budget", type=float, default=None, metavar="SECONDS"
-    )
-    submit_parser.add_argument("--no-por", action="store_true")
-    submit_parser.add_argument("--count-states", action="store_true")
-    submit_parser.add_argument("--stop-on-first", action="store_true")
-    submit_parser.add_argument("--max-events", type=int, default=25)
-    submit_parser.add_argument(
-        "--backtrack", choices=("restore", "replay"), default="restore"
-    )
-    submit_parser.add_argument(
-        "--engine", choices=("walk", "compiled"), default="walk"
-    )
-    submit_parser.add_argument(
-        "--state-cache",
-        choices=("off", "exact", "hashcompact", "bitstate"),
-        default="off",
-    )
-    submit_parser.add_argument("--cache-bits", type=int, default=24, metavar="N")
-    submit_parser.add_argument(
-        "--cache-mode", choices=("safe", "unsafe-fast"), default="safe"
-    )
-    submit_parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker processes per job (0 = all cores)",
-    )
-    submit_parser.add_argument(
-        "--coverage",
-        action="store_true",
-        help="collect node/edge/toss coverage; the gauges stream into "
-        "the job's stats.json heartbeats and the final manifest",
-    )
-    submit_parser.set_defaults(
-        func=cmd_submit,
-        strategy="parallel",
-        scheduler="steal",
-        walks=100,
-        seed=0,
-        profile=False,
-        stall_timeout=10.0,
-    )
+    submit_parser.set_defaults(func=cmd_submit)
 
     serve_parser = sub.add_parser(
         "serve", help="run queued jobs from an on-disk job store"

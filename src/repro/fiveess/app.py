@@ -73,7 +73,7 @@ class CallProcessingApp:
         def args_for(proc: str, args: list) -> list:
             """Drop launch arguments whose parameter Step 5 removed."""
             removed = closed.removed_params.get(proc, ())
-            original = self._original_params(proc)
+            original = closed.analysis.procs[proc].cfg.params
             return [a for p, a in zip(original, args) if p not in removed]
 
         for i in range(n):
@@ -109,18 +109,6 @@ class CallProcessingApp:
                     args_for("provisioning_daemon", [i]),
                 )
         return system
-
-    def _original_params(self, proc: str) -> tuple[str, ...]:
-        from ..lang import parse_program
-
-        if not hasattr(self, "_param_cache"):
-            program = parse_program(self.source)
-            object.__setattr__(
-                self,
-                "_param_cache",
-                {name: p.params for name, p in program.procs.items()},
-            )
-        return self._param_cache[proc]
 
     @staticmethod
     def classify_deadlock(blocked: tuple[str, ...]) -> str:

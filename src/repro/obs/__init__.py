@@ -1,4 +1,4 @@
-"""repro.obs — the observability layer: tracing, profiling, health.
+"""repro.obs — the observability layer: tracing, profiling, coverage.
 
 VeriSoft-style stateless search spends nearly all of its time
 re-executing the program; this package is the measurement layer over
@@ -17,9 +17,6 @@ closing transform → search/replay/shrink):
   per-CFG-node / per-operation / per-toss-point execution counts plus
   depth and branching histograms, rendered as top-N tables (``repro
   search --profile`` / ``repro profile``);
-* :mod:`repro.obs.heartbeat` — worker heartbeats and stall detection
-  for the parallel search: per-worker progress lines in the ticker and
-  warnings when a worker stops making progress;
 * :mod:`repro.obs.manifest` — structured ``run.json`` manifests
   (options, system fingerprint, git version, host, phase timings,
   final stats) written next to saved artifacts;
@@ -40,7 +37,6 @@ requested (overhead measured by ``benchmarks/bench_obs.py``).
 """
 
 from .coverage import CoverageCollector
-from .heartbeat import Heartbeat, HeartbeatMonitor, HeartbeatSender, WorkerHealth
 from .manifest import (
     MANIFEST_NAME,
     MANIFEST_VERSION,
@@ -57,16 +53,12 @@ from .tracer import Tracer, validate_chrome_trace
 
 __all__ = [
     "CoverageCollector",
-    "Heartbeat",
-    "HeartbeatMonitor",
-    "HeartbeatSender",
     "HotSpotProfiler",
     "MANIFEST_NAME",
     "MANIFEST_VERSION",
     "Observation",
     "SearchObserver",
     "Tracer",
-    "WorkerHealth",
     "build_manifest",
     "git_info",
     "host_info",

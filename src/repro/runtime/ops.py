@@ -98,9 +98,3 @@ OBJECT_OPS = CHANNEL_OPS | SEMAPHORE_OPS | SHARED_VAR_OPS
 def is_builtin(name: str) -> bool:
     """Whether ``name`` is a built-in runtime operation."""
     return name in BUILTIN_OPERATIONS
-
-
-def is_visible_op(name: str) -> bool:
-    """Whether calling ``name`` is a visible (scheduling-point) operation."""
-    spec = BUILTIN_OPERATIONS.get(name)
-    return spec is not None and spec.visible

@@ -16,8 +16,8 @@ lives and dies inside one Python process.  This package turns it into a
   the parallel driver (:mod:`repro.verisoft.parallel`) under its
   ``"steal"`` lease policy.  Idle workers steal from busy ones (a busy
   worker suspends cooperatively and donates its unexplored siblings as
-  new leases), dead workers are detected by heartbeat/liveness
-  monitoring and their leases re-queued.  Merged reports are
+  new leases), dead workers are detected by process liveness and their
+  leases re-queued.  Merged reports are
   counter-for-counter identical to the sequential search, modulo the
   backtracking-cost group.
 

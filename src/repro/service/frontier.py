@@ -343,12 +343,6 @@ class SearchCheckpoint:
                 f"current {actual}); refusing to resume"
             )
 
-    def sorted_completed(self) -> list[tuple[tuple[int, ...], ExplorationReport]]:
-        """The completed blocks in sequential DFS order (lexicographic
-        on lease keys; a suspended lease's own partial block is a strict
-        tuple-prefix of its residuals' keys, so it sorts first)."""
-        return sorted(self.completed, key=lambda entry: entry[0])
-
 
 def pending_key(prefix: ChoicePrefix | None) -> tuple[int, ...]:
     """DFS-order key of a pending lease (root lease sorts first)."""

@@ -32,11 +32,10 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import sys
 import time
 import uuid
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable
+from typing import Callable
 
 from ..sysdesc import description_language, system_from_description
 from .frontier import SearchCheckpoint, load_frontier, save_frontier
@@ -50,6 +49,12 @@ JOB_STATES = ("queued", "running", "stopped", "done", "failed")
 
 def _now() -> float:
     return time.time()
+
+
+def job_options(options: dict) -> dict:
+    """An options snapshot under the job policy: every job runs on the
+    parallel driver's work-stealing lease policy."""
+    return {**options, "strategy": "parallel", "scheduler": "steal"}
 
 
 def _write_json(path: pathlib.Path, payload: dict) -> None:
@@ -152,16 +157,15 @@ class Job:
         )
 
     def search_options(self):
-        """The job's :class:`~repro.verisoft.search.SearchOptions`,
-        forced onto the parallel driver's work-stealing policy."""
+        """The job's :class:`~repro.verisoft.search.SearchOptions`, under
+        the job policy (:func:`job_options`)."""
         from ..verisoft.search import SearchOptions
 
         # Job files written before an option was retired still carry it.
         known = {f.name for f in fields(SearchOptions)}
-        options = SearchOptions(**{k: v for k, v in self.options.items() if k in known})
-        options.strategy = "parallel"
-        options.scheduler = "steal"
-        return options
+        return SearchOptions(
+            **{k: v for k, v in job_options(self.options).items() if k in known}
+        )
 
     def latest_stats(self) -> dict | None:
         """The last streamed heartbeat (``None`` before the first)."""
@@ -209,7 +213,8 @@ class JobStore:
         job self-contained: a server on another machine needs nothing
         but the store directory.  ``options`` is a
         :class:`~repro.verisoft.search.SearchOptions` (or a dict
-        snapshot of one)."""
+        snapshot of one); ``job.json`` records it under the job policy
+        (:func:`job_options`), as it will run."""
         if program_source is None:
             if base_dir is None:
                 raise ValueError(
@@ -218,7 +223,7 @@ class JobStore:
             program_source = (
                 pathlib.Path(base_dir) / description["program"]
             ).read_text()
-        options_dict = options if isinstance(options, dict) else options.as_dict()
+        options_dict = job_options(options if isinstance(options, dict) else options.as_dict())
         job_id = f"job-{uuid.uuid4().hex[:12]}"
         directory = self.root / job_id
         directory.mkdir()
@@ -504,7 +509,3 @@ def serve(
         ran += 1
         if max_jobs is not None and ran >= max_jobs:
             return ran
-
-
-def _default_log(message: str) -> None:  # pragma: no cover - CLI plumbing
-    print(message, file=sys.stderr)

@@ -162,10 +162,6 @@ class Explorer:
     * ``fingerprint_set`` — with ``count_states``, collect fingerprints
       into this caller-owned set (so a coordinator can union worker
       sets).
-    * ``observer`` — a driver-owned
-      :class:`~repro.obs.observer.SearchObserver` (the parallel
-      workers' heartbeats) observing alongside the ones the options ask
-      for (:class:`~repro.obs.observer.Observation`).
 
     The hot loop shares **one** canonical state key per global state
     (:meth:`Run.state_key`, incremental for pointer-free programs)
@@ -185,7 +181,6 @@ class Explorer:
         initial_stack: list[_ChoicePoint] | None = None,
         yield_check: Callable[[], bool] | None = None,
         fingerprint_set: set[Any] | None = None,
-        observer: SearchObserver | None = None,
         **overrides: Any,
     ):
         self._options = options = search_options(options, overrides)
@@ -203,7 +198,6 @@ class Explorer:
         self._initial_stack = initial_stack
         self._yield_check = yield_check
         self._fingerprint_set = fingerprint_set
-        self._extra_observer = observer
         self._observer: SearchObserver | None = None
         #: Set when ``yield_check`` stopped the DFS before exhaustion;
         #: :attr:`final_stack`/:attr:`final_base` then hold the live
@@ -299,7 +293,6 @@ class Explorer:
             self._system,
             live_stats=live_stats,
             span=("path", "dfs"),
-            extra=self._extra_observer,
         )
         self._observer = observer = observation.observer
         self._bind_calls(observation.phases)

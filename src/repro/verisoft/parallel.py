@@ -226,7 +226,6 @@ def explore_lease(
     options: SearchOptions | None = None,
     *,
     yield_check: Callable[[], bool] | None = None,
-    heartbeat_queue: Any | None = None,
     lease_index: int = 0,
     **overrides: Any,
 ) -> tuple[ExplorationReport, list[ChoicePrefix], frozenset | None]:
@@ -239,18 +238,12 @@ def explore_lease(
     partition the lease losslessly.  ``residuals`` is empty for a lease
     run to exhaustion.  Fingerprints (``count_states``) come back
     canonicalized (:func:`~repro.service.frontier.canonical_fingerprint`)
-    so they survive checkpoint round-trips.  ``heartbeat_queue`` gets a
-    :class:`~repro.obs.heartbeat.HeartbeatSender`'s messages, and
-    ``options.tracer`` one ``lease`` span around the lease's paths.
+    so they survive checkpoint round-trips.  ``options.tracer`` gets one
+    ``lease`` span around the lease's paths.
     """
     from ..service.frontier import canonical_fingerprint
 
     options = search_options(options, overrides)
-    heartbeats = None
-    if heartbeat_queue is not None:
-        from ..obs import HeartbeatSender
-
-        heartbeats = HeartbeatSender(heartbeat_queue, lease_index, options.progress_interval)
     fingerprints: set[Any] | None = set() if options.count_states else None
     explorer = Explorer(
         system,
@@ -258,7 +251,6 @@ def explore_lease(
         initial_stack=_thaw(prefix) if prefix is not None else None,
         yield_check=yield_check,
         fingerprint_set=fingerprints,
-        observer=heartbeats,
     )
     if options.tracer is None:
         report = explorer.run()
@@ -299,7 +291,7 @@ def _merge_events(
 def merge_reports(
     parts: Iterable[ExplorationReport],
     *,
-    max_events: int = 25,
+    max_events: int,
     fingerprints: set[Any] | None = None,
 ) -> ExplorationReport:
     """Deterministically merge disjoint parts of one search, given in
@@ -369,10 +361,10 @@ def _worker_main(
     options: SearchOptions,
     task_queue: Any,
     result_queue: Any,
-    heartbeat_queue: Any,
     steal_budget: Any,
     suspend_flag: Any,
     trace: bool,
+    beats: bool,
     kill_after_paths: int | None,
 ) -> None:
     """Worker loop: take a lease, explore it, commit the result.
@@ -384,7 +376,10 @@ def _worker_main(
     yields would thrash it into confetti.  ``suspend_flag`` set means
     *everyone* suspends (stop request / checkpoint).  With ``trace`` each
     lease records into a private tracer whose buffer travels back as
-    ``report.trace_payload``.
+    ``report.trace_payload``.  With ``beats`` the lease's progress
+    callback puts ``("beat", worker_id, lease, states, transitions)``
+    (transitions include replayed ones) on the result queue — between
+    paths, at most once per ``options.progress_interval``.
 
     ``kill_after_paths`` is the crash-recovery test hook: SIGKILL our
     own process mid-lease after that many completed paths, simulating a
@@ -404,6 +399,11 @@ def _worker_main(
             nonlocal paths_seen, stolen
             paths_seen += 1
             if kill_after_paths is not None and paths_seen >= kill_after_paths:
+                # Flush first: a worker killed while its queue feeder
+                # writes leaves the shared result queue's write lock
+                # held, and every other worker's results wait forever.
+                result_queue.close()
+                result_queue.join_thread()
                 os.kill(os.getpid(), signal.SIGKILL)
             if suspend_flag.value:
                 return True
@@ -415,42 +415,145 @@ def _worker_main(
                         return True
             return False
 
+        def beat(stats: SearchStats) -> None:
+            transitions = stats.transitions_executed + stats.replayed_transitions
+            result_queue.put(("beat", worker_id, seq, stats.states_visited, transitions))
+
         lease_options = options
         if trace:
             from ..obs import Tracer
 
-            lease_options = replace(options, tracer=Tracer())
+            lease_options = replace(lease_options, tracer=Tracer())
+        if beats:
+            lease_options = replace(lease_options, progress=beat)
         try:
             report, residuals, fps = explore_lease(
                 system,
                 prefix,
                 lease_options,
                 yield_check=yield_check,
-                heartbeat_queue=heartbeat_queue,
                 lease_index=seq,
             )
         except Exception as err:  # commit the failure; don't strand the lease
-            result_queue.put((worker_id, seq, err, [], None, False))
+            result_queue.put(("result", worker_id, seq, err, [], None, False))
             continue
         if trace:
             report.trace_payload = lease_options.tracer.export(label=f"worker-{os.getpid()}")
         result_queue.put(
-            (worker_id, seq, report, residuals, fps, stolen and bool(residuals))
+            ("result", worker_id, seq, report, residuals, fps, stolen and bool(residuals))
         )
 
 
 class _WorkerHandle:
-    """Coordinator-side record of one worker process."""
+    """The coordinator's one record of a worker process: the lease it
+    holds, the counters of that lease's last beat, and its health.
 
-    __slots__ = ("process", "task_queue", "assigned", "label", "leases_done", "stolen_from")
+    Progress is counter movement, not beat arrival: a worker stuck
+    inside one transition stops counting whether or not it still beats.
+    Assigning a lease and committing it count as progress too.  The
+    caller passes ``now`` (``time.monotonic()`` seconds); a method that
+    starts or ends a stall episode returns the notice to print.
+    """
+
+    __slots__ = (
+        "process", "task_queue", "label", "assigned", "leases_done", "stolen_from",
+        "states", "transitions", "last_progress", "stalled",
+    )
 
     def __init__(self, process, task_queue, label: str):
         self.process = process
         self.task_queue = task_queue
-        self.assigned: tuple[tuple[int, ...], int, ChoicePrefix | None] | None = None
         self.label = label
+        self.assigned: tuple[tuple[int, ...], int, ChoicePrefix | None] | None = None
         self.leases_done = 0
         self.stolen_from = 0
+        self.states = 0
+        self.transitions = 0
+        self.last_progress = 0.0
+        #: Whether a stall warning is outstanding.
+        self.stalled = False
+
+    def holds(self, seq: int) -> bool:
+        """Whether lease ``seq`` is still this worker's.  Anything else
+        it reports is about a lease re-queued since, and is dropped —
+        so each lease is committed exactly once."""
+        return self.assigned is not None and self.assigned[1] == seq
+
+    def assign(
+        self, entry: tuple[tuple[int, ...], int, ChoicePrefix | None], now: float
+    ) -> None:
+        """Take a pending lease: the counters and the progress clock
+        restart."""
+        self.assigned = entry
+        self.states = self.transitions = 0
+        self.last_progress = now
+
+    def beat(self, states: int, transitions: int, now: float) -> str | None:
+        """Fold in a beat of the held lease."""
+        moved = states > self.states or transitions > self.transitions
+        self.states, self.transitions = states, transitions
+        return self._progressed(now) if moved else None
+
+    def release(self, was_steal: bool, now: float) -> str | None:
+        """The held lease's result arrived: the worker is idle, with one
+        more lease done."""
+        notice = self._progressed(now)
+        self.assigned = None
+        self.leases_done += 1
+        self.stolen_from += was_steal
+        return notice
+
+    def _progressed(self, now: float) -> str | None:
+        self.last_progress = now
+        if not self.stalled:
+            return None
+        self.stalled = False
+        return (
+            f"worker {self.label} recovered (lease {self.assigned[1]}, "
+            f"states={self.states})"
+        )
+
+    def stall_warning(self, timeout: float | None, now: float) -> str | None:
+        """The warning for a held lease without progress for more than
+        ``timeout`` seconds, once per stall episode (``timeout=None``
+        turns detection off; an idle worker never stalls)."""
+        if timeout is None or self.assigned is None or self.stalled:
+            return None
+        silent = now - self.last_progress
+        if silent <= timeout:
+            return None
+        self.stalled = True
+        return (
+            f"worker {self.label} has made no progress for {silent:.1f}s "
+            f"(lease {self.assigned[1]}, states={self.states}) — stalled or very slow"
+        )
+
+    def describe(self, now: float) -> str:
+        """The worker's ticker line."""
+        if self.assigned is None:
+            return f"worker {self.label}: idle ({self.leases_done} lease(s) done)"
+        state = "STALLED" if self.stalled else "busy"
+        return (
+            f"worker {self.label}: {state} lease {self.assigned[1]} "
+            f"states={self.states} transitions={self.transitions} "
+            f"last progress {max(0.0, now - self.last_progress):.1f}s ago"
+        )
+
+    def summary(self, alive: bool) -> dict:
+        """The worker's ``worker_summary`` entry."""
+        return {"leases": self.leases_done, "stolen_from": self.stolen_from, "alive": alive}
+
+
+def _worker_lines(workers: dict[int, _WorkerHandle], now: float) -> list[str]:
+    """The ticker's per-worker lines, in worker order."""
+    return [workers[wid].describe(now) for wid in sorted(workers)]
+
+
+def _inflight(workers: dict[int, _WorkerHandle]) -> tuple[int, int]:
+    """``(states, transitions)`` of the leases busy workers hold: work no
+    committed block covers yet, which the live totals add."""
+    busy = [handle for handle in workers.values() if handle.assigned is not None]
+    return sum(h.states for h in busy), sum(h.transitions for h in busy)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +694,7 @@ def parallel_search(
     local_options = replace(lease_options, tracer=tracer)
 
     # Live coverage gauge: incrementally merged at block commit so
-    # heartbeats don't re-merge every shard on each tick.  The *final*
+    # progress ticks don't re-merge every shard.  The *final*
     # report's coverage is still rebuilt from scratch by
     # ``merge_reports`` (the counter-exact path).
     live_coverage = None
@@ -657,7 +760,7 @@ def parallel_search(
             leases_requeued=requeued,
         )
         live.wall_time = time.monotonic() - started
-        # Gauges for the heartbeat stream: coverage so far and frontier
+        # Gauges for the progress callback: coverage so far and frontier
         # depth.  ``frontier_pending`` is a live-only gauge — the final
         # merged stats keep it at 0 (the frontier is drained), so
         # cross-driver parity checks are unaffected.
@@ -753,24 +856,11 @@ def parallel_search(
             # Multiprocess coordinator
             # ----------------------------------------------------------
             result_queue: Any = multiprocessing.Queue()
-            heartbeat_queue: Any = None
-            monitor = None
-            if options.progress is not None or options.stall_timeout is not None:
-                from ..obs import HeartbeatMonitor
-
-                heartbeat_queue = multiprocessing.Queue()
-                monitor = HeartbeatMonitor(
-                    stall_timeout=options.stall_timeout, on_warn=_warn
-                )
             steal_budget = multiprocessing.Value("i", 0)
             suspend_flag = multiprocessing.Value("i", 0)
+            beats = options.progress is not None or options.stall_timeout is not None
 
             workers: dict[int, _WorkerHandle] = {}
-            #: seq -> pending-heap entry of every assigned-but-uncommitted
-            #: lease.  A result whose seq is absent is a late duplicate
-            #: (its lease was already re-queued after a presumed death)
-            #: and is discarded — commits are exactly-once.
-            inflight: dict[int, tuple[tuple[int, ...], int, ChoicePrefix | None]] = {}
             next_worker_id = 0
             respawns = 0
             max_respawns = 2 * jobs + 2
@@ -789,10 +879,10 @@ def parallel_search(
                         lease_options,
                         task_queue,
                         result_queue,
-                        heartbeat_queue,
                         steal_budget,
                         suspend_flag,
                         tracer is not None,
+                        beats,
                         kill_after,
                     ),
                     daemon=True,
@@ -824,50 +914,47 @@ def parallel_search(
                         return handled
                     timeout = None
                     handled += 1
-                    wid, seq, payload, residuals, fps, was_steal = msg
+                    kind, wid, seq, *rest = msg
                     handle = workers.get(wid)
-                    if (
-                        handle is not None
-                        and handle.assigned is not None
-                        and handle.assigned[1] == seq
-                    ):
-                        handle.assigned = None
-                    entry = inflight.pop(seq, None)
-                    if entry is None:
-                        continue  # late duplicate of a re-queued lease
+                    if handle is None or not handle.holds(seq):
+                        continue  # about a lease re-queued since
+                    if kind == "beat":
+                        notice = handle.beat(*rest, time.monotonic())
+                        if notice is not None:
+                            _warn(notice)
+                        continue
+                    payload, residuals, fps, was_steal = rest
+                    key = handle.assigned[0]
+                    notice = handle.release(was_steal, time.monotonic())
+                    if notice is not None:
+                        _warn(notice)
                     if isinstance(payload, Exception):
                         # A deterministic explorer failure would repeat on
                         # re-queue: surface it instead of spinning.
                         worker_error = payload
                         stop_early = True
                         continue
-                    if handle is not None:
-                        handle.leases_done += 1
-                        if was_steal:
-                            handle.stolen_from += 1
-                    commit(entry[0], payload, residuals, fps, was_steal)
+                    commit(key, payload, residuals, fps, was_steal)
                     if options.stop_on_first and not payload.ok:
                         stop_early = True
 
             def progress_tick() -> None:
                 nonlocal next_tick
-                if monitor is not None:
-                    monitor.drain(heartbeat_queue)
-                    monitor.check_stalls()
-                if options.progress is None:
-                    return
                 now = time.monotonic()
-                if now < next_tick:
+                for handle in workers.values():
+                    warning = handle.stall_warning(options.stall_timeout, now)
+                    if warning is not None:
+                        _warn(warning)
+                if options.progress is None or now < next_tick:
                     return
                 next_tick = now + options.progress_interval
                 worker_lines = getattr(options.progress, "worker_lines", None)
-                if worker_lines is not None and monitor is not None:
-                    worker_lines(monitor.lines())
+                if worker_lines is not None:
+                    worker_lines(_worker_lines(workers, now))
                 live = live_stats()
-                if monitor is not None:
-                    inflight_states, inflight_transitions = monitor.inflight()
-                    live.states_visited += inflight_states
-                    live.transitions_executed += inflight_transitions
+                inflight_states, inflight_transitions = _inflight(workers)
+                live.states_visited += inflight_states
+                live.transitions_executed += inflight_transitions
                 options.progress(live)
 
             try:
@@ -884,8 +971,7 @@ def parallel_search(
                         if not pending:
                             break
                         entry = heapq.heappop(pending)
-                        workers[wid].assigned = entry
-                        inflight[entry[1]] = entry
+                        workers[wid].assign(entry, time.monotonic())
                         workers[wid].task_queue.put((entry[1], entry[2]))
                     busy = [w for w in workers.values() if w.assigned is not None]
                     idle_count = sum(
@@ -922,13 +1008,8 @@ def parallel_search(
                         if handle.process.is_alive():
                             continue
                         drain_results()  # a commit may have raced the death
-                        worker_summary[handle.label] = {
-                            "leases": handle.leases_done,
-                            "stolen_from": handle.stolen_from,
-                            "alive": False,
-                        }
+                        worker_summary[handle.label] = handle.summary(alive=False)
                         if handle.assigned is not None:
-                            inflight.pop(handle.assigned[1], None)
                             heapq.heappush(pending, handle.assigned)
                             handle.assigned = None
                             requeued += 1
@@ -964,13 +1045,11 @@ def parallel_search(
                         drain_results(block_for=tick)
                         for handle in workers.values():
                             if handle.assigned is not None and not handle.process.is_alive():
-                                inflight.pop(handle.assigned[1], None)
                                 heapq.heappush(pending, handle.assigned)
                                 handle.assigned = None
                                 requeued += 1
                     for handle in workers.values():
                         if handle.assigned is not None:
-                            inflight.pop(handle.assigned[1], None)
                             heapq.heappush(pending, handle.assigned)
                             handle.assigned = None
                             requeued += 1
@@ -988,16 +1067,9 @@ def parallel_search(
                     if handle.process.is_alive():
                         handle.process.terminate()
                         handle.process.join(1.0)
-                    worker_summary[handle.label] = {
-                        "leases": handle.leases_done,
-                        "stolen_from": handle.stolen_from,
-                        "alive": not handle.process.exitcode
-                        or handle.process.exitcode >= 0,
-                    }
-                if monitor is not None:
-                    monitor.drain(heartbeat_queue)
-                if heartbeat_queue is not None:
-                    heartbeat_queue.close()
+                    worker_summary[handle.label] = handle.summary(
+                        alive=not handle.process.exitcode or handle.process.exitcode >= 0
+                    )
                 result_queue.close()
 
             if worker_error is not None:

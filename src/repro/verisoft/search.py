@@ -166,8 +166,8 @@ class SearchOptions:
     #: and merges the payloads of per-lease tracers built in workers.
     tracer: Any = field(default=None, repr=False, compare=False)
     #: Parallel only: warn when a worker reports no progress for this
-    #: many seconds (``None`` disables stall detection; heartbeats still
-    #: feed the per-worker ticker lines).
+    #: many seconds (``None`` disables stall detection; with ``progress``
+    #: set, worker beats still feed the per-worker ticker lines).
     stall_timeout: float | None = 10.0
 
     # -- dfs-only extension hooks (not picklable; rejected by "parallel") ----

@@ -373,8 +373,7 @@ class ProgressPrinter:
 
     def worker_lines(self, lines: Iterable[str]) -> None:
         """Set the per-worker health lines appended below the ticker
-        (the parallel driver feeds these from its
-        :class:`~repro.obs.heartbeat.HeartbeatMonitor`)."""
+        (the parallel driver feeds these from its worker records)."""
         self._worker_lines = list(lines)
 
     def warn(self, message: str) -> None:

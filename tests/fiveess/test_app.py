@@ -107,6 +107,21 @@ class TestExploration:
         report = dfs_search(system, max_depth=30, por=True, max_paths=300)
         assert report.states_visited > 0
 
+    def test_make_system_parses_nothing(self, monkeypatch):
+        import repro.lang
+
+        fresh = build_app(n_lines=2, calls_per_line=1)
+        closed = fresh.close()
+        original = parse_program(fresh.source)
+        for proc, pa in closed.analysis.procs.items():
+            assert pa.cfg.params == original.procs[proc].params
+        calls = []
+        monkeypatch.setattr(
+            repro.lang, "parse_program", lambda *args: calls.append(args) or original
+        )
+        fresh.make_system(closed, with_forwarding=True)
+        assert calls == []
+
     def test_seeded_deadlock_found(self, app, closed):
         system = app.make_system(closed, with_maintenance=False)
         report = dfs_search(

@@ -1,131 +1,172 @@
-"""Tests for worker heartbeats, stall detection and recovery."""
+"""Tests for worker health in the parallel driver: the coordinator's
+per-worker record, stall detection and recovery, and the per-worker
+ticker lines, all fed by beats on the one result queue."""
 
-import queue
+import re
 
-from repro.obs import Heartbeat, HeartbeatMonitor, WorkerHealth
+from repro import SearchOptions, System, run_search
+from repro.verisoft.parallel import _inflight, _worker_lines, _WorkerHandle
 
 
-def beat(kind="beat", worker=100, prefix=0, states=0, transitions=0, at=0.0):
-    return Heartbeat(
-        kind=kind,
-        worker=worker,
-        prefix=prefix,
-        states=states,
-        transitions=transitions,
-        sent_at=at,
-    )
+def handle(label="w0"):
+    return _WorkerHandle(None, None, label)
+
+
+def lease(seq):
+    return ((seq,), seq, None)
 
 
 class TestWorkerHealth:
+    """The coordinator's record of one worker."""
+
     def test_start_claims_prefix(self):
-        record = WorkerHealth(100, now=0.0)
-        record.note(beat("start", prefix=3, at=1.0))
-        assert record.busy
-        assert record.prefix == 3
-        assert record.last_progress == 1.0
+        record = handle()
+        record.assign(lease(3), now=1.0)
+        record.beat(5, 9, now=2.0)
+        record.release(False, now=3.0)
+        record.assign(lease(4), now=4.0)
+        assert record.holds(4) and not record.holds(3)
+        assert (record.states, record.transitions) == (0, 0)
+        assert record.last_progress == 4.0
 
     def test_counters_moving_is_progress(self):
-        record = WorkerHealth(100, now=0.0)
-        record.note(beat("start", at=1.0))
-        record.note(beat(states=5, transitions=9, at=2.0))
+        record = handle()
+        record.assign(lease(0), now=1.0)
+        record.beat(5, 9, now=2.0)
         assert record.last_progress == 2.0
-        # Same counters again: seen, but no progress.
-        record.note(beat(states=5, transitions=9, at=9.0))
-        assert record.last_seen == 9.0
+        # Same counters again: a beat, but no progress.
+        record.beat(5, 9, now=9.0)
         assert record.last_progress == 2.0
+        assert (record.states, record.transitions) == (5, 9)
 
     def test_done_frees_worker(self):
-        record = WorkerHealth(100, now=0.0)
-        record.note(beat("start", at=1.0))
-        record.note(beat("done", at=2.0))
-        assert not record.busy
-        assert record.completed == 1
-        assert "idle" in record.describe(now=3.0)
+        record = handle()
+        record.assign(lease(0), now=1.0)
+        record.release(True, now=2.0)
+        assert record.assigned is None
+        assert (record.leases_done, record.stolen_from) == (1, 1)
+        assert record.describe(now=3.0) == "worker w0: idle (1 lease(s) done)"
 
     def test_describe_busy_line(self):
-        record = WorkerHealth(100, now=0.0)
-        record.note(beat("start", prefix=2, at=1.0))
-        record.note(beat(prefix=2, states=7, transitions=11, at=2.0))
+        record = handle("w2")
+        record.assign(lease(2), now=1.0)
+        record.beat(7, 11, now=2.0)
         line = record.describe(now=5.0)
-        assert "worker 100" in line
-        assert "prefix 2" in line
+        assert "worker w2" in line
+        assert "lease 2" in line
         assert "states=7" in line
+        assert "transitions=11" in line
         assert "3.0s ago" in line
 
 
 class TestMonitor:
+    """What the coordinator watches over its records: stalls, in-flight
+    totals, ticker lines."""
+
     def test_stall_fires_once_then_recovery(self):
-        warnings = []
-        clock = [0.0]
-        monitor = HeartbeatMonitor(
-            stall_timeout=10.0, on_warn=warnings.append, clock=lambda: clock[0]
-        )
-        monitor.note(beat("start", at=0.0))
-        monitor.note(beat(states=3, at=1.0))
-
-        clock[0] = 5.0
-        assert monitor.check_stalls() == []
-        clock[0] = 20.0
-        (stalled,) = monitor.check_stalls()
-        assert stalled.worker == 100
-        assert len(warnings) == 1
-        assert "no progress" in warnings[0]
+        record = handle()
+        record.assign(lease(0), now=0.0)
+        record.beat(3, 3, now=1.0)
+        assert record.stall_warning(10.0, now=5.0) is None
+        warning = record.stall_warning(10.0, now=20.0)
+        assert "worker w0 has made no progress for 19.0s" in warning
         # Stalled stays flagged; no duplicate warning.
-        assert monitor.check_stalls() == []
-        assert len(warnings) == 1
-        assert any("STALLED" in line for line in monitor.lines())
-
-        # Counters move again: recovery announced, flag cleared.
-        monitor.note(beat(states=4, at=21.0))
-        assert len(warnings) == 2
-        assert "recovered" in warnings[1]
-        clock[0] = 22.0
-        assert monitor.check_stalls() == []
+        assert record.stall_warning(10.0, now=30.0) is None
+        assert "STALLED" in record.describe(now=30.0)
+        # Repeated counters are no recovery; moving ones are.
+        assert record.beat(3, 3, now=31.0) is None
+        assert "recovered" in record.beat(4, 4, now=32.0)
+        assert record.stall_warning(10.0, now=33.0) is None
+        # A new episode warns again; committing the lease recovers it.
+        assert record.stall_warning(10.0, now=50.0) is not None
+        assert "recovered" in record.release(False, now=51.0)
 
     def test_none_timeout_disables_detection(self):
-        monitor = HeartbeatMonitor(stall_timeout=None)
-        monitor.note(beat("start", at=0.0))
-        assert monitor.check_stalls(now=1e9) == []
+        record = handle()
+        record.assign(lease(0), now=0.0)
+        assert record.stall_warning(None, now=1e9) is None
 
     def test_idle_workers_never_stall(self):
-        monitor = HeartbeatMonitor(stall_timeout=1.0)
-        monitor.note(beat("start", at=0.0))
-        monitor.note(beat("done", at=1.0))
-        assert monitor.check_stalls(now=100.0) == []
-
-    def test_drain_consumes_queue(self):
-        monitor = HeartbeatMonitor()
-        pending = queue.Queue()
-        pending.put(beat("start", worker=1, at=0.0))
-        pending.put(beat(worker=1, states=2, at=1.0))
-        pending.put(beat("start", worker=2, at=0.5))
-        assert monitor.drain(pending) == 3
-        assert sorted(monitor.workers) == [1, 2]
+        record = handle()
+        record.assign(lease(0), now=0.0)
+        record.release(False, now=1.0)
+        assert record.stall_warning(1.0, now=100.0) is None
 
     def test_inflight_sums_busy_workers_only(self):
-        monitor = HeartbeatMonitor()
-        monitor.note(beat("start", worker=1, at=0.0))
-        monitor.note(beat(worker=1, states=5, transitions=8, at=1.0))
-        monitor.note(beat("start", worker=2, at=0.0))
-        monitor.note(beat(worker=2, states=3, transitions=4, at=1.0))
-        monitor.note(beat("done", worker=2, at=2.0))
-        assert monitor.inflight() == (5, 8)
-
-    def test_summary_snapshot(self):
-        monitor = HeartbeatMonitor()
-        monitor.note(beat("start", worker=1, at=0.0))
-        monitor.note(beat("done", worker=1, at=1.0))
-        summary = monitor.summary()
-        assert summary == {
-            "workers": 1,
-            "stalled": 0,
-            "subtrees_completed": 1,
-        }
+        busy, done = handle("w0"), handle("w1")
+        busy.assign(lease(0), now=0.0)
+        busy.beat(5, 8, now=1.0)
+        done.assign(lease(1), now=0.0)
+        done.beat(3, 4, now=1.0)
+        done.release(False, now=2.0)
+        assert _inflight({0: busy, 1: done}) == (5, 8)
 
     def test_lines_ordered_by_worker(self):
-        monitor = HeartbeatMonitor()
-        monitor.note(beat("start", worker=7, at=0.0))
-        monitor.note(beat("start", worker=3, at=0.0))
-        lines = monitor.lines(now=1.0)
-        assert "worker 3" in lines[0]
-        assert "worker 7" in lines[1]
+        workers = {7: handle("w7"), 3: handle("w3")}
+        lines = _worker_lines(workers, now=1.0)
+        assert lines[0].startswith("worker w3")
+        assert lines[1].startswith("worker w7")
+
+
+class RecordingProgress:
+    """A progress callback with the printer's ``warn``/``worker_lines``."""
+
+    def __init__(self):
+        self.warnings = []
+        self.lines = []
+
+    def __call__(self, stats):
+        pass
+
+    def warn(self, message):
+        self.warnings.append(message)
+
+    def worker_lines(self, lines):
+        self.lines.append(list(lines))
+
+
+def slow_path_system():
+    """Three paths, each far longer than the stall timeout plus the
+    coordinator's 0.05 s poll: five sends, each after an invisible
+    loop kept under the divergence budget."""
+    system = System(
+        """
+        proc spin() {
+            var t; var round = 0;
+            t = VS_toss(2);
+            while (round < 5) {
+                var i = 0;
+                while (i < 25000) { i = i + 1; }
+                send(out, t);
+                round = round + 1;
+            }
+        }
+        """
+    )
+    system.add_env_sink("out")
+    system.add_process("p", "spin", [])
+    return system
+
+
+class TestEndToEnd:
+    def test_stalls_recoveries_and_worker_lines_reach_the_printer(self):
+        options = SearchOptions(engine="compiled")
+        sequential = run_search(slow_path_system(), options)
+        progress = RecordingProgress()
+        report = run_search(
+            slow_path_system(),
+            options,
+            strategy="parallel",
+            scheduler="steal",
+            jobs=2,
+            stall_timeout=0.03,
+            progress_interval=0.02,
+            progress=progress,
+        )
+        assert report.summary() == sequential.summary()
+        assert report.states_visited == sequential.states_visited
+        assert report.transitions_executed == sequential.transitions_executed
+        assert any("no progress" in w for w in progress.warnings)
+        # A beat's moving counters end the stall before the lease commits.
+        assert any(re.search(r"recovered .*states=[1-9]", w) for w in progress.warnings)
+        assert any(line.startswith("worker ") for lines in progress.lines for line in lines)
