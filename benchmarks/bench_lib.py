@@ -3,7 +3,7 @@
 Every benchmark writes its numbers to a repo-root ``BENCH_<name>.json``
 (with a copy under ``benchmarks/results/``) so the measurements are
 machine-consumable across sessions and CI runs.  This module normalizes
-the three concerns every bench script shares:
+the concerns the bench scripts share:
 
 * :func:`provenance_block` — one uniform ``_provenance`` block per file
   (when it was generated, on what interpreter/platform/CPU count, at
@@ -16,6 +16,9 @@ the three concerns every bench script shares:
   ``benchmarks/conftest.py``): every row carrying a
   ``states_per_second`` field is matched by path against the baseline
   file and the throughput delta printed alongside the result table.
+* :func:`timed_search` — one row's timing: the median, min and max of
+  ``REPEATS`` runs, so a row that takes milliseconds on a host whose
+  speed swings by ~1.5x is still a measurement.
 
 The CI ``perf-smoke`` job drives the same row discovery
 (:func:`iter_rates`) through ``benchmarks/check_regression.py`` to fail
@@ -30,7 +33,8 @@ import os
 import pathlib
 import platform
 import subprocess
-from typing import Any, Iterator
+import time
+from typing import Any, Callable, Iterator
 
 #: Repository root — the BENCH_*.json files live here so CI artifact
 #: globs and README pointers find them.
@@ -38,6 +42,9 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 #: Copies land next to the human-readable result tables.
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+#: Timed runs per row; the row records their median, min and max.
+REPEATS = 5
 
 
 def provenance_block() -> dict[str, Any]:
@@ -143,3 +150,41 @@ def baseline_delta_lines(
     if lines:
         lines.insert(0, "")
     return lines
+
+
+def fiveess_system():
+    """Bounded 5ESS: the call-processing app with 2 lines, 1 call each,
+    closed, without the maintenance process."""
+    from repro.fiveess import build_app
+
+    app = build_app(n_lines=2, calls_per_line=1)
+    return app.make_system(app.close(), with_maintenance=False)
+
+
+def timed_search(
+    build: Callable[[], Any], options: Any, repeats: int = REPEATS
+) -> tuple[Any, dict[str, Any]]:
+    """Search a freshly built system ``repeats`` times under ``options``.
+
+    Returns the median run's report and the row's timing fields:
+    ``repeats``, ``wall_time_s`` (the median), ``wall_time_min_s`` and
+    ``wall_time_max_s``.  Building the system is not timed.  Asserts
+    that every run reports the same summary."""
+    # Imported here so check_regression.py runs without the package.
+    from repro import run_search
+
+    runs = []
+    for _ in range(repeats):
+        system = build()
+        started = time.perf_counter()
+        report = run_search(system, options)
+        runs.append((time.perf_counter() - started, report))
+    assert len({report.summary() for _, report in runs}) == 1
+    runs.sort(key=lambda run: run[0])
+    elapsed, report = runs[len(runs) // 2]
+    return report, {
+        "repeats": repeats,
+        "wall_time_s": round(elapsed, 4),
+        "wall_time_min_s": round(runs[0][0], 4),
+        "wall_time_max_s": round(runs[-1][0], 4),
+    }

@@ -5,127 +5,136 @@ everything) meets its SPIN-style counterweight here: a visited-state
 store prunes revisited subtrees at the cost of remembering states.
 This experiment runs the exhaustive DFS over Figure 2, Figure 3 and the
 Section 6 call-processing application, uncached and under each store,
-and records states, transitions, wall time, throughput and the store's
-memory footprint.
+in both cache modes, and records states, transitions, wall time,
+throughput and the store's memory.
 
-Besides the human-readable table, the run writes ``BENCH_search.json``
-at the repository root so the numbers are machine-consumable across
-sessions; the 8x memory-per-state claim of the compacting stores is
-asserted on the 5ESS rows and recorded in the JSON.
+Each variant is timed five times (:func:`benchmarks.bench_lib.
+timed_search`): ``wall_time_s`` is the median, with ``wall_time_min_s``
+and ``wall_time_max_s`` beside it.  Memory is recorded twice: the
+stores' accounting model (``cache_memory_bytes``) and the tracemalloc
+peak of one extra, untimed search (``tracemalloc_peak_bytes``), so the
+memory claims rest on measured bytes.
+
+Besides the human-readable tables, the run writes ``BENCH_search.json``
+at the repository root, one entry per system keyed by variant name.
+Asserted: the sound settings (``cache_mode="safe"``) find the same
+violation groups as the uncached search, and on 5ESS hash compaction
+stores at least 8x fewer bytes per state than the exact store.
+``unsafe-fast`` keeps sleep sets under caching and may miss
+interleavings by design, so its groups are recorded, not asserted.
 """
 
 from __future__ import annotations
 
-import time
+import tracemalloc
 
 import pytest
 
 from repro import SearchOptions, run_search
-from repro.fiveess import build_app
-from benchmarks.bench_lib import baseline_delta_lines, merge_bench_json
+from benchmarks.bench_lib import (
+    baseline_delta_lines,
+    fiveess_system,
+    merge_bench_json,
+    timed_search,
+)
 from tests.statespace.conftest import FIG2_SRC, FIG3_SRC, figure_system
 
 pytestmark = pytest.mark.slow
 
-#: (label, system factory, SearchOptions bounds).  The 5ESS slice is
-#: bounded to keep the four runs per system inside a couple of minutes.
-CASES = [
-    ("fig2", lambda: figure_system(FIG2_SRC, "p"), dict(max_depth=60)),
-    ("fig3", lambda: figure_system(FIG3_SRC, "q"), dict(max_depth=60)),
-    (
-        "5ess",
-        lambda: _fiveess_system(),
-        dict(max_depth=22, max_events=100_000),
-    ),
-]
+#: label -> (system factory, SearchOptions bounds).  The 5ESS slice is
+#: bounded to keep its thirty searches inside a couple of minutes.
+CASES = {
+    "fig2": (lambda: figure_system(FIG2_SRC, "p"), dict(max_depth=60)),
+    "fig3": (lambda: figure_system(FIG3_SRC, "q"), dict(max_depth=60)),
+    "5ess": (fiveess_system, dict(max_depth=22, max_events=100_000)),
+}
 
-CACHES = ("off", "exact", "hashcompact", "bitstate")
-
-
-def _fiveess_system():
-    app = build_app(n_lines=2, calls_per_line=1)
-    return app.make_system(app.close(), with_maintenance=False)
+#: variant -> (state_cache, cache_mode).
+VARIANTS = {
+    "off": ("off", "safe"),
+    "exact": ("exact", "safe"),
+    "hashcompact": ("hashcompact", "safe"),
+    "exact+unsafe-fast": ("exact", "unsafe-fast"),
+    "hashcompact+unsafe-fast": ("hashcompact", "unsafe-fast"),
+}
 
 
-def _run_one(build, bounds, cache):
+def _peak_bytes(build, options) -> int:
     system = build()
-    options = SearchOptions(state_cache=cache, cache_bits=20, **bounds)
-    started = time.perf_counter()
-    report = run_search(system, options)
-    elapsed = time.perf_counter() - started
+    tracemalloc.start()
+    try:
+        run_search(system, options)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _run_one(build, bounds, cache, mode):
+    options = SearchOptions(state_cache=cache, cache_mode=mode, **bounds)
+    report, timing = timed_search(build, options)
     stats = report.stats
     return {
         "state_cache": cache,
+        "cache_mode": mode,
         "states": stats.states_visited,
         "transitions": stats.transitions_executed,
         "paths": stats.paths_explored,
-        "wall_time_s": round(elapsed, 4),
-        "states_per_second": round(stats.states_visited / elapsed) if elapsed else 0,
         "violation_groups": len(report.triage()),
         "cache_hits": stats.cache_hits,
         "cache_stored": stats.cache_stored,
         "cache_memory_bytes": stats.cache_memory_bytes,
         "cache_bytes_per_state": stats.cache_bytes_per_state,
+        "tracemalloc_peak_bytes": _peak_bytes(build, options),
+        **timing,
+        "states_per_second": round(stats.states_per_second),
     }
 
 
-def test_bench_search(record_table, baseline_results):
-    results = {}
+@pytest.mark.parametrize("label", list(CASES))
+def test_bench_search(label, record_table, baseline_results):
+    build, bounds = CASES[label]
+    rows = {
+        variant: _run_one(build, bounds, cache, mode)
+        for variant, (cache, mode) in VARIANTS.items()
+    }
+
+    # The parity contract, for the sound settings: caching never
+    # changes what is found.
+    sound = {
+        row["violation_groups"]
+        for row in rows.values()
+        if row["cache_mode"] == "safe"
+    }
+    assert len(sound) == 1, f"{label}: sound caches disagree on groups {sound}"
+
     lines = [
-        "DFS with and without state caching (cache_bits=20 for bitstate)",
+        f"DFS with and without state caching on {label} (bounds {bounds})",
         "",
-        f"  {'system':<6} {'cache':<12} {'states':>8} {'trans':>8} "
-        f"{'time':>8} {'states/s':>10} {'B/state':>9} {'groups':>7}",
+        f"  {'variant':<24} {'states':>8} {'trans':>8} {'time':>8} "
+        f"{'states/s':>10} {'B/state':>8} {'peak KB':>8} {'groups':>6}",
     ]
-    for label, build, bounds in CASES:
-        rows = []
-        for cache in CACHES:
-            row = _run_one(build, bounds, cache)
-            rows.append(row)
-            per_state = row["cache_bytes_per_state"]
-            lines.append(
-                f"  {label:<6} {cache:<12} {row['states']:>8} "
-                f"{row['transitions']:>8} {row['wall_time_s']:>7.2f}s "
-                f"{row['states_per_second']:>10,} "
-                f"{per_state if per_state is not None else 0:>9.1f} "
-                f"{row['violation_groups']:>7}"
-            )
-        results[label] = rows
-
-        # The parity contract, for the *sound* stores: caching never
-        # changes what is found.  Bitstate is exempt by design — it
-        # ignores the remaining-depth budget and admits Bloom
-        # collisions, so under a depth bound it may lose coverage (it
-        # does on the 5ESS run); the table records that honestly.
-        sound = {
-            row["violation_groups"]
-            for row in rows
-            if row["state_cache"] in ("off", "exact", "hashcompact")
-        }
-        assert len(sound) == 1, f"{label}: sound caches disagree on groups {sound}"
-
-    # The memory claim: on the 5ESS case study the compacting stores
-    # cost at least 8x less per stored state than full snapshots.
-    by_cache = {row["state_cache"]: row for row in results["5ess"]}
-    exact_per_state = by_cache["exact"]["cache_bytes_per_state"]
-    for compact in ("hashcompact", "bitstate"):
-        compact_per_state = by_cache[compact]["cache_bytes_per_state"]
-        ratio = exact_per_state / compact_per_state
-        assert ratio >= 8, f"{compact}: only {ratio:.1f}x smaller than exact"
-        by_cache[compact]["memory_ratio_vs_exact"] = round(ratio, 1)
-    lines.append("")
-    lines.append(
-        "memory per state vs exact: "
-        + ", ".join(
-            f"{kind} {by_cache[kind]['memory_ratio_vs_exact']}x smaller"
-            for kind in ("hashcompact", "bitstate")
+    for variant, row in rows.items():
+        per_state = row["cache_bytes_per_state"]
+        lines.append(
+            f"  {variant:<24} {row['states']:>8} {row['transitions']:>8} "
+            f"{row['wall_time_s']:>7.3f}s {row['states_per_second']:>10,} "
+            f"{per_state if per_state is not None else 0:>8.1f} "
+            f"{row['tracemalloc_peak_bytes'] // 1024:>8} "
+            f"{row['violation_groups']:>6}"
         )
-    )
 
-    for label, rows in results.items():
-        merge_bench_json("search", label, rows)
-        lines.extend(
-            baseline_delta_lines(baseline_results.get("search"), label, rows)
+    if label == "5ess":
+        # The memory claim: on the case study hash compaction costs at
+        # least 8x less per stored state than full snapshots.
+        ratio = (
+            rows["exact"]["cache_bytes_per_state"]
+            / rows["hashcompact"]["cache_bytes_per_state"]
         )
-    lines.append("wrote BENCH_search.json")
-    record_table("bench_search", lines)
+        assert ratio >= 8, f"hashcompact: only {ratio:.1f}x smaller than exact"
+        rows["hashcompact"]["memory_ratio_vs_exact"] = round(ratio, 1)
+        lines.append("")
+        lines.append(f"memory per state vs exact: hashcompact {ratio:.1f}x smaller")
+
+    merge_bench_json("search", label, rows)
+    lines.extend(baseline_delta_lines(baseline_results.get("search"), label, rows))
+    record_table(f"bench_search_{label}", lines)

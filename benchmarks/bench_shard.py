@@ -14,12 +14,14 @@ frontier depth.
 
 This experiment runs the identical bounded search three ways — the
 sequential DFS baseline, ``--scheduler static`` and ``--scheduler
-steal`` — over Figure 2, Figure 3 and the skewed tree, and records wall
-time plus the lease/steal telemetry.  Each row is timed ``REPEATS``
-times: ``wall_time_s`` is the median, with ``wall_time_min_s`` and
-``wall_time_max_s`` beside it (these rows take milliseconds on a host
-whose speed swings by ~1.5x, so one run is not a measurement), and the
-counters are the median run's.
+steal`` — over Figure 2, Figure 3, the skewed tree and bounded 5ESS
+(perfbench search-5ess's search: compiled engine, ``max_depth=24``),
+and records wall time plus the lease/steal telemetry.  Each row is
+timed five times (:func:`benchmarks.bench_lib.timed_search`):
+``wall_time_s`` is the median, with ``wall_time_min_s`` and
+``wall_time_max_s`` beside it, and the counters are the median run's.
+The figure and skewed trees are so small that sequential DFS beats
+both policies; the 5ESS row is the one where the workers pay.
 
 Asserted unconditionally (the policies must differ *only* in how work
 is distributed):
@@ -43,20 +45,21 @@ Each parametrized case merges its rows into the JSON, so a filtered run
 from __future__ import annotations
 
 import os
-import time
 
 import pytest
 
-from repro import SearchOptions, System, run_search
-from benchmarks.bench_lib import baseline_delta_lines, merge_bench_json
+from repro import SearchOptions, System
+from benchmarks.bench_lib import (
+    baseline_delta_lines,
+    fiveess_system,
+    merge_bench_json,
+    timed_search,
+)
 from tests.statespace.conftest import FIG2_SRC, FIG3_SRC, figure_system
 
 pytestmark = pytest.mark.slow
 
 JOBS = 4
-
-#: Timed runs per row; the row records their median, min and max.
-REPEATS = 5
 
 PARITY_KEYS = ("states", "transitions", "paths", "toss_points", "violation_groups")
 
@@ -92,22 +95,13 @@ CASES = {
     "fig2": (lambda: figure_system(FIG2_SRC, "p"), dict(max_depth=60)),
     "fig3": (lambda: figure_system(FIG3_SRC, "q"), dict(max_depth=60)),
     "skewed": (lambda: _skewed_system(), dict(max_depth=60)),
+    "5ess": (fiveess_system, dict(engine="compiled", max_depth=24)),
 }
 
 
 def _run_one(build, bounds, *, strategy, scheduler="static", jobs=0):
-    runs = []
-    for _ in range(REPEATS):
-        system = build()
-        options = SearchOptions(
-            strategy=strategy, scheduler=scheduler, jobs=jobs, **bounds
-        )
-        started = time.perf_counter()
-        report = run_search(system, options)
-        runs.append((time.perf_counter() - started, report))
-    assert len({report.summary() for _, report in runs}) == 1
-    runs.sort(key=lambda run: run[0])
-    elapsed, report = runs[len(runs) // 2]
+    options = SearchOptions(strategy=strategy, scheduler=scheduler, jobs=jobs, **bounds)
+    report, timing = timed_search(build, options)
     stats = report.stats
     return {
         "strategy": stats.strategy,
@@ -121,10 +115,7 @@ def _run_one(build, bounds, *, strategy, scheduler="static", jobs=0):
         "leases": stats.leases,
         "steals": stats.steals,
         "leases_requeued": stats.leases_requeued,
-        "repeats": REPEATS,
-        "wall_time_s": round(elapsed, 4),
-        "wall_time_min_s": round(runs[0][0], 4),
-        "wall_time_max_s": round(runs[-1][0], 4),
+        **timing,
         "states_per_second": round(stats.states_per_second),
     }
 

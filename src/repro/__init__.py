@@ -21,7 +21,7 @@ The package provides, from the bottom up:
 * :mod:`repro.verisoft` — a VeriSoft-style stateless state-space
   explorer with partial-order reduction;
 * :mod:`repro.statespace` — canonical global-state snapshots and
-  pluggable visited-state stores (exact / hash-compact / bitstate)
+  pluggable visited-state stores (exact / hash-compact)
   that the explorer can consult to prune revisited subtrees;
 * :mod:`repro.obs` — the observability layer: span/event tracing with
   Chrome trace-event export, hot-spot profiling, coverage and
@@ -62,7 +62,6 @@ from .obs import (
 )
 from .runtime import System, SystemConfig
 from .statespace import (
-    BitstateStore,
     ExactStore,
     HashCompactStore,
     StateStore,
@@ -95,7 +94,6 @@ from .counterex import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "BitstateStore",
     "ClosedProgram",
     "ClosingError",
     "ClosingSpec",

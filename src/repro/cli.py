@@ -764,16 +764,8 @@ def _add_exploration_arguments(parser: argparse.ArgumentParser) -> None:
         choices=STORE_KINDS,
         default=argparse.SUPPRESS,
         help="prune revisited states with a visited-state store: exact "
-        "(full snapshots, sound), hashcompact (64-bit digests) or "
-        "bitstate (Bloom filter; see --cache-bits). Default: "
+        "(full snapshots, sound) or hashcompact (64-bit digests). Default: "
         f"{_DEFAULTS.state_cache} (pure stateless search)",
-    )
-    parser.add_argument(
-        "--cache-bits",
-        type=int,
-        default=argparse.SUPPRESS,
-        metavar="N",
-        help=f"bitstate store size: 2**N bits (default: {_DEFAULTS.cache_bits})",
     )
     parser.add_argument(
         "--cache-mode",

@@ -19,7 +19,6 @@ layers those three concerns on the stateless runtime:
 """
 
 from .replay import (
-    IncrementalReplayer,
     ReplayOutcome,
     ReplayVerdict,
     reproduces,
@@ -49,7 +48,6 @@ from .triage import (
 
 __all__ = [
     "FORMAT",
-    "IncrementalReplayer",
     "ReplayOutcome",
     "ReplayVerdict",
     "ShrinkError",

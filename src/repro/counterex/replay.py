@@ -7,10 +7,6 @@ shrinking oracle's substrate): it applies a choice sequence via
 :func:`repro.verisoft.explorer.replay`, observes every assertion
 outcome, and classifies the final state — collecting typed violation
 events exactly as the explorer would have recorded them.
-:class:`IncrementalReplayer` is the checkpoint-reusing variant for
-query-heavy callers (shrinking): one journaled run, rewound to the
-common prefix of consecutive candidates instead of re-executed from
-the initial state.
 
 :func:`verify_trace` layers the diagnosis on top for ``repro replay``:
 given a loaded :class:`~repro.counterex.traceio.TraceFile` and a
@@ -38,7 +34,7 @@ from typing import Any
 
 from ..runtime.process import ProcessStatus
 from ..runtime.system import Run, System
-from ..verisoft.explorer import ReplayMismatch, _blocked_info, apply_choice, replay
+from ..verisoft.explorer import ReplayMismatch, _blocked_info, replay
 from ..verisoft.results import (
     AssertionViolationEvent,
     Choice,
@@ -142,143 +138,6 @@ def run_choices(
     return ReplayOutcome(
         applied=applied, mismatch=None, trace=trace, events=events, run=run
     )
-
-
-class IncrementalReplayer:
-    """A checkpoint-reusing drop-in for :func:`run_choices`.
-
-    The shrinking oracle executes thousands of candidate choice
-    sequences that differ only in a suffix (ddmin complements, toss
-    tweaks).  A plain oracle re-executes each candidate from the initial
-    state; this replayer instead keeps **one journaled run** alive with
-    an undo-journal checkpoint *before every applied choice*.  A query
-    rewinds the live run to the end of the common prefix with the
-    previously applied sequence (O(changes), see
-    :mod:`repro.runtime.journal`) and executes only the differing
-    suffix.
-
-    Checkpoints are undo-journal marks, so only *ancestor* restores are
-    possible — exactly what prefix truncation produces: rewinding to
-    prefix length ``k`` invalidates the checkpoints past ``k``, which
-    are discarded along with the replayed records.
-
-    Semantics match :func:`run_choices` choice-for-choice: validation in
-    :func:`~repro.verisoft.explorer.apply_choice` happens before any
-    mutation, so a rejected candidate leaves the live run at the last
-    successfully applied choice — still a valid frontier for the next
-    query.  The returned outcome's ``run`` is the shared live run (do
-    not hold on to it across queries); after a mismatch it is ``None``,
-    like the plain function.
-
-    Requires ``system.journalable()`` — construction raises
-    :class:`ValueError` otherwise so callers can fall back to
-    :func:`run_choices`.
-    """
-
-    def __init__(self, system: System, engine: str = "walk"):
-        if not system.journalable():
-            raise ValueError(
-                "system has non-journalable communication objects; "
-                "use run_choices() instead"
-            )
-        self._run = system.start(journal=True, engine=engine)
-        self._run.start_processes()
-        #: Choices currently applied to the live run.
-        self._applied: list[Choice] = []
-        #: Per applied choice: (TraceStep | None, violation info | None)
-        #: where the violation info is ``(process, proc_name, node_id)``.
-        self._records: list[tuple[Any, Any]] = []
-        #: ``_checkpoints[i]`` = state *before* choice ``i``;
-        #: ``_checkpoints[-1]`` = the current state (len == applied + 1).
-        self._checkpoints = [self._run.checkpoint()]
-        # -- telemetry ---------------------------------------------------
-        #: Queries answered.
-        self.queries = 0
-        #: Choices executed for real (suffixes past the common prefix).
-        self.choices_applied = 0
-        #: Choices answered from the retained prefix (no re-execution).
-        self.choices_reused = 0
-
-    @property
-    def restores(self) -> int:
-        """Checkpoint restores performed (from the run's journal)."""
-        return self._run.journal.restores
-
-    def run_choices(self, choices) -> ReplayOutcome:
-        """Execute ``choices``, reusing the retained common prefix."""
-        choices = tuple(choices)
-        self.queries += 1
-
-        prefix = 0
-        limit = min(len(choices), len(self._applied))
-        while prefix < limit and choices[prefix] == self._applied[prefix]:
-            prefix += 1
-        self.choices_reused += prefix
-
-        if prefix < len(self._applied):
-            self._run.restore(self._checkpoints[prefix])
-            del self._applied[prefix:]
-            del self._records[prefix:]
-            del self._checkpoints[prefix + 1 :]
-
-        mismatch: ReplayMismatch | None = None
-        for index in range(prefix, len(choices)):
-            choice = choices[index]
-            try:
-                request, outcome = apply_choice(self._run, index, choice)
-            except ReplayMismatch as exc:
-                mismatch = exc
-                break
-            self.choices_applied += 1
-            step = None
-            if request is not None:
-                obj_name = request.obj.name if request.obj is not None else None
-                step = TraceStep(choice.process, request.op, obj_name, "")
-            violation = None
-            if outcome is not None and outcome.violated:
-                violation = (outcome.process, outcome.proc_name, outcome.node_id)
-            self._applied.append(choice)
-            self._records.append((step, violation))
-            self._checkpoints.append(self._run.checkpoint())
-
-        # Rebuild the outcome from the per-choice records, so reused
-        # prefix choices contribute their steps/violations exactly as a
-        # from-scratch execution would have recorded them.
-        steps: list[TraceStep] = []
-        events: list[Any] = []
-        applied = len(self._applied)
-        for i, (step, violation) in enumerate(self._records):
-            if step is not None:
-                steps.append(step)
-            if violation is not None:
-                events.append(
-                    AssertionViolationEvent(
-                        Trace(choices[: i + 1], tuple(steps)), *violation
-                    )
-                )
-        if mismatch is not None:
-            return ReplayOutcome(
-                applied=applied,
-                mismatch=mismatch,
-                trace=Trace(choices[:applied], tuple(steps)),
-                events=events,
-                run=None,
-            )
-        trace = Trace(choices, tuple(steps))
-        for process in self._run.processes:
-            if process.status is ProcessStatus.CRASHED:
-                events.append(CrashEvent(trace, process.name, str(process.crash)))
-            elif process.status is ProcessStatus.DIVERGED:
-                events.append(DivergenceEvent(trace, process.name))
-        if self._run.is_deadlock():
-            events.append(DeadlockEvent(trace, *_blocked_info(self._run)))
-        return ReplayOutcome(
-            applied=applied,
-            mismatch=None,
-            trace=trace,
-            events=events,
-            run=self._run,
-        )
 
 
 def reproduces(system: System, choices, signature: Signature) -> bool:

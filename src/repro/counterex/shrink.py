@@ -21,15 +21,10 @@ Two passes:
    concern *Environment Assumptions for Synthesis* frames as finding
    the weakest environment behaviour that still matters.
 
-Every oracle query is a deterministic re-execution.  On journalable
-systems (all built-in object kinds) the oracle runs on an
-:class:`~repro.counterex.replay.IncrementalReplayer`: consecutive
-candidates share long prefixes, so each query rewinds one live
-journaled run to the common prefix and executes only the differing
-suffix — the same undo-journal machinery the restore-mode explorer
-backtracks with.  ``oracle_runs`` in the :class:`ShrinkResult` reports
-the query count; ``oracle_choices_applied`` / ``oracle_choices_reused``
-report how much execution the checkpoint reuse avoided.
+Every oracle query is a deterministic re-execution from the initial
+state (:func:`~repro.counterex.replay.run_choices`, the engine
+``repro replay`` uses too).  ``oracle_runs`` in the
+:class:`ShrinkResult` reports the query count.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from typing import Any, Callable
 
 from ..runtime.system import System
 from ..verisoft.results import Choice, Trace, TossChoice
-from .replay import IncrementalReplayer, ReplayOutcome, run_choices
+from .replay import run_choices
 from .triage import Signature, event_signature
 
 
@@ -59,15 +54,6 @@ class ShrinkResult:
     original_length: int
     #: Deterministic re-executions the oracle performed.
     oracle_runs: int
-    #: Choices the oracle actually executed (suffixes past retained
-    #: prefixes when the incremental replayer was used; every choice of
-    #: every query otherwise).
-    oracle_choices_applied: int = 0
-    #: Choices answered from a retained checkpoint prefix without
-    #: re-execution (0 when the plain oracle ran).
-    oracle_choices_reused: int = 0
-    #: Whether the checkpoint-reusing incremental oracle was used.
-    incremental: bool = False
 
     @property
     def shrunk_length(self) -> int:
@@ -76,33 +62,18 @@ class ShrinkResult:
 
     def describe(self) -> str:
         """One-line summary of the shrink."""
-        line = (
+        return (
             f"shrunk {self.original_length} -> {self.shrunk_length} choices "
             f"({self.oracle_runs} oracle runs)"
         )
-        total = self.oracle_choices_applied + self.oracle_choices_reused
-        if self.incremental and total:
-            pct = 100.0 * self.oracle_choices_reused / total
-            line += f", {pct:.0f}% of oracle choices reused from checkpoints"
-        return line
 
 
 class _Oracle:
-    """Memoizing reproduction oracle over candidate choice sequences.
+    """Memoizing reproduction oracle over candidate choice sequences:
+    each query is a fresh :func:`run_choices` of ``system``."""
 
-    ``runner`` maps a candidate to a
-    :class:`~repro.counterex.replay.ReplayOutcome` — either plain
-    :func:`run_choices` (fresh run per query) or a bound
-    :meth:`IncrementalReplayer.run_choices` (checkpoint reuse).
-    """
-
-    def __init__(
-        self,
-        runner: Callable[[tuple[Choice, ...]], ReplayOutcome],
-        signature: Signature,
-        max_runs: int,
-    ):
-        self._runner = runner
+    def __init__(self, system: System, signature: Signature, max_runs: int):
+        self._system = system
         self._signature = signature
         self._max_runs = max_runs
         self._cache: dict[tuple[Choice, ...], bool] = {}
@@ -118,7 +89,7 @@ class _Oracle:
             # possibly not 1-minimal).
             return False
         self.runs += 1
-        outcome = self._runner(candidate)
+        outcome = run_choices(self._system, candidate)
         result = outcome.ok and self._signature in outcome.signatures()
         self._cache[candidate] = result
         return result
@@ -181,7 +152,6 @@ def shrink_choices(
     *,
     max_oracle_runs: int = 100_000,
     tracer: Any | None = None,
-    stats_out: dict | None = None,
 ) -> tuple[tuple[Choice, ...], int]:
     """Minimize ``choices`` while preserving the violation ``signature``.
 
@@ -190,21 +160,8 @@ def shrink_choices(
     the signature (wrong system, or a changed program).  ``tracer``
     records one span per ddmin / toss-minimize round (category
     ``"shrink"``), so slow shrinks show where the oracle runs went.
-
-    On journalable systems the oracle queries run on an
-    :class:`~repro.counterex.replay.IncrementalReplayer` (checkpoint
-    reuse across the shared prefixes of consecutive candidates);
-    otherwise each query is a fresh full re-execution.  ``stats_out``,
-    when given, receives the oracle telemetry keys ``incremental``,
-    ``choices_applied`` and ``choices_reused``.
     """
-    replayer: IncrementalReplayer | None = None
-    if system.journalable():
-        replayer = IncrementalReplayer(system)
-        runner = replayer.run_choices
-    else:
-        runner = lambda candidate: run_choices(system, candidate)  # noqa: E731
-    oracle = _Oracle(runner, signature, max_oracle_runs)
+    oracle = _Oracle(system, signature, max_oracle_runs)
     minimal = tuple(choices)
     if not oracle(minimal):
         raise ShrinkError(
@@ -233,14 +190,6 @@ def shrink_choices(
                 minimal = _minimize_tosses(minimal, oracle)
         if minimal == before:
             break
-    if stats_out is not None:
-        stats_out["incremental"] = replayer is not None
-        stats_out["choices_applied"] = (
-            replayer.choices_applied if replayer is not None else 0
-        )
-        stats_out["choices_reused"] = (
-            replayer.choices_reused if replayer is not None else 0
-        )
     return minimal, oracle.runs
 
 
@@ -260,18 +209,13 @@ def shrink(
     the per-round shrink spans (see :func:`shrink_choices`).
     """
     signature = event_signature(event)
-    oracle_stats: dict = {}
     minimal, runs = shrink_choices(
         system,
         event.trace.choices,
         signature,
         max_oracle_runs=max_oracle_runs,
         tracer=tracer,
-        stats_out=oracle_stats,
     )
-    # The final pass stays a plain from-scratch replay: the persisted
-    # minimal event must be reproduced by the same engine `repro replay`
-    # will use, independent of any checkpoint state.
     final = run_choices(system, minimal, tracer=tracer)
     shrunk_event = next(
         e for e in final.events if event_signature(e) == signature
@@ -281,7 +225,4 @@ def shrink(
         trace=shrunk_event.trace,
         original_length=len(event.trace.choices),
         oracle_runs=runs,
-        oracle_choices_applied=oracle_stats.get("choices_applied", 0),
-        oracle_choices_reused=oracle_stats.get("choices_reused", 0),
-        incremental=oracle_stats.get("incremental", False),
     )

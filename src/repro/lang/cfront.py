@@ -136,6 +136,12 @@ class _Translator:
 
     def _func_def(self, node) -> ast.Proc:
         name = node.decl.name
+        if not isinstance(node.decl.type, c_ast.FuncDecl):
+            # pycparser parses `int f { ... }` and `int *f { ... }` as
+            # definitions whose declarator is not a function.
+            raise CFrontError(
+                f"function definition {name} has no parameter list", _loc(node)
+            )
         params = self._param_names(node.decl.type)
         body = self._compound(node.body)
         return ast.Proc(name, params, tuple(body), _loc(node))

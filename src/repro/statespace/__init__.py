@@ -12,10 +12,9 @@ package is the complement — the classic SPIN-lineage state-space cache:
   serialized deterministically through the
   :func:`repro.runtime.values.fingerprint` machinery);
 * :mod:`repro.statespace.stores` keeps the set of snapshots seen so far
-  behind one :class:`StateStore` interface, with three space/soundness
-  trade-offs — :class:`ExactStore` (full snapshots, sound),
-  :class:`HashCompactStore` (64-bit digests, near-sound) and
-  :class:`BitstateStore` (SPIN-style bitstate/Bloom hashing, smallest).
+  behind one :class:`StateStore` interface, with two space/soundness
+  trade-offs — :class:`ExactStore` (full snapshots, sound) and
+  :class:`HashCompactStore` (64-bit digests, near-sound).
 
 The explorer consults the store at every freshly reached global state
 and prunes the subtree when the state was already expanded; see
@@ -26,7 +25,6 @@ sleep sets, hash collisions).
 from .snapshot import decode_canonical, digest64, encode_canonical, snapshot
 from .stores import (
     STORE_KINDS,
-    BitstateStore,
     ExactStore,
     HashCompactStore,
     StateStore,
@@ -34,7 +32,6 @@ from .stores import (
 )
 
 __all__ = [
-    "BitstateStore",
     "ExactStore",
     "HashCompactStore",
     "STORE_KINDS",

@@ -2,26 +2,22 @@
 
 Every store answers one question — *"have I already expanded this
 state, or must I explore it (again)?"* — through a single call,
-:meth:`StateStore.visit`.  The three implementations trade memory for
+:meth:`StateStore.visit`.  The two implementations trade memory for
 soundness exactly like the SPIN family:
 
-===================  =======================  ==============================
-store                memory per state         can wrongly prune?
-===================  =======================  ==============================
-:class:`ExactStore`  full snapshot (~100s B)  never
-:class:`HashCompactStore`  16 bytes           on a 64-bit digest collision
-:class:`BitstateStore`     ~``2**bits/n`` bits  on a Bloom-filter collision
-===================  =======================  ==============================
+=========================  =======================  ===========================
+store                      memory per state         can wrongly prune?
+=========================  =======================  ===========================
+:class:`ExactStore`        full snapshot (~100s B)  never
+:class:`HashCompactStore`  16 bytes                 on a 64-bit digest collision
+=========================  =======================  ===========================
 
 Depth awareness: the explorer searches under a depth bound, so a state
 first reached near the bound has a *shallower* explored subtree than
-the bound allows from a shallower revisit.  :class:`ExactStore` and
-:class:`HashCompactStore` therefore remember the largest *remaining
-depth budget* a state was expanded with and force re-expansion when a
-revisit arrives with more budget — revisits never lose coverage to the
-depth bound.  :class:`BitstateStore` stores single bits and cannot do
-this; like SPIN's bitstate mode it trades that (and hash collisions)
-for the smallest possible footprint.
+the bound allows from a shallower revisit.  Both stores therefore
+remember the largest *remaining depth budget* a state was expanded
+with and force re-expansion when a revisit arrives with more budget —
+revisits never lose coverage to the depth bound.
 
 Stores deliberately know nothing about the explorer; they see byte
 strings and budgets.  Construction from CLI-level configuration goes
@@ -31,12 +27,10 @@ build identical stores from one picklable description.
 
 from __future__ import annotations
 
-import hashlib
-
 from .snapshot import digest64
 
 #: The store kinds :func:`make_store` understands (``"off"`` → ``None``).
-STORE_KINDS = ("off", "exact", "hashcompact", "bitstate")
+STORE_KINDS = ("off", "exact", "hashcompact")
 
 #: Bookkeeping bytes per dict entry charged by the accounting model (the
 #: stored remaining-depth integer); keys are charged at their real size.
@@ -163,71 +157,11 @@ class HashCompactStore(StateStore):
         return 16 * len(self._table)
 
 
-class BitstateStore(StateStore):
-    """SPIN-style bitstate (supertrace) hashing.
-
-    A fixed ``2**bits``-bit array; each state sets ``hashes``
-    independent bit positions (a Bloom filter).  A revisit is declared
-    when all its positions are already set — which a colliding pair of
-    other states can fake, so coverage is probabilistic: with ``m``
-    bits, ``k`` hashes and ``n`` states the expected false-positive
-    rate is ``(1 - e^(-kn/m))^k``.  Ignores the remaining-depth budget
-    (single bits cannot store one), so deep-first revisits may also
-    lose coverage under a depth bound; use ``exact``/``hashcompact``
-    when soundness matters more than memory.
-    """
-
-    kind = "bitstate"
-
-    def __init__(self, bits: int = 24, hashes: int = 2) -> None:
-        super().__init__()
-        if not (3 <= bits <= 40):
-            raise ValueError(f"cache_bits must be in 3..40, got {bits}")
-        if not (1 <= hashes <= 8):
-            raise ValueError(f"hashes must be in 1..8, got {hashes}")
-        self.bits = bits
-        self.hashes = hashes
-        self._mask = (1 << bits) - 1
-        self._array = bytearray(1 << max(bits - 3, 0))
-        self._stored = 0
-
-    def _positions(self, key: bytes) -> list[int]:
-        digest = hashlib.blake2b(key, digest_size=8 * self.hashes).digest()
-        return [
-            int.from_bytes(digest[8 * i : 8 * (i + 1)], "big") & self._mask
-            for i in range(self.hashes)
-        ]
-
-    def visit(self, key: bytes, remaining: int) -> bool:
-        positions = self._positions(key)
-        seen = all(self._array[p >> 3] & (1 << (p & 7)) for p in positions)
-        if seen:
-            self.hits += 1
-            return False
-        for p in positions:
-            self._array[p >> 3] |= 1 << (p & 7)
-        self._stored += 1
-        self.misses += 1
-        return True
-
-    @property
-    def states_stored(self) -> int:
-        return self._stored
-
-    @property
-    def memory_bytes(self) -> int:
-        return len(self._array)
-
-    def config(self) -> dict:
-        return {"store": self.kind, "cache_bits": self.bits, "hashes": self.hashes}
-
-
-def make_store(kind: str, *, cache_bits: int = 24) -> StateStore | None:
+def make_store(kind: str) -> StateStore | None:
     """Build a store from CLI-level configuration.
 
     ``kind`` is one of :data:`STORE_KINDS`; ``"off"`` returns ``None``
-    (the explorer then runs pure stateless search).  ``cache_bits``
-    only shapes the bitstate store.
+    (the explorer then runs pure stateless search).
     """
     if kind == "off":
         return None
@@ -235,8 +169,6 @@ def make_store(kind: str, *, cache_bits: int = 24) -> StateStore | None:
         return ExactStore()
     if kind == "hashcompact":
         return HashCompactStore()
-    if kind == "bitstate":
-        return BitstateStore(bits=cache_bits)
     raise ValueError(
         f"unknown state store {kind!r}; expected one of {', '.join(STORE_KINDS)}"
     )

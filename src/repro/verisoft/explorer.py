@@ -888,9 +888,7 @@ def apply_choice(run: Run, index: int, choice: Choice) -> tuple[Any, Any]:
 
     Returns ``(visible_request_or_None, assertion_outcome_or_None)``.
     All validation happens *before* any state is mutated, so a
-    :class:`ReplayMismatch` leaves the run exactly as it was — the
-    property the incremental (checkpoint-reusing) replayer relies on to
-    keep its live run valid across rejected shrink candidates.
+    :class:`ReplayMismatch` leaves the run exactly as it was.
     """
     request = None
     outcome = None

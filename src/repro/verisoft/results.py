@@ -167,9 +167,8 @@ class ExplorationReport:
     #: strategies, which need no seed to reproduce).
     seed: int | None = field(default=None, repr=False, compare=False)
     #: State-space caching configuration of the search that produced
-    #: this report (``None`` when caching was off): store kind, store
-    #: shape (``cache_bits`` for bitstate), the cache ``mode`` and
-    #: whether sleep sets stayed active.  A cached report's counters are
+    #: this report (``None`` when caching was off): store kind, the
+    #: cache ``mode`` and whether sleep sets stayed active.  A cached report's counters are
     #: *not* comparable to an uncached one's — revisited subtrees were
     #: pruned — so the provenance travels with the numbers.
     state_caching: dict | None = field(default=None, repr=False, compare=False)

@@ -109,13 +109,9 @@ class SearchOptions:
 
     # -- state-space caching (dfs/parallel; see repro.statespace) ------------
     #: Visited-state store pruning revisited subtrees: ``"off"`` (pure
-    #: stateless search), ``"exact"`` (full snapshots, sound),
-    #: ``"hashcompact"`` (64-bit digests) or ``"bitstate"``
-    #: (SPIN-style Bloom filter).  Ignored by ``"random"``.
+    #: stateless search), ``"exact"`` (full snapshots, sound) or
+    #: ``"hashcompact"`` (64-bit digests).  Ignored by ``"random"``.
     state_cache: str = "off"
-    #: Bitstate store size: ``2**cache_bits`` bits (exact/hashcompact
-    #: ignore it).
-    cache_bits: int = 24
     #: ``"safe"`` disables sleep-set pruning while caching (sleep sets
     #: are path-dependent, and combined with caching they can miss
     #: transitions); ``"unsafe-fast"`` keeps them for maximum pruning at
@@ -201,7 +197,7 @@ class SearchOptions:
         returns a *new empty* store: every explorer owns one."""
         from ..statespace.stores import make_store
 
-        return make_store(self.state_cache, cache_bits=self.cache_bits)
+        return make_store(self.state_cache)
 
     @property
     def sleep_sets_active(self) -> bool:
@@ -229,11 +225,11 @@ class SearchOptions:
         (``None`` when caching is off)."""
         if self.state_cache == "off":
             return None
-        info: dict[str, Any] = {"store": self.state_cache, "mode": self.cache_mode}
-        if self.state_cache == "bitstate":
-            info["cache_bits"] = self.cache_bits
-        info["sleep_sets"] = self.sleep_sets_active
-        return info
+        return {
+            "store": self.state_cache,
+            "mode": self.cache_mode,
+            "sleep_sets": self.sleep_sets_active,
+        }
 
     def validate(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -255,8 +251,6 @@ class SearchOptions:
                 f"unknown cache mode {self.cache_mode!r}; "
                 f"expected one of {', '.join(CACHE_MODES)}"
             )
-        if self.state_cache == "bitstate" and not (3 <= self.cache_bits <= 40):
-            raise ValueError("cache_bits must be in 3..40")
         if self.backtrack not in BACKTRACK_MODES:
             raise ValueError(
                 f"unknown backtrack mode {self.backtrack!r}; "

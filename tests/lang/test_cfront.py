@@ -169,6 +169,16 @@ class TestRejections:
         with pytest.raises(CFrontError):
             c_to_program("void f() { int x = sizeof(int); }")
 
+    @pytest.mark.parametrize(
+        "source",
+        ["int f { return; }", "int f int x; { return; }", "int *f { return; }"],
+    )
+    def test_definition_without_parameter_list_rejected(self, source):
+        with pytest.raises(CFrontError, match="no parameter list") as err:
+            c_to_program(source)
+        assert err.value.location is not None
+        assert err.value.location.line == 1
+
 
 class TestEndToEnd:
     def test_c_program_closes_and_runs(self):

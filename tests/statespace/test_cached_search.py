@@ -34,10 +34,10 @@ class TestSequentialParity:
         assert cached.transitions_executed < baseline.transitions_executed
         assert cached.stats.cache_hits > 0
 
-    @pytest.mark.parametrize("kind", ["hashcompact", "bitstate"])
+    @pytest.mark.parametrize("kind", ["hashcompact"])
     def test_compact_stores_find_the_same_bugs(self, figure, kind):
         baseline = _search(figure)
-        cached = _search(figure, state_cache=kind, cache_bits=20)
+        cached = _search(figure, state_cache=kind)
         assert triage_signatures(cached) == triage_signatures(baseline)
         assert cached.transitions_executed < baseline.transitions_executed
 
@@ -63,11 +63,6 @@ class TestProvenance:
         assert stats.cache_hit_ratio is not None
         assert "state cache:" in stats.describe()
 
-    def test_bitstate_records_its_shape(self, fig2_system):
-        report = _search(fig2_system, state_cache="bitstate", cache_bits=12)
-        assert report.state_caching["store"] == "bitstate"
-        assert report.state_caching["cache_bits"] == 12
-
     def test_unsafe_fast_keeps_sleep_sets(self, fig2_system):
         report = _search(fig2_system, state_cache="exact", cache_mode="unsafe-fast")
         assert report.state_caching["mode"] == "unsafe-fast"
@@ -83,7 +78,6 @@ class TestProvenance:
         options = load_trace(written[0]).search["options"]
         assert options["state_cache"] == "hashcompact"
         assert options["cache_mode"] == "safe"
-        assert options["cache_bits"] == 24
 
     def test_traces_from_cached_searches_replay(self, fig3_system, tmp_path):
         report = _search(fig3_system, state_cache="exact")
@@ -100,10 +94,6 @@ class TestValidation:
     def test_unknown_mode_rejected(self, fig2_system):
         with pytest.raises(ValueError, match="unknown cache mode"):
             _search(fig2_system, state_cache="exact", cache_mode="yolo")
-
-    def test_bitstate_bits_range_checked(self, fig2_system):
-        with pytest.raises(ValueError, match="cache_bits"):
-            _search(fig2_system, state_cache="bitstate", cache_bits=64)
 
     def test_random_strategy_ignores_cache_silently(self, fig2_system):
         # Random walks revisit by design; the cache fields are simply
@@ -140,20 +130,17 @@ class TestParallelParity:
 
 class TestMemoryFootprint:
     def test_compact_stores_are_at_least_8x_smaller_per_state(self):
-        # The headline claim of hash compaction / bitstate hashing, on
-        # the 5ESS case study (large snapshots: many processes + objects).
+        # The headline claim of hash compaction, on the 5ESS case study
+        # (large snapshots: many processes + objects).
         per_state = {}
-        for kind in ("exact", "hashcompact", "bitstate"):
+        for kind in ("exact", "hashcompact"):
             report = run_search(
                 demo_system(),
-                SearchOptions(
-                    max_depth=30, max_paths=300, state_cache=kind, cache_bits=16
-                ),
+                SearchOptions(max_depth=30, max_paths=300, state_cache=kind),
             )
             assert report.stats.cache_stored > 50
             per_state[kind] = report.stats.cache_bytes_per_state
         assert per_state["exact"] >= 8 * per_state["hashcompact"]
-        assert per_state["exact"] >= 8 * per_state["bitstate"]
 
     def test_exact_store_charges_real_snapshot_bytes(self, fig2_system):
         report = _search(fig2_system, state_cache="exact")

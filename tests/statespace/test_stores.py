@@ -9,7 +9,6 @@ import pytest
 
 from repro.statespace import (
     STORE_KINDS,
-    BitstateStore,
     ExactStore,
     HashCompactStore,
     make_store,
@@ -68,55 +67,16 @@ class TestHashCompactStore:
         assert store.memory_bytes / store.states_stored == 16.0
 
 
-class TestBitstateStore:
-    def test_visit_and_fixed_footprint(self):
-        store = BitstateStore(bits=10)
-        assert store.visit(b"s1", 10) is True
-        assert store.visit(b"s1", 10) is False
-        assert store.memory_bytes == (1 << 10) // 8  # fixed, not per-state
-        assert store.states_stored == 1
-
-    def test_ignores_depth_budget(self):
-        # Single bits cannot store a budget; a deeper revisit is still
-        # pruned (documented unsoundness under a depth bound).
-        store = BitstateStore(bits=10)
-        store.visit(b"s1", 3)
-        assert store.visit(b"s1", 100) is False
-
-    def test_validates_shape(self):
-        with pytest.raises(ValueError):
-            BitstateStore(bits=2)
-        with pytest.raises(ValueError):
-            BitstateStore(bits=41)
-        with pytest.raises(ValueError):
-            BitstateStore(bits=10, hashes=0)
-
-    def test_saturation_produces_false_positives(self):
-        # A tiny filter must eventually claim fresh states were seen —
-        # the probabilistic trade-off the docstring advertises.
-        store = BitstateStore(bits=3, hashes=1)  # 8 bits total
-        results = [store.visit(b"key-%d" % i, 1) for i in range(64)]
-        assert not all(results)
-        assert store.hits > 0
-
-    def test_config_records_shape(self):
-        assert BitstateStore(bits=12, hashes=3).config() == {
-            "store": "bitstate",
-            "cache_bits": 12,
-            "hashes": 3,
-        }
-
-
 class TestMakeStore:
     def test_off_means_no_store(self):
         assert make_store("off") is None
 
     @pytest.mark.parametrize(
         "kind, cls",
-        [("exact", ExactStore), ("hashcompact", HashCompactStore), ("bitstate", BitstateStore)],
+        [("exact", ExactStore), ("hashcompact", HashCompactStore)],
     )
     def test_dispatch(self, kind, cls):
-        store = make_store(kind, cache_bits=12)
+        store = make_store(kind)
         assert isinstance(store, cls)
         assert store.kind == kind
         assert store.config()["store"] == kind
@@ -126,7 +86,7 @@ class TestMakeStore:
             make_store("lru")
 
     def test_store_kinds_is_the_cli_vocabulary(self):
-        assert STORE_KINDS == ("off", "exact", "hashcompact", "bitstate")
+        assert STORE_KINDS == ("off", "exact", "hashcompact")
 
     def test_describe_mentions_counts(self):
         store = make_store("exact")

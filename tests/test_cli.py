@@ -325,8 +325,8 @@ class TestMisc:
 
 
 class TestStateCacheFlags:
-    """--state-cache / --cache-bits / --cache-mode and the --jobs
-    oversubscription warning."""
+    """--state-cache / --cache-mode and the --jobs oversubscription
+    warning."""
 
     def _deadlock_system(self, tmp_path):
         program = tmp_path / "prog.rc"
@@ -376,17 +376,14 @@ class TestStateCacheFlags:
                 "--max-depth",
                 "20",
                 "--state-cache",
-                "bitstate",
-                "--cache-bits",
-                "12",
+                "hashcompact",
                 "--save-traces",
                 str(traces),
             ]
         )
         doc = json.loads(sorted(traces.glob("*.json"))[0].read_text())
         options = doc["search"]["options"]
-        assert options["state_cache"] == "bitstate"
-        assert options["cache_bits"] == 12
+        assert options["state_cache"] == "hashcompact"
         assert options["cache_mode"] == "safe"
 
     def test_bad_cache_choice_rejected_by_argparse(self, tmp_path):
