@@ -37,8 +37,11 @@ import time
 import pytest
 
 from repro import SearchOptions, run_search
-from repro.fiveess import build_app
-from benchmarks.bench_lib import baseline_delta_lines, merge_bench_json
+from benchmarks.bench_lib import (
+    baseline_delta_lines,
+    fiveess_system,
+    merge_bench_json,
+)
 from tests.statespace.conftest import FIG2_SRC, FIG3_SRC, figure_system
 
 pytestmark = pytest.mark.slow
@@ -50,11 +53,6 @@ PARITY_KEYS = ("states", "transitions", "paths", "toss_points", "violation_group
 #: container VM show 20-30% run-to-run noise, which best-of-2 largely
 #: absorbs without tripling the benchmark's runtime.
 REPEATS = 2
-
-
-def _fiveess_system():
-    app = build_app(n_lines=2, calls_per_line=1)
-    return app.make_system(app.close(), with_maintenance=False)
 
 
 #: label -> (system factory, bounds, (variant -> (backtrack, engine))).
@@ -73,7 +71,7 @@ CASES = {
         {"replay": ("replay", "walk"), "restore": ("restore", "walk")},
     ),
     "5ess": (
-        lambda: _fiveess_system(),
+        fiveess_system,
         dict(max_depth=20, max_events=50_000),
         {
             "replay": ("replay", "walk"),

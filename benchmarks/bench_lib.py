@@ -161,10 +161,8 @@ def fiveess_system():
     return app.make_system(app.close(), with_maintenance=False)
 
 
-def timed_search(
-    build: Callable[[], Any], options: Any, repeats: int = REPEATS
-) -> tuple[Any, dict[str, Any]]:
-    """Search a freshly built system ``repeats`` times under ``options``.
+def timed_search(build: Callable[[], Any], options: Any) -> tuple[Any, dict[str, Any]]:
+    """Search a freshly built system ``REPEATS`` times under ``options``.
 
     Returns the median run's report and the row's timing fields:
     ``repeats``, ``wall_time_s`` (the median), ``wall_time_min_s`` and
@@ -174,7 +172,7 @@ def timed_search(
     from repro import run_search
 
     runs = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         system = build()
         started = time.perf_counter()
         report = run_search(system, options)
@@ -183,7 +181,7 @@ def timed_search(
     runs.sort(key=lambda run: run[0])
     elapsed, report = runs[len(runs) // 2]
     return report, {
-        "repeats": repeats,
+        "repeats": REPEATS,
         "wall_time_s": round(elapsed, 4),
         "wall_time_min_s": round(runs[0][0], 4),
         "wall_time_max_s": round(runs[-1][0], 4),

@@ -28,8 +28,7 @@ import time
 import pytest
 
 from repro import SearchOptions, Tracer, run_search
-from repro.fiveess import build_app
-from benchmarks.bench_lib import merge_bench_json
+from benchmarks.bench_lib import fiveess_system, merge_bench_json
 
 pytestmark = pytest.mark.slow
 
@@ -39,13 +38,8 @@ REPEATS = 3
 MODES = ("off", "profile", "trace", "coverage", "both")
 
 
-def _fiveess_system():
-    app = build_app(n_lines=2, calls_per_line=1)
-    return app.make_system(app.close(), with_maintenance=False)
-
-
 def _run_once(mode):
-    system = _fiveess_system()
+    system = fiveess_system()
     tracer = Tracer() if mode in ("trace", "both") else None
     options = SearchOptions(
         profile=mode in ("profile", "both"),
