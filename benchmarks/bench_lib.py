@@ -16,9 +16,10 @@ the concerns the bench scripts share:
   ``benchmarks/conftest.py``): every row carrying a
   ``states_per_second`` field is matched by path against the baseline
   file and the throughput delta printed alongside the result table.
-* :func:`timed_search` — one row's timing: the median, min and max of
+* :func:`timed_repeats` — one row's timing: the median, min and max of
   ``REPEATS`` runs, so a row that takes milliseconds on a host whose
-  speed swings by ~1.5x is still a measurement.
+  speed swings by ~1.5x is still a measurement; :func:`timed_search`
+  applies it to searches.
 
 The CI ``perf-smoke`` job drives the same row discovery
 (:func:`iter_rates`) through ``benchmarks/check_regression.py`` to fail
@@ -161,28 +162,39 @@ def fiveess_system():
     return app.make_system(app.close(), with_maintenance=False)
 
 
-def timed_search(build: Callable[[], Any], options: Any) -> tuple[Any, dict[str, Any]]:
-    """Search a freshly built system ``REPEATS`` times under ``options``.
+def timed_repeats(
+    build: Callable[[], Any], run: Callable[[Any], Any]
+) -> tuple[Any, list[Any], dict[str, Any]]:
+    """Call ``run(build())`` ``REPEATS`` times, timing ``run`` only.
 
-    Returns the median run's report and the row's timing fields:
-    ``repeats``, ``wall_time_s`` (the median), ``wall_time_min_s`` and
-    ``wall_time_max_s``.  Building the system is not timed.  Asserts
-    that every run reports the same summary."""
+    Returns the median run's result, every result in call order, and
+    the row's timing fields: ``repeats``, ``wall_time_s`` (the median),
+    ``wall_time_min_s`` and ``wall_time_max_s``."""
+    runs = []
+    for _ in range(REPEATS):
+        operand = build()
+        started = time.perf_counter()
+        result = run(operand)
+        runs.append((time.perf_counter() - started, result))
+    ordered = sorted(runs, key=lambda run: run[0])
+    elapsed, median = ordered[len(ordered) // 2]
+    return median, [result for _, result in runs], {
+        "repeats": REPEATS,
+        "wall_time_s": round(elapsed, 4),
+        "wall_time_min_s": round(ordered[0][0], 4),
+        "wall_time_max_s": round(ordered[-1][0], 4),
+    }
+
+
+def timed_search(build: Callable[[], Any], options: Any) -> tuple[Any, dict[str, Any]]:
+    """Search a freshly built system ``REPEATS`` times under ``options``
+    (:func:`timed_repeats`; building the system is not timed).
+
+    Returns the median run's report and the row's timing fields.
+    Asserts that every run reports the same summary."""
     # Imported here so check_regression.py runs without the package.
     from repro import run_search
 
-    runs = []
-    for _ in range(REPEATS):
-        system = build()
-        started = time.perf_counter()
-        report = run_search(system, options)
-        runs.append((time.perf_counter() - started, report))
-    assert len({report.summary() for _, report in runs}) == 1
-    runs.sort(key=lambda run: run[0])
-    elapsed, report = runs[len(runs) // 2]
-    return report, {
-        "repeats": REPEATS,
-        "wall_time_s": round(elapsed, 4),
-        "wall_time_min_s": round(runs[0][0], 4),
-        "wall_time_max_s": round(runs[-1][0], 4),
-    }
+    report, reports, timing = timed_repeats(build, lambda system: run_search(system, options))
+    assert len({report.summary() for report in reports}) == 1
+    return report, timing

@@ -1,185 +1,105 @@
-"""Hand-written lexer for the RC language.
+"""Regex scanner for the RC language.
 
-The lexer is a straightforward single-pass scanner.  It supports ``//``
-line comments and ``/* ... */`` block comments, decimal integer literals,
-single- or double-quoted string literals (used as symbolic message tags,
-e.g. ``send(out, 'even')``), identifiers and the operator set listed in
-:mod:`repro.lang.tokens`.
+:func:`tokenize` walks the source with one compiled master regex.  Each
+match is the blanks before a token plus one alternative, in order:
+trivia (newlines, ``//`` line comments and ``/* ... */`` block
+comments), decimal integer literals, identifiers and keywords, single-
+or double-quoted string literals (used as symbolic message tags, e.g.
+``send(out, 'even')``), and the operators of :mod:`repro.lang.tokens`,
+longest spelling first.  The other alternatives match malformed input:
+an unterminated block comment, digits running into a word, a string
+literal cut off by a newline, the end of the input or an unknown
+escape, and any one other character.  So the matches cover the whole
+input, and the first malformed spot raises a :class:`LexError` located
+where its token starts.
+
+Character classes are ASCII-only: ``str.isdigit()`` and ``\\d`` accept
+characters like ``'²'`` that ``int()`` cannot parse.  Newlines occur
+only in trivia, so the line count is kept there and a token's column is
+its offset from the start of its line.
 """
 
 from __future__ import annotations
 
+import re
+
 from .errors import LexError, SourceLocation
 from .tokens import KEYWORDS, Token, TokenKind
 
-_TWO_CHAR_OPERATORS = {
-    "==": TokenKind.EQ,
-    "!=": TokenKind.NE,
-    "<=": TokenKind.LE,
-    ">=": TokenKind.GE,
-    "&&": TokenKind.AND,
-    "||": TokenKind.OR,
-}
+#: Punctuation and operators, keyed by spelling.
+_OPERATORS = {kind.value: kind for kind in TokenKind if not kind.value[0].isalpha()}
 
-_ONE_CHAR_OPERATORS = {
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    ",": TokenKind.COMMA,
-    ";": TokenKind.SEMI,
-    ":": TokenKind.COLON,
-    ".": TokenKind.DOT,
-    "=": TokenKind.ASSIGN,
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "%": TokenKind.PERCENT,
-    "&": TokenKind.AMP,
-    "<": TokenKind.LT,
-    ">": TokenKind.GT,
-    "!": TokenKind.NOT,
-}
+_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", '"': '"'}
 
-
-_ASCII_DIGITS = frozenset("0123456789")
-_ASCII_WORD_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+_SCAN = re.compile(
+    r"""
+    [ \t\r]*
+    (?:
+      (?P<trivia>(?:[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/)+)
+    | (?P<open_comment>/\*)
+    | (?P<int>[0-9]+(?![0-9A-Za-z_]))
+    | (?P<digit_word>[0-9]+)
+    | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<string>'(?:[^'\\\n]|\\[nt\\'"])*'|"(?:[^"\\\n]|\\[nt\\'"])*")
+    | (?P<bad_string>['"](?:[^\\\n]|\\[nt\\'"])*)
+    | (?P<op>"""
+    + "|".join(re.escape(op) for op in sorted(_OPERATORS, key=len, reverse=True))
+    + r""")
+    | (?P<other>[\s\S])
+    )
+    """,
+    re.VERBOSE,
 )
-_ASCII_WORD = _ASCII_WORD_START | _ASCII_DIGITS
-
-
-class Lexer:
-    """Tokenizes RC source text."""
-
-    def __init__(self, source: str):
-        self._source = source
-        self._pos = 0
-        self._line = 1
-        self._col = 1
-
-    def tokenize(self) -> list[Token]:
-        """Scan the whole input and return the token list (ending in EOF)."""
-        tokens: list[Token] = []
-        while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                return tokens
-
-    # -- internals ---------------------------------------------------------
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self._line, self._col)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index < len(self._source):
-            return self._source[index]
-        return ""
-
-    def _advance(self) -> str:
-        char = self._source[self._pos]
-        self._pos += 1
-        if char == "\n":
-            self._line += 1
-            self._col = 1
-        else:
-            self._col += 1
-        return char
-
-    def _skip_trivia(self) -> None:
-        while self._pos < len(self._source):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "/" and self._peek(1) == "/":
-                while self._pos < len(self._source) and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                start = self._location()
-                self._advance()
-                self._advance()
-                while True:
-                    if self._pos >= len(self._source):
-                        raise LexError("unterminated block comment", start)
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance()
-                        self._advance()
-                        break
-                    self._advance()
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        location = self._location()
-        if self._pos >= len(self._source):
-            return Token(TokenKind.EOF, None, location)
-
-        char = self._peek()
-        # ASCII-only classification: str.isdigit()/isalpha() accept
-        # characters like '²' that int() cannot parse.
-        if char in _ASCII_DIGITS:
-            return self._lex_number(location)
-        if char in _ASCII_WORD_START:
-            return self._lex_word(location)
-        if char in "'\"":
-            return self._lex_string(location)
-
-        two = self._source[self._pos : self._pos + 2]
-        if two in _TWO_CHAR_OPERATORS:
-            self._advance()
-            self._advance()
-            return Token(_TWO_CHAR_OPERATORS[two], None, location)
-        if char in _ONE_CHAR_OPERATORS:
-            self._advance()
-            return Token(_ONE_CHAR_OPERATORS[char], None, location)
-        raise LexError(f"unexpected character {char!r}", location)
-
-    def _lex_number(self, location: SourceLocation) -> Token:
-        digits = []
-        while self._pos < len(self._source) and self._peek() in _ASCII_DIGITS:
-            digits.append(self._advance())
-        if self._pos < len(self._source) and self._peek() in _ASCII_WORD_START:
-            raise LexError("identifier may not start with a digit", location)
-        return Token(TokenKind.INT, int("".join(digits)), location)
-
-    def _lex_word(self, location: SourceLocation) -> Token:
-        chars = []
-        while self._pos < len(self._source) and self._peek() in _ASCII_WORD:
-            chars.append(self._advance())
-        word = "".join(chars)
-        keyword = KEYWORDS.get(word)
-        if keyword is not None:
-            return Token(keyword, None, location)
-        return Token(TokenKind.IDENT, word, location)
-
-    def _lex_string(self, location: SourceLocation) -> Token:
-        quote = self._advance()
-        chars = []
-        while True:
-            if self._pos >= len(self._source) or self._peek() == "\n":
-                raise LexError("unterminated string literal", location)
-            char = self._advance()
-            if char == quote:
-                break
-            if char == "\\":
-                if self._pos >= len(self._source):
-                    raise LexError("unterminated string literal", location)
-                escape = self._advance()
-                replacements = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", '"': '"'}
-                if escape not in replacements:
-                    raise LexError(f"unknown escape sequence \\{escape}", location)
-                chars.append(replacements[escape])
-            else:
-                chars.append(char)
-        return Token(TokenKind.STRING, "".join(chars), location)
 
 
 def tokenize(source: str) -> list[Token]:
-    """Convenience wrapper: tokenize ``source`` in one call."""
-    return Lexer(source).tokenize()
+    """Scan the whole of ``source`` and return its tokens, ending in EOF."""
+    tokens: list[Token] = []
+    append = tokens.append
+    line, line_start = 1, 0
+    for match in _SCAN.finditer(source):
+        group = match.lastgroup
+        start = match.start(group)
+        if group == "trivia":
+            text = match.group(group)
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
+            continue
+        location = SourceLocation(line, start - line_start + 1)
+        if group == "word":
+            word = match.group(group)
+            keyword = KEYWORDS.get(word)
+            if keyword is None:
+                append(Token(TokenKind.IDENT, word, location))
+            else:
+                append(Token(keyword, None, location))
+        elif group == "op":
+            append(Token(_OPERATORS[match.group(group)], None, location))
+        elif group == "int":
+            append(Token(TokenKind.INT, int(match.group(group)), location))
+        elif group == "string":
+            body = match.group(group)[1:-1]
+            if "\\" in body:
+                body = re.sub(r"\\(.)", lambda escape: _ESCAPES[escape[1]], body)
+            append(Token(TokenKind.STRING, body, location))
+        else:
+            raise LexError(_error(group, source, match.end(group)), location)
+    append(Token(TokenKind.EOF, None, SourceLocation(line, len(source) - line_start + 1)))
+    return tokens
+
+
+def _error(group: str, source: str, end: int) -> str:
+    """The message for a match of one of the error alternatives."""
+    if group == "open_comment":
+        return "unterminated block comment"
+    if group == "digit_word":
+        return "identifier may not start with a digit"
+    if group == "bad_string":
+        # The literal stops before a newline, the end of the input, or a
+        # backslash whose escape is unknown (or missing, at the end).
+        if source.startswith("\\", end) and end + 1 < len(source):
+            return f"unknown escape sequence \\{source[end + 1]}"
+        return "unterminated string literal"
+    return f"unexpected character {source[end - 1]!r}"

@@ -32,17 +32,33 @@ from .errors import ParseError
 from .lexer import tokenize
 from .tokens import Token, TokenKind
 
-_COMPARISONS = {
-    TokenKind.EQ: "==",
-    TokenKind.NE: "!=",
-    TokenKind.LT: "<",
-    TokenKind.LE: "<=",
-    TokenKind.GT: ">",
-    TokenKind.GE: ">=",
+#: Binary operators: token kind -> (operator, precedence level).  A
+#: higher level binds tighter; every level is left-associative.
+_BINARY = {
+    TokenKind.OR: ("||", 1),
+    TokenKind.AND: ("&&", 2),
+    TokenKind.EQ: ("==", 3),
+    TokenKind.NE: ("!=", 3),
+    TokenKind.LT: ("<", 4),
+    TokenKind.LE: ("<=", 4),
+    TokenKind.GT: (">", 4),
+    TokenKind.GE: (">=", 4),
+    TokenKind.PLUS: ("+", 5),
+    TokenKind.MINUS: ("-", 5),
+    TokenKind.STAR: ("*", 6),
+    TokenKind.SLASH: ("/", 6),
+    TokenKind.PERCENT: ("%", 6),
 }
 
-_ADDITIVE = {TokenKind.PLUS: "+", TokenKind.MINUS: "-"}
-_MULTIPLICATIVE = {TokenKind.STAR: "*", TokenKind.SLASH: "/", TokenKind.PERCENT: "%"}
+_UNARY = {TokenKind.MINUS: "-", TokenKind.NOT: "!", TokenKind.AMP: "&", TokenKind.STAR: "*"}
+
+#: Statements that are one keyword and a semicolon.
+_KEYWORD_STMTS = {
+    TokenKind.EXIT: ast.Exit,
+    TokenKind.BREAK: ast.Break,
+    TokenKind.CONTINUE: ast.Continue,
+    TokenKind.SKIP: ast.Skip,
+}
 
 
 class Parser:
@@ -54,12 +70,12 @@ class Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+    def _peek(self) -> Token:
+        # The list ends in EOF, and _advance never moves past it.
+        return self._tokens[self._pos]
 
     def _at(self, kind: TokenKind) -> bool:
-        return self._peek().kind is kind
+        return self._tokens[self._pos].kind is kind
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
@@ -155,22 +171,10 @@ class Parser:
                 value = self._parse_expr()
             self._expect(TokenKind.SEMI)
             return ast.Return(value, token.location)
-        if kind is TokenKind.EXIT:
+        if kind in _KEYWORD_STMTS:
             self._advance()
             self._expect(TokenKind.SEMI)
-            return ast.Exit(token.location)
-        if kind is TokenKind.BREAK:
-            self._advance()
-            self._expect(TokenKind.SEMI)
-            return ast.Break(token.location)
-        if kind is TokenKind.CONTINUE:
-            self._advance()
-            self._expect(TokenKind.SEMI)
-            return ast.Continue(token.location)
-        if kind is TokenKind.SKIP:
-            self._advance()
-            self._expect(TokenKind.SEMI)
-            return ast.Skip(token.location)
+            return _KEYWORD_STMTS[kind](token.location)
         stmt = self._parse_simple_stmt()
         self._expect(TokenKind.SEMI)
         return stmt
@@ -305,80 +309,35 @@ class Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    def _parse_expr(self) -> ast.Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> ast.Expr:
-        left = self._parse_and()
-        while self._at(TokenKind.OR):
-            location = self._advance().location
-            right = self._parse_and()
-            left = ast.Binary("||", left, right, location)
-        return left
-
-    def _parse_and(self) -> ast.Expr:
-        left = self._parse_equality()
-        while self._at(TokenKind.AND):
-            location = self._advance().location
-            right = self._parse_equality()
-            left = ast.Binary("&&", left, right, location)
-        return left
-
-    def _parse_equality(self) -> ast.Expr:
-        left = self._parse_relational()
-        while self._peek().kind in (TokenKind.EQ, TokenKind.NE):
-            token = self._advance()
-            right = self._parse_relational()
-            left = ast.Binary(_COMPARISONS[token.kind], left, right, token.location)
-        return left
-
-    def _parse_relational(self) -> ast.Expr:
-        left = self._parse_additive()
-        while self._peek().kind in (TokenKind.LT, TokenKind.LE, TokenKind.GT, TokenKind.GE):
-            token = self._advance()
-            right = self._parse_additive()
-            left = ast.Binary(_COMPARISONS[token.kind], left, right, token.location)
-        return left
-
-    def _parse_additive(self) -> ast.Expr:
-        left = self._parse_multiplicative()
-        while self._peek().kind in _ADDITIVE:
-            token = self._advance()
-            right = self._parse_multiplicative()
-            left = ast.Binary(_ADDITIVE[token.kind], left, right, token.location)
-        return left
-
-    def _parse_multiplicative(self) -> ast.Expr:
+    def _parse_expr(self, min_level: int = 1) -> ast.Expr:
+        """Precedence climbing: operands joined by binary operators of
+        level ``min_level`` or above."""
         left = self._parse_unary()
-        while self._peek().kind in _MULTIPLICATIVE:
-            token = self._advance()
-            right = self._parse_unary()
-            left = ast.Binary(_MULTIPLICATIVE[token.kind], left, right, token.location)
-        return left
+        while True:
+            token = self._tokens[self._pos]
+            binary = _BINARY.get(token.kind)
+            if binary is None or binary[1] < min_level:
+                return left
+            self._pos += 1
+            op, level = binary
+            right = self._parse_expr(level + 1)
+            left = ast.Binary(op, left, right, token.location)
 
     def _parse_unary(self) -> ast.Expr:
-        token = self._peek()
-        if token.kind is TokenKind.MINUS:
-            self._advance()
-            return ast.Unary("-", self._parse_unary(), token.location)
-        if token.kind is TokenKind.NOT:
-            self._advance()
-            return ast.Unary("!", self._parse_unary(), token.location)
-        if token.kind is TokenKind.AMP:
-            self._advance()
-            operand = self._parse_unary()
-            if not ast.is_lvalue(operand):
-                raise ParseError("'&' requires an lvalue operand", token.location)
-            return ast.Unary("&", operand, token.location)
-        if token.kind is TokenKind.STAR:
-            self._advance()
-            return ast.Unary("*", self._parse_unary(), token.location)
-        return self._parse_postfix()
+        token = self._tokens[self._pos]
+        op = _UNARY.get(token.kind)
+        if op is None:
+            return self._parse_postfix()
+        self._pos += 1
+        operand = self._parse_unary()
+        if op == "&" and not ast.is_lvalue(operand):
+            raise ParseError("'&' requires an lvalue operand", token.location)
+        return ast.Unary(op, operand, token.location)
 
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
         while True:
-            token = self._peek()
+            token = self._tokens[self._pos]
             if token.kind is TokenKind.LBRACKET:
                 self._advance()
                 index = self._parse_expr()
@@ -406,31 +365,27 @@ class Parser:
         return tuple(args)
 
     def _parse_primary(self) -> ast.Expr:
-        token = self._peek()
-        if token.kind is TokenKind.INT:
-            self._advance()
-            return ast.IntLit(int(token.value), token.location)
-        if token.kind is TokenKind.STRING:
-            self._advance()
-            return ast.StrLit(str(token.value), token.location)
-        if token.kind is TokenKind.TRUE:
-            self._advance()
-            return ast.BoolLit(True, token.location)
-        if token.kind is TokenKind.FALSE:
-            self._advance()
-            return ast.BoolLit(False, token.location)
-        if token.kind is TokenKind.TOP:
-            self._advance()
-            return ast.AbstractLit(token.location)
-        if token.kind is TokenKind.IDENT:
-            self._advance()
-            return ast.Name(str(token.value), token.location)
-        if token.kind is TokenKind.LPAREN:
-            self._advance()
+        token = self._tokens[self._pos]
+        kind = token.kind
+        if kind is TokenKind.LPAREN:
+            self._pos += 1
             expr = self._parse_expr()
             self._expect(TokenKind.RPAREN)
             return expr
-        raise ParseError(f"expected expression, found {token}", token.location)
+        if kind is TokenKind.IDENT:
+            node = ast.Name(str(token.value), token.location)
+        elif kind is TokenKind.INT:
+            node = ast.IntLit(int(token.value), token.location)
+        elif kind is TokenKind.STRING:
+            node = ast.StrLit(str(token.value), token.location)
+        elif kind is TokenKind.TRUE or kind is TokenKind.FALSE:
+            node = ast.BoolLit(kind is TokenKind.TRUE, token.location)
+        elif kind is TokenKind.TOP:
+            node = ast.AbstractLit(token.location)
+        else:
+            raise ParseError(f"expected expression, found {token}", token.location)
+        self._pos += 1
+        return node
 
 
 def parse_program(source: str) -> ast.Program:

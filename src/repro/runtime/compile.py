@@ -53,6 +53,7 @@ from ..cfg.nodes import (
     NodeKind,
     TossGuard,
 )
+from ..gcpause import collector_paused
 from ..lang import ast
 from .errors import DivergenceError, ObjectError, RuntimeFault, TossDomainError
 from .interp import (
@@ -642,12 +643,18 @@ class CompiledProgram:
         self.procs = procs
 
 
+@collector_paused
 def compile_program(cfgs: dict[str, ControlFlowGraph]) -> CompiledProgram:
     """Translate every procedure's CFG into closures.
 
     Raises :class:`CompileUnsupported` when the program uses pointers or
     a structurally degenerate CFG; callers fall back to the walking
     engine (which reproduces even the degenerate behaviours exactly).
+
+    Runs with the cyclic garbage collector paused (see
+    :mod:`repro.gcpause`): every closure built here lives as long as
+    the program, so collector passes during the call would free
+    nothing.
     """
     procs: dict[str, CompiledProc] = {}
     program = CompiledProgram(procs)

@@ -171,7 +171,16 @@ def encode_canonical(value: Any) -> bytes:
     return b"".join(out)
 
 
-def _decode_from(data: bytes, pos: int) -> tuple[Any, int]:
+#: Tuples nested deeper than this do not decode; the recursive encoder
+#: and decoder stay far from Python's recursion limit.
+_MAX_DEPTH = 256
+
+
+def _malformed(problem: str, offset: int) -> ValueError:
+    return ValueError(f"invalid canonical encoding: {problem} at offset {offset}")
+
+
+def _decode_from(data: bytes, pos: int, depth: int = 0) -> tuple[Any, int]:
     tag = data[pos : pos + 1]
     if tag == _TAG_NONE:
         return None, pos + 1
@@ -179,23 +188,40 @@ def _decode_from(data: bytes, pos: int) -> tuple[Any, int]:
         return True, pos + 1
     if tag == _TAG_FALSE:
         return False, pos + 1
-    if tag == _TAG_INT:
-        length = _unpack_len_from(data, pos + 1)[0]
-        start = pos + 5
-        return int(data[start : start + length]), start + length
-    if tag == _TAG_STR:
-        length = _unpack_len_from(data, pos + 1)[0]
-        start = pos + 5
-        return data[start : start + length].decode("utf-8"), start + length
+    if not tag:
+        raise _malformed("unexpected end", pos)
+    if tag not in (_TAG_INT, _TAG_STR, _TAG_TUPLE):
+        raise _malformed(f"unknown tag {tag!r}", pos)
+    start = pos + 5
+    if start > len(data):
+        raise _malformed("length field cut short", pos + 1)
+    length = _unpack_len_from(data, pos + 1)[0]
     if tag == _TAG_TUPLE:
-        count = _unpack_len_from(data, pos + 1)[0]
-        pos += 5
+        if depth == _MAX_DEPTH:
+            raise _malformed(f"tuples nested deeper than {_MAX_DEPTH}", pos)
         items = []
-        for _ in range(count):
-            item, pos = _decode_from(data, pos)
+        for _ in range(length):
+            item, start = _decode_from(data, start, depth + 1)
             items.append(item)
-        return tuple(items), pos
-    raise ValueError(f"invalid canonical encoding: unknown tag {tag!r} at offset {pos}")
+        return tuple(items), start
+    end = start + length
+    if end > len(data):
+        raise _malformed(f"{length}-byte payload runs past the end", start)
+    payload = data[start:end]
+    if tag == _TAG_STR:
+        try:
+            return payload.decode("utf-8"), end
+        except UnicodeDecodeError:
+            raise _malformed("string payload is not UTF-8", start) from None
+    # int() also reads "1_0", " 7", "+7" and "007"; only the encoder's
+    # own spelling of the value is canonical.
+    try:
+        value = int(payload)
+    except ValueError:
+        value = None
+    if value is None or b"%d" % value != payload:
+        raise _malformed(f"int payload {payload!r} is not canonical", start)
+    return value, end
 
 
 def decode_canonical(data: bytes) -> Any:
@@ -203,14 +229,14 @@ def decode_canonical(data: bytes) -> Any:
 
     Exact inverse of :func:`encode_canonical` (the encoding is
     prefix-free): ``decode_canonical(encode_canonical(v)) == v`` for
-    every fingerprint value.  Raises :class:`ValueError` on malformed
-    or trailing bytes.
+    every fingerprint value, and a byte string that decodes to ``v`` is
+    ``encode_canonical(v)``.  Raises :class:`ValueError`, naming the
+    offset, on malformed or trailing bytes and on tuples nested deeper
+    than 256.
     """
     value, end = _decode_from(data, 0)
     if end != len(data):
-        raise ValueError(
-            f"invalid canonical encoding: {len(data) - end} trailing bytes"
-        )
+        raise _malformed(f"{len(data) - end} trailing bytes", end)
     return value
 
 

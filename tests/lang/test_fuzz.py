@@ -1,11 +1,16 @@
 """Hypothesis fuzzing of the front end: no input may crash the tools
 with anything but a LangError, and several semantic oracles."""
 
+import bisect
+import re
+
 from hypothesis import example, given, settings, strategies as st
 
+from repro.closing.generators import generate_sized_program
 from repro.lang.errors import LangError
 from repro.lang.lexer import tokenize
 from repro.lang.parser import parse_program
+from repro.lang.tokens import TokenKind
 
 
 class TestLexerRobustness:
@@ -25,6 +30,53 @@ class TestLexerRobustness:
             tokenize(text)
         except LangError:
             pass
+
+
+def _lexes(text):
+    try:
+        tokenize(text)
+    except LangError:
+        return False
+    return True
+
+
+#: Pieces of RC text; a concatenation of them usually lexes.
+_PIECES = [
+    "x", "_t0", "proc", "var", "iffy", "42", "0", "'tag'", '"s"', "'a\\n'", "'é'",
+    "==", "=", "<=", "&&", "||", "!", "(", ")", "{", "}", ";", ",", ".", "+",
+    "-", "*", "/", "%", "&", "<", ">", " ", "\n", "\t", "\r", "// note\n",
+    "/* é\n */",
+]
+
+sized_programs = st.builds(
+    generate_sized_program, st.integers(0, 400), st.integers(0, 2**16)
+)
+lexable_text = st.lists(st.sampled_from(_PIECES), max_size=40).map("".join).filter(_lexes)
+
+
+class TestTokenLocations:
+    """Every token's (line, column) points at its own spelling."""
+
+    @given(sized_programs | lexable_text)
+    @settings(max_examples=100, deadline=None)
+    def test_each_token_points_at_its_spelling(self, source):
+        line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
+        for token in tokenize(source):
+            line, column = token.location.line, token.location.column
+            offset = line_starts[line - 1] + column - 1
+            # The location is on its line, and the line is the right one.
+            assert bisect.bisect_right(line_starts, offset) == line
+            rest = source[offset:]
+            if token.kind is TokenKind.EOF:
+                assert offset == len(source)
+            elif token.kind is TokenKind.IDENT:
+                assert re.match(r"[A-Za-z_][A-Za-z0-9_]*", rest)[0] == token.value
+            elif token.kind is TokenKind.INT:
+                assert int(re.match("[0-9]+", rest)[0]) == token.value
+            elif token.kind is TokenKind.STRING:
+                assert rest[0] in "'\""
+            else:
+                assert rest.startswith(token.kind.value)
 
 
 class TestParserRobustness:

@@ -18,6 +18,7 @@ its three contracts:
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import System
 from repro.runtime.fingerprint import (
@@ -97,6 +98,58 @@ class TestCodec:
             encode_canonical(v) for v in ROUNDTRIP_VALUES
         )
         assert decode_canonical(combined) == tuple(ROUNDTRIP_VALUES)
+
+
+#: Malformed encodings that escaped as other exceptions or decoded to a
+#: value the encoder spells differently.
+MALFORMED = {
+    "short length field": b"i\xfemx",
+    "payload past the end": b"s\x00\x00\x00\x09ab",
+    "nested 5000 deep": b"(\x00\x00\x00\x01" * 5000 + b"N",
+    "non-canonical int": b"i\x00\x00\x00\x031_0",
+}
+
+
+@pytest.mark.parametrize("data", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_bytes_raise_located_value_error(data):
+    with pytest.raises(ValueError, match=r"at offset \d+$"):
+        decode_canonical(data)
+
+
+fingerprint_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4).map(tuple),
+    max_leaves=12,
+)
+
+
+@st.composite
+def mutated_encodings(draw):
+    """A valid encoding with one byte inserted, deleted or replaced, or
+    cut short."""
+    data = encode_canonical(draw(fingerprint_values))
+    pos = draw(st.integers(0, len(data)))
+    byte = draw(st.binary(min_size=1, max_size=1))
+    edit = draw(st.sampled_from(["insert", "delete", "replace", "truncate"]))
+    if edit == "insert":
+        return data[:pos] + byte + data[pos:]
+    if edit == "delete":
+        return data[:pos] + data[pos + 1 :]
+    if edit == "replace":
+        return data[:pos] + byte + data[pos + 1 :]
+    return data[:pos]
+
+
+@given(st.binary(max_size=64) | mutated_encodings())
+@settings(max_examples=500, deadline=None)
+def test_decoding_is_total_and_canonical(data):
+    # Any byte string either fails with a ValueError or is exactly the
+    # encoding of what it decodes to.
+    try:
+        value = decode_canonical(data)
+    except ValueError:
+        return
+    assert encode_canonical(value) == data
 
 
 # ---------------------------------------------------------------------------
