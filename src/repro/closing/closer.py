@@ -149,9 +149,8 @@ def close_program(
 
     The call runs with the cyclic garbage collector paused (see
     :mod:`repro.gcpause`): the pipeline keeps nearly everything it
-    allocates until it returns, so collector passes during it free
-    nothing.  Closing a 3200-statement program made 60 or more such
-    passes before the pause.
+    allocates until it returns, so collector passes during it would
+    free nothing (``docs/performance.md`` gives the counts).
     """
     if spec is None:
         spec = ClosingSpec.make(

@@ -23,6 +23,7 @@ Grammar (EBNF, ``[]`` optional, ``{}`` repetition)::
 Expressions use standard C precedence:
 ``||`` < ``&&`` < ``== !=`` < ``< <= > >=`` < ``+ -`` < ``* / %`` <
 unary (``- ! & *``) < postfix (``[...]``, ``.field``, call) < primary.
+The binary levels are one table, parsed by precedence climbing.
 """
 
 from __future__ import annotations
