@@ -2,7 +2,7 @@
 
 The closing pipeline (:func:`repro.closing.closer.close_program`) and
 the compiler (:func:`repro.runtime.compile.compile_program`) allocate
-hundreds of thousands of container objects (tokens, AST and CFG nodes,
+container objects by the ten thousand (tokens, AST and CFG nodes,
 def-use arcs, closures) and keep nearly all of them until they return.
 Every collector pass during such a call walks objects that are still
 alive and promotes them, so the older generations walk them again:
