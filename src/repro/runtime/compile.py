@@ -41,6 +41,7 @@ the reference engine handles it bit-for-bit identically either way).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any
 
 from ..cfg.graph import ControlFlowGraph
@@ -287,36 +288,27 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-#: Non-fast-path completion of int arithmetic/comparison: TOP
-#: propagation and the walking engine's exact fault messages.
-def _arith_slow(op: str, fn, lhs: Any, rhs: Any):
+#: The int operators with a fast path: the word their fault messages
+#: use, and the operation.
+_INT_OPS = {
+    "+": ("arithmetic", lambda a, b: a + b),
+    "-": ("arithmetic", lambda a, b: a - b),
+    "*": ("arithmetic", lambda a, b: a * b),
+    "<": ("comparison", lambda a, b: a < b),
+    "<=": ("comparison", lambda a, b: a <= b),
+    ">": ("comparison", lambda a, b: a > b),
+    ">=": ("comparison", lambda a, b: a >= b),
+}
+
+
+def _int_slow(word: str, op: str, fn, lhs: Any, rhs: Any):
+    """Non-fast-path completion of an int operator: TOP propagation and
+    the walking engine's exact fault messages."""
     if lhs is TOP or rhs is TOP:
         return TOP
     if not _is_int(lhs) or not _is_int(rhs):
-        raise RuntimeFault(f"arithmetic {op!r} on non-int values {lhs!r}, {rhs!r}")
+        raise RuntimeFault(f"{word} {op!r} on non-int values {lhs!r}, {rhs!r}")
     return fn(lhs, rhs)
-
-
-def _order_slow(op: str, fn, lhs: Any, rhs: Any):
-    if lhs is TOP or rhs is TOP:
-        return TOP
-    if not _is_int(lhs) or not _is_int(rhs):
-        raise RuntimeFault(f"comparison {op!r} on non-int values {lhs!r}, {rhs!r}")
-    return fn(lhs, rhs)
-
-
-_ARITH_FNS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-}
-
-_ORDER_FNS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
 
 
 def _compile_binary_fast(expr: ast.Binary, layout: _SlotLayout):
@@ -326,14 +318,13 @@ def _compile_binary_fast(expr: ast.Binary, layout: _SlotLayout):
     into the operator closure itself, collapsing the two operand calls
     of the generic path — the dominant cost of loop-body arithmetic
     like ``i = i + 1`` or ``acc * 31``.  Fault and TOP semantics are
-    delegated to the slow helpers, which reproduce the generic
-    closures' behaviour exactly.
+    delegated to :func:`_int_slow`, as in the generic closure.
     """
     op = expr.op
-    fn = _ARITH_FNS.get(op) or _ORDER_FNS.get(op)
-    if fn is None:
+    if op not in _INT_OPS:
         return None
-    slow = _arith_slow if op in _ARITH_FNS else _order_slow
+    word, fn = _INT_OPS[op]
+    slow = partial(_int_slow, word)
     left, right = expr.left, expr.right
 
     if isinstance(left, ast.Name) and isinstance(right, ast.IntLit):
@@ -441,27 +432,17 @@ def _compile_binary(expr: ast.Binary, layout: _SlotLayout):
             return not values_equal(lhs, rhs)
 
         return ev_ne
-    if op in ("+", "-", "*"):
-        fn = {
-            "+": lambda a, b: a + b,
-            "-": lambda a, b: a - b,
-            "*": lambda a, b: a * b,
-        }[op]
+    if op in _INT_OPS:
+        word, fn = _INT_OPS[op]
 
-        def ev_arith(frame, _l=left, _r=right, _fn=fn, _op=op):
+        def ev_int(frame, _l=left, _r=right, _fn=fn, _op=op, _w=word):
             lhs = _l(frame)
             rhs = _r(frame)
             if type(lhs) is int and type(rhs) is int:
                 return _fn(lhs, rhs)
-            if lhs is TOP or rhs is TOP:
-                return TOP
-            if not _is_int(lhs) or not _is_int(rhs):
-                raise RuntimeFault(
-                    f"arithmetic {_op!r} on non-int values {lhs!r}, {rhs!r}"
-                )
-            return _fn(lhs, rhs)
+            return _int_slow(_w, _op, _fn, lhs, rhs)
 
-        return ev_arith
+        return ev_int
     if op in ("/", "%"):
 
         def ev_divmod(frame, _l=left, _r=right, _op=op):
@@ -483,28 +464,6 @@ def _compile_binary(expr: ast.Binary, layout: _SlotLayout):
             return remainder if lhs >= 0 else -remainder
 
         return ev_divmod
-    if op in ("<", "<=", ">", ">="):
-        fn = {
-            "<": lambda a, b: a < b,
-            "<=": lambda a, b: a <= b,
-            ">": lambda a, b: a > b,
-            ">=": lambda a, b: a >= b,
-        }[op]
-
-        def ev_order(frame, _l=left, _r=right, _fn=fn, _op=op):
-            lhs = _l(frame)
-            rhs = _r(frame)
-            if type(lhs) is int and type(rhs) is int:
-                return _fn(lhs, rhs)
-            if lhs is TOP or rhs is TOP:
-                return TOP
-            if not _is_int(lhs) or not _is_int(rhs):
-                raise RuntimeFault(
-                    f"comparison {_op!r} on non-int values {lhs!r}, {rhs!r}"
-                )
-            return _fn(lhs, rhs)
-
-        return ev_order
     raise CompileUnsupported(f"unknown binary operator {op!r}")
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from ..counterex.traceio import (
@@ -84,17 +84,60 @@ class FrontierFormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+_MISSING = object()
+_NULL = type(None)
+
+
+def _check(value: Any, kinds: tuple[type, ...], path: str) -> Any:
+    """``value``, if its JSON type is one of ``kinds`` (``bool`` does
+    not pass for ``int``); else a :class:`FrontierFormatError` naming
+    the JSON ``path``."""
+    if type(value) not in kinds:
+        expected = " or ".join(map(_type_name, kinds))
+        raise FrontierFormatError(f"{path}: expected {expected}, got {_type_name(type(value))}")
+    return value
+
+
+def _type_name(kind: type) -> str:
+    return "null" if kind is _NULL else kind.__name__
+
+
+def _field(doc: dict, key: str, kinds: tuple[type, ...], path: str, default: Any = _MISSING) -> Any:
+    """``doc[key]``, type-checked; ``default`` when the key is absent,
+    unless the key is required."""
+    if key not in doc:
+        if default is _MISSING:
+            raise FrontierFormatError(f"{path}: missing key {key!r}")
+        return default
+    return _check(doc[key], kinds, f"{path}.{key}")
+
+
+def _items(payload: Any, kinds: tuple[type, ...], path: str) -> list:
+    """A JSON list whose entries all have one of ``kinds``."""
+    for i, value in enumerate(_check(payload, (list,), path)):
+        _check(value, kinds, f"{path}[{i}]")
+    return payload
+
+
+def _row(payload: Any, kinds: tuple[tuple[type, ...], ...], path: str) -> tuple:
+    """A fixed-length JSON list whose entries have the given types."""
+    if len(_check(payload, (list,), path)) != len(kinds):
+        raise FrontierFormatError(f"{path}: expected {len(kinds)} entries, got {len(payload)}")
+    return tuple(_check(v, k, f"{path}[{i}]") for i, (v, k) in enumerate(zip(payload, kinds)))
+
+
+#: ``[process, node_id, op, obj, local]``.
+_SIG_ROW = ((str,), (int,), (str,), (str, _NULL), (bool,))
+
+
 def _sig_to_json(sig: TransitionSig | None) -> list | None:
     if sig is None:
         return None
     return [sig.process, sig.node_id, sig.op, sig.obj, sig.local]
 
 
-def _sig_from_json(payload: list | None) -> TransitionSig | None:
-    if payload is None:
-        return None
-    process, node_id, op, obj, local = payload
-    return TransitionSig(process, node_id, op, obj, bool(local))
+def _sig_from_json(payload: Any, path: str) -> TransitionSig:
+    return TransitionSig(*_row(payload, _SIG_ROW, path))
 
 
 def prefix_to_json(prefix: ChoicePrefix) -> list:
@@ -121,19 +164,42 @@ def prefix_to_json(prefix: ChoicePrefix) -> list:
     return out
 
 
-def prefix_from_json(payload: list) -> ChoicePrefix:
-    """Inverse of :func:`prefix_to_json`."""
+#: The JSON type of a point's alternatives, by point kind.
+_ALTERNATIVE = {"schedule": (str,), "toss": (int,)}
+
+
+def prefix_from_json(payload: Any, path: str = "$") -> ChoicePrefix:
+    """Inverse of :func:`prefix_to_json`.  A malformed entry raises
+    :class:`FrontierFormatError` naming its JSON ``path``."""
     points = []
-    for entry in payload:
+    for i, entry in enumerate(_check(payload, (list,), path)):
+        at = f"{path}[{i}]"
+        _check(entry, (dict,), at)
+        kind = _field(entry, "kind", (str,), at)
+        if kind not in _ALTERNATIVE:
+            raise FrontierFormatError(f"{at}.kind: unknown choice-point kind {kind!r}")
+        alternatives = _items(
+            _field(entry, "alternatives", (list,), at), _ALTERNATIVE[kind], f"{at}.alternatives"
+        )
+        index = _field(entry, "index", (int,), at)
+        if not 0 <= index < len(alternatives):
+            raise FrontierFormatError(
+                f"{at}.index: {index} is out of range for {len(alternatives)} alternatives"
+            )
+        sleep = _field(entry, "sleep", (list,), at, [])
+        sigs = _field(entry, "sigs", (list,), at, [])
         points.append(
             PrefixPoint(
-                kind=entry["kind"],
-                alternatives=tuple(entry["alternatives"]),
-                index=entry["index"],
+                kind=kind,
+                alternatives=tuple(alternatives),
+                index=index,
                 sleep=frozenset(
-                    _sig_from_json(sig) for sig in entry.get("sleep", ())
+                    _sig_from_json(sig, f"{at}.sleep[{j}]") for j, sig in enumerate(sleep)
                 ),
-                sigs=tuple(_sig_from_json(sig) for sig in entry.get("sigs", ())),
+                sigs=tuple(
+                    None if sig is None else _sig_from_json(sig, f"{at}.sigs[{j}]")
+                    for j, sig in enumerate(sigs)
+                ),
             )
         )
     return ChoicePrefix(tuple(points))
@@ -154,12 +220,49 @@ def _event_to_json(event: Any) -> dict:
     }
 
 
-def _event_from_json(payload: dict) -> Any:
-    trace = Trace(
-        choices_from_json(payload["choices"]),
-        steps_from_json(payload.get("steps", [])),
-    )
-    return violation_from_json(payload["violation"], trace)
+#: ``["s", process]`` or ``["t", process, value]``, by tag.
+_CHOICE_ROWS = {"s": ((str,), (str,)), "t": ((str,), (str,), (int,))}
+#: ``[process, op, obj, detail]``.
+_STEP_ROW = ((str,), (str,), (str, _NULL), (str,))
+#: Each violation kind's fields: name, JSON types, required.
+_VIOLATION_FIELDS = {
+    "deadlock": (),
+    "assertion": (
+        ("process", (str,), True), ("proc_name", (str,), True), ("node_id", (int,), True),
+    ),
+    "crash": (("process", (str,), True), ("message", (str,), False)),
+    "divergence": (("process", (str,), True),),
+}
+#: A deadlock's ``waiting`` entry: ``[process, op, obj]``.
+_WAIT_ROW = ((str,), (str,), (str, _NULL))
+
+
+def _event_from_json(payload: Any, path: str) -> Any:
+    _check(payload, (dict,), path)
+    choices = _field(payload, "choices", (list,), path)
+    for i, choice in enumerate(choices):
+        tag = choice[0] if type(choice) is list and choice else None
+        if type(tag) is not str or tag not in _CHOICE_ROWS:
+            raise FrontierFormatError(
+                f"{path}.choices[{i}]: expected [\"s\", process] or [\"t\", process, value]"
+            )
+        _row(choice, _CHOICE_ROWS[tag], f"{path}.choices[{i}]")
+    steps = _field(payload, "steps", (list,), path, [])
+    for i, step in enumerate(steps):
+        _row(step, _STEP_ROW, f"{path}.steps[{i}]")
+    at = f"{path}.violation"
+    violation = _field(payload, "violation", (dict,), path)
+    kind = _field(violation, "kind", (str,), at)
+    if kind not in _VIOLATION_FIELDS:
+        raise FrontierFormatError(f"{at}.kind: unknown violation kind {kind!r}")
+    for key, kinds, required in _VIOLATION_FIELDS[kind]:
+        _field(violation, key, kinds, at, _MISSING if required else None)
+    if kind == "deadlock":
+        _items(violation.get("blocked", []), (str,), f"{at}.blocked")
+        for i, row in enumerate(_items(violation.get("waiting", []), (list,), f"{at}.waiting")):
+            _row(row, _WAIT_ROW, f"{at}.waiting[{i}]")
+    trace = Trace(choices_from_json(choices), steps_from_json(steps))
+    return violation_from_json(violation, trace)
 
 
 def report_to_json(report: ExplorationReport) -> dict:
@@ -183,24 +286,49 @@ def report_to_json(report: ExplorationReport) -> dict:
     return doc
 
 
-def report_from_json(payload: dict) -> ExplorationReport:
-    """Inverse of :func:`report_to_json`."""
+_REPORT_COUNTERS = (
+    "states_visited", "transitions_executed", "toss_points", "paths_explored", "max_depth_reached",
+)
+#: The JSON type of each :class:`SearchStats` field (a float takes an int).
+_STATS_KINDS = {
+    f.name: (int, float) if type(f.default) is float else (type(f.default),)
+    for f in fields(SearchStats)
+}
+
+
+def report_from_json(payload: Any, path: str = "$") -> ExplorationReport:
+    """Inverse of :func:`report_to_json`.  A malformed entry raises
+    :class:`FrontierFormatError` naming its JSON ``path``."""
+    _check(payload, (dict,), path)
     report = ExplorationReport(
-        states_visited=payload.get("states_visited", 0),
-        transitions_executed=payload.get("transitions_executed", 0),
-        toss_points=payload.get("toss_points", 0),
-        paths_explored=payload.get("paths_explored", 0),
-        max_depth_reached=payload.get("max_depth_reached", 0),
-        truncated=payload.get("truncated", False),
-        incomplete=payload.get("incomplete", False),
+        **{name: _field(payload, name, (int,), path, 0) for name in _REPORT_COUNTERS},
+        truncated=_field(payload, "truncated", (bool,), path, False),
+        incomplete=_field(payload, "incomplete", (bool,), path, False),
     )
     for name in _EVENT_LISTS:
+        events = _field(payload, name, (list,), path, [])
         getattr(report, name).extend(
-            _event_from_json(entry) for entry in payload.get(name, ())
+            _event_from_json(entry, f"{path}.{name}[{i}]") for i, entry in enumerate(events)
         )
     if "stats" in payload:
-        report.stats = SearchStats(**payload["stats"])
+        stats = _field(payload, "stats", (dict,), path)
+        report.stats = SearchStats(
+            **{
+                name: _check(value, _STATS_KINDS[name], f"{path}.stats.{name}")
+                for name, value in stats.items()
+                if name in _STATS_KINDS
+            }
+        )
     return report
+
+
+def _block_from_json(
+    entry: Any, path: str
+) -> tuple[tuple[int, ...], ExplorationReport]:
+    """One completed block: ``{"key": [...], "report": {...}}``."""
+    _check(entry, (dict,), path)
+    key = _items(_field(entry, "key", (list,), path), (int,), f"{path}.key")
+    return tuple(key), report_from_json(_field(entry, "report", (dict,), path), f"{path}.report")
 
 
 # ---------------------------------------------------------------------------
@@ -293,39 +421,40 @@ class SearchCheckpoint:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "SearchCheckpoint":
-        """Parse and validate a JSON document."""
+    def from_json(cls, doc: Any) -> "SearchCheckpoint":
+        """Parse and validate a JSON document.  Anything malformed
+        raises :class:`FrontierFormatError` naming the JSON path of the
+        bad entry (``$.pending[2][0].index``)."""
         if not isinstance(doc, dict) or doc.get("format") != FRONTIER_FORMAT:
             raise FrontierFormatError(
-                f"not a {FRONTIER_FORMAT} file (format tag: {doc.get('format')!r})"
+                f"$.format: not a {FRONTIER_FORMAT} file (format tag: {doc.get('format')!r})"
                 if isinstance(doc, dict)
-                else "not a frontier checkpoint: top level must be a JSON object"
+                else "$: not a frontier checkpoint: top level must be a JSON object"
             )
         version = doc.get("version")
-        if version != FRONTIER_VERSION:
+        if type(version) is not int or version != FRONTIER_VERSION:
             raise FrontierFormatError(
-                f"unsupported frontier format version {version!r} "
+                f"$.version: unsupported frontier format version {version!r} "
                 f"(this build reads version {FRONTIER_VERSION})"
             )
-        if "pending" not in doc or "completed" not in doc:
-            raise FrontierFormatError(
-                "frontier checkpoint lacks 'pending' or 'completed'"
-            )
+        pending = _field(doc, "pending", (list,), "$")
+        completed = _field(doc, "completed", (list,), "$")
+        fingerprints = _field(doc, "fingerprints", (list,), "$", [])
+        _items(fingerprints, (str,), "$.fingerprints")
         return cls(
-            fingerprint=doc.get("fingerprint"),
-            options=doc.get("options", {}),
+            fingerprint=_field(doc, "fingerprint", (str, _NULL), "$", None),
+            options=_field(doc, "options", (dict,), "$", {}),
             pending=[
-                None if entry is None else prefix_from_json(entry)
-                for entry in doc["pending"]
+                None if entry is None else prefix_from_json(entry, f"$.pending[{i}]")
+                for i, entry in enumerate(pending)
             ],
             completed=[
-                (tuple(entry["key"]), report_from_json(entry["report"]))
-                for entry in doc["completed"]
+                _block_from_json(entry, f"$.completed[{i}]") for i, entry in enumerate(completed)
             ],
-            fingerprints=set(doc.get("fingerprints", ())),
-            leases=doc.get("leases", 0),
-            steals=doc.get("steals", 0),
-            leases_requeued=doc.get("leases_requeued", 0),
+            fingerprints=set(fingerprints),
+            leases=_field(doc, "leases", (int,), "$", 0),
+            steals=_field(doc, "steals", (int,), "$", 0),
+            leases_requeued=_field(doc, "leases_requeued", (int,), "$", 0),
             version=version,
         )
 
@@ -369,6 +498,6 @@ def load_frontier(path: str | pathlib.Path) -> SearchCheckpoint:
     path = pathlib.Path(path)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise FrontierFormatError(f"{path}: not valid JSON: {err}") from err
     return SearchCheckpoint.from_json(doc)

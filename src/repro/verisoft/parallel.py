@@ -31,14 +31,21 @@ prefix owns everything below it with no shared state whatsoever.
   searched without forking at all); the leases are then handed out with
   stealing off, so the partition — and the reported ``leases`` — is the
   same on every run and ``steals == 0``.  ``"steal"`` starts from the
-  one root lease: when workers go idle and no leases are pending, the
-  coordinator raises a shared **steal budget**, and a busy worker polls
-  it between paths, suspends and commits its residuals.
+  one root lease: while no lease is pending, the coordinator sends a
+  **steal request** for each idle worker to a different busy one,
+  shallowest lease first and each lease at most once
+  (:func:`_steal_targets`); the asked worker suspends at its next path
+  boundary and commits its residuals.
 
 * A **stop request** (``should_suspend``) suspends every worker at
   once; the pending leases plus completed blocks come back as a
   :class:`~repro.service.frontier.SearchCheckpoint` on
   ``report.checkpoint``, resumable later via the ``initial`` parameter.
+
+* Each worker shares **one duplex pipe** with the coordinator and
+  nothing else: leases and requests go down, beats and results come up.
+  A worker that dies, even halfway through a send, reads as end-of-file
+  on its own pipe, so nothing it held can block another process.
 
 **Determinism.**  Completed lease blocks are kept unmerged and sorted by
 :func:`prefix_key` at the end — sequential DFS visit order, regardless
@@ -66,7 +73,7 @@ import contextlib
 import heapq
 import multiprocessing
 import os
-import queue as queue_mod
+import select
 import signal
 import sys
 import time
@@ -356,30 +363,27 @@ def merge_reports(
 
 
 def _worker_main(
-    worker_id: int,
     system_or_factory: Any,
     options: SearchOptions,
-    task_queue: Any,
-    result_queue: Any,
-    steal_budget: Any,
-    suspend_flag: Any,
+    conn: Any,
     trace: bool,
     beats: bool,
     kill_after_paths: int | None,
 ) -> None:
-    """Worker loop: take a lease, explore it, commit the result.
+    """Worker loop: take a lease from ``conn``, explore it, send back
+    the result.
 
-    ``steal_budget`` (a shared int) is the coordinator's standing steal
-    request: a dirty read keeps the common case to one attribute load
-    per path, and a claim takes the lock and decrements.  At most one
-    steal is honoured per lease — once this lease has donated, further
-    yields would thrash it into confetti.  ``suspend_flag`` set means
-    *everyone* suspends (stop request / checkpoint).  With ``trace`` each
-    lease records into a private tracer whose buffer travels back as
-    ``report.trace_payload``.  With ``beats`` the lease's progress
-    callback puts ``("beat", worker_id, lease, states, transitions)``
-    (transitions include replayed ones) on the result queue — between
-    paths, at most once per ``options.progress_interval``.
+    ``conn`` is the worker's end of its pipe.  It receives ``("lease",
+    seq, prefix)``, ``("steal", seq, None)``, ``("suspend", None,
+    None)`` and ``None`` (exit), and sends ``("beat", seq, states,
+    transitions)`` and ``("result", seq, report, residuals,
+    fingerprints, was_steal)``.  Between paths the lease reads its
+    requests: a steal naming it, or a suspend, ends it (a steal naming
+    an earlier lease is stale); a suspend also ends every later lease.
+    With ``trace`` each lease records into a private tracer whose buffer
+    travels back as ``report.trace_payload``.  With ``beats`` the
+    lease's progress callback sends a beat (transitions include
+    replayed ones) at most once per ``options.progress_interval``.
 
     ``kill_after_paths`` is the crash-recovery test hook: SIGKILL our
     own process mid-lease after that many completed paths, simulating a
@@ -387,37 +391,36 @@ def _worker_main(
     the coordinator's lease re-queue path.
     """
     system = system_or_factory() if callable(system_or_factory) else system_or_factory
+    # Checked once per path: a poll object costs a tenth of ``conn.poll()``.
+    inbox = select.poll()
+    inbox.register(conn, select.POLLIN)
     paths_seen = 0
+    suspend = False
     while True:
-        task = task_queue.get()
-        if task is None:
+        message = conn.recv()
+        if message is None:
             return
-        seq, prefix = task
+        kind, seq, prefix = message
+        suspend = suspend or kind == "suspend"
+        if kind != "lease":
+            continue
         stolen = False
 
         def yield_check() -> bool:
-            nonlocal paths_seen, stolen
+            nonlocal paths_seen, suspend, stolen
             paths_seen += 1
             if kill_after_paths is not None and paths_seen >= kill_after_paths:
-                # Flush first: a worker killed while its queue feeder
-                # writes leaves the shared result queue's write lock
-                # held, and every other worker's results wait forever.
-                result_queue.close()
-                result_queue.join_thread()
                 os.kill(os.getpid(), signal.SIGKILL)
-            if suspend_flag.value:
-                return True
-            if not stolen and steal_budget.value > 0:
-                with steal_budget.get_lock():
-                    if steal_budget.value > 0:
-                        steal_budget.value -= 1
-                        stolen = True
-                        return True
-            return False
+            # ``None`` never arrives before a suspend request.
+            while not (suspend or stolen) and inbox.poll(0):
+                request, asked, _ = conn.recv()
+                suspend = request == "suspend"
+                stolen = request == "steal" and asked == seq
+            return suspend or stolen
 
         def beat(stats: SearchStats) -> None:
             transitions = stats.transitions_executed + stats.replayed_transitions
-            result_queue.put(("beat", worker_id, seq, stats.states_visited, transitions))
+            conn.send(("beat", seq, stats.states_visited, transitions))
 
         lease_options = options
         if trace:
@@ -435,18 +438,17 @@ def _worker_main(
                 lease_index=seq,
             )
         except Exception as err:  # commit the failure; don't strand the lease
-            result_queue.put(("result", worker_id, seq, err, [], None, False))
+            conn.send(("result", seq, err, [], None, False))
             continue
         if trace:
             report.trace_payload = lease_options.tracer.export(label=f"worker-{os.getpid()}")
-        result_queue.put(
-            ("result", worker_id, seq, report, residuals, fps, stolen and bool(residuals))
-        )
+        conn.send(("result", seq, report, residuals, fps, stolen and bool(residuals)))
 
 
 class _WorkerHandle:
-    """The coordinator's one record of a worker process: the lease it
-    holds, the counters of that lease's last beat, and its health.
+    """The coordinator's one record of a worker process: its pipe, the
+    lease it holds, the counters of that lease's last beat, and its
+    health.
 
     Progress is counter movement, not beat arrival: a worker stuck
     inside one transition stops counting whether or not it still beats.
@@ -456,15 +458,17 @@ class _WorkerHandle:
     """
 
     __slots__ = (
-        "process", "task_queue", "label", "assigned", "leases_done", "stolen_from",
+        "process", "conn", "label", "assigned", "asked", "leases_done", "stolen_from",
         "states", "transitions", "last_progress", "stalled",
     )
 
-    def __init__(self, process, task_queue, label: str):
+    def __init__(self, process, conn, label: str):
         self.process = process
-        self.task_queue = task_queue
+        self.conn = conn
         self.label = label
         self.assigned: tuple[tuple[int, ...], int, ChoicePrefix | None] | None = None
+        #: The lease this worker was last asked to give up work from.
+        self.asked: int | None = None
         self.leases_done = 0
         self.stolen_from = 0
         self.states = 0
@@ -554,6 +558,27 @@ def _inflight(workers: dict[int, _WorkerHandle]) -> tuple[int, int]:
     committed block covers yet, which the live totals add."""
     busy = [handle for handle in workers.values() if handle.assigned is not None]
     return sum(h.states for h in busy), sum(h.transitions for h in busy)
+
+
+def _steal_targets(
+    scheduler: str, workers: Iterable[_WorkerHandle]
+) -> list[_WorkerHandle]:
+    """The busy workers to ask for a steal while no lease is pending.
+
+    Under the ``steal`` policy each idle worker gets one request
+    outstanding, each to a different busy worker, shallowest lease
+    first; a lease already asked is never asked again.  ``static`` asks
+    nobody.
+    """
+    if scheduler != "steal":
+        return []
+    workers = list(workers)
+    busy = [w for w in workers if w.assigned is not None]
+    unasked = [w for w in busy if w.asked != w.assigned[1]]
+    idle = len(workers) - len(busy)
+    outstanding = len(busy) - len(unasked)
+    unasked.sort(key=lambda w: (len(w.assigned[0]), w.assigned[0]))
+    return unasked[: max(0, idle - outstanding)]
 
 
 # ---------------------------------------------------------------------------
@@ -853,12 +878,12 @@ def parallel_search(
     elif pending and not (suspended or expired or stop_early or budget_spent()):
         with phase("fan-out", leases=len(pending), jobs=jobs):
             # ----------------------------------------------------------
-            # Multiprocess coordinator
+            # Multiprocess coordinator: one duplex pipe per worker
             # ----------------------------------------------------------
-            result_queue: Any = multiprocessing.Queue()
-            steal_budget = multiprocessing.Value("i", 0)
-            suspend_flag = multiprocessing.Value("i", 0)
+            from multiprocessing.connection import wait
+
             beats = options.progress is not None or options.stall_timeout is not None
+            trace = tracer is not None
 
             workers: dict[int, _WorkerHandle] = {}
             next_worker_id = 0
@@ -866,30 +891,20 @@ def parallel_search(
             max_respawns = 2 * jobs + 2
             system_payload = system_factory if system_factory is not None else system
 
-            def spawn(kill_after: int | None = None) -> int:
+            def spawn(kill_after: int | None = None) -> None:
                 nonlocal next_worker_id
-                wid = next_worker_id
-                next_worker_id += 1
-                task_queue: Any = multiprocessing.Queue()
+                conn, worker_conn = multiprocessing.Pipe()
                 process = multiprocessing.Process(
                     target=_worker_main,
-                    args=(
-                        wid,
-                        system_payload,
-                        lease_options,
-                        task_queue,
-                        result_queue,
-                        steal_budget,
-                        suspend_flag,
-                        tracer is not None,
-                        beats,
-                        kill_after,
-                    ),
+                    args=(system_payload, lease_options, worker_conn, trace, beats, kill_after),
                     daemon=True,
                 )
                 process.start()
-                workers[wid] = _WorkerHandle(process, task_queue, f"w{wid}")
-                return wid
+                # Only the worker holds its end now: its death reads as
+                # EOF here, after everything it sent before dying.
+                worker_conn.close()
+                workers[next_worker_id] = _WorkerHandle(process, conn, f"w{next_worker_id}")
+                next_worker_id += 1
 
             for i in range(jobs):
                 spawn(kill_worker_after_paths if i == 0 else None)
@@ -897,46 +912,65 @@ def parallel_search(
             tick = max(0.05, min(options.progress_interval, 1.0))
             worker_error: Exception | None = None
 
-            def drain_results(block_for: float | None = None) -> int:
-                """Fold every queued result into the coordinator state;
-                optionally block up to ``block_for`` seconds for the
-                first."""
+            def post(handle: _WorkerHandle, message: Any) -> None:
+                # A failed send means a dead worker: its pipe reads EOF.
+                with contextlib.suppress(OSError):
+                    handle.conn.send(message)
+
+            def fold(handle: _WorkerHandle, message: tuple) -> None:
                 nonlocal stop_early, worker_error
-                handled = 0
-                timeout = block_for
-                while True:
-                    try:
-                        if timeout is not None:
-                            msg = result_queue.get(timeout=timeout)
-                        else:
-                            msg = result_queue.get_nowait()
-                    except queue_mod.Empty:
-                        return handled
-                    timeout = None
-                    handled += 1
-                    kind, wid, seq, *rest = msg
-                    handle = workers.get(wid)
-                    if handle is None or not handle.holds(seq):
-                        continue  # about a lease re-queued since
-                    if kind == "beat":
-                        notice = handle.beat(*rest, time.monotonic())
-                        if notice is not None:
-                            _warn(notice)
-                        continue
-                    payload, residuals, fps, was_steal = rest
-                    key = handle.assigned[0]
-                    notice = handle.release(was_steal, time.monotonic())
+                kind, seq, *rest = message
+                if not handle.holds(seq):
+                    return  # about a lease re-queued since
+                if kind == "beat":
+                    notice = handle.beat(*rest, time.monotonic())
                     if notice is not None:
                         _warn(notice)
-                    if isinstance(payload, Exception):
-                        # A deterministic explorer failure would repeat on
-                        # re-queue: surface it instead of spinning.
-                        worker_error = payload
-                        stop_early = True
-                        continue
-                    commit(key, payload, residuals, fps, was_steal)
-                    if options.stop_on_first and not payload.ok:
-                        stop_early = True
+                    return
+                payload, residuals, fps, was_steal = rest
+                key = handle.assigned[0]
+                notice = handle.release(was_steal, time.monotonic())
+                if notice is not None:
+                    _warn(notice)
+                if isinstance(payload, Exception):
+                    # A deterministic explorer failure would repeat on
+                    # re-queue: surface it instead of spinning.
+                    worker_error = payload
+                    stop_early = True
+                    return
+                commit(key, payload, residuals, fps, was_steal)
+                if options.stop_on_first and not payload.ok:
+                    stop_early = True
+
+            def receive(timeout: float) -> list[int]:
+                """Fold in what the workers sent, waiting up to
+                ``timeout`` seconds; returns the workers whose pipe hit
+                EOF: they are dead."""
+                by_conn = {handle.conn: wid for wid, handle in workers.items()}
+                dead = []
+                for conn in wait(list(by_conn), timeout):
+                    wid = by_conn[conn]
+                    try:
+                        while conn.poll():
+                            fold(workers[wid], conn.recv())
+                    except (EOFError, OSError):
+                        dead.append(wid)
+                return dead
+
+            def bury(wid: int) -> None:
+                """Drop a dead worker; its uncommitted lease is re-queued
+                verbatim (commits are atomic — partial work is never
+                merged)."""
+                nonlocal requeued
+                handle = workers.pop(wid)
+                handle.conn.close()
+                handle.process.join(1.0)
+                worker_summary[handle.label] = handle.summary(alive=False)
+                if handle.assigned is not None:
+                    heapq.heappush(pending, handle.assigned)
+                    handle.assigned = None
+                    requeued += 1
+                    _warn(f"worker {handle.label} died mid-lease; lease re-queued")
 
             def progress_tick() -> None:
                 nonlocal next_tick
@@ -959,34 +993,25 @@ def parallel_search(
 
             try:
                 while True:
-                    idle = [
-                        wid
-                        for wid, handle in sorted(workers.items())
-                        if handle.assigned is None and handle.process.is_alive()
-                    ]
-                    # Assign pending leases to known-idle workers only —
-                    # the coordinator always knows who holds what, so a
-                    # death never loses a lease.
-                    for wid in idle:
+                    # Assign pending leases to idle workers only — the
+                    # coordinator always knows who holds what, so a death
+                    # never loses a lease.
+                    for handle in workers.values():
                         if not pending:
                             break
-                        entry = heapq.heappop(pending)
-                        workers[wid].assign(entry, time.monotonic())
-                        workers[wid].task_queue.put((entry[1], entry[2]))
+                        if handle.assigned is None:
+                            entry = heapq.heappop(pending)
+                            handle.assign(entry, time.monotonic())
+                            post(handle, ("lease", entry[1], entry[2]))
                     busy = [w for w in workers.values() if w.assigned is not None]
-                    idle_count = sum(
-                        1
-                        for w in workers.values()
-                        if w.assigned is None and w.process.is_alive()
-                    )
                     if not pending and not busy:
                         break
-                    # Steal request (steal policy only): when the queue is
-                    # dry and hands are empty.  The value is *set* (not
-                    # added to) each tick, so grants never accumulate.
-                    steal_budget.value = idle_count if (steal and not pending and busy) else 0
+                    if not pending:
+                        for handle in _steal_targets(options.scheduler, workers.values()):
+                            handle.asked = handle.assigned[1]
+                            post(handle, ("steal", handle.asked, None))
 
-                    drain_results(block_for=tick)
+                    dead = receive(tick)
                     progress_tick()
                     checkpoint_tick([w.assigned for w in busy if w.assigned is not None])
 
@@ -1001,23 +1026,10 @@ def parallel_search(
                     if budget_spent():
                         break
 
-                    # Liveness: a dead worker's uncommitted lease is
-                    # re-queued verbatim (commits are atomic — partial work
-                    # is never merged) and a replacement is spawned.
-                    for wid, handle in list(workers.items()):
-                        if handle.process.is_alive():
-                            continue
-                        drain_results()  # a commit may have raced the death
-                        worker_summary[handle.label] = handle.summary(alive=False)
-                        if handle.assigned is not None:
-                            heapq.heappush(pending, handle.assigned)
-                            handle.assigned = None
-                            requeued += 1
-                            _warn(
-                                f"worker {handle.label} died mid-lease; "
-                                "lease re-queued"
-                            )
-                        del workers[wid]
+                    # A dead worker's lease goes back to the pool, and a
+                    # replacement is spawned while work remains.
+                    for wid in dead:
+                        bury(wid)
                         if respawns < max_respawns and (pending or any(
                             w.assigned is not None for w in workers.values()
                         )):
@@ -1031,38 +1043,25 @@ def parallel_search(
                         run_here(split=False)
                         break
 
-                if suspended:
-                    # Stop everything: workers suspend cooperatively between
-                    # paths and commit their leases; anything that does not
-                    # commit within the grace period is re-queued
-                    # uncommitted.
-                    suspend_flag.value = 1
-                    grace = time.monotonic() + 10.0
-                    while (
-                        any(w.assigned is not None for w in workers.values())
-                        and time.monotonic() < grace
-                    ):
-                        drain_results(block_for=tick)
-                        for handle in workers.values():
-                            if handle.assigned is not None and not handle.process.is_alive():
-                                heapq.heappush(pending, handle.assigned)
-                                handle.assigned = None
-                                requeued += 1
-                    for handle in workers.values():
-                        if handle.assigned is not None:
-                            heapq.heappush(pending, handle.assigned)
-                            handle.assigned = None
-                            requeued += 1
             finally:
-                suspend_flag.value = 1
+                # Suspend and release every worker, then read each pipe to
+                # EOF: a worker holding a lease suspends at its next path
+                # boundary and commits it first.  On a stop request, a
+                # lease not committed within the grace period is
+                # re-queued uncommitted.
                 for handle in workers.values():
-                    try:
-                        handle.task_queue.put_nowait(None)
-                    except Exception:
-                        pass
-                drain_results()
-                deadline_join = time.monotonic() + 5.0
+                    post(handle, ("suspend", None, None))
+                    post(handle, None)
+                deadline_join = time.monotonic() + (10.0 if suspended else 5.0)
                 for handle in workers.values():
+                    with contextlib.suppress(EOFError, OSError):
+                        while handle.conn.poll(max(0.0, deadline_join - time.monotonic())):
+                            fold(handle, handle.conn.recv())
+                    handle.conn.close()
+                    if suspended and handle.assigned is not None:
+                        heapq.heappush(pending, handle.assigned)
+                        handle.assigned = None
+                        requeued += 1
                     handle.process.join(max(0.1, deadline_join - time.monotonic()))
                     if handle.process.is_alive():
                         handle.process.terminate()
@@ -1070,7 +1069,6 @@ def parallel_search(
                     worker_summary[handle.label] = handle.summary(
                         alive=not handle.process.exitcode or handle.process.exitcode >= 0
                     )
-                result_queue.close()
 
             if worker_error is not None:
                 raise worker_error

@@ -5,9 +5,12 @@ and resumed — in another process, on either execution engine — must
 finish with a report identical to the uninterrupted run.
 """
 
+import functools
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import SearchOptions, run_search
 from repro.service import (
@@ -25,7 +28,7 @@ from repro.service import (
 )
 from repro.service.frontier import canonical_fingerprint
 
-from .conftest import assert_report_parity, fig3_system, racing_system
+from .conftest import assert_report_parity, deadlock_system, fig3_system, racing_system
 
 
 def _suspended_checkpoint(system, paths_before_stop=2, **options):
@@ -132,6 +135,117 @@ class TestCheckpointDocument:
     def test_load_rejects_non_json(self, tmp_path):
         path = tmp_path / "frontier.json"
         path.write_text("not json {")
+        with pytest.raises(FrontierFormatError):
+            load_frontier(path)
+
+
+@functools.lru_cache(maxsize=None)
+def _suspended_documents():
+    """Two suspended checkpoints as JSON text: Figure 3's (3 pending
+    leases, 1 completed block) and the deadlock system's, whose
+    completed block records a deadlock event."""
+    return (
+        json.dumps(_suspended_checkpoint(fig3_system(), count_states=True, max_depth=40).to_json()),
+        json.dumps(
+            _suspended_checkpoint(
+                deadlock_system(), paths_before_stop=4, count_states=True, max_depth=40
+            ).to_json()
+        ),
+    )
+
+
+def _spots(value, path=()):
+    """Every position in a JSON value: ``(path, is_dict_key)``."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield path + (key,), isinstance(value, dict)
+        if isinstance(child, (dict, list)):
+            yield from _spots(child, path + (key,))
+
+
+def _json_path(path):
+    return "$" + "".join(f"[{part}]" if isinstance(part, int) else f".{part}" for part in path)
+
+
+#: One value of each JSON type.
+JSON_VALUES = [None, True, 7, 1.5, "x", [], {}]
+DELETE = object()
+
+
+def _mutate(doc, path, value):
+    """Set the entry at ``path`` to ``value``, or delete its key."""
+    parent = doc
+    for part in path[:-1]:
+        parent = parent[part]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+
+
+class TestMalformedDocuments:
+    """``SearchCheckpoint.from_json`` is total: a malformed document
+    raises :class:`FrontierFormatError` naming the JSON path of the bad
+    entry, never a raw exception."""
+
+    @given(st.data())
+    def test_a_mutated_checkpoint_loads_or_names_the_bad_entry(self, data):
+        doc = json.loads(data.draw(st.sampled_from(_suspended_documents())))
+        delete = data.draw(st.booleans(), label="delete a key")
+        spots = [path for path, is_key in _spots(doc) if is_key or not delete]
+        path = data.draw(st.sampled_from(spots), label="path")
+        if delete:
+            value = DELETE
+        else:
+            old = functools.reduce(lambda node, part: node[part], path, doc)
+            value = data.draw(
+                st.sampled_from([v for v in JSON_VALUES if type(v) is not type(old)])
+            )
+        _mutate(doc, path, value)
+        try:
+            SearchCheckpoint.from_json(doc)
+        except FrontierFormatError as err:
+            where = str(err).split(":")[0]
+            assert _json_path(path).startswith(where), (str(err), _json_path(path))
+
+    @pytest.mark.parametrize(
+        "document, path, value, message",
+        [
+            (0, ("pending", 2), 5, "$.pending[2]: expected list, got int"),
+            (0, ("pending", 2, 0, "index"), DELETE, "$.pending[2][0]: missing key 'index'"),
+            (0, ("pending", 1, 0, "index"), 9, "$.pending[1][0].index: 9 is out of range"),
+            (1, ("pending", 0, 0, "sigs", 0), ["a", 1], "$.pending[0][0].sigs[0]: expected 5"),
+            (
+                0,
+                ("completed", 0, "report", "paths_explored"),
+                "2",
+                "$.completed[0].report.paths_explored: expected int, got str",
+            ),
+            (
+                0,
+                ("completed", 0, "report", "stats", "jobs"),
+                None,
+                "$.completed[0].report.stats.jobs: expected int, got null",
+            ),
+            (0, ("fingerprints", 0), 1, "$.fingerprints[0]: expected str, got int"),
+            (
+                1,
+                ("completed", 0, "report", "deadlocks", 0, "choices", 1),
+                ["t", "b"],
+                "$.completed[0].report.deadlocks[0].choices[1]: expected 3 entries",
+            ),
+        ],
+    )
+    def test_the_error_names_the_entry(self, document, path, value, message):
+        doc = json.loads(_suspended_documents()[document])
+        _mutate(doc, path, value)
+        with pytest.raises(FrontierFormatError) as err:
+            SearchCheckpoint.from_json(doc)
+        assert str(err.value).startswith(message)
+
+    def test_load_rejects_bytes_that_are_not_text(self, tmp_path):
+        path = tmp_path / "frontier.json"
+        path.write_bytes(b"\xff\xfe{")
         with pytest.raises(FrontierFormatError):
             load_frontier(path)
 
