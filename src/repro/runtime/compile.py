@@ -7,11 +7,13 @@ module pays those costs *once per program* instead of once per step:
 :func:`compile_program` translates each procedure's CFG into specialized
 Python closures —
 
-* **one callable per basic block** — maximal straight-line runs of
-  ASSIGN nodes fuse into a single closure (every interior node still
-  gets its own callable, so jumps may land mid-block); dispatch threads
-  through a precomputed ``node id -> callable`` table with successor ids
-  resolved at compile time, never by scanning arcs;
+* **one op per CFG node, one divergence check** — each node compiles to
+  a single closure that does the node's work, moves its activation to
+  the successor (resolved at compile time, never by scanning arcs) and
+  counts its invisible step; dispatch threads through a precomputed
+  ``node id -> op`` table, and :meth:`CompiledEngine._advance` checks
+  the divergence budget once per executed node, as the walking engine's
+  loop does;
 * **specialized expression closures** — each AST operator compiles to a
   dedicated closure over its operand closures, with literals interned as
   captured constants and peephole fast paths for int arithmetic;
@@ -82,12 +84,19 @@ class CompileUnsupported(Exception):
     support; the caller should fall back to the walking engine."""
 
 
-#: Sentinel returned by a node callable when the process terminated
-#: (RETURN from the top level, or EXIT).
+# An op ``op(engine, act)`` returns ``None`` to run on (``_advance``
+# then checks the divergence budget), ``_CALLED`` after entering a
+# procedure, ``_DONE`` when the process terminates, or the request the
+# process pauses on.
+
+#: Returned by an op when the process terminated (RETURN from the top
+#: level, or EXIT).
 _DONE = object()
 
-#: Upper bound on how many ASSIGN nodes fuse into one block callable.
-_MAX_BLOCK = 64
+#: Returned by a CALL op: the call node skips the budget check, so
+#: entering a procedure defers it by one node, like the walking
+#: engine's ``continue``.
+_CALLED = object()
 
 
 # ---------------------------------------------------------------------------
@@ -656,14 +665,8 @@ def _compile_proc(cfg: ControlFlowGraph, procs: dict[str, CompiledProc]) -> Comp
         if node.kind in (NodeKind.START, NodeKind.ASSIGN, NodeKind.CALL):
             proc.next_of[node.id] = _single_always_dst(cfg, node.id)
 
-    # Per-ASSIGN actions, for basic-block fusion.
-    actions: dict[int, Any] = {}
     for node in cfg.nodes.values():
-        if node.kind is NodeKind.ASSIGN:
-            actions[node.id] = _compile_assign_action(node, layout)
-
-    for node in cfg.nodes.values():
-        proc.ops[node.id] = _compile_node(cfg, node, proc, layout, actions, procs)
+        proc.ops[node.id] = _compile_node(cfg, node, proc, layout, procs)
 
     # Dense node ids (the normal case): swap the dispatch dict for a
     # flat list — ``ops[node_id]`` stays valid, list indexing is faster.
@@ -676,57 +679,11 @@ def _compile_proc(cfg: ControlFlowGraph, procs: dict[str, CompiledProc]) -> Comp
     return proc
 
 
-def _compile_assign_action(node: CfgNode, layout: _SlotLayout):
-    """An ASSIGN node as a ``action(frame)`` closure."""
-    if node.array_size is not None:
-        if not isinstance(node.target, ast.Name):
-            raise CompileUnsupported("array declaration target must be a simple name")
-        index = layout.index_of[node.target.ident]
-        size = node.array_size
-
-        def action_array(frame, _i=index, _size=size):
-            frame.declare_idx(_i, ArrayValue(size=_size))
-
-        return action_array
-    value_ev = _compile_expr(node.value, layout)
-    if isinstance(node.target, ast.Name):
-        index = layout.index_of[node.target.ident]
-
-        def action_declare(frame, _i=index, _ev=value_ev):
-            # declare_idx inlined: this is the single hottest action.
-            value = _ev(frame)
-            slots = frame.slots
-            cell = slots[_i]
-            journal = frame.journal
-            if cell is None:
-                if journal is not None:
-                    journal.record_slot(slots, _i)
-                slots[_i] = Cell(value)
-            else:
-                if journal is not None:
-                    journal.record_cell(cell)
-                cell.value = value
-
-        return action_declare
-    lv = _compile_lvalue(node.target, layout, create=True)
-
-    def action_store(frame, _ev=value_ev, _lv=lv):
-        value = _ev(frame)
-        cell = _lv(frame)
-        journal = frame.journal
-        if journal is not None:
-            journal.record_cell(cell)
-        cell.value = value
-
-    return action_store
-
-
 def _compile_node(
     cfg: ControlFlowGraph,
     node: CfgNode,
     proc: CompiledProc,
     layout: _SlotLayout,
-    actions: dict[int, Any],
     procs: dict[str, CompiledProc],
 ):
     kind = node.kind
@@ -735,12 +692,11 @@ def _compile_node(
 
         def op_start(engine, act, _next=next_id):
             act.node_id = _next
-            return None
 
         return op_start
 
     if kind is NodeKind.ASSIGN:
-        return _compile_block(cfg, node, proc, actions)
+        return _compile_assign(node, layout, proc.next_of[node.id])
 
     if kind is NodeKind.COND:
         return _compile_cond(cfg, node, layout)
@@ -774,10 +730,7 @@ def _compile_node(
                     journal.record_cell(cell)
                 cell.value = value if value is not None else TOP
             caller.node_id = caller.proc.next_of[caller.node_id]
-            steps = engine._invisible_steps + 1
-            engine._invisible_steps = steps
-            if steps > engine._budget:
-                raise DivergenceError(engine.process_name, engine._budget)
+            engine._invisible_steps += 1
             return None
 
         return op_return
@@ -792,127 +745,40 @@ def _compile_node(
     raise CompileUnsupported(f"unknown node kind {kind}")
 
 
-def _fused_assign_op(node: CfgNode, layout: _SlotLayout, next_id: int):
-    """A lone name-target ASSIGN as a single closure: expression, store,
-    journaling, step accounting — no intermediate action call."""
-    if node.array_size is not None or not isinstance(node.target, ast.Name):
-        return None
-    index = layout.index_of[node.target.ident]
-    value_ev = _compile_expr(node.value, layout)
+def _compile_assign(node: CfgNode, layout: _SlotLayout, next_id: int):
+    if node.array_size is not None:
+        if not isinstance(node.target, ast.Name):
+            raise CompileUnsupported("array declaration target must be a simple name")
+        index = layout.index_of[node.target.ident]
 
-    def op_assign_fused(engine, act, _i=index, _ev=value_ev, _next=next_id):
-        frame = act.frame
-        value = _ev(frame)
-        slots = frame.slots
-        cell = slots[_i]
-        journal = frame.journal
-        if cell is None:
-            if journal is not None:
-                journal.record_slot(slots, _i)
-            slots[_i] = Cell(value)
-        else:
-            if journal is not None:
-                journal.record_cell(cell)
-            cell.value = value
-        act.node_id = _next
-        steps = engine._invisible_steps + 1
-        engine._invisible_steps = steps
-        if steps > engine._budget:
-            raise DivergenceError(engine.process_name, engine._budget)
-        return None
-
-    return op_assign_fused
-
-
-def _compile_block(cfg: ControlFlowGraph, head: CfgNode, proc: CompiledProc, actions):
-    """Fuse the maximal ASSIGN run starting at ``head`` into one callable."""
-    chain = [head.id]
-    seen = {head.id}
-    next_id = proc.next_of[head.id]
-    while (
-        len(chain) < _MAX_BLOCK
-        and next_id not in seen
-        and cfg.nodes[next_id].kind is NodeKind.ASSIGN
-    ):
-        chain.append(next_id)
-        seen.add(next_id)
-        next_id = proc.next_of[next_id]
-    block_actions = [actions[node_id] for node_id in chain]
-    ids_after = [proc.next_of[node_id] for node_id in chain]
-
-    if len(chain) == 1:
-        action = block_actions[0]
-        fused = _fused_assign_op(cfg.nodes[head.id], proc.layout, next_id)
-        if fused is not None:
-            return fused
-
-        def op_assign(engine, act, _a=action, _next=next_id):
-            _a(act.frame)
+        def op_declare_array(
+            engine, act, _i=index, _size=node.array_size, _next=next_id
+        ):
+            act.frame.declare_idx(_i, ArrayValue(size=_size))
             act.node_id = _next
-            steps = engine._invisible_steps + 1
-            engine._invisible_steps = steps
-            if steps > engine._budget:
-                raise DivergenceError(engine.process_name, engine._budget)
-            return None
+            engine._invisible_steps += 1
+
+        return op_declare_array
+    value_ev = _compile_expr(node.value, layout)
+    if isinstance(node.target, ast.Name):
+        # Declarations and simple assignments create/overwrite the cell.
+        index = layout.index_of[node.target.ident]
+
+        def op_assign(engine, act, _i=index, _ev=value_ev, _next=next_id):
+            frame = act.frame
+            frame.declare_idx(_i, _ev(frame))
+            act.node_id = _next
+            engine._invisible_steps += 1
 
         return op_assign
+    store = _make_store(_compile_lvalue(node.target, layout, create=True))
 
-    count = len(chain)
-    entries = tuple((cfg.proc_name, node_id) for node_id in chain)
+    def op_store(engine, act, _ev=value_ev, _store=store, _next=next_id):
+        _store(engine, act, _ev(act.frame))
+        act.node_id = _next
+        engine._invisible_steps += 1
 
-    def op_block(
-        engine,
-        act,
-        _actions=block_actions,
-        _ids=ids_after,
-        _next=next_id,
-        _k=count,
-        _entries=entries,
-    ):
-        steps = engine._invisible_steps
-        budget = engine._budget
-        frame = act.frame
-        trace = engine._trace
-        if trace is not None:
-            # Coverage tracing: per-node path so the interior chain
-            # nodes land in the buffer in execution order (the head was
-            # already recorded by ``_advance``), each logged before its
-            # action runs — a faulting or diverging node is recorded,
-            # later nodes of the block are not, exactly like the
-            # walking engine.
-            index = 0
-            for action, node_after in zip(_actions, _ids):
-                if index:
-                    trace.append(_entries[index])
-                index += 1
-                action(frame)
-                act.node_id = node_after
-                steps += 1
-                if steps > budget:
-                    engine._invisible_steps = steps
-                    raise DivergenceError(engine.process_name, budget)
-            engine._invisible_steps = steps
-            return None
-        if steps + _k <= budget:
-            for action in _actions:
-                action(frame)
-            act.node_id = _next
-            engine._invisible_steps = steps + _k
-            return None
-        # Near the divergence horizon: per-node accounting, so the
-        # DivergenceError fires after exactly the same node as the
-        # walking engine (later nodes of the block never execute).
-        for action, node_after in zip(_actions, _ids):
-            action(frame)
-            act.node_id = node_after
-            steps += 1
-            if steps > budget:
-                engine._invisible_steps = steps
-                raise DivergenceError(engine.process_name, budget)
-        engine._invisible_steps = steps
-        return None
-
-    return op_block
+    return op_store
 
 
 def _compile_cond(cfg: ControlFlowGraph, node: CfgNode, layout: _SlotLayout):
@@ -948,11 +814,7 @@ def _compile_cond(cfg: ControlFlowGraph, node: CfgNode, layout: _SlotLayout):
                 act.node_id = _t if subject != 0 else _f
             else:
                 raise RuntimeFault(f"cannot branch on value {subject!r}")
-            steps = engine._invisible_steps + 1
-            engine._invisible_steps = steps
-            if steps > engine._budget:
-                raise DivergenceError(engine.process_name, engine._budget)
-            return None
+            engine._invisible_steps += 1
 
         return op_cond
 
@@ -992,11 +854,7 @@ def _compile_cond(cfg: ControlFlowGraph, node: CfgNode, layout: _SlotLayout):
             if dst < 0:
                 raise RuntimeFault(f"{_proc}: switch node {_nid} has no default")
             act.node_id = dst
-            steps = engine._invisible_steps + 1
-            engine._invisible_steps = steps
-            if steps > engine._budget:
-                raise DivergenceError(engine.process_name, engine._budget)
-            return None
+            engine._invisible_steps += 1
 
         return op_switch
 
@@ -1087,10 +945,8 @@ def _compile_proc_call(
             new_frame.declare_idx(slot, ev(frame))
         result_cell = _result(frame) if _result is not None else None
         stack.append(_Activation(target, new_frame, target.start_id, result_cell))
-        # NB: no budget check here — entering a procedure defers the
-        # divergence check by one node, exactly like the walking engine.
         engine._invisible_steps += 1
-        return None
+        return _CALLED
 
     return op_call
 
@@ -1112,23 +968,6 @@ def _compile_toss_call(
             raise TossDomainError("VS_toss takes exactly one argument")
 
         return op_bad_toss
-
-    static_bound = _static_value(node.args[0])
-    if (
-        static_bound is not _NOT_STATIC
-        and isinstance(static_bound, int)
-        and not isinstance(static_bound, bool)
-        and static_bound >= 0
-    ):
-        # Literal bound: the request is fully static, intern one
-        # instance at compile time (requests are frozen).
-        request = TossRequest(static_bound, node_id, proc_name)
-
-        def op_toss_static(engine, act, _payload=payload, _req=request):
-            engine._pending = (_RESUME_TOSS_CALL, act, _payload)
-            return _req
-
-        return op_toss_static
 
     bound_ev = _compile_expr(node.args[0], layout)
 
@@ -1185,21 +1024,8 @@ def _compile_visible(
     if spec.returns_value and node.result is not None:
         store = _make_store(_compile_lvalue(node.result, layout, create=True))
     payload = (store, next_id)
-    static_args = [_static_value(arg) for arg in node.args]
 
     if spec.object_arg is None:
-        if _NOT_STATIC not in static_args:
-            # e.g. ``VS_assert(0)``: the whole request is a constant —
-            # intern one instance at compile time.
-            request = VisibleRequest(
-                op_name, None, tuple(static_args), node_id, proc_name
-            )
-
-            def op_local_static(engine, act, _payload=payload, _req=request):
-                engine._pending = (_RESUME_VISIBLE, act, _payload)
-                return _req
-
-            return op_local_static
 
         def op_local(
             engine, act, _evs=arg_evals, _payload=payload, _op=op_name,
@@ -1214,12 +1040,13 @@ def _compile_visible(
 
     object_arg = spec.object_arg
     rest = tuple(i for i in range(spec.arity) if i != object_arg)
+    static_args = [_static_value(arg) for arg in node.args]
 
     if static_args[object_arg] is not _NOT_STATIC:
         # The object operand is a literal (the normalizer lowers bare
         # object names to string atoms), so resolution is a per-engine
         # constant — but ``engine._objects`` differs per run, so the
-        # resolved request is cached on the *engine*, keyed by node id.
+        # resolved request is cached on the *engine*.
         # Requests are frozen, making the sharing observationally
         # invisible; resolution failures stay lazy and uncached, so the
         # fault surfaces at the same execution point as the walking
@@ -1295,12 +1122,8 @@ def _compile_invisible_builtin(
         def op_record(engine, act, _store=store, _next=next_id):
             if _store is not None:
                 _store(engine, act, RecordValue())
-            engine._invisible_steps += 1
             act.node_id = _next
-            steps = engine._invisible_steps
-            if steps > engine._budget:
-                raise DivergenceError(engine.process_name, engine._budget)
-            return None
+            engine._invisible_steps += 1
 
         return op_record
 
@@ -1327,12 +1150,8 @@ def _compile_invisible_builtin(
             )
         if _store is not None:
             _store(engine, act, ObjectRef(obj.kind, arg))
-        engine._invisible_steps += 1
         act.node_id = _next
-        steps = engine._invisible_steps
-        if steps > engine._budget:
-            raise DivergenceError(engine.process_name, engine._budget)
-        return None
+        engine._invisible_steps += 1
 
     return op_lookup
 
@@ -1389,14 +1208,12 @@ class CompiledEngine:
         self._pending: tuple | None = None
         #: Per-engine cache of interned :class:`VisibleRequest` objects
         #: (and resolved communication objects) for operations whose
-        #: operands are compile-time literals — keyed by node id, filled
-        #: lazily because object resolution is per-run.
+        #: operands are compile-time literals — keyed by a per-node
+        #: sentinel, filled lazily because object resolution is per-run.
         self._request_cache: dict[Any, Any] = {}
         #: Node-trace buffer for coverage collection (``None`` = off).
-        #: ``_advance`` records every dispatched node; fused ASSIGN
-        #: blocks additionally log their interior nodes (see
-        #: ``op_block``), so the sequence is instruction-identical to
-        #: the walking engine's.
+        #: ``_advance`` records every dispatched node, so the sequence is
+        #: instruction-identical to the walking engine's.
         self._trace: list | None = None
 
     # -- public API ------------------------------------------------------------
@@ -1441,24 +1258,27 @@ class CompiledEngine:
         return self._advance()
 
     def _advance(self) -> Request | None:
-        """Threaded dispatch: look up and invoke node callables until a
-        request (returned) or termination (``None``)."""
+        """Threaded dispatch: look up and invoke node ops until a request
+        (returned) or termination (``None``).
+
+        The divergence-budget check runs once per executed node, as in
+        the walking engine; a CALL op's ``_CALLED`` skips it for the call
+        node, deferring the check by one node.
+        """
         stack = self._stack
         trace = self._trace
-        if trace is None:
-            while True:
-                act = stack[-1]
-                result = act.proc.ops[act.node_id](self, act)
-                if result is not None:
-                    return None if result is _DONE else result
-        # Coverage tracing: record each node before invoking its op (a
-        # faulting node is logged as visited, its out-edge is not) —
-        # duplicated loop so the hot untraced path pays nothing.
+        budget = self._budget
         while True:
             act = stack[-1]
-            trace.append((act.proc.name, act.node_id))
+            if trace is not None:
+                # Record before executing: a faulting or diverging node
+                # is logged as visited, its out-edge is not.
+                trace.append((act.proc.name, act.node_id))
             result = act.proc.ops[act.node_id](self, act)
-            if result is not None:
+            if result is None:
+                if self._invisible_steps > budget:
+                    raise DivergenceError(self.process_name, budget)
+            elif result is not _CALLED:
                 return None if result is _DONE else result
 
     # -- checkpoint / restore ----------------------------------------------------
@@ -1500,8 +1320,8 @@ class CompiledEngine:
         """Drain and return the recorded ``(proc_name, node_id)`` entries.
 
         The buffer is handed over and replaced with a fresh list (no
-        copy); ``_advance`` and ``op_block`` re-read ``self._trace`` on
-        every entry, and the engine is suspended whenever this is called.
+        copy); ``_advance`` re-reads ``self._trace`` on every entry, and
+        the engine is suspended whenever this is called.
         """
         trace = self._trace
         if not trace:
