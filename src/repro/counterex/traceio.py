@@ -62,7 +62,56 @@ VERSION = 1
 
 
 class TraceFormatError(ValueError):
-    """A trace file is malformed or of an unsupported version."""
+    """A trace file is malformed or of an unsupported version.  The
+    message starts with the JSON path of the bad entry
+    (``$.choices[3][2]: expected int, got str``)."""
+
+
+# ---------------------------------------------------------------------------
+# JSON shape checks (the frontier loader runs them too)
+# ---------------------------------------------------------------------------
+
+
+_MISSING = object()
+_NULL = type(None)
+
+
+def _check(value: Any, kinds: tuple[type, ...], path: str) -> Any:
+    """``value``, if its JSON type is one of ``kinds`` (``bool`` does
+    not pass for ``int``); else a :class:`TraceFormatError` naming the
+    JSON ``path``."""
+    if type(value) not in kinds:
+        expected = " or ".join(map(_type_name, kinds))
+        raise TraceFormatError(f"{path}: expected {expected}, got {_type_name(type(value))}")
+    return value
+
+
+def _type_name(kind: type) -> str:
+    return "null" if kind is _NULL else kind.__name__
+
+
+def _field(doc: dict, key: str, kinds: tuple[type, ...], path: str, default: Any = _MISSING) -> Any:
+    """``doc[key]``, type-checked; ``default`` when the key is absent,
+    unless the key is required."""
+    if key not in doc:
+        if default is _MISSING:
+            raise TraceFormatError(f"{path}: missing key {key!r}")
+        return default
+    return _check(doc[key], kinds, f"{path}.{key}")
+
+
+def _items(payload: Any, kinds: tuple[type, ...], path: str) -> list:
+    """A JSON list whose entries all have one of ``kinds``."""
+    for i, value in enumerate(_check(payload, (list,), path)):
+        _check(value, kinds, f"{path}[{i}]")
+    return payload
+
+
+def _row(payload: Any, kinds: tuple[tuple[type, ...], ...], path: str) -> tuple:
+    """A fixed-length JSON list whose entries have the given types."""
+    if len(_check(payload, (list,), path)) != len(kinds):
+        raise TraceFormatError(f"{path}: expected {len(kinds)} entries, got {len(payload)}")
+    return tuple(_check(v, k, f"{path}[{i}]") for i, (v, k) in enumerate(zip(payload, kinds)))
 
 
 # ---------------------------------------------------------------------------
@@ -81,17 +130,21 @@ def choices_to_json(choices: tuple[Choice, ...]) -> list:
     return out
 
 
-def choices_from_json(payload: list) -> tuple[Choice, ...]:
-    """Inverse of :func:`choices_to_json`."""
+#: ``["s", process]`` or ``["t", process, value]``, by tag.
+_CHOICE_ROWS = {"s": ((str,), (str,)), "t": ((str,), (str,), (int,))}
+
+
+def choices_from_json(payload: Any, path: str = "$.choices") -> tuple[Choice, ...]:
+    """Inverse of :func:`choices_to_json`.  A malformed entry raises
+    :class:`TraceFormatError` naming its JSON ``path``."""
     choices: list[Choice] = []
-    for entry in payload:
-        tag = entry[0]
-        if tag == "s":
-            choices.append(ScheduleChoice(entry[1]))
-        elif tag == "t":
-            choices.append(TossChoice(entry[1], entry[2]))
-        else:
-            raise TraceFormatError(f"unknown choice tag {tag!r}")
+    for i, entry in enumerate(_check(payload, (list,), path)):
+        at = f"{path}[{i}]"
+        tag = entry[0] if type(entry) is list and entry else None
+        if type(tag) is not str or tag not in _CHOICE_ROWS:
+            raise TraceFormatError(f'{at}: expected ["s", process] or ["t", process, value]')
+        row = _row(entry, _CHOICE_ROWS[tag], at)
+        choices.append(ScheduleChoice(row[1]) if tag == "s" else TossChoice(row[1], row[2]))
     return tuple(choices)
 
 
@@ -100,9 +153,17 @@ def steps_to_json(steps: tuple[TraceStep, ...]) -> list:
     return [[s.process, s.op, s.obj, s.detail] for s in steps]
 
 
-def steps_from_json(payload: list) -> tuple[TraceStep, ...]:
-    """Inverse of :func:`steps_to_json`."""
-    return tuple(TraceStep(p, op, obj, detail) for p, op, obj, detail in payload)
+#: ``[process, op, obj, detail]``.
+_STEP_ROW = ((str,), (str,), (str, _NULL), (str,))
+
+
+def steps_from_json(payload: Any, path: str = "$.steps") -> tuple[TraceStep, ...]:
+    """Inverse of :func:`steps_to_json`.  A malformed entry raises
+    :class:`TraceFormatError` naming its JSON ``path``."""
+    return tuple(
+        TraceStep(*_row(step, _STEP_ROW, f"{path}[{i}]"))
+        for i, step in enumerate(_check(payload, (list,), path))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +193,35 @@ def violation_to_json(event: Any) -> dict:
     return payload
 
 
-def violation_from_json(payload: dict, trace: Trace) -> Any:
-    """Rebuild the typed event object carrying ``trace``."""
-    kind = payload.get("kind")
+#: Each violation kind's fields: name, JSON types, required.
+_VIOLATION_FIELDS = {
+    "deadlock": (),
+    "assertion": (
+        ("process", (str,), True), ("proc_name", (str,), True), ("node_id", (int,), True),
+    ),
+    "crash": (("process", (str,), True), ("message", (str,), False)),
+    "divergence": (("process", (str,), True),),
+}
+#: A deadlock's ``waiting`` entry: ``[process, op, obj]``.
+_WAIT_ROW = ((str,), (str,), (str, _NULL))
+
+
+def violation_from_json(payload: Any, trace: Trace, path: str = "$.violation") -> Any:
+    """Rebuild the typed event object carrying ``trace``.  A malformed
+    entry raises :class:`TraceFormatError` naming its JSON ``path``."""
+    _check(payload, (dict,), path)
+    kind = _field(payload, "kind", (str,), path)
+    if kind not in _VIOLATION_FIELDS:
+        raise TraceFormatError(f"{path}.kind: unknown violation kind {kind!r}")
+    for key, kinds, required in _VIOLATION_FIELDS[kind]:
+        _field(payload, key, kinds, path, _MISSING if required else None)
     if kind == "deadlock":
+        blocked = _items(payload.get("blocked", []), (str,), f"{path}.blocked")
+        waiting = _items(payload.get("waiting", []), (list,), f"{path}.waiting")
         return DeadlockEvent(
             trace,
-            tuple(payload.get("blocked", ())),
-            tuple(tuple(entry) for entry in payload.get("waiting", ())),
+            tuple(blocked),
+            tuple(_row(row, _WAIT_ROW, f"{path}.waiting[{i}]") for i, row in enumerate(waiting)),
         )
     if kind == "assertion":
         return AssertionViolationEvent(
@@ -147,9 +229,17 @@ def violation_from_json(payload: dict, trace: Trace) -> Any:
         )
     if kind == "crash":
         return CrashEvent(trace, payload["process"], payload.get("message", ""))
-    if kind == "divergence":
-        return DivergenceEvent(trace, payload["process"])
-    raise TraceFormatError(f"unknown violation kind {kind!r}")
+    return DivergenceEvent(trace, payload["process"])
+
+
+def _check_signature(payload: Any, path: str) -> None:
+    """A triage signature: a JSON list of strings, ints, nulls and such
+    lists (so :func:`signature_from_json` gives a hashable tuple)."""
+    for i, item in enumerate(_check(payload, (list,), path)):
+        if type(item) is list:
+            _check_signature(item, f"{path}[{i}]")
+        else:
+            _check(item, (str, int, _NULL), f"{path}[{i}]")
 
 
 # ---------------------------------------------------------------------------
@@ -208,33 +298,47 @@ class TraceFile:
         return doc
 
     @classmethod
-    def from_json(cls, doc: dict) -> "TraceFile":
-        """Parse and validate a JSON document."""
+    def from_json(cls, doc: Any) -> "TraceFile":
+        """Parse and validate a JSON document: every key this class,
+        replay and shrink read.  Anything malformed raises
+        :class:`TraceFormatError` naming the JSON path of the bad entry
+        (``$.violation.signature[1]``)."""
         if not isinstance(doc, dict) or doc.get("format") != FORMAT:
             raise TraceFormatError(
-                f"not a {FORMAT} file (format tag: {doc.get('format')!r})"
+                f"$.format: not a {FORMAT} file (format tag: {doc.get('format')!r})"
                 if isinstance(doc, dict)
-                else "not a trace file: top level must be a JSON object"
+                else "$: not a trace file: top level must be a JSON object"
             )
         version = doc.get("version")
-        if version != VERSION:
+        if type(version) is not int or version != VERSION:
             raise TraceFormatError(
-                f"unsupported trace format version {version!r} "
+                f"$.version: unsupported trace format version {version!r} "
                 f"(this build reads version {VERSION})"
             )
-        if "violation" not in doc or "choices" not in doc:
-            raise TraceFormatError("trace file lacks 'violation' or 'choices'")
         trace = Trace(
-            choices_from_json(doc["choices"]),
-            steps_from_json(doc.get("steps", [])),
+            choices_from_json(_field(doc, "choices", (list,), "$")),
+            steps_from_json(_field(doc, "steps", (list,), "$", [])),
         )
+        violation = _field(doc, "violation", (dict,), "$")
+        violation_from_json(violation, trace)
+        _check_signature(
+            _field(violation, "signature", (list,), "$.violation"), "$.violation.signature"
+        )
+        search = _field(doc, "search", (dict,), "$", {})
+        _field(search, "engine", (str, _NULL), "$.search", None)
+        options = _field(search, "options", (dict,), "$.search", {})
+        _field(options, "engine", (str, _NULL), "$.search.options", None)
+        system = _field(doc, "system", (dict, _NULL), "$", None)
+        if system is not None:
+            _field(system, "description", (dict,), "$.system")
+            _field(system, "program_source", (str, _NULL), "$.system", None)
         return cls(
-            violation=doc["violation"],
+            violation=violation,
             trace=trace,
-            fingerprint=doc.get("fingerprint"),
-            search=doc.get("search", {}),
-            system=doc.get("system"),
-            shrink=doc.get("shrink"),
+            fingerprint=_field(doc, "fingerprint", (str, _NULL), "$", None),
+            search=search,
+            system=system,
+            shrink=_field(doc, "shrink", (dict, _NULL), "$", None),
             version=version,
         )
 
@@ -304,7 +408,7 @@ def load_trace(path: str | pathlib.Path) -> TraceFile:
     path = pathlib.Path(path)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise TraceFormatError(f"{path}: not valid JSON: {err}") from err
     return TraceFile.from_json(doc)
 

@@ -37,12 +37,19 @@ must ignore unknown keys.
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 from dataclasses import dataclass, field, fields
 from typing import Any
 
 from ..counterex.traceio import (
+    _NULL,
+    TraceFormatError,
+    _check,
+    _field,
+    _items,
+    _row,
     choices_from_json,
     choices_to_json,
     steps_from_json,
@@ -79,51 +86,23 @@ class FrontierFormatError(ValueError):
     """A frontier checkpoint is malformed or of an unsupported version."""
 
 
+def _frontier_errors(decode):
+    """``decode`` with the shared JSON checks' :class:`TraceFormatError`
+    re-raised as a :class:`FrontierFormatError` (same path, same text)."""
+
+    @functools.wraps(decode)
+    def checked(*args, **kwargs):
+        try:
+            return decode(*args, **kwargs)
+        except TraceFormatError as err:
+            raise FrontierFormatError(str(err)) from err
+
+    return checked
+
+
 # ---------------------------------------------------------------------------
 # Prefix (de)serialization
 # ---------------------------------------------------------------------------
-
-
-_MISSING = object()
-_NULL = type(None)
-
-
-def _check(value: Any, kinds: tuple[type, ...], path: str) -> Any:
-    """``value``, if its JSON type is one of ``kinds`` (``bool`` does
-    not pass for ``int``); else a :class:`FrontierFormatError` naming
-    the JSON ``path``."""
-    if type(value) not in kinds:
-        expected = " or ".join(map(_type_name, kinds))
-        raise FrontierFormatError(f"{path}: expected {expected}, got {_type_name(type(value))}")
-    return value
-
-
-def _type_name(kind: type) -> str:
-    return "null" if kind is _NULL else kind.__name__
-
-
-def _field(doc: dict, key: str, kinds: tuple[type, ...], path: str, default: Any = _MISSING) -> Any:
-    """``doc[key]``, type-checked; ``default`` when the key is absent,
-    unless the key is required."""
-    if key not in doc:
-        if default is _MISSING:
-            raise FrontierFormatError(f"{path}: missing key {key!r}")
-        return default
-    return _check(doc[key], kinds, f"{path}.{key}")
-
-
-def _items(payload: Any, kinds: tuple[type, ...], path: str) -> list:
-    """A JSON list whose entries all have one of ``kinds``."""
-    for i, value in enumerate(_check(payload, (list,), path)):
-        _check(value, kinds, f"{path}[{i}]")
-    return payload
-
-
-def _row(payload: Any, kinds: tuple[tuple[type, ...], ...], path: str) -> tuple:
-    """A fixed-length JSON list whose entries have the given types."""
-    if len(_check(payload, (list,), path)) != len(kinds):
-        raise FrontierFormatError(f"{path}: expected {len(kinds)} entries, got {len(payload)}")
-    return tuple(_check(v, k, f"{path}[{i}]") for i, (v, k) in enumerate(zip(payload, kinds)))
 
 
 #: ``[process, node_id, op, obj, local]``.
@@ -168,6 +147,7 @@ def prefix_to_json(prefix: ChoicePrefix) -> list:
 _ALTERNATIVE = {"schedule": (str,), "toss": (int,)}
 
 
+@_frontier_errors
 def prefix_from_json(payload: Any, path: str = "$") -> ChoicePrefix:
     """Inverse of :func:`prefix_to_json`.  A malformed entry raises
     :class:`FrontierFormatError` naming its JSON ``path``."""
@@ -220,49 +200,14 @@ def _event_to_json(event: Any) -> dict:
     }
 
 
-#: ``["s", process]`` or ``["t", process, value]``, by tag.
-_CHOICE_ROWS = {"s": ((str,), (str,)), "t": ((str,), (str,), (int,))}
-#: ``[process, op, obj, detail]``.
-_STEP_ROW = ((str,), (str,), (str, _NULL), (str,))
-#: Each violation kind's fields: name, JSON types, required.
-_VIOLATION_FIELDS = {
-    "deadlock": (),
-    "assertion": (
-        ("process", (str,), True), ("proc_name", (str,), True), ("node_id", (int,), True),
-    ),
-    "crash": (("process", (str,), True), ("message", (str,), False)),
-    "divergence": (("process", (str,), True),),
-}
-#: A deadlock's ``waiting`` entry: ``[process, op, obj]``.
-_WAIT_ROW = ((str,), (str,), (str, _NULL))
-
-
 def _event_from_json(payload: Any, path: str) -> Any:
     _check(payload, (dict,), path)
-    choices = _field(payload, "choices", (list,), path)
-    for i, choice in enumerate(choices):
-        tag = choice[0] if type(choice) is list and choice else None
-        if type(tag) is not str or tag not in _CHOICE_ROWS:
-            raise FrontierFormatError(
-                f"{path}.choices[{i}]: expected [\"s\", process] or [\"t\", process, value]"
-            )
-        _row(choice, _CHOICE_ROWS[tag], f"{path}.choices[{i}]")
-    steps = _field(payload, "steps", (list,), path, [])
-    for i, step in enumerate(steps):
-        _row(step, _STEP_ROW, f"{path}.steps[{i}]")
-    at = f"{path}.violation"
+    trace = Trace(
+        choices_from_json(_field(payload, "choices", (list,), path), f"{path}.choices"),
+        steps_from_json(_field(payload, "steps", (list,), path, []), f"{path}.steps"),
+    )
     violation = _field(payload, "violation", (dict,), path)
-    kind = _field(violation, "kind", (str,), at)
-    if kind not in _VIOLATION_FIELDS:
-        raise FrontierFormatError(f"{at}.kind: unknown violation kind {kind!r}")
-    for key, kinds, required in _VIOLATION_FIELDS[kind]:
-        _field(violation, key, kinds, at, _MISSING if required else None)
-    if kind == "deadlock":
-        _items(violation.get("blocked", []), (str,), f"{at}.blocked")
-        for i, row in enumerate(_items(violation.get("waiting", []), (list,), f"{at}.waiting")):
-            _row(row, _WAIT_ROW, f"{at}.waiting[{i}]")
-    trace = Trace(choices_from_json(choices), steps_from_json(steps))
-    return violation_from_json(violation, trace)
+    return violation_from_json(violation, trace, f"{path}.violation")
 
 
 def report_to_json(report: ExplorationReport) -> dict:
@@ -296,6 +241,7 @@ _STATS_KINDS = {
 }
 
 
+@_frontier_errors
 def report_from_json(payload: Any, path: str = "$") -> ExplorationReport:
     """Inverse of :func:`report_to_json`.  A malformed entry raises
     :class:`FrontierFormatError` naming its JSON ``path``."""
@@ -421,6 +367,7 @@ class SearchCheckpoint:
         }
 
     @classmethod
+    @_frontier_errors
     def from_json(cls, doc: Any) -> "SearchCheckpoint":
         """Parse and validate a JSON document.  Anything malformed
         raises :class:`FrontierFormatError` naming the JSON path of the

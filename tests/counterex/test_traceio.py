@@ -1,10 +1,14 @@
 """The versioned trace format: round-trip, validation, version policy."""
 
+import functools
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import SearchOptions, run_search
+from repro.cli import main
 from repro.counterex import (
     FORMAT,
     VERSION,
@@ -151,3 +155,124 @@ class TestSaveReportTraces:
             tmp_path, report, system=system, system_payload=payload
         )
         assert load_trace(written[0]).system == payload
+
+
+@functools.lru_cache(maxsize=None)
+def _saved_documents():
+    """Two saved traces as JSON text: Figure 2's assertion trace, with
+    its system payload embedded as ``repro search --save-traces``
+    writes it, and the deadlock system's trace."""
+    fig2 = figure_system(FIG2_SRC, "p")
+    report, event = first_event(fig2)
+    description = {
+        "program": "fig2.rc",
+        "close": {"env_params": {"p": ["x"]}},
+        "objects": [{"kind": "sink", "name": "out"}],
+        "processes": [{"name": "P", "proc": "p", "args": []}],
+    }
+    payload = {"description": description, "program_source": FIG2_SRC}
+    deadlock = deadlock_system()
+    deadlock_report, deadlock_event = first_event(deadlock)
+    return (
+        json.dumps(
+            trace_file_for_event(event, system=fig2, report=report, system_payload=payload).to_json()
+        ),
+        json.dumps(
+            trace_file_for_event(
+                deadlock_event, system=deadlock, report=deadlock_report
+            ).to_json()
+        ),
+    )
+
+
+def _spots(value, path=()):
+    """Every position in a JSON value: ``(path, is_dict_key)``."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield path + (key,), isinstance(value, dict)
+        if isinstance(child, (dict, list)):
+            yield from _spots(child, path + (key,))
+
+
+def _json_path(path):
+    return "$" + "".join(f"[{part}]" if isinstance(part, int) else f".{part}" for part in path)
+
+
+#: One value of each JSON type.
+JSON_VALUES = [None, True, 7, 1.5, "x", [], {}]
+DELETE = object()
+
+
+def _mutate(doc, path, value):
+    """Set the entry at ``path`` to ``value``, or delete its key."""
+    parent = doc
+    for part in path[:-1]:
+        parent = parent[part]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+
+
+class TestMalformedDocuments:
+    """``TraceFile.from_json``, ``event()`` and ``signature()`` are total:
+    a malformed document raises :class:`TraceFormatError` naming the JSON
+    path of the bad entry, never a raw exception."""
+
+    @given(st.data())
+    def test_a_mutated_trace_loads_or_names_the_bad_entry(self, data):
+        doc = json.loads(data.draw(st.sampled_from(_saved_documents())))
+        delete = data.draw(st.booleans(), label="delete a key")
+        spots = [path for path, is_key in _spots(doc) if is_key or not delete]
+        path = data.draw(st.sampled_from(spots), label="path")
+        if delete:
+            value = DELETE
+        else:
+            old = functools.reduce(lambda node, part: node[part], path, doc)
+            value = data.draw(
+                st.sampled_from([v for v in JSON_VALUES if type(v) is not type(old)])
+            )
+        _mutate(doc, path, value)
+        try:
+            loaded = TraceFile.from_json(doc)
+            loaded.event()
+            hash(loaded.signature())
+        except TraceFormatError as err:
+            where = str(err).split(":")[0]
+            assert _json_path(path).startswith(where), (str(err), _json_path(path))
+
+    @pytest.mark.parametrize(
+        "document, path, value, message",
+        [
+            (0, ("choices", 1), ["t", "P"], "$.choices[1]: expected 3 entries, got 2"),
+            (0, ("choices", 2, 2), "1", "$.choices[2][2]: expected int, got str"),
+            (0, ("steps", 0, 2), 3, "$.steps[0][2]: expected str or null, got int"),
+            (0, ("violation", "node_id"), DELETE, "$.violation: missing key 'node_id'"),
+            (0, ("violation", "signature", 2), {}, "$.violation.signature[2]: expected str"),
+            (0, ("system", "description"), DELETE, "$.system: missing key 'description'"),
+            (0, ("search", "options"), [], "$.search.options: expected dict, got list"),
+            (1, ("violation", "waiting", 0), ["a"], "$.violation.waiting[0]: expected 3 entries"),
+            (1, ("version",), True, "$.version: unsupported trace format version True"),
+        ],
+    )
+    def test_the_error_names_the_entry(self, document, path, value, message):
+        doc = json.loads(_saved_documents()[document])
+        _mutate(doc, path, value)
+        with pytest.raises(TraceFormatError) as err:
+            TraceFile.from_json(doc)
+        assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("command", ["replay", "shrink"])
+    def test_the_cli_exits_2_and_names_the_entry(self, tmp_path, capsys, command):
+        doc = json.loads(_saved_documents()[0])
+        _mutate(doc, ("violation", "signature"), DELETE)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        assert "$.violation: missing key 'signature'" in capsys.readouterr().err
+
+    def test_load_rejects_bytes_that_are_not_text(self, tmp_path):
+        path = tmp_path / "trace.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(TraceFormatError):
+            load_trace(path)
