@@ -12,8 +12,9 @@ Three experiment families, all merged into ``BENCH_compile.json``
 ``benchmarks/results/``):
 
 * **end-to-end searches** (fig2 / fig3 / bounded 5ESS): ``run_search``
-  under each engine, counter-for-counter parity asserted, wall time and
-  states/sec recorded.  End-to-end gains are bounded by Amdahl's law —
+  under each engine, counter-for-counter parity asserted; each row
+  records the median, min and max wall time of five runs
+  (``bench_lib.timed_search``) and the median run's counters.  End-to-end gains are bounded by Amdahl's law —
   the scheduler, POR and bookkeeping are engine-independent.
 * **engine-level drive** (``5ess_engine``): seeded random schedules of
   the bounded 5ESS system are recorded once, then replayed directly
@@ -38,9 +39,13 @@ import time
 import pytest
 
 from repro import SearchOptions, System, run_search
-from repro.fiveess import build_app
 from repro.runtime.errors import DivergenceError, RuntimeFault
-from benchmarks.bench_lib import baseline_delta_lines, merge_bench_json
+from benchmarks.bench_lib import (
+    baseline_delta_lines,
+    fiveess_system,
+    merge_bench_json,
+    timed_search,
+)
 from tests.statespace.conftest import FIG2_SRC, FIG3_SRC, figure_system
 
 pytestmark = pytest.mark.slow
@@ -77,11 +82,6 @@ proc main() {
 """
 
 
-def _fiveess_system(calls_per_line: int = 1):
-    app = build_app(n_lines=2, calls_per_line=calls_per_line)
-    return app.make_system(app.close(), with_maintenance=False)
-
-
 def _kernel_system():
     system = System(KERNEL_SRC)
     system.add_env_sink("out")
@@ -96,21 +96,18 @@ def _kernel_system():
 CASES = {
     "fig2": (lambda: figure_system(FIG2_SRC, "p"), dict(max_depth=60)),
     "fig3": (lambda: figure_system(FIG3_SRC, "q"), dict(max_depth=60)),
-    "5ess": (
-        lambda: _fiveess_system(),
-        dict(max_depth=24, max_events=50_000),
-    ),
+    "5ess": (fiveess_system, dict(max_depth=24, max_events=50_000)),
 }
 
 
 def _search_row(build, bounds, engine):
-    system = build()
-    if engine == "compiled":
-        system.compiled_program()  # compile outside the timed region
-    options = SearchOptions(engine=engine, **bounds)
-    started = time.perf_counter()
-    report = run_search(system, options)
-    elapsed = time.perf_counter() - started
+    def build_ready():
+        system = build()
+        if engine == "compiled":
+            system.compiled_program()  # compile outside the timed region
+        return system
+
+    report, timing = timed_search(build_ready, SearchOptions(engine=engine, **bounds))
     stats = report.stats
     assert stats.engine == engine, f"fell back to {stats.engine}"
     return {
@@ -121,7 +118,7 @@ def _search_row(build, bounds, engine):
         "paths": stats.paths_explored,
         "violation_groups": len(report.triage()),
         "triage_signatures": sorted(g.signature for g in report.triage()),
-        "wall_time_s": round(elapsed, 4),
+        **timing,
         "states_per_second": round(stats.states_per_second),
     }
 
@@ -182,7 +179,7 @@ def test_bench_compile_phases(record_table):
     bounds = dict(max_depth=20, max_events=50_000, state_cache="exact")
     rows = {}
     for engine in ENGINES:
-        system = _fiveess_system()
+        system = fiveess_system()
         if engine == "compiled":
             system.compiled_program()
         options = SearchOptions(engine=engine, profile=True, **bounds)
@@ -359,7 +356,7 @@ def test_bench_compile_engine_5ess(record_table):
     per visible operation), so the per-request floor bounds the gain;
     the compiled engine must still clear 2x.
     """
-    make = lambda: _fiveess_system(calls_per_line=4)  # noqa: E731
+    make = lambda: fiveess_system(calls_per_line=4)  # noqa: E731
     scripts = _record_scripts(make, seeds=range(8))
     rows, speedup = _engine_rows(make, scripts, reps=6)
     assert speedup >= 2.0, f"compiled engine only {speedup:.2f}x on 5ESS drive"

@@ -153,12 +153,13 @@ def baseline_delta_lines(
     return lines
 
 
-def fiveess_system():
-    """Bounded 5ESS: the call-processing app with 2 lines, 1 call each,
-    closed, without the maintenance process."""
+def fiveess_system(calls_per_line: int = 1):
+    """Bounded 5ESS: the call-processing app with 2 lines,
+    ``calls_per_line`` calls each, closed, without the maintenance
+    process."""
     from repro.fiveess import build_app
 
-    app = build_app(n_lines=2, calls_per_line=1)
+    app = build_app(n_lines=2, calls_per_line=calls_per_line)
     return app.make_system(app.close(), with_maintenance=False)
 
 

@@ -10,8 +10,8 @@ state.  Two implementations satisfy the contract:
   and doubles as the differential-testing oracle for every other engine.
 * ``"compiled"`` — :class:`~repro.runtime.compile.CompiledEngine`, which
   pre-translates each procedure's CFG into specialized Python closures
-  (one callable per basic block, threaded dispatch, slot-indexed frames)
-  and executes those instead.  Programs using constructs the compiler
+  (one op per CFG node, one divergence check per executed node, threaded
+  dispatch, slot-indexed frames) and executes those instead.  Programs using constructs the compiler
   does not support (pointers) fall back to the walking engine
   transparently; :attr:`repro.runtime.system.Run.engine` records which
   engine actually runs.

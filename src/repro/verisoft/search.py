@@ -86,7 +86,7 @@ class SearchOptions:
     #: Which execution engine steps each process (all strategies):
     #: ``"walk"`` (the reference tree-walking interpreter,
     #: :mod:`repro.runtime.interp`) or ``"compiled"`` (CFGs translated
-    #: to Python closures with slab-packed frames,
+    #: to Python closures with slot-indexed frames,
     #: :mod:`repro.runtime.compile`).  Both engines are observationally
     #: identical — same choice trees, counters and triage groups — so
     #: ``"compiled"`` is purely a throughput lever.  When the program
