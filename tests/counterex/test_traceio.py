@@ -28,6 +28,8 @@ from repro.verisoft.results import (
     Trace,
 )
 
+from tests.service.test_frontier import DELETE, JSON_VALUES, _json_path, _mutate, _spots
+
 from .conftest import DEADLOCK_SRC, FIG2_SRC, FIG3_SRC, deadlock_system, figure_system
 
 
@@ -183,35 +185,6 @@ def _saved_documents():
             ).to_json()
         ),
     )
-
-
-def _spots(value, path=()):
-    """Every position in a JSON value: ``(path, is_dict_key)``."""
-    items = value.items() if isinstance(value, dict) else enumerate(value)
-    for key, child in items:
-        yield path + (key,), isinstance(value, dict)
-        if isinstance(child, (dict, list)):
-            yield from _spots(child, path + (key,))
-
-
-def _json_path(path):
-    return "$" + "".join(f"[{part}]" if isinstance(part, int) else f".{part}" for part in path)
-
-
-#: One value of each JSON type.
-JSON_VALUES = [None, True, 7, 1.5, "x", [], {}]
-DELETE = object()
-
-
-def _mutate(doc, path, value):
-    """Set the entry at ``path`` to ``value``, or delete its key."""
-    parent = doc
-    for part in path[:-1]:
-        parent = parent[part]
-    if value is DELETE:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
 
 
 class TestMalformedDocuments:
