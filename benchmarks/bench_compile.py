@@ -14,8 +14,9 @@ Three experiment families, all merged into ``BENCH_compile.json``
 * **end-to-end searches** (fig2 / fig3 / bounded 5ESS): ``run_search``
   under each engine, counter-for-counter parity asserted; each row
   records the median, min and max wall time of five runs
-  (``bench_lib.timed_search``) and the median run's counters.  End-to-end gains are bounded by Amdahl's law —
-  the scheduler, POR and bookkeeping are engine-independent.
+  (``bench_lib.timed_search``) and the median run's counters.
+  End-to-end gains are bounded by Amdahl's law — the scheduler, POR
+  and bookkeeping are engine-independent.
 * **engine-level drive** (``5ess_engine``): seeded random schedules of
   the bounded 5ESS system are recorded once, then replayed directly
   against fresh engine steppers of each kind, isolating the engine's

@@ -11,10 +11,11 @@ state.  Two implementations satisfy the contract:
 * ``"compiled"`` — :class:`~repro.runtime.compile.CompiledEngine`, which
   pre-translates each procedure's CFG into specialized Python closures
   (one op per CFG node, one divergence check per executed node, threaded
-  dispatch, slot-indexed frames) and executes those instead.  Programs using constructs the compiler
-  does not support (pointers) fall back to the walking engine
-  transparently; :attr:`repro.runtime.system.Run.engine` records which
-  engine actually runs.
+  dispatch, slot-indexed frames) and executes those instead.  Programs
+  using constructs the compiler does not support (pointers) fall back
+  to the walking engine transparently;
+  :attr:`repro.runtime.system.Run.engine` records which engine actually
+  runs.
 
 The contract (structural; engines need not inherit anything):
 

@@ -177,7 +177,9 @@ def _saved_documents():
     deadlock_report, deadlock_event = first_event(deadlock)
     return (
         json.dumps(
-            trace_file_for_event(event, system=fig2, report=report, system_payload=payload).to_json()
+            trace_file_for_event(
+                event, system=fig2, report=report, system_payload=payload
+            ).to_json()
         ),
         json.dumps(
             trace_file_for_event(
