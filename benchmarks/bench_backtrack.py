@@ -23,6 +23,9 @@ and how fast they step):
 * on the 5ESS case the replay mode executes at least 2x more total
   transitions than restore — the work the undo journal saves.
 
+Each variant is timed five times (:func:`benchmarks.bench_lib.timed_search`):
+``wall_time_s`` is the median, with ``wall_time_min_s`` and
+``wall_time_max_s`` beside it, and the counters are the median run's.
 Numbers land in the repo-root ``BENCH_backtrack.json`` (CI uploads the
 ``BENCH_*.json`` artifacts) with a copy under ``benchmarks/results/``.
 Each parametrized case merges its rows into the JSON, so a filtered run
@@ -32,27 +35,20 @@ prints states/sec deltas against a previous run's files.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from repro import SearchOptions, run_search
+from repro import SearchOptions
 from benchmarks.bench_lib import (
     baseline_delta_lines,
     fiveess_system,
     merge_bench_json,
+    timed_search,
 )
 from tests.statespace.conftest import FIG2_SRC, FIG3_SRC, figure_system
 
 pytestmark = pytest.mark.slow
 
 PARITY_KEYS = ("states", "transitions", "paths", "toss_points", "violation_groups")
-
-#: Wall time is best-of-N (counters are asserted identical across
-#: repeats, so only the timing is picked): shared CI hosts and the
-#: container VM show 20-30% run-to-run noise, which best-of-2 largely
-#: absorbs without tripling the benchmark's runtime.
-REPEATS = 2
 
 
 #: label -> (system factory, bounds, (variant -> (backtrack, engine))).
@@ -84,23 +80,16 @@ CASES = {
 
 
 def _run_one(build, bounds, mode, engine):
-    best = None
-    for _ in range(REPEATS):
+    def build_ready():
         system = build()
         if engine == "compiled":
             system.compiled_program()  # compile outside the timed region
-        options = SearchOptions(backtrack=mode, engine=engine, **bounds)
-        started = time.perf_counter()
-        report = run_search(system, options)
-        elapsed = time.perf_counter() - started
-        stats = report.stats
-        assert stats.engine == engine, f"fell back to {stats.engine}"
-        if best is not None:
-            assert stats.states_visited == best[1].stats.states_visited
-        if best is None or elapsed < best[0]:
-            best = (elapsed, report)
-    elapsed, report = best
+        return system
+
+    options = SearchOptions(backtrack=mode, engine=engine, **bounds)
+    report, timing = timed_search(build_ready, options)
     stats = report.stats
+    assert stats.engine == engine, f"fell back to {stats.engine}"
     total = stats.transitions_executed + stats.replayed_transitions
     return {
         "backtrack": stats.backtrack,
@@ -117,7 +106,7 @@ def _run_one(build, bounds, mode, engine):
         "restores": stats.restores,
         "undo_entries": stats.undo_entries,
         "checkpoint_memory_bytes": stats.checkpoint_memory_bytes,
-        "wall_time_s": round(elapsed, 4),
+        **timing,
         "states_per_second": round(stats.states_per_second),
     }
 

@@ -171,7 +171,7 @@ class UndoJournal:
         return self.peak_entries * ENTRY_BYTES
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RunCheckpoint:
     """A restorable point of a journaled :class:`~repro.runtime.system.Run`.
 
@@ -181,7 +181,9 @@ class RunCheckpoint:
     :meth:`~repro.runtime.process.Process.snapshot`).  Produced by
     :meth:`Run.checkpoint`, consumed by :meth:`Run.restore`; restoring
     twice from the same checkpoint is supported (snapshots are never
-    mutated).
+    mutated).  Immutable by contract: nothing writes a field after
+    construction (the record is not frozen only because frozen
+    dataclasses pay ``object.__setattr__`` per field on creation).
     """
 
     mark: int

@@ -77,13 +77,13 @@ class Process:
         if self.status not in (ProcessStatus.AT_VISIBLE, ProcessStatus.NEEDS_TOSS):
             raise RuntimeError(f"cannot resume process {self.name!r} in status {self.status}")
         self.pending = None
-        self._resume(lambda: self._interpreter.resume(value))
+        self._resume(self._interpreter.resume, value)
 
-    def _resume(self, step) -> None:
+    def _resume(self, step, *args) -> None:
         self.fp_version += 1
         self._snap = None
         try:
-            request = step()
+            request = step(*args)
         except DivergenceError as err:
             self.status = ProcessStatus.DIVERGED
             self.pending = None

@@ -413,7 +413,10 @@ class Run:
         """Rewind this run to a :meth:`checkpoint` taken earlier.
 
         Value state is rewound by the journal (O(changes since)), then
-        every process's control state is overwritten from its snapshot.
+        the control state of every process that moved is overwritten
+        from its snapshot: O(journal entries plus moved processes).  A
+        process whose memoised snapshot *is* the checkpoint's snapshot
+        object has not stepped since it was taken, so it is skipped.
         The resulting state is bit-identical to re-execution: the same
         ``state_fingerprint()`` over the same live cell/frame objects.
         """
@@ -421,7 +424,8 @@ class Run:
             raise RuntimeError("run is not journaled; cannot restore")
         self.journal.rewind(checkpoint.mark)
         for process, snap in zip(self.processes, checkpoint.processes):
-            process.restore(snap)
+            if process._snap is not snap:
+                process.restore(snap)
         if self.fingerprinter is not None:
             if checkpoint.fingerprints is not None:
                 self.fingerprinter.restore(checkpoint.fingerprints)

@@ -29,6 +29,7 @@ can inspect it while a server runs.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pathlib
@@ -37,14 +38,21 @@ import uuid
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
+from ..counterex.traceio import _NULL, TraceFormatError, _check, _field
 from ..sysdesc import description_language, system_from_description
 from .frontier import SearchCheckpoint, load_frontier, save_frontier
 from .scheduler import work_stealing_search
 
-__all__ = ["Job", "JobStore", "run_job"]
+__all__ = ["Job", "JobFormatError", "JobStore", "run_job"]
 
 #: The states a job moves through.
 JOB_STATES = ("queued", "running", "stopped", "done", "failed")
+
+
+class JobFormatError(ValueError):
+    """A ``job.json`` is malformed.  The message names the file and the
+    JSON path of the bad entry (``jobs/job-1/job.json: $.options:
+    expected dict, got list``)."""
 
 
 def _now() -> float:
@@ -128,18 +136,34 @@ class Job:
 
     @classmethod
     def load(cls, directory: pathlib.Path) -> "Job":
-        doc = json.loads((directory / "job.json").read_text())
-        return cls(
-            id=doc["id"],
-            directory=directory,
-            name=doc.get("name", ""),
-            state=doc.get("state", "queued"),
-            created=doc.get("created", 0.0),
-            updated=doc.get("updated", 0.0),
-            system=doc.get("system", {}),
-            options=doc.get("options", {}),
-            error=doc.get("error"),
-        )
+        """Read ``job.json``; a file that is not UTF-8 JSON of the
+        right shape raises :class:`JobFormatError`."""
+        path = directory / "job.json"
+        try:
+            doc = json.loads(path.read_bytes().decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise JobFormatError(f"{path}: not valid JSON: {err}") from err
+        try:
+            _check(doc, (dict,), "$")
+            state = _field(doc, "state", (str,), "$", "queued")
+            if state not in JOB_STATES:
+                raise TraceFormatError(f"$.state: unknown job state {state!r}")
+            system = _field(doc, "system", (dict,), "$", {})
+            _field(system, "description", (dict,), "$.system", None)
+            _field(system, "program_source", (str, _NULL), "$.system", None)
+            return cls(
+                id=_field(doc, "id", (str,), "$"),
+                directory=directory,
+                name=_field(doc, "name", (str,), "$", ""),
+                state=state,
+                created=_field(doc, "created", (float, int), "$", 0.0),
+                updated=_field(doc, "updated", (float, int), "$", 0.0),
+                system=system,
+                options=_field(doc, "options", (dict,), "$", {}),
+                error=_field(doc, "error", (str, _NULL), "$", None),
+            )
+        except TraceFormatError as err:
+            raise JobFormatError(f"{path}: {err}") from err
 
     def set_state(self, state: str, *, error: str | None = None) -> None:
         assert state in JOB_STATES, state
@@ -158,14 +182,28 @@ class Job:
 
     def search_options(self):
         """The job's :class:`~repro.verisoft.search.SearchOptions`, under
-        the job policy (:func:`job_options`)."""
+        the job policy (:func:`job_options`).  An option of the wrong
+        JSON type or an invalid value raises :class:`JobFormatError`."""
         from ..verisoft.search import SearchOptions
 
-        # Job files written before an option was retired still carry it.
-        known = {f.name for f in fields(SearchOptions)}
-        return SearchOptions(
-            **{k: v for k, v in job_options(self.options).items() if k in known}
-        )
+        # Job files written before an option was retired still carry it,
+        # and the callback fields are never serialized: both are ignored.
+        kinds = _option_kinds()
+        try:
+            options = SearchOptions(
+                **{
+                    key: _check(value, kinds[key], f"$.options.{key}")
+                    for key, value in job_options(self.options).items()
+                    if key in kinds
+                }
+            )
+        except TraceFormatError as err:
+            raise JobFormatError(f"{self.job_path}: {err}") from err
+        try:
+            options.validate()
+        except ValueError as err:
+            raise JobFormatError(f"{self.job_path}: $.options: {err}") from err
+        return options
 
     def latest_stats(self) -> dict | None:
         """The last streamed heartbeat (``None`` before the first)."""
@@ -188,6 +226,31 @@ class Job:
         if self.error:
             line += f"  error: {self.error.splitlines()[0]}"
         return line
+
+
+#: Annotation spelling of a serializable option type -> its JSON types.
+_JSON_KINDS = {
+    "int": (int,),
+    "bool": (bool,),
+    "str": (str,),
+    "float": (float, int),
+    "None": (_NULL,),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _option_kinds() -> dict[str, tuple[type, ...]]:
+    """Each serializable :class:`~repro.verisoft.search.SearchOptions`
+    field -> the JSON types its value may have, read off the field's
+    annotation (``int | None`` -> int or null)."""
+    from ..verisoft.search import SearchOptions
+
+    serialized = SearchOptions().as_dict()
+    return {
+        f.name: sum((_JSON_KINDS[part.strip()] for part in f.type.split("|")), ())
+        for f in fields(SearchOptions)
+        if f.name in serialized
+    }
 
 
 class JobStore:

@@ -99,15 +99,18 @@ class _ChoicePoint:
         return self.index + 1 >= len(self.alternatives)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class _ResumeInfo:
     """Everything needed to re-enter the DFS at a choice point without
     re-executing the path prefix: the runtime checkpoint plus the
     explorer-side execution state (depth, carried sleep set, lengths to
-    truncate the recorded choice/step lists back to, and which processes
-    had already been noted as crashed/diverged).  Captured by
+    truncate the recorded choice/step lists back to, which processes
+    had already been noted as crashed/diverged, and the
+    :meth:`ControlProjection.capture` of the state).  Captured by
     :meth:`Explorer._choice` *before* the point's own choice is
-    appended."""
+    appended.  Immutable by contract: nothing writes a field after
+    construction (the record is not frozen only because frozen
+    dataclasses pay ``object.__setattr__`` per field on creation)."""
 
     checkpoint: Any
     depth: int
@@ -115,6 +118,7 @@ class _ResumeInfo:
     choices_len: int
     steps_len: int
     noted_broken: frozenset[str]
+    projection: tuple
 
 
 class _Leaf(Exception):
@@ -165,10 +169,11 @@ class Explorer:
 
     The hot loop shares **one** canonical state key per global state
     (:meth:`Run.state_key`, incremental for pointer-free programs)
-    between seen-state dedup and the state store, and with ``por`` on
-    memoizes the persistent candidates on the state's control
-    projection.  With ``profile`` its named calls — the engine steps,
-    :meth:`Run.state_key`, the store visit, the per-state analysis and
+    between seen-state dedup and the state store.  It keeps the state's
+    :class:`ControlProjection` up to date per step and memoizes the
+    candidates (persistent with ``por`` on) on it.  With ``profile``
+    its named calls — the engine steps, :meth:`Run.state_key`, the store
+    visit, the projection's build, per-step update and candidates, and
     the coverage observer — are timed into the profile's ``engine``,
     ``fingerprint``, ``cache``, ``por`` and ``coverage`` phases.
     """
@@ -212,13 +217,15 @@ class Explorer:
         self._persistent: PersistentSetComputer | None = None
         if options.por:
             self._persistent = PersistentSetComputer(self._compute_footprints(system))
-        #: Persistent-set memo keyed by the *control projection* of a
-        #: state — ``(tuple of interned per-process signature ids,
-        #: enabled bitmask)`` — holding ``(candidate names,
-        #: signatures)``.  The persistent closure reads only transition
-        #: signatures, enabledness and static footprints, so states
-        #: sharing a projection share the result; the projection both
-        #: hashes faster than a full state key and hits far more often.
+        #: The live run's control projection (rebuilt by each fresh run).
+        self._projection: ControlProjection | None = None
+        #: Candidate memo keyed by the *control projection* of a state
+        #: — ``(tuple of per-process control ids, enabled bitmask)`` —
+        #: holding ``(candidate names, signatures)``.  The persistent
+        #: closure reads only transition signatures, enabledness and
+        #: static footprints, so states sharing a projection share the
+        #: result; the projection both hashes faster than a full state
+        #: key and hits far more often.
         self._state_memo: dict[tuple, tuple] = {}
         # Whether any consumer needs the canonical key at each state.
         self._need_key = self._state_store is not None or options.count_states
@@ -255,7 +262,9 @@ class Explorer:
         self._answer = bind(Run.answer_toss, "engine")
         self._step = bind(Run.execute_visible, "engine")
         self._state_key = bind(Run.state_key, "fingerprint")
-        self._analyze = bind(_analyze_state, "por")
+        self._project = bind(ControlProjection, "por")
+        self._moved = bind(ControlProjection.moved, "por")
+        self._candidates = bind(ControlProjection.candidates, "por")
         store = self._state_store
         self._store_visit = None if store is None else bind(store.visit, "cache")
 
@@ -417,8 +426,10 @@ class Explorer:
         else:
             state, depth, sleep, may_toss, point = self._reenter(resume_point)
         run = state.run
+        projection = self._projection
         observer = self._observer
         step = self._step
+        moved = self._moved
         sched_cache = self._sched_cache
         step_cache = self._step_cache
         while True:
@@ -449,7 +460,7 @@ class Explorer:
                     created = len(state.stack) > before
                     fanout = len(names)
 
-            name = point.chosen
+            name = point.alternatives[point.index]
             chosen = run.process_map[name]
             chosen_sig = point.sigs[point.index] if point.sigs else signature_of(chosen)
             choice = sched_cache.get(name)
@@ -458,6 +469,8 @@ class Explorer:
             state.choices.append(choice)
             request = chosen.visible_request
             outcome = step(run, chosen)
+            obj = request.obj
+            moved(projection, name, obj)
             fresh = state.ptr >= state.replay_len
             if observer is not None:
                 observer.on_step(chosen, request, depth, fanout, created, fresh)
@@ -465,7 +478,6 @@ class Explorer:
                 report.transitions_executed += 1
             else:
                 stats.replayed_transitions += 1
-            obj = request.obj
             key = (name, request.op, None if obj is None else obj.name)
             trace_step = step_cache.get(key)
             if trace_step is None:
@@ -506,6 +518,7 @@ class Explorer:
             journal=self._restore, engine=self._engine, trace=self._options.coverage
         )
         self._start(run)
+        self._projection = self._project(run)
         replay_len = len(stack)
         state = PathState(run, stack, replay_len, report, self._max_events, self._observer)
         if self._observer is not None:
@@ -533,6 +546,7 @@ class Explorer:
         state = self._live
         run = state.run
         run.restore(info.checkpoint)
+        self._projection.reinstall(info.projection)
         del state.choices[info.choices_len :]
         del state.steps[info.steps_len :]
         state.noted_broken = set(info.noted_broken)
@@ -549,6 +563,7 @@ class Explorer:
         value = point.chosen
         state.choices.append(self._toss_choice(tossing.name, value))
         self._answer(run, tossing, value)
+        self._moved(self._projection, tossing.name, None)
         if self._observer is not None:
             self._observer.on_toss(tossing, request, value, info.depth, False, state.fresh)
         state.note_broken(tossing, info.depth)
@@ -574,6 +589,7 @@ class Explorer:
             value = point.chosen
             state.choices.append(self._toss_choice(tossing.name, value))
             self._answer(run, tossing, value)
+            self._moved(self._projection, tossing.name, None)
             if self._observer is not None:
                 self._observer.on_toss(
                     tossing, request, value, depth, len(state.stack) > before, state.fresh
@@ -616,22 +632,25 @@ class Explorer:
         ):
             self._leaf(state)
 
-        deadlock, terminated, enabled_count, names, sigs = self._analyze(
-            run, self._persistent, self._state_memo
-        )
-        if deadlock:
+        # The deadlock, termination and enabled-count facts are reads of
+        # the projection; the candidates are asked for only below the
+        # depth bound.
+        projection = self._projection
+        enabled_mask = projection.mask
+        if not enabled_mask and projection.deadlocked():
             state.record(DeadlockEvent, depth, *_blocked_info(run))
             self._leaf(state)
-        if terminated:
+        if not enabled_mask and projection.all_terminated():
             self._leaf(state)
         if depth >= self._max_depth:
             report.truncated = True
             self._leaf(state)
-        if not enabled_count:
+        if not enabled_mask:
             # Every live process is blocked but some processes
             # crashed/diverged/terminated: nothing can move.
             self._leaf(state)
-        stats.enabled_transitions += enabled_count
+        names, sigs = self._candidates(projection, self._persistent, self._state_memo)
+        stats.enabled_transitions += enabled_mask.bit_count()
         stats.persistent_transitions += len(names)
         if not sleep:
             # Empty sleep set (the common case): the memoized tuples are
@@ -694,6 +713,7 @@ class Explorer:
                 choices_len=len(state.choices),
                 steps_len=len(state.steps),
                 noted_broken=frozenset(state.noted_broken),
+                projection=self._projection.capture(),
             )
             self._live_checkpoint_bytes += checkpoint.approx_bytes
             if self._live_checkpoint_bytes > self._peak_checkpoint_bytes:
@@ -715,65 +735,157 @@ class Explorer:
         raise _Leaf()
 
 
-def _analyze_state(
-    run: Run, persistent: PersistentSetComputer | None, memo: dict[tuple, tuple]
-) -> tuple:
-    """The pure per-state analysis: ``(deadlock, all terminated,
-    enabled count, persistent candidate names, their signatures)``.
+#: Control ids of the processes with no pending visible operation (an
+#: ``AT_VISIBLE`` process's id is its interned signature id, >= 0).
+_TERMINATED = -1
+_UNPARKED = -4  # needs a toss, or not started
+_STATUS_IDS = {
+    ProcessStatus.TERMINATED: _TERMINATED,
+    ProcessStatus.CRASHED: -2,
+    ProcessStatus.DIVERGED: -3,
+}
 
-    ONE pass over the processes computes the deadlock/termination
-    flags, the enabled set and the control projection — per process
-    the interned id of its pending transition signature (or a
-    status marker), plus the enabled bitmask.  The persistent
-    candidates are a pure function of that projection (the closure
-    reads only transition signatures, enabledness and the static
-    footprints), so they are memoized in ``memo`` on it.
+
+class ControlProjection:
+    """The control projection of a live run, kept up to date per step.
+
+    Per process a control id: the interned id of its pending transition
+    signature, or a status marker (-1 terminated, -2 crashed, -3
+    diverged, -4 needs a toss).  Beside them the enabled bitmask and
+    the counts behind the deadlock and all-terminated tests.  The
+    persistent candidates are a pure function of ``(ids, mask)`` (the
+    closure reads only transition signatures, enabledness and the
+    static footprints), so :meth:`candidates` memoizes them on it.
+
+    One transition moves one process and performs on one object, and an
+    object's enabledness depends only on its own operation history.
+    So :meth:`moved` re-derives the moved process's entry and re-checks
+    the enabled bit of the processes pending on that object only.  A
+    per-object mask of every process ever seen pending on it finds
+    them; the mask only grows, so a restore need not rewind it.  The
+    constructor derives every process through the same :meth:`moved`.
     """
-    enabled = []
-    control_ids = []
-    enabled_mask = 0
-    any_visible = False
-    all_parked = True  # AT_VISIBLE or blocked forever
-    all_terminated = True
-    for index, process in enumerate(run.processes):
+
+    __slots__ = (
+        "_run", "_processes", "_index", "_waiters",
+        "ids", "mask", "visible", "terminated", "unparked",
+    )
+
+    def __init__(self, run: Run):
+        self._run = run
+        self._processes = run.processes
+        self._index = {process.name: i for i, process in enumerate(run.processes)}
+        #: object -> bitmask of the processes ever seen pending on it.
+        self._waiters: dict[Any, int] = {}
+        self.ids = (_UNPARKED,) * len(run.processes)
+        self.mask = 0
+        self.visible = 0
+        self.terminated = 0
+        self.unparked = len(run.processes)
+        for process in run.processes:
+            self.moved(process.name, None)
+
+    def moved(self, name: str, obj: Any) -> None:
+        """Process ``name`` stepped, performing on ``obj`` (``None`` for
+        an assertion, a toss answer or the start of the run): re-derive
+        its entry, then re-check the processes waiting on ``obj``."""
+        index = self._index[name]
+        process = self._processes[index]
+        bit = 1 << index
+        mask = self.mask
         status = process.status
         if status is ProcessStatus.AT_VISIBLE:
-            any_visible = True
-            all_terminated = False
             request = process.pending
             entry = process._sig_entry
             if entry is None or entry[0] is not request:
                 entry = intern_signature(process, request)
-            control_ids.append(entry[2])
-            if request.obj is None or request.obj.enabled(request.op):
-                enabled.append(process)
-                enabled_mask |= 1 << index
-        elif status is ProcessStatus.TERMINATED:
-            control_ids.append(-1)
-        else:
-            all_terminated = False
-            if status is ProcessStatus.CRASHED:
-                control_ids.append(-2)
-            elif status is ProcessStatus.DIVERGED:
-                control_ids.append(-3)
+            new = entry[2]
+            target = request.obj
+            if target is None:
+                mask |= bit
             else:
-                control_ids.append(-4)
-                all_parked = False
-    enabled_count = len(enabled)
-    deadlock = all_parked and any_visible and not enabled_count
-    if persistent is not None and enabled_count > 1:
-        pkey = (tuple(control_ids), enabled_mask)
-        entry = memo.get(pkey)
+                if target.enabled(request.op):
+                    mask |= bit
+                else:
+                    mask &= ~bit
+                waiters = self._waiters.get(target, 0)
+                if not waiters & bit:
+                    self._waiters[target] = waiters | bit
+        else:
+            mask &= ~bit
+            new = _STATUS_IDS.get(status, _UNPARKED)
+        old = self.ids[index]
+        if new != old:
+            ids = list(self.ids)
+            ids[index] = new
+            self.ids = tuple(ids)
+            if old >= 0:
+                self.visible -= 1
+            elif old == _TERMINATED:
+                self.terminated -= 1
+            elif old == _UNPARKED:
+                self.unparked -= 1
+            if new >= 0:
+                self.visible += 1
+            elif new == _TERMINATED:
+                self.terminated += 1
+            elif new == _UNPARKED:
+                self.unparked += 1
+        if obj is not None:
+            processes = self._processes
+            waiting = self._waiters.get(obj, 0) & ~bit
+            while waiting:
+                low = waiting & -waiting
+                waiting ^= low
+                other = processes[low.bit_length() - 1]
+                request = other.pending
+                if other.status is ProcessStatus.AT_VISIBLE and request.obj is obj:
+                    if obj.enabled(request.op):
+                        mask |= low
+                    else:
+                        mask &= ~low
+        self.mask = mask
+
+    def deadlocked(self) -> bool:
+        """Some process waits at a visible operation, none is enabled
+        and none is mid-transition."""
+        return not self.mask and self.visible > 0 and not self.unparked
+
+    def all_terminated(self) -> bool:
+        """Every process has terminated normally."""
+        return self.terminated == len(self.ids)
+
+    def capture(self) -> tuple:
+        """The projection's state, for :meth:`reinstall` after a restore."""
+        return (self.ids, self.mask, self.visible, self.terminated, self.unparked)
+
+    def reinstall(self, captured: tuple) -> None:
+        """Return to a :meth:`capture` of this projection."""
+        self.ids, self.mask, self.visible, self.terminated, self.unparked = captured
+
+    def candidates(
+        self, persistent: PersistentSetComputer | None, memo: dict[tuple, tuple]
+    ) -> tuple:
+        """``(names, signatures)`` of the transitions to expand: the
+        persistent subset of the enabled processes with ``persistent``,
+        else all of them, in process order; memoized in ``memo``."""
+        key = (self.ids, self.mask)
+        entry = memo.get(key)
         if entry is None:
-            candidates = persistent.persistent_choices(run, enabled)
-            entry = memo[pkey] = (
-                tuple(p.name for p in candidates),
-                tuple(signature_of(p) for p in candidates),
+            processes = self._processes
+            enabled = []
+            waiting = self.mask
+            while waiting:
+                low = waiting & -waiting
+                waiting ^= low
+                enabled.append(processes[low.bit_length() - 1])
+            if persistent is not None and len(enabled) > 1:
+                enabled = persistent.persistent_choices(self._run, enabled)
+            entry = memo[key] = (
+                tuple(p.name for p in enabled),
+                tuple(signature_of(p) for p in enabled),
             )
-        return deadlock, all_terminated, enabled_count, entry[0], entry[1]
-    names = tuple(p.name for p in enabled)
-    sigs = tuple(signature_of(p) for p in enabled)
-    return deadlock, all_terminated, enabled_count, names, sigs
+        return entry
 
 
 def _blocked_info(run: Run) -> tuple[tuple[str, ...], tuple[tuple[str, str, str | None], ...]]:

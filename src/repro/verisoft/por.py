@@ -198,11 +198,26 @@ def independent(a: TransitionSig, b: TransitionSig) -> bool:
 
 
 class PersistentSetComputer:
-    """Computes persistent subsets of the enabled processes of a run."""
+    """Computes persistent subsets of the enabled processes of a run.
+
+    The closure runs over int bitmasks: the constructor numbers the
+    objects that appear in some footprint and turns each footprint into
+    an object mask plus an "any object" flag.  An object in no
+    footprint gets no bit, which is exact: no footprint can overlap it.
+    """
 
     def __init__(self, footprints: dict[str, set[str]]):
         #: process name -> static object footprint (from launch point).
         self._footprints = footprints
+        named = sorted({obj for fp in footprints.values() for obj in fp} - {ANY_OBJECT})
+        #: object name -> its bit in the footprint and conflict masks.
+        self._object_bits = {obj: 1 << index for index, obj in enumerate(named)}
+        bits = self._object_bits
+        #: process name -> (footprint object mask, footprint holds ANY_OBJECT).
+        self._footprint_masks = {
+            name: (sum(bits[obj] for obj in fp if obj in bits), ANY_OBJECT in fp)
+            for name, fp in footprints.items()
+        }
 
     def persistent_choices(
         self, run: Run, enabled: list[Process] | None = None
@@ -211,68 +226,65 @@ class PersistentSetComputer:
 
         Returns the full enabled set when no reduction applies.  The
         caller may pass the enabled set (already computed by the search
-        hot loop) to avoid re-scanning the processes.
+        hot loop) to avoid re-scanning the processes.  Each seed's
+        candidates come in discovery order: the seed, then the others
+        in the order the closure's passes add them.
         """
         if enabled is None:
             enabled = run.enabled_processes()
         if len(enabled) <= 1:
             return enabled
 
-        # One signature per live process, computed once and shared by
-        # every closure below (the closures revisit the same processes).
-        live = [
-            process
-            for process in run.processes
-            if process.status is ProcessStatus.AT_VISIBLE
-        ]
-        sigs = {process.name: signature_of(process) for process in live}
-
         # Best case: a purely local transition is persistent on its own.
         for process in enabled:
-            sig = sigs[process.name]
+            sig = signature_of(process)
             if sig is not None and sig.local:
                 return [process]
 
+        # Per live process, once for every seed's closure: its index
+        # bit, footprint mask, "any object" flag and the bit of the
+        # object its pending operation touches.
+        bits = self._object_bits
+        masks = self._footprint_masks
+        # id of each enabled process -> (its bit, the bit it touches).
+        seeds: dict[int, tuple[int, int] | None] = dict.fromkeys(map(id, enabled))
+        enabled_mask = 0
+        live = []
+        for index, process in enumerate(run.processes):
+            if process.status is not ProcessStatus.AT_VISIBLE:
+                continue
+            bit = 1 << index
+            sig = signature_of(process)
+            touched = 0
+            if sig is not None and sig.obj is not None and not sig.local:
+                touched = bits.get(sig.obj, 0)
+            if id(process) in seeds:
+                enabled_mask |= bit
+                seeds[id(process)] = (bit, touched)
+            footprint, anything = masks.get(process.name, (0, True))
+            live.append((bit, process, footprint, anything, touched))
+
         best = enabled
         for seed in enabled:
-            candidate = self._closure(seed, live, sigs)
-            candidate_enabled = [p for p in candidate if p in enabled]
-            if len(candidate_enabled) < len(best):
-                best = candidate_enabled
+            seed_bit, conflict = seeds[id(seed)]
+            members = seed_bit
+            order = [seed]
+            changed = True
+            while changed:
+                changed = False
+                for bit, process, footprint, anything, touched in live:
+                    if members & bit:
+                        continue
+                    if anything or footprint & conflict:
+                        members |= bit
+                        order.append(process)
+                        conflict |= touched
+                        changed = True
+            if (members & enabled_mask).bit_count() < len(best):
+                best = [p for p in order if id(p) in seeds]
                 if len(best) == 1:
                     break
         return best
-
-    def _closure(
-        self,
-        seed: Process,
-        live: list[Process],
-        sigs: dict[str, TransitionSig | None],
-    ) -> list[Process]:
-        members: dict[str, Process] = {seed.name: seed}
-        # Objects touched by the next operations of current members.
-        conflict_objects: set[str] = set()
-        sig = sigs[seed.name]
-        if sig is not None and sig.obj is not None and not sig.local:
-            conflict_objects.add(sig.obj)
-        changed = True
-        while changed:
-            changed = False
-            for process in live:
-                if process.name in members:
-                    continue
-                footprint = self._footprints.get(process.name, {ANY_OBJECT})
-                overlaps = (
-                    ANY_OBJECT in footprint
-                    or footprint & conflict_objects
-                )
-                if overlaps:
-                    members[process.name] = process
-                    other = sigs[process.name]
-                    if other is not None and other.obj is not None and not other.local:
-                        conflict_objects.add(other.obj)
-                    changed = True
-        return list(members.values())
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from repro import System
 from repro.runtime.journal import RunCheckpoint, UndoJournal
-from repro.runtime.process import ProcessStatus
+from repro.runtime.process import Process, ProcessStatus
 
 PINGPONG = """
 proc ping(n) {
@@ -291,3 +291,140 @@ class TestRunCheckpointRestore:
         cp = run.checkpoint()
         assert isinstance(cp, RunCheckpoint)
         assert cp.approx_bytes > 0
+
+
+#: Three workers over a semaphore, a shared variable and a sink that
+#: is part of the state, plus a process that crashes on its second
+#: visible operation.
+WORKERS = """
+proc worker(id, n) {
+    var i = 0;
+    while (i < n) {
+        sem_p(lock);
+        write(sv, id * 10 + i);
+        sem_v(lock);
+        send(out, i);
+        i = i + 1;
+    }
+}
+proc crasher() {
+    var z = 0;
+    send(out, 1);
+    VS_assert(1 / z);
+}
+"""
+
+#: A pointer program: it gets no fingerprinter, so ``state_key``
+#: recomputes in full.
+POINTER_WORKERS = """
+proc worker(id, n) {
+    var x = 0;
+    var p;
+    p = &x;
+    while (x < n) {
+        *p = x + 1;
+        send(out, id * 10 + x);
+    }
+}
+"""
+
+
+def workers_system(source=WORKERS):
+    system = System(source)
+    system.add_env_sink("out", visible_in_state=True)
+    for name in ("w1", "w2", "w3"):
+        system.add_process(name, "worker", [int(name[1]), 3])
+    if "crasher" in source:
+        system.add_semaphore("lock", initial=1)
+        system.add_shared("sv", initial=0)
+        system.add_process("crash", "crasher", [])
+    return system
+
+
+def live_snapshot(process):
+    """A process's snapshot rebuilt from its live state (not the memo)."""
+    return (process.status, process.pending, process.crash, process.engine.snapshot())
+
+
+class TestMovedOnlyRestore:
+    """``Run.restore`` skips a process whose memoised snapshot is the
+    checkpoint's: it has not stepped since the checkpoint.  The state,
+    its key and every snapshot must still come back exactly."""
+
+    @pytest.fixture()
+    def restored(self, monkeypatch):
+        """Record the names of the processes each restore rewinds."""
+        names = []
+        original = Process.restore
+
+        def restore(process, snap):
+            names.append(process.name)
+            original(process, snap)
+
+        monkeypatch.setattr(Process, "restore", restore)
+        return names
+
+    def checkpointed(self, system, engine):
+        run = system.start(journal=True, engine=engine)
+        run.start_processes()
+        step_visible(run, 3)  # w1 takes and releases the lock
+        run.state_key()  # the fingerprinter's memo now holds bytes
+        checkpoint = run.checkpoint()
+        expected = (
+            run.state_fingerprint(),
+            run.state_key(),
+            [live_snapshot(p) for p in run.processes],
+        )
+        return run, checkpoint, expected
+
+    def assert_restored(self, run, checkpoint, expected):
+        run.restore(checkpoint)
+        assert run.state_fingerprint() == expected[0]
+        assert run.state_key() == expected[1]
+        assert [live_snapshot(p) for p in run.processes] == expected[2]
+        assert [p.snapshot() for p in run.processes] == list(checkpoint.processes)
+
+    @pytest.mark.parametrize("engine", ["walk", "compiled"])
+    def test_only_the_moved_process_is_restored(self, engine, restored):
+        run, checkpoint, expected = self.checkpointed(workers_system(), engine)
+        assert run.fingerprinter is not None
+        mover = run.process_map["w2"]
+        assert mover.enabled()
+        run.execute_visible(mover)
+        assert run.state_key() != expected[1]
+        self.assert_restored(run, checkpoint, expected)
+        assert restored == ["w2"]
+        # Nothing moved since: restoring again from the same checkpoint
+        # rewinds no process and changes nothing.
+        self.assert_restored(run, checkpoint, expected)
+        assert restored == ["w2"]
+
+    @pytest.mark.parametrize("engine", ["walk", "compiled"])
+    def test_restore_after_a_crash(self, engine, restored):
+        run, checkpoint, expected = self.checkpointed(workers_system(), engine)
+        crasher = run.process_map["crash"]
+        while crasher.status is ProcessStatus.AT_VISIBLE:
+            run.execute_visible(crasher)
+        assert crasher.status is ProcessStatus.CRASHED
+        self.assert_restored(run, checkpoint, expected)
+        assert restored == ["crash"]
+        assert crasher.crash is None
+
+    @pytest.mark.parametrize("engine", ["walk", "compiled"])
+    def test_restore_across_several_moves(self, engine, restored):
+        run, checkpoint, expected = self.checkpointed(workers_system(), engine)
+        for name in ("w2", "w1", "crash", "w2"):
+            run.execute_visible(run.process_map[name])
+        self.assert_restored(run, checkpoint, expected)
+        assert sorted(restored) == ["crash", "w1", "w2"]
+
+    def test_pointer_program_without_fingerprinter(self, restored):
+        system = workers_system(POINTER_WORKERS)
+        assert system.uses_pointers()
+        run, checkpoint, expected = self.checkpointed(system, "compiled")
+        assert run.fingerprinter is None and run.engine == "walk"
+        run.execute_visible(run.process_map["w3"])
+        self.assert_restored(run, checkpoint, expected)
+        assert restored == ["w3"]
+        self.assert_restored(run, checkpoint, expected)
+        assert restored == ["w3"]
