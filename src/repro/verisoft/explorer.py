@@ -217,7 +217,8 @@ class Explorer:
         self._persistent: PersistentSetComputer | None = None
         if options.por:
             self._persistent = PersistentSetComputer(self._compute_footprints(system))
-        #: The live run's control projection (rebuilt by each fresh run).
+        #: The live run's control projection; ``None`` from the start of
+        #: a fresh run until :meth:`_projection_of` first needs it.
         self._projection: ControlProjection | None = None
         #: Candidate memo keyed by the *control projection* of a state
         #: — ``(tuple of per-process control ids, enabled bitmask)`` —
@@ -426,7 +427,6 @@ class Explorer:
         else:
             state, depth, sleep, may_toss, point = self._reenter(resume_point)
         run = state.run
-        projection = self._projection
         observer = self._observer
         step = self._step
         moved = self._moved
@@ -470,7 +470,9 @@ class Explorer:
             request = chosen.visible_request
             outcome = step(run, chosen)
             obj = request.obj
-            moved(projection, name, obj)
+            projection = self._projection
+            if projection is not None:
+                moved(projection, name, obj)
             fresh = state.ptr >= state.replay_len
             if observer is not None:
                 observer.on_step(chosen, request, depth, fanout, created, fresh)
@@ -518,7 +520,7 @@ class Explorer:
             journal=self._restore, engine=self._engine, trace=self._options.coverage
         )
         self._start(run)
-        self._projection = self._project(run)
+        self._projection = None
         replay_len = len(stack)
         state = PathState(run, stack, replay_len, report, self._max_events, self._observer)
         if self._observer is not None:
@@ -589,7 +591,8 @@ class Explorer:
             value = point.chosen
             state.choices.append(self._toss_choice(tossing.name, value))
             self._answer(run, tossing, value)
-            self._moved(self._projection, tossing.name, None)
+            if self._projection is not None:
+                self._moved(self._projection, tossing.name, None)
             if self._observer is not None:
                 self._observer.on_toss(
                     tossing, request, value, depth, len(state.stack) > before, state.fresh
@@ -635,7 +638,7 @@ class Explorer:
         # The deadlock, termination and enabled-count facts are reads of
         # the projection; the candidates are asked for only below the
         # depth bound.
-        projection = self._projection
+        projection = self._projection_of(run)
         enabled_mask = projection.mask
         if not enabled_mask and projection.deadlocked():
             state.record(DeadlockEvent, depth, *_blocked_info(run))
@@ -713,7 +716,7 @@ class Explorer:
                 choices_len=len(state.choices),
                 steps_len=len(state.steps),
                 noted_broken=frozenset(state.noted_broken),
-                projection=self._projection.capture(),
+                projection=self._projection_of(state.run).capture(),
             )
             self._live_checkpoint_bytes += checkpoint.approx_bytes
             if self._live_checkpoint_bytes > self._peak_checkpoint_bytes:
@@ -721,6 +724,16 @@ class Explorer:
         state.stack.append(point)
         state.ptr += 1
         return point
+
+    def _projection_of(self, run: Run) -> ControlProjection:
+        """The live control projection, built from ``run`` when first
+        needed after a fresh run starts.  A replayed prefix never needs
+        it (its states were analysed when first reached), so replay
+        pays for no per-step update there; once built, every step and
+        toss answer updates it."""
+        if self._projection is None:
+            self._projection = self._project(run)
+        return self._projection
 
     def _toss_choice(self, name: str, value: int) -> TossChoice:
         key = (name, value)

@@ -130,7 +130,7 @@ class CheckedExplorer(Explorer):
 
     def _visit(self, state, stats, seen_states, depth, sleep):
         run = state.run
-        live = self._projection
+        live = self._projection_of(run)
         rebuilt = ControlProjection(run)
         assert live.capture() == rebuilt.capture()
         persistent = self._persistent
