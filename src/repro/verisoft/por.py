@@ -207,8 +207,8 @@ class PersistentSetComputer:
     """
 
     def __init__(self, footprints: dict[str, set[str]]):
-        #: process name -> static object footprint (from launch point).
-        self._footprints = footprints
+        # ``footprints``: process name -> static object footprint (from
+        # its launch point).
         named = sorted({obj for fp in footprints.values() for obj in fp} - {ANY_OBJECT})
         #: object name -> its bit in the footprint and conflict masks.
         self._object_bits = {obj: 1 << index for index, obj in enumerate(named)}

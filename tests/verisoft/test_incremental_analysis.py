@@ -14,6 +14,8 @@ persistent closure below, kept as the reference copy.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,12 +121,18 @@ def facts(projection, persistent, memo):
     )
 
 
+#: The static footprints the explorer's persistent-set computer is
+#: built from, once per system.
+footprints_of = functools.cache(Explorer._compute_footprints)
+
+
 class CheckedExplorer(Explorer):
     """An explorer that, at every visited state, checks its live
     projection against a rebuild and the reference analysis."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, system, options, **kwargs):
+        super().__init__(system, options, **kwargs)
+        self.footprints = None if self._persistent is None else footprints_of(system)
         self.checked = 0
         self.persistent_checked = 0
 
@@ -134,8 +142,7 @@ class CheckedExplorer(Explorer):
         rebuilt = ControlProjection(run)
         assert live.capture() == rebuilt.capture()
         persistent = self._persistent
-        footprints = None if persistent is None else persistent._footprints
-        expected = reference_analysis(run, footprints)
+        expected = reference_analysis(run, self.footprints)
         assert facts(live, persistent, self._state_memo) == expected
         assert facts(rebuilt, persistent, {}) == expected
         if persistent is not None and expected[2] > 1:
@@ -143,7 +150,7 @@ class CheckedExplorer(Explorer):
                 p for p in run.processes if p.status is ProcessStatus.AT_VISIBLE and p.enabled()
             ]
             assert [p.name for p in persistent.persistent_choices(run, enabled)] == [
-                p.name for p in reference_persistent(run, enabled, footprints)
+                p.name for p in reference_persistent(run, enabled, self.footprints)
             ]
             self.persistent_checked += 1
         self.checked += 1
