@@ -20,7 +20,11 @@ Three experiment families, all merged into ``BENCH_compile.json``
 * **engine-level drive** (``5ess_engine``): seeded random schedules of
   the bounded 5ESS system are recorded once, then replayed directly
   against fresh engine steppers of each kind, isolating the engine's
-  own per-choice cost from scheduler overhead.
+  own per-choice cost from scheduler overhead.  Each engine-level row
+  times ``PAIRS`` alternating walk/compiled pairs, and its speedup is
+  the median of the per-pair ratios: the host's speed swings over tens
+  of seconds, far longer than one pair, so both sides of a pair see the
+  same speed.
 * **dispatch kernel** (``kernel``): a computation-heavy closed program
   (long invisible runs between visible operations) — the compiler's
   best case, dominated by node dispatch and expression evaluation.
@@ -35,6 +39,7 @@ JSON writer in seconds.
 from __future__ import annotations
 
 import random
+import statistics
 import time
 
 import pytest
@@ -307,29 +312,49 @@ def _replay_scripts(system, engine, scripts_per_seed, reps):
     return time.perf_counter() - started, choices, request_log
 
 
+#: Alternating walk/compiled timing pairs per engine-level row.
+PAIRS = 7
+
+
 def _engine_rows(make_system, scripts_per_seed, reps):
-    rows = {}
+    """Time each engine's replay of the scripts in ``PAIRS`` pairs,
+    alternating which engine runs first; the speedup is the median of
+    the per-pair walk/compiled ratios."""
+    systems = {}
     logs = {}
     for engine in ENGINES:
-        system = make_system()
-        system.compiled_program()
-        _replay_scripts(system, engine, scripts_per_seed, 1)  # warmup
-        elapsed, choices, log = _replay_scripts(
-            system, engine, scripts_per_seed, reps
-        )
-        logs[engine] = log
-        rows[engine] = {
-            "engine": engine,
-            "choices": choices,
-            "wall_time_s": round(elapsed, 4),
-            "us_per_choice": round(elapsed / choices * 1e6, 3),
-            "choices_per_second": round(choices / elapsed),
-        }
+        systems[engine] = make_system()
+        systems[engine].compiled_program()
+        # Warm-up; its request log is the parity check.
+        _, _, logs[engine] = _replay_scripts(systems[engine], engine, scripts_per_seed, 1)
     # Both engines must produce the same request sequence for the same
     # recorded answers — engine-level observational parity.
     assert logs["walk"] == logs["compiled"], "request sequences diverged"
-    speedup = rows["walk"]["us_per_choice"] / rows["compiled"]["us_per_choice"]
+    times = {engine: [] for engine in ENGINES}
+    for pair in range(PAIRS):
+        for engine in ENGINES if pair % 2 == 0 else ENGINES[::-1]:
+            elapsed, choices, _ = _replay_scripts(
+                systems[engine], engine, scripts_per_seed, reps
+            )
+            times[engine].append(elapsed)
+    rows = {}
+    for engine in ENGINES:
+        elapsed = statistics.median(times[engine])
+        rows[engine] = {
+            "engine": engine,
+            "choices": choices,
+            "pairs": PAIRS,
+            "wall_time_s": round(elapsed, 4),
+            "wall_time_min_s": round(min(times[engine]), 4),
+            "wall_time_max_s": round(max(times[engine]), 4),
+            "us_per_choice": round(elapsed / choices * 1e6, 3),
+            "choices_per_second": round(choices / elapsed),
+        }
+    ratios = [walk / compiled for walk, compiled in zip(times["walk"], times["compiled"])]
+    speedup = statistics.median(ratios)
     rows["compiled"]["speedup_vs_walk"] = round(speedup, 2)
+    rows["compiled"]["speedup_min"] = round(min(ratios), 2)
+    rows["compiled"]["speedup_max"] = round(max(ratios), 2)
     return rows, speedup
 
 
@@ -345,7 +370,7 @@ def _engine_table(record_table, label, title, rows, speedup):
             f"  {engine:<9} {row['choices']:>8} {row['us_per_choice']:>10.2f} "
             f"{row['choices_per_second']:>11,}"
         )
-    lines.append(f"  engine-level speedup: {speedup:.2f}x")
+    lines.append(f"  engine-level speedup: {speedup:.2f}x (median of {PAIRS} alternating pairs)")
     lines.append("wrote BENCH_compile.json")
     record_table(f"BENCH_compile_{label}", lines)
 

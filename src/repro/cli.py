@@ -545,13 +545,21 @@ def cmd_submit(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    """The ``serve`` subcommand: run queued jobs from a store."""
+    """The ``serve`` subcommand: run queued jobs from a store.  A job
+    with a malformed ``job.json`` is named once and skipped; the exit
+    status is then 2."""
     from .service.jobs import serve
 
     store = _job_store(args)
+    malformed: set[str] = set()
 
     def log(message: str) -> None:
         print(message, file=sys.stderr)
+
+    def skip(err: ValueError) -> None:
+        if str(err) not in malformed:
+            malformed.add(str(err))
+            log(f"skipping a malformed job: {err}")
 
     ran = serve(
         store,
@@ -560,9 +568,10 @@ def cmd_serve(args) -> int:
         log=log,
         max_jobs=args.max_jobs,
         metrics_out=args.metrics_out,
+        on_malformed=skip,
     )
     print(f"ran {ran} job(s)", file=sys.stderr)
-    return 0
+    return 2 if malformed else 0
 
 
 def cmd_jobs(args) -> int:

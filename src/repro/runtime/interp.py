@@ -37,7 +37,7 @@ mutations into (when the run was started with journaling).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from ..cfg.graph import ControlFlowGraph
@@ -75,6 +75,10 @@ class VisibleRequest:
     args: tuple[Any, ...]
     node_id: int
     proc_name: str
+    #: The request's interned transition signature, filled on first use
+    #: by :func:`repro.verisoft.por.intern_signature`; no part of the
+    #: request's value.
+    sig: Any = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)

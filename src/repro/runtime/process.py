@@ -56,10 +56,6 @@ class Process:
         #: Memoised :meth:`snapshot` tuple — valid until the next step or
         #: restore, making repeated checkpoints of a parked process O(1).
         self._snap: tuple | None = None
-        #: Cached ``(request, TransitionSig, sig_id)`` for the pending
-        #: visible request, maintained by :mod:`repro.verisoft.por`.
-        #: Validated by request identity, so it needs no invalidation.
-        self._sig_entry: tuple | None = None
 
     @property
     def engine(self) -> "ExecutionEngine":

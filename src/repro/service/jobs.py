@@ -65,6 +65,15 @@ def job_options(options: dict) -> dict:
     return {**options, "strategy": "parallel", "scheduler": "steal"}
 
 
+def _read_json(path: pathlib.Path):
+    """The JSON document in ``path``; text that is not UTF-8 JSON raises
+    :class:`JobFormatError` naming the file."""
+    try:
+        return json.loads(path.read_bytes().decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise JobFormatError(f"{path}: not valid JSON: {err}") from err
+
+
 def _write_json(path: pathlib.Path, payload: dict) -> None:
     """Atomic write-then-rename, like the frontier format — readers
     (and crashes) never observe a half-written document."""
@@ -139,10 +148,7 @@ class Job:
         """Read ``job.json``; a file that is not UTF-8 JSON of the
         right shape raises :class:`JobFormatError`."""
         path = directory / "job.json"
-        try:
-            doc = json.loads(path.read_bytes().decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            raise JobFormatError(f"{path}: not valid JSON: {err}") from err
+        doc = _read_json(path)
         try:
             _check(doc, (dict,), "$")
             state = _field(doc, "state", (str,), "$", "queued")
@@ -206,11 +212,20 @@ class Job:
         return options
 
     def latest_stats(self) -> dict | None:
-        """The last streamed heartbeat (``None`` before the first)."""
+        """The last streamed heartbeat (``None`` before the first).  A
+        ``stats.json`` that is not UTF-8 JSON holding a ``stats`` object
+        raises :class:`JobFormatError`."""
+        path = self.stats_path
         try:
-            return json.loads(self.stats_path.read_text())
-        except (OSError, json.JSONDecodeError):
+            doc = _read_json(path)
+        except OSError:
             return None
+        try:
+            _check(doc, (dict,), "$")
+            _field(doc, "stats", (dict,), "$")
+        except TraceFormatError as err:
+            raise JobFormatError(f"{path}: {err}") from err
+        return doc
 
     def describe(self) -> str:
         line = f"{self.id}  {self.state:<8}"
@@ -308,21 +323,35 @@ class JobStore:
             raise KeyError(f"no such job: {job_id}")
         return Job.load(directory)
 
-    def jobs(self) -> list[Job]:
-        """Every job in the store, oldest first."""
+    def jobs(
+        self, on_malformed: Callable[[JobFormatError], None] | None = None
+    ) -> list[Job]:
+        """Every job in the store, oldest first.  A malformed
+        ``job.json`` raises :class:`JobFormatError`; with
+        ``on_malformed`` the error is passed to it instead and the job
+        left out."""
         out = []
         for directory in sorted(self.root.iterdir()):
             if (directory / "job.json").exists():
-                out.append(Job.load(directory))
+                try:
+                    out.append(Job.load(directory))
+                except JobFormatError as err:
+                    if on_malformed is None:
+                        raise
+                    on_malformed(err)
         out.sort(key=lambda job: (job.created, job.id))
         return out
 
-    def claim_next(self) -> Job | None:
+    def claim_next(
+        self, on_malformed: Callable[[JobFormatError], None] | None = None
+    ) -> Job | None:
         """Atomically claim the oldest queued job (``None`` when idle).
 
         The claim is an ``O_EXCL`` marker file, so two server loops
-        polling one store never run the same job."""
-        for job in self.jobs():
+        polling one store never run the same job.  A job whose
+        ``job.json`` is malformed cannot be claimed: it is skipped, and
+        its :class:`JobFormatError` passed to ``on_malformed``."""
+        for job in self.jobs(on_malformed or (lambda err: None)):
             if job.state != "queued":
                 continue
             claim = job.directory / ".claim"
@@ -384,7 +413,7 @@ def export_metrics(store: JobStore, metrics_out) -> None:
 
     try:
         write_metrics(store_snapshots(store), metrics_out)
-    except OSError:
+    except (OSError, JobFormatError):
         pass
 
 
@@ -548,6 +577,7 @@ def serve(
     log: Callable[[str], None] | None = None,
     max_jobs: int | None = None,
     metrics_out=None,
+    on_malformed: Callable[[JobFormatError], None] | None = None,
 ) -> int:
     """The server loop: claim queued jobs and run them.
 
@@ -555,11 +585,13 @@ def serve(
     ``max_jobs`` caps the number of jobs executed (testing hook).
     ``metrics_out`` keeps a Prometheus textfile updated: rewritten on
     every heartbeat of the running job and at every state change (see
-    :mod:`repro.obs.metrics`).  Returns the number of jobs run."""
+    :mod:`repro.obs.metrics`).  A job with a malformed ``job.json`` is
+    skipped, at every claim, with its error passed to
+    ``on_malformed``.  Returns the number of jobs run."""
     ran = 0
     export_metrics(store, metrics_out)
     while True:
-        job = store.claim_next()
+        job = store.claim_next(on_malformed)
         if job is None:
             export_metrics(store, metrics_out)
             if once:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from ..obs.observer import Observation, SearchObserver, timed
 from ..runtime.process import ProcessStatus
@@ -53,7 +53,7 @@ from ..runtime.system import Run, System
 from .por import (
     PersistentSetComputer,
     TransitionSig,
-    augment_sleep,
+    dependent_bits,
     intern_signature,
     process_footprint,
     signature_of,
@@ -76,20 +76,36 @@ from .search import SearchOptions, search_options
 from .stats import SearchStats
 
 
-@dataclass
 class _ChoicePoint:
-    """One branching decision in the DFS, with its untried alternatives."""
+    """One branching decision in the DFS, with its untried alternatives.
 
-    kind: str  # "schedule" | "toss"
-    alternatives: list[Any]  # process names or toss values
-    index: int = 0
-    sleep: frozenset[TransitionSig] = frozenset()
-    #: signature per alternative (schedule points; used for sleep sets).
-    sigs: list[TransitionSig | None] = field(default_factory=list)
-    #: Restore-mode bookkeeping (:class:`_ResumeInfo`); ``None`` in
-    #: replay mode and for single-alternative points, which are
-    #: exhausted at creation and can never become a backtrack target.
-    resume: Any = None
+    ``kind`` is ``"schedule"`` or ``"toss"``; ``alternatives`` the
+    process names or toss values (any sequence); ``sleep`` the sleep
+    mask inherited at the point's state; ``sigs`` the signature per
+    alternative (schedule points; used for sleep sets), stored as
+    given.  ``resume`` is the restore-mode bookkeeping
+    (:class:`_ResumeInfo`): ``None`` in replay mode and for
+    single-alternative points, which are exhausted at creation and can
+    never become a backtrack target.
+    """
+
+    __slots__ = ("kind", "alternatives", "index", "sleep", "sigs", "resume")
+
+    def __init__(
+        self,
+        kind: str,
+        alternatives: Sequence[Any],
+        index: int = 0,
+        sleep: int = 0,
+        sigs: Sequence[TransitionSig | None] = (),
+        resume: Any = None,
+    ):
+        self.kind = kind
+        self.alternatives = alternatives
+        self.index = index
+        self.sleep = sleep
+        self.sigs = sigs
+        self.resume = resume
 
     @property
     def chosen(self) -> Any:
@@ -103,8 +119,8 @@ class _ChoicePoint:
 class _ResumeInfo:
     """Everything needed to re-enter the DFS at a choice point without
     re-executing the path prefix: the runtime checkpoint plus the
-    explorer-side execution state (depth, carried sleep set, lengths to
-    truncate the recorded choice/step lists back to, which processes
+    explorer-side execution state (depth, carried sleep mask, lengths
+    to truncate the recorded choice/step lists back to, which processes
     had already been noted as crashed/diverged, and the
     :meth:`ControlProjection.capture` of the state).  Captured by
     :meth:`Explorer._choice` *before* the point's own choice is
@@ -114,7 +130,7 @@ class _ResumeInfo:
 
     checkpoint: Any
     depth: int
-    sleep: frozenset[TransitionSig]
+    sleep: int
     choices_len: int
     steps_len: int
     noted_broken: frozenset[str]
@@ -125,9 +141,8 @@ class _Leaf(Exception):
     """Internal: the current execution reached a leaf of the DFS tree."""
 
 
-#: Shared empty sleep set — the overwhelmingly common value in the hot
-#: loop; sharing it avoids one frozenset() allocation per transition.
-_EMPTY_SLEEP: frozenset = frozenset()
+#: The ``noted_broken`` of almost every :class:`_ResumeInfo`, shared.
+_NONE_BROKEN: frozenset[str] = frozenset()
 
 
 class Explorer:
@@ -326,18 +341,22 @@ class Explorer:
                 break
 
             # Backtrack to the deepest choice point with untried options,
-            # never climbing into a frozen prefix.
-            while len(stack) > base and stack[-1].exhausted():
-                popped = stack.pop()
-                if popped.resume is not None:
-                    self._live_checkpoint_bytes -= popped.resume.checkpoint.approx_bytes
-            if len(stack) <= base:
+            # never climbing into a frozen prefix; the search ends when
+            # none is left.
+            while len(stack) > base:
+                top = stack[-1]
+                if top.index + 1 < len(top.alternatives):
+                    break
+                stack.pop()
+                if top.resume is not None:
+                    self._live_checkpoint_bytes -= top.resume.checkpoint.approx_bytes
+            else:
                 break
-            stack[-1].index += 1
+            top.index += 1
             if self._restore:
                 # Every bumped point had > 1 alternative, so it carries a
                 # checkpoint: rewind the live run instead of re-executing.
-                resume_point = stack[-1]
+                resume_point = top
 
         if seen_states is not None:
             report.distinct_states = len(seen_states)
@@ -423,13 +442,14 @@ class Explorer:
         down to a leaf (which raises :class:`_Leaf`)."""
         if resume_point is None:
             state = self._start_run(stack, report)
-            depth, sleep, may_toss, point = 0, _EMPTY_SLEEP, True, None
+            depth, sleep, may_toss, point = 0, 0, True, None
         else:
             state, depth, sleep, may_toss, point = self._reenter(resume_point)
         run = state.run
         observer = self._observer
         step = self._step
         moved = self._moved
+        sleep_sets = self._sleep_sets
         sched_cache = self._sched_cache
         step_cache = self._step_cache
         while True:
@@ -448,9 +468,7 @@ class Explorer:
                     # fully processed when first reached and — having a
                     # choice point below it — is not a leaf: skip
                     # straight to the recorded decision.
-                    point = self._choice(
-                        state, "schedule", (), _EMPTY_SLEEP, (), depth, sleep
-                    )
+                    point = self._choice(state, "schedule", (), 0, (), depth, sleep)
                     created = False
                     fanout = len(point.alternatives)
                 else:
@@ -460,9 +478,11 @@ class Explorer:
                     created = len(state.stack) > before
                     fanout = len(names)
 
-            name = point.alternatives[point.index]
+            index = point.index
+            name = point.alternatives[index]
             chosen = run.process_map[name]
-            chosen_sig = point.sigs[point.index] if point.sigs else signature_of(chosen)
+            sigs = point.sigs
+            chosen_sig = sigs[index] if sigs else signature_of(chosen)
             choice = sched_cache.get(name)
             if choice is None:
                 choice = sched_cache[name] = ScheduleChoice(name)
@@ -494,23 +514,25 @@ class Explorer:
                     outcome.proc_name,
                     outcome.node_id,
                 )
-            state.note_broken(chosen, depth)
-            may_toss = chosen.status is ProcessStatus.NEEDS_TOSS
+            status = chosen.status
+            may_toss = status is ProcessStatus.NEEDS_TOSS
+            if status is not ProcessStatus.AT_VISIBLE and not may_toss:
+                state.note_broken(chosen, depth)
             if self._stop_on_first and not report.ok:
                 self._leaf(state)
 
-            # Sleep set carried into the successor state.  The first
-            # alternative under an empty inherited set has nothing to
-            # merge and nothing to filter.
-            if (
-                not self._sleep_sets
-                or chosen_sig is None
-                or (point.index == 0 and not point.sleep)
-            ):
-                sleep = _EMPTY_SLEEP
+            # Sleep mask carried into the successor state: the inherited
+            # mask and the explored siblings, less what ``chosen_sig``
+            # depends on.  The first alternative under an empty inherited
+            # mask has nothing to merge and nothing to filter.
+            if not sleep_sets or chosen_sig is None or (index == 0 and not point.sleep):
+                sleep = 0
             else:
-                explored = [sig for sig in point.sigs[: point.index] if sig is not None]
-                sleep = augment_sleep(point.sleep, explored, chosen_sig)
+                sleep = point.sleep
+                for sig in sigs[:index]:
+                    if sig is not None:
+                        sleep |= sig.bit
+                sleep &= ~dependent_bits(chosen_sig)
             point = None
 
     def _start_run(self, stack: list[_ChoicePoint], report: ExplorationReport) -> PathState:
@@ -571,7 +593,7 @@ class Explorer:
         state.note_broken(tossing, info.depth)
         return state, info.depth, info.sleep, True, None
 
-    def _answer_tosses(self, state: PathState, depth: int, sleep: frozenset) -> None:
+    def _answer_tosses(self, state: PathState, depth: int, sleep: int) -> None:
         """Resolve the pending toss choices (invisible, intra-transition).
 
         Only the process(es) resumed since the last global state can be
@@ -585,9 +607,7 @@ class Explorer:
                 return
             request = tossing.toss_request
             before = len(state.stack)
-            point = self._choice(
-                state, "toss", range(request.bound + 1), _EMPTY_SLEEP, (), depth, sleep
-            )
+            point = self._choice(state, "toss", range(request.bound + 1), 0, (), depth, sleep)
             value = point.chosen
             state.choices.append(self._toss_choice(tossing.name, value))
             self._answer(run, tossing, value)
@@ -607,12 +627,12 @@ class Explorer:
         stats: SearchStats,
         seen_states: set[Any] | None,
         depth: int,
-        sleep: frozenset,
+        sleep: int,
     ) -> tuple:
         """A freshly reached global state: count it, key it for dedup
         and the store, analyze it and apply the leaf checks (raising
         :class:`_Leaf`); returns the schedule alternatives and their
-        signatures that the sleep set leaves awake."""
+        signatures that the sleep mask leaves awake."""
         report = state.report
         run = state.run
         report.states_visited += 1
@@ -656,13 +676,13 @@ class Explorer:
         stats.enabled_transitions += enabled_mask.bit_count()
         stats.persistent_transitions += len(names)
         if not sleep:
-            # Empty sleep set (the common case): the memoized tuples are
+            # Empty sleep mask (the common case): the memoized tuples are
             # the awake alternatives — no copies.
             return names, sigs
         awake_names = []
         awake_sigs = []
         for name, sig in zip(names, sigs):
-            if sig is not None and sig in sleep:
+            if sleep & sig.bit:
                 stats.sleep_prunes += 1
                 continue
             awake_names.append(name)
@@ -678,11 +698,11 @@ class Explorer:
         self,
         state: PathState,
         kind: str,
-        alternatives: Iterable[Any],
-        sleep: frozenset[TransitionSig],
-        sigs: Iterable[TransitionSig | None],
+        alternatives: Sequence[Any],
+        sleep: int,
+        sigs: Sequence[TransitionSig | None],
         depth: int,
-        resume_sleep: frozenset[TransitionSig],
+        resume_sleep: int,
     ) -> _ChoicePoint:
         if state.ptr < len(state.stack):
             point = state.stack[state.ptr]
@@ -693,12 +713,9 @@ class Explorer:
                     f"{point.kind} choice, got {kind} — the runtime is not deterministic"
                 )
             return point
-        # Alternatives/sigs may arrive as lazy ranges or memoized tuples —
-        # materialized as lists only here, on point *creation* (replayed
-        # visits never touch them, so the hot path allocates nothing).
-        point = _ChoicePoint(
-            kind=kind, alternatives=list(alternatives), sleep=sleep, sigs=list(sigs)
-        )
+        # Alternatives and sigs are stored as given (ranges, memoized
+        # tuples or the awake lists): nothing writes them after creation.
+        point = _ChoicePoint(kind, alternatives, 0, sleep, sigs)
         if kind == "toss":
             # Counted at creation so replays do not double-count.
             state.report.toss_points += 1
@@ -715,7 +732,9 @@ class Explorer:
                 sleep=resume_sleep,
                 choices_len=len(state.choices),
                 steps_len=len(state.steps),
-                noted_broken=frozenset(state.noted_broken),
+                noted_broken=(
+                    frozenset(state.noted_broken) if state.noted_broken else _NONE_BROKEN
+                ),
                 projection=self._projection_of(state.run).capture(),
             )
             self._live_checkpoint_bytes += checkpoint.approx_bytes
@@ -751,12 +770,9 @@ class Explorer:
 #: Control ids of the processes with no pending visible operation (an
 #: ``AT_VISIBLE`` process's id is its interned signature id, >= 0).
 _TERMINATED = -1
+_CRASHED = -2
+_DIVERGED = -3
 _UNPARKED = -4  # needs a toss, or not started
-_STATUS_IDS = {
-    ProcessStatus.TERMINATED: _TERMINATED,
-    ProcessStatus.CRASHED: -2,
-    ProcessStatus.DIVERGED: -3,
-}
 
 
 class ControlProjection:
@@ -764,11 +780,12 @@ class ControlProjection:
 
     Per process a control id: the interned id of its pending transition
     signature, or a status marker (-1 terminated, -2 crashed, -3
-    diverged, -4 needs a toss).  Beside them the enabled bitmask and
-    the counts behind the deadlock and all-terminated tests.  The
+    diverged, -4 needs a toss).  Beside them the enabled bitmask.  The
     persistent candidates are a pure function of ``(ids, mask)`` (the
     closure reads only transition signatures, enabledness and the
-    static footprints), so :meth:`candidates` memoizes them on it.
+    static footprints), so :meth:`candidates` memoizes them on it.  The
+    deadlock and all-terminated facts are read off the ids, and only
+    at states where no process is enabled.
 
     One transition moves one process and performs on one object, and an
     object's enabledness depends only on its own operation history.
@@ -779,10 +796,7 @@ class ControlProjection:
     constructor derives every process through the same :meth:`moved`.
     """
 
-    __slots__ = (
-        "_run", "_processes", "_index", "_waiters",
-        "ids", "mask", "visible", "terminated", "unparked",
-    )
+    __slots__ = ("_run", "_processes", "_index", "_waiters", "ids", "mask")
 
     def __init__(self, run: Run):
         self._run = run
@@ -790,11 +804,9 @@ class ControlProjection:
         self._index = {process.name: i for i, process in enumerate(run.processes)}
         #: object -> bitmask of the processes ever seen pending on it.
         self._waiters: dict[Any, int] = {}
-        self.ids = (_UNPARKED,) * len(run.processes)
+        #: Control id per process, updated in place.
+        self.ids = [_UNPARKED] * len(run.processes)
         self.mask = 0
-        self.visible = 0
-        self.terminated = 0
-        self.unparked = len(run.processes)
         for process in run.processes:
             self.moved(process.name, None)
 
@@ -809,10 +821,10 @@ class ControlProjection:
         status = process.status
         if status is ProcessStatus.AT_VISIBLE:
             request = process.pending
-            entry = process._sig_entry
-            if entry is None or entry[0] is not request:
-                entry = intern_signature(process, request)
-            new = entry[2]
+            sig = request.sig
+            if sig is None:
+                sig = intern_signature(process, request)
+            self.ids[index] = sig.id
             target = request.obj
             if target is None:
                 mask |= bit
@@ -826,24 +838,14 @@ class ControlProjection:
                     self._waiters[target] = waiters | bit
         else:
             mask &= ~bit
-            new = _STATUS_IDS.get(status, _UNPARKED)
-        old = self.ids[index]
-        if new != old:
-            ids = list(self.ids)
-            ids[index] = new
-            self.ids = tuple(ids)
-            if old >= 0:
-                self.visible -= 1
-            elif old == _TERMINATED:
-                self.terminated -= 1
-            elif old == _UNPARKED:
-                self.unparked -= 1
-            if new >= 0:
-                self.visible += 1
-            elif new == _TERMINATED:
-                self.terminated += 1
-            elif new == _UNPARKED:
-                self.unparked += 1
+            if status is ProcessStatus.TERMINATED:
+                self.ids[index] = _TERMINATED
+            elif status is ProcessStatus.CRASHED:
+                self.ids[index] = _CRASHED
+            elif status is ProcessStatus.DIVERGED:
+                self.ids[index] = _DIVERGED
+            else:
+                self.ids[index] = _UNPARKED
         if obj is not None:
             processes = self._processes
             waiting = self._waiters.get(obj, 0) & ~bit
@@ -862,19 +864,21 @@ class ControlProjection:
     def deadlocked(self) -> bool:
         """Some process waits at a visible operation, none is enabled
         and none is mid-transition."""
-        return not self.mask and self.visible > 0 and not self.unparked
+        ids = self.ids
+        return not self.mask and max(ids, default=-1) >= 0 and _UNPARKED not in ids
 
     def all_terminated(self) -> bool:
         """Every process has terminated normally."""
-        return self.terminated == len(self.ids)
+        return self.ids.count(_TERMINATED) == len(self.ids)
 
     def capture(self) -> tuple:
         """The projection's state, for :meth:`reinstall` after a restore."""
-        return (self.ids, self.mask, self.visible, self.terminated, self.unparked)
+        return (tuple(self.ids), self.mask)
 
     def reinstall(self, captured: tuple) -> None:
         """Return to a :meth:`capture` of this projection."""
-        self.ids, self.mask, self.visible, self.terminated, self.unparked = captured
+        ids, self.mask = captured
+        self.ids[:] = ids
 
     def candidates(
         self, persistent: PersistentSetComputer | None, memo: dict[tuple, tuple]
@@ -882,7 +886,7 @@ class ControlProjection:
         """``(names, signatures)`` of the transitions to expand: the
         persistent subset of the enabled processes with ``persistent``,
         else all of them, in process order; memoized in ``memo``."""
-        key = (self.ids, self.mask)
+        key = (tuple(self.ids), self.mask)
         entry = memo.get(key)
         if entry is None:
             processes = self._processes

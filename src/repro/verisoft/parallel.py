@@ -82,7 +82,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from ..runtime.system import System
 from .explorer import Explorer, _ChoicePoint
-from .por import TransitionSig
+from .por import TransitionSig, reintern, sleep_mask, sleep_signatures
 from .results import ExplorationReport, without_trace
 from .search import SearchOptions, search_options
 from .stats import SearchStats
@@ -160,12 +160,14 @@ def prefix_key(prefix: ChoicePrefix) -> tuple[int, ...]:
 
 def _freeze_point(point: _ChoicePoint, index: int | None = None) -> PrefixPoint:
     """A picklable snapshot of one live choice point, optionally pinned
-    to a different alternative ``index`` (residual harvesting)."""
+    to a different alternative ``index`` (residual harvesting).  The
+    sleep mask's bits belong to this process's intern table, so it is
+    frozen as the set of its signatures."""
     return PrefixPoint(
         kind=point.kind,
         alternatives=tuple(point.alternatives),
         index=point.index if index is None else index,
-        sleep=point.sleep,
+        sleep=sleep_signatures(point.sleep),
         sigs=tuple(point.sigs),
     )
 
@@ -207,19 +209,20 @@ def _thaw(prefix: ChoicePrefix) -> list[_ChoicePoint]:
 
     The full alternative/signature lists are retained so the replayed
     sleep-set augmentation sees the same explored siblings the
-    sequential search would.
+    sequential search would.  Every signature is re-interned by its
+    fields: the prefix may come from another process (a coordinator, a
+    frontier file) whose intern table numbered them differently.
     """
-    points = []
-    for frozen in prefix.points:
-        point = _ChoicePoint(
+    return [
+        _ChoicePoint(
             kind=frozen.kind,
-            alternatives=list(frozen.alternatives),
+            alternatives=frozen.alternatives,
             index=frozen.index,
-            sleep=frozen.sleep,
-            sigs=list(frozen.sigs),
+            sleep=sleep_mask(frozen.sleep),
+            sigs=tuple(reintern(sig) for sig in frozen.sigs),
         )
-        points.append(point)
-    return points
+        for frozen in prefix.points
+    ]
 
 
 # ---------------------------------------------------------------------------

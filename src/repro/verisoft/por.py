@@ -26,12 +26,16 @@ persistent set: the classic best case.
 sibling transitions into a successor state and prunes them there if they
 are independent with the transition taken.  Dependency is judged by the
 object touched: operations on distinct objects are independent;
-``VS_assert``/sink operations are independent with everything.
+``VS_assert``/sink operations are independent with everything.  The
+explorer keeps a sleep set as an int bitmask over interned signatures
+(:func:`dependent_bits`); :func:`independent`, :func:`filter_sleep` and
+:func:`augment_sleep` are the set-based reference the tests compare it
+with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..cfg.graph import ControlFlowGraph
@@ -132,43 +136,86 @@ def process_footprint(
 
 @dataclass(frozen=True, slots=True)
 class TransitionSig:
-    """Identity of a process's pending transition, for sleep sets."""
+    """Identity of a process's pending transition, for sleep sets.
+
+    A signature interned by this module's table also carries its dense
+    ``id`` and its sleep-set ``bit`` (``1 << id``).  Neither takes part
+    in equality, hashing or repr, and both are valid only in the
+    process that interned the signature: a signature that arrives from
+    elsewhere (a pickled prefix, a frontier file) is re-interned by its
+    fields (:func:`reintern`) before its bit is used.
+    """
 
     process: str
     node_id: int
     op: str
     obj: str | None
     local: bool  # VS_assert / env-sink op: conflicts with nothing
+    id: int = field(default=-1, compare=False, repr=False, kw_only=True)
+    bit: int = field(default=0, compare=False, repr=False, kw_only=True)
 
 
-#: Interned signatures: plain-tuple field key → ``(sig, dense id)``.
-#: The search hot loop keys its persistent-set memo on tuples of the
-#: dense ids — an int-tuple hash instead of re-hashing dataclasses
-#: every state — and the tuple key keeps the lookup itself at C speed
-#: (no dataclass construction or ``__hash__`` on the hit path).
-_SIG_IDS: dict[tuple, tuple] = {}
+class _SignatureTable:
+    """The intern table of transition signatures and the sleep-set
+    masks over their bits.
+
+    Interning maps equal fields to one signature with a dense id, so a
+    sleep set is an int whose bits are the ids of its members, and
+    ``sleep & sig.bit`` answers ``sig in sleep``.  Beside the
+    signatures the table keeps, per process name, the bits of all its
+    signatures and, per object name, the bits of its non-local
+    signatures: together they are :func:`dependent_bits`.  The masks only
+    grow, and a sleep mask holds only bits interned before it was
+    built, so a mask taken later still covers every member.
+    """
+
+    __slots__ = ("by_fields", "by_id", "process_bits", "object_bits")
+
+    def __init__(self) -> None:
+        #: Plain-tuple field key -> interned signature.  The search hot
+        #: loop keys its persistent-set memo on tuples of the dense ids
+        #: (an int-tuple hash instead of re-hashing dataclasses every
+        #: state), and the tuple key keeps this lookup at C speed.
+        self.by_fields: dict[tuple, TransitionSig] = {}
+        self.by_id: list[TransitionSig] = []
+        self.process_bits: dict[str, int] = {}
+        self.object_bits: dict[str | None, int] = {}
+
+    def intern(self, fields: tuple) -> TransitionSig:
+        """The one signature with these ``(process, node_id, op, obj,
+        local)`` fields."""
+        sig = self.by_fields.get(fields)
+        if sig is None:
+            ident = len(self.by_id)
+            sig = TransitionSig(*fields, id=ident, bit=1 << ident)
+            self.by_fields[fields] = sig
+            self.by_id.append(sig)
+            process, _, _, obj, local = fields
+            self.process_bits[process] = self.process_bits.get(process, 0) | sig.bit
+            if not local:
+                self.object_bits[obj] = self.object_bits.get(obj, 0) | sig.bit
+        return sig
 
 
-def intern_signature(process: Process, request) -> tuple:
-    """Build, intern and cache the signature entry for a pending request.
+_SIGNATURES = _SignatureTable()
 
-    Returns ``(request, sig, sig_id)`` and stores it on the process;
-    requests are immutable and compared by identity, so the cache stays
-    valid until the process actually moves (including across restores,
-    which reinstall the *same* request object).
+
+def intern_signature(process: Process, request) -> TransitionSig:
+    """Build and intern the signature of ``process``'s pending visible
+    ``request``, and carry it on the request's ``sig`` slot.
+
+    A request belongs to one process's engine and is immutable, so the
+    slot stays valid for the request's life, across restores too (they
+    reinstall the *same* request object).
     """
     if request.obj is None:
         fields = (process.name, request.node_id, request.op, None, True)
     else:
         local = isinstance(request.obj, EnvSink) and not request.obj.visible_in_state
         fields = (process.name, request.node_id, request.op, request.obj.name, local)
-    interned = _SIG_IDS.get(fields)
-    if interned is None:
-        interned = (TransitionSig(*fields), len(_SIG_IDS))
-        _SIG_IDS[fields] = interned
-    entry = (request, interned[0], interned[1])
-    process._sig_entry = entry
-    return entry
+    sig = _SIGNATURES.intern(fields)
+    object.__setattr__(request, "sig", sig)
+    return sig
 
 
 def signature_of(process: Process) -> TransitionSig | None:
@@ -176,10 +223,45 @@ def signature_of(process: Process) -> TransitionSig | None:
     request = process.visible_request
     if request is None:
         return None
-    entry = process._sig_entry
-    if entry is not None and entry[0] is request:
-        return entry[1]
-    return intern_signature(process, request)[1]
+    sig = request.sig
+    return sig if sig is not None else intern_signature(process, request)
+
+
+def reintern(sig: TransitionSig | None) -> TransitionSig | None:
+    """``sig`` interned in this process's table (by its fields)."""
+    if sig is None:
+        return None
+    return _SIGNATURES.intern((sig.process, sig.node_id, sig.op, sig.obj, sig.local))
+
+
+def sleep_mask(sigs: Iterable[TransitionSig]) -> int:
+    """The sleep mask of a set of signatures (re-interned by fields)."""
+    mask = 0
+    for sig in sigs:
+        mask |= reintern(sig).bit
+    return mask
+
+
+def sleep_signatures(mask: int) -> frozenset[TransitionSig]:
+    """The signatures whose bits make up the sleep ``mask``."""
+    by_id = _SIGNATURES.by_id
+    members = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        members.append(by_id[low.bit_length() - 1])
+    return frozenset(members)
+
+
+def dependent_bits(taken: TransitionSig) -> int:
+    """The bits of every interned signature that :func:`independent`
+    calls dependent with the interned ``taken``: the same process, or a
+    non-local operation on the object of a non-local ``taken``.  A
+    sleep set carried past ``taken`` is ``sleep & ~dependent_bits(taken)``."""
+    bits = _SIGNATURES.process_bits[taken.process]
+    if not taken.local:
+        bits |= _SIGNATURES.object_bits[taken.obj]
+    return bits
 
 
 def independent(a: TransitionSig, b: TransitionSig) -> bool:

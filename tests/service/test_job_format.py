@@ -109,3 +109,46 @@ class TestMalformedJobs:
         err = capsys.readouterr().err
         assert f"{job_path}: $: missing key 'id'" in err
         assert "Traceback" not in err
+
+
+class TestMalformedStoreFiles:
+    """The store's other files: a malformed ``stats.json`` is a located
+    error, and a malformed ``job.json`` does not stop ``repro serve``."""
+
+    @pytest.mark.parametrize(
+        "content, argv, message",
+        [
+            ("[1, 2]", ["jobs", "{id}", "--json"], "$: expected dict, got list"),
+            ('{"state": "running"}', ["jobs", "{id}"], "$: missing key 'stats'"),
+            (b"\xff\xfe{", ["jobs"], "not valid JSON"),
+        ],
+    )
+    def test_a_malformed_stats_file_is_named(self, tmp_path, capsys, content, argv, message):
+        job = _submit_fig3(JobStore(tmp_path))
+        if isinstance(content, bytes):
+            job.stats_path.write_bytes(content)
+        else:
+            job.stats_path.write_text(content)
+        with pytest.raises(JobFormatError) as err:
+            job.latest_stats()
+        assert str(err.value).startswith(f"{job.stats_path}: {message}")
+        argv = [arg.format(id=job.id) for arg in argv]
+        assert main([*argv, "--jobs-dir", str(tmp_path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: {err.value}"]
+
+    def test_serve_skips_a_malformed_job_and_runs_the_valid_one(self, tmp_path, capsys):
+        store = JobStore(tmp_path)
+        valid = _submit_fig3(store)
+        doc = json.loads(_job_document())
+        del doc["id"]
+        bad_path = _store_with(tmp_path, json.dumps(doc))
+        assert store.claim_next(on_malformed=lambda err: None).id == valid.id
+        (valid.directory / ".claim").unlink()
+
+        assert main(["serve", "--once", "--jobs-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"{bad_path}: $: missing key 'id'") == 1
+        assert "ran 1 job(s)" in err
+        assert "Traceback" not in err
+        assert store.get(valid.id).state == "done"
