@@ -47,9 +47,11 @@ import pytest
 from repro import SearchOptions, System, run_search
 from repro.runtime.errors import DivergenceError, RuntimeFault
 from benchmarks.bench_lib import (
+    alternating_pairs,
     baseline_delta_lines,
     fiveess_system,
     merge_bench_json,
+    spread,
     timed_search,
 )
 from tests.statespace.conftest import FIG2_SRC, FIG3_SRC, figure_system
@@ -330,25 +332,26 @@ def _engine_rows(make_system, scripts_per_seed, reps):
     # Both engines must produce the same request sequence for the same
     # recorded answers — engine-level observational parity.
     assert logs["walk"] == logs["compiled"], "request sequences diverged"
-    times = {engine: [] for engine in ENGINES}
-    for pair in range(PAIRS):
-        for engine in ENGINES if pair % 2 == 0 else ENGINES[::-1]:
-            elapsed, choices, _ = _replay_scripts(
-                systems[engine], engine, scripts_per_seed, reps
-            )
-            times[engine].append(elapsed)
+    choices = {}
+
+    def replay(engine):
+        elapsed, choices[engine], _ = _replay_scripts(
+            systems[engine], engine, scripts_per_seed, reps
+        )
+        return elapsed
+
+    times = dict(zip(ENGINES, alternating_pairs(PAIRS, replay, *ENGINES)))
+    assert choices["walk"] == choices["compiled"]
     rows = {}
     for engine in ENGINES:
         elapsed = statistics.median(times[engine])
         rows[engine] = {
             "engine": engine,
-            "choices": choices,
+            "choices": choices[engine],
             "pairs": PAIRS,
-            "wall_time_s": round(elapsed, 4),
-            "wall_time_min_s": round(min(times[engine]), 4),
-            "wall_time_max_s": round(max(times[engine]), 4),
-            "us_per_choice": round(elapsed / choices * 1e6, 3),
-            "choices_per_second": round(choices / elapsed),
+            **spread(times[engine]),
+            "us_per_choice": round(elapsed / choices[engine] * 1e6, 3),
+            "choices_per_second": round(choices[engine] / elapsed),
         }
     ratios = [walk / compiled for walk, compiled in zip(times["walk"], times["compiled"])]
     speedup = statistics.median(ratios)

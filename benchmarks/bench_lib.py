@@ -5,13 +5,14 @@ Every benchmark writes its numbers to a repo-root ``BENCH_<name>.json``
 machine-consumable across sessions and CI runs.  This module normalizes
 the concerns the bench scripts share:
 
-* :func:`provenance_block` — one uniform ``_provenance`` block per file
-  (when it was generated, on what interpreter/platform/CPU count, at
-  which commit, and whether ``src/`` had uncommitted changes), so a
+* :func:`provenance_block` — one uniform ``_provenance`` block per
+  label (when it was generated, on what interpreter/platform/CPU count,
+  at which commit, and whether ``src/`` had uncommitted changes), so a
   number can always be traced back to its run;
 * :func:`merge_bench_json` — label-wise merging, so a filtered run
-  (``-k "fig2 or fig3"``) refreshes only its own entries and never
-  clobbers the rest of the file;
+  (``-k "fig2 or fig3"``) refreshes only its own entries, with their
+  own provenance, and never clobbers the rest of the file or restamps
+  the provenance of rows it did not measure;
 * :func:`baseline_delta_lines` — the ``--baseline`` delta summary (see
   ``benchmarks/conftest.py``): every row carrying a
   ``states_per_second`` field is matched by path against the baseline
@@ -20,6 +21,10 @@ the concerns the bench scripts share:
   ``REPEATS`` runs, so a row that takes milliseconds on a host whose
   speed swings by ~1.5x is still a measurement; :func:`timed_search`
   applies it to searches.
+* :func:`alternating_pairs` — two variants timed in pairs whose order
+  alternates, for rows that compare them (a speedup, an overhead):
+  both sides of a pair see the host at the same speed, and
+  :func:`spread` gives each side's median, min and max.
 
 The CI ``perf-smoke`` job drives the same row discovery
 (:func:`iter_rates`) through ``benchmarks/check_regression.py`` to fail
@@ -33,6 +38,7 @@ import json
 import os
 import pathlib
 import platform
+import statistics
 import subprocess
 import time
 from typing import Any, Callable, Iterator
@@ -49,7 +55,8 @@ REPEATS = 5
 
 
 def provenance_block() -> dict[str, Any]:
-    """The uniform ``_provenance`` block stamped into every BENCH file.
+    """The uniform ``_provenance`` block stamped into every label of a
+    BENCH file.
 
     ``dirty`` is true when ``src/`` differs from ``git_commit`` (the
     numbers then come from uncommitted code), ``None`` without git."""
@@ -87,10 +94,13 @@ def provenance_block() -> dict[str, Any]:
     }
 
 
-def merge_bench_json(name: str, label: str, rows: Any) -> pathlib.Path:
+def merge_bench_json(name: str, label: str, rows: dict[str, Any]) -> pathlib.Path:
     """Merge one experiment's ``rows`` under ``label`` into
-    ``BENCH_<name>.json`` (root + results copy), preserving entries a
-    filtered run did not regenerate and restamping ``_provenance``."""
+    ``BENCH_<name>.json`` (root + results copy), stamped with their own
+    ``_provenance`` block.  Entries a filtered run did not regenerate
+    keep theirs; a file-wide block of an older file is first copied into
+    each label that has none, so those rows keep the commit that
+    measured them."""
     path = ROOT / f"BENCH_{name}.json"
     results: dict[str, Any] = {}
     if path.exists():
@@ -98,8 +108,12 @@ def merge_bench_json(name: str, label: str, rows: Any) -> pathlib.Path:
             results = json.loads(path.read_text())
         except (ValueError, OSError):
             results = {}
-    results[label] = rows
-    results["_provenance"] = provenance_block()
+    shared = results.pop("_provenance", None)
+    if shared is not None:
+        for block in results.values():
+            if isinstance(block, dict):
+                block.setdefault("_provenance", shared)
+    results[label] = {**rows, "_provenance": provenance_block()}
     text = json.dumps(results, indent=2) + "\n"
     path.write_text(text)
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -199,3 +213,30 @@ def timed_search(build: Callable[[], Any], options: Any) -> tuple[Any, dict[str,
     report, reports, timing = timed_repeats(build, lambda system: run_search(system, options))
     assert len({report.summary() for report in reports}) == 1
     return report, timing
+
+
+def alternating_pairs(
+    pairs: int, timed: Callable[[Any], float], first: Any, second: Any
+) -> tuple[list[float], list[float]]:
+    """Call ``timed(first)`` and ``timed(second)`` ``pairs`` times each,
+    one of each per pair, ``first`` leading the even pairs and
+    ``second`` the odd ones.
+
+    ``timed`` returns the seconds it measured; the result is each
+    side's times in call order, so ``zip`` pairs them up."""
+    operands = (first, second)
+    times: tuple[list[float], list[float]] = ([], [])
+    for pair in range(pairs):
+        for side in (0, 1) if pair % 2 == 0 else (1, 0):
+            times[side].append(timed(operands[side]))
+    return times
+
+
+def spread(times: list[float]) -> dict[str, float]:
+    """A row's timing fields from its timed runs: ``wall_time_s`` (the
+    median), ``wall_time_min_s`` and ``wall_time_max_s``."""
+    return {
+        "wall_time_s": round(statistics.median(times), 4),
+        "wall_time_min_s": round(min(times), 4),
+        "wall_time_max_s": round(max(times), 4),
+    }

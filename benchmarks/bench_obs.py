@@ -7,8 +7,12 @@ when enabled": every instrumentation site in the explorer is one
 ``Counter`` increments per fresh transition.  This experiment prices
 that claim on the bounded 5ESS search: the same exhaustive DFS runs
 bare, with the profiler, with the tracer, with the coverage collector,
-and with profiler+tracer together, best-of-3 each, and the overhead
-ratios land in the repo-root ``BENCH_obs.json`` (with a copy under
+and with profiler+tracer together.  Each observed mode is timed against
+the bare search in ``PAIRS`` alternating pairs
+(:func:`benchmarks.bench_lib.alternating_pairs`), so both sides of a
+pair see the host at the same speed; a mode's overhead is the median of
+its per-pair ratios, recorded with their min and max.  The numbers land
+in the repo-root ``BENCH_obs.json`` (with a copy under
 ``benchmarks/results/`` next to the other artefacts).
 
 A note on the targets: overhead here is a *ratio*, and the incremental
@@ -23,17 +27,19 @@ ratios.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
 
 from repro import SearchOptions, Tracer, run_search
-from benchmarks.bench_lib import fiveess_system, merge_bench_json
+from benchmarks.bench_lib import alternating_pairs, fiveess_system, merge_bench_json, spread
 
 pytestmark = pytest.mark.slow
 
 BOUNDS = dict(max_depth=20, max_events=50_000)
-REPEATS = 3
+#: Alternating bare/observed pairs per observed mode.
+PAIRS = 5
 
 MODES = ("off", "profile", "trace", "coverage", "both")
 
@@ -54,15 +60,8 @@ def _run_once(mode):
 
 
 def test_bench_obs_overhead(record_table):
-    timings = {}
-    checks = {}
-    for mode in MODES:
-        best = None
-        for _ in range(REPEATS):
-            elapsed, report, tracer = _run_once(mode)
-            best = elapsed if best is None else min(best, elapsed)
-            checks[mode] = (report, tracer)
-        timings[mode] = best
+    # One untimed run per mode (also a warm-up) for the checks.
+    checks = {mode: _run_once(mode)[1:] for mode in MODES}
 
     # Same search regardless of observation (observers must not perturb).
     baseline_report = checks["off"][0]
@@ -76,43 +75,51 @@ def test_bench_obs_overhead(record_table):
     coverage = checks["coverage"][0].coverage
     assert coverage.nodes_covered  # the collector actually saw the run
 
-    base = timings["off"]
-    overhead = {
-        mode: (timings[mode] - base) / base if base else 0.0
-        for mode in MODES[1:]
-    }
+    def timed(mode):
+        return _run_once(mode)[0]
+
+    times = {"off": []}
+    ratios = {}
+    for mode in MODES[1:]:
+        off, times[mode] = alternating_pairs(PAIRS, timed, "off", mode)
+        times["off"].extend(off)
+        ratios[mode] = [on / base - 1.0 for base, on in zip(off, times[mode])]
+    overhead = {mode: statistics.median(ratios[mode]) for mode in MODES[1:]}
 
     states = baseline_report.states_visited
+    modes = {}
+    for mode in MODES:
+        row = spread(times[mode])
+        row["states_per_second"] = round(states / row["wall_time_s"])
+        if mode != "off":
+            row["overhead"] = round(overhead[mode], 4)
+            row["overhead_min"] = round(min(ratios[mode]), 4)
+            row["overhead_max"] = round(max(ratios[mode]), 4)
+        modes[mode] = row
     payload = {
         "bounds": BOUNDS,
-        "repeats": REPEATS,
+        "pairs": PAIRS,
         "transitions": baseline_report.transitions_executed,
         "paths": baseline_report.paths_explored,
         "states": states,
-        "modes": {
-            mode: {
-                "wall_time_s": round(timings[mode], 4),
-                "states_per_second": round(states / timings[mode])
-                if timings[mode]
-                else 0,
-                "overhead": round(overhead[mode], 4) if mode != "off" else 0.0,
-            }
-            for mode in MODES
-        },
+        "modes": modes,
         "target": "both < 0.20, coverage < 0.30",
     }
     merge_bench_json("obs", "5ess_bounded", payload)
 
     lines = [
-        "Observability overhead on the bounded 5ESS DFS (best of "
-        f"{REPEATS}, {baseline_report.transitions_executed} transitions)",
+        "Observability overhead on the bounded 5ESS DFS (median of "
+        f"{PAIRS} alternating pairs per mode, "
+        f"{baseline_report.transitions_executed} transitions)",
         "",
-        f"  {'mode':<8} {'wall (s)':>10} {'overhead':>10}",
+        f"  {'mode':<8} {'wall (s)':>10} {'overhead':>10} {'min':>8} {'max':>8}",
     ]
-    lines.append(f"  {'off':<8} {timings['off']:>10.4f} {'—':>10}")
+    lines.append(f"  {'off':<8} {modes['off']['wall_time_s']:>10.4f} {'—':>10}")
     for mode in MODES[1:]:
+        row = modes[mode]
         lines.append(
-            f"  {mode:<8} {timings[mode]:>10.4f} {overhead[mode]:>9.1%}"
+            f"  {mode:<8} {row['wall_time_s']:>10.4f} {row['overhead']:>9.1%} "
+            f"{row['overhead_min']:>7.1%} {row['overhead_max']:>7.1%}"
         )
     record_table("BENCH_obs", lines)
 

@@ -180,7 +180,8 @@ class CoverageCollector(SearchObserver):
         tuples: every activation below the top is a CALL node waiting for
         its callee; the top activation's node is the pending request node
         — the node whose out-edge the next resume will take.  Runs once
-        per process on every checkpoint restore, so it must stay cheap.
+        per rewound process on every checkpoint restore, so it must stay
+        cheap.
         """
         parser = self._parsers.get(process)
         if parser is None:
@@ -277,12 +278,14 @@ class CoverageCollector(SearchObserver):
             if entries:
                 self.segment(process.name, entries, counted)
 
-    def on_restore(self, run: Any) -> None:
-        """Re-anchor the parsers on the restored control stacks.  Trace
-        buffers are empty here (every drain immediately follows the
-        resume that filled it), but drain defensively so a stale tail
-        can never be attributed to post-restore ground."""
-        for process in run.processes:
+    def on_restore(self, run: Any, moved: list) -> None:
+        """Re-anchor the parsers of the ``moved`` processes on their
+        restored control stacks.  A process the rewind skipped has not
+        stepped since the checkpoint, so no segment moved its parser
+        past it.  Trace buffers are empty here (every drain immediately
+        follows the resume that filled it), but drain defensively so a
+        stale tail can never be attributed to post-restore ground."""
+        for process in moved:
             process.engine.take_trace()
             self.sync(process.name, process.engine.control_nodes())
 

@@ -10,7 +10,9 @@ merge counter-exactly:
   processes; ``counted`` says whether the startup segments are fresh
   ground (nothing precedes them on this path);
 * :meth:`~SearchObserver.on_restore` — restore-mode re-entry: the live
-  run was rewound to a choice point's checkpoint;
+  run was rewound to a choice point's checkpoint; ``moved`` lists the
+  processes whose control state the rewind changed (the others have
+  not stepped since the checkpoint);
 * :meth:`~SearchObserver.on_step` — a visible transition executed, with
   its ``fresh_edge`` flag (``False`` while a replay re-executes a known
   prefix); ``created`` says the governing choice point was created by
@@ -52,7 +54,7 @@ class SearchObserver:
     def on_run_start(self, run: Any, counted: bool) -> None:
         pass
 
-    def on_restore(self, run: Any) -> None:
+    def on_restore(self, run: Any, moved: list) -> None:
         pass
 
     def on_step(
@@ -97,9 +99,9 @@ class Fanout(SearchObserver):
         for observer in self.observers:
             observer.on_run_start(run, counted)
 
-    def on_restore(self, run):
+    def on_restore(self, run, moved):
         for observer in self.observers:
-            observer.on_restore(run)
+            observer.on_restore(run, moved)
 
     def on_step(self, process, request, depth, fanout, created, fresh_edge):
         for observer in self.observers:
@@ -173,7 +175,7 @@ class TraceSpans(SearchObserver):
     def on_run_start(self, run, counted):
         self._start = self._tracer.now_us()
 
-    def on_restore(self, run):
+    def on_restore(self, run, moved):
         self._start = self._tracer.now_us()
 
     def on_event(self, event, depth):

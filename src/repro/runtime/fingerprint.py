@@ -10,37 +10,34 @@ re-exports it) and builds the *incremental* layer on top of it:
 * :func:`decode_canonical` — the exact inverse.  The frontier codec
   uses it to keep checkpoint fingerprints format-compatible with the
   structural ``repr`` wire format of earlier versions.
-* :class:`RunFingerprinter` — the incremental combiner.  Each process
-  and communication object carries an ``fp_version`` dirty counter
-  (bumped by :meth:`Process._resume`, :meth:`Process.restore` and every
-  mutating ``perform`` branch of the built-in objects); the combiner
-  caches the encoded bytes of each component and re-encodes **only the
-  components whose version moved** since the last key.  Because a tuple
-  encodes as ``tag + length + concatenated item encodings``, the cached
-  component bytes concatenate — with two fixed headers — into *exactly*
-  ``encode_canonical(run.state_fingerprint())``.  State keys therefore
-  cost O(changes), not O(state), while staying bit-identical to the
-  full recomputation (and to every previously persisted snapshot,
-  frontier checkpoint and store digest).
+* :class:`RunFingerprinter` — the incremental combiner.  It holds the
+  key as its byte parts, one per process and one per communication
+  object between fixed headers, and a set of **stale** components:
+  :meth:`Run.execute_visible` marks the stepped process and the object
+  it operated on, :meth:`Run.answer_toss` the tossing process.  A key
+  re-encodes only the stale components.  Because a tuple encodes as
+  ``tag + length + concatenated item encodings``, the parts concatenate
+  into *exactly* ``encode_canonical(run.state_fingerprint())``.  State
+  keys therefore cost O(changes), not O(state), while staying
+  bit-identical to the full recomputation (and to every previously
+  persisted snapshot, frontier checkpoint and store digest).
 
-Restore safety: the undo journal rewinds value state *without* touching
-``fp_version`` counters, so a rewind alone would leave the cache
-claiming bytes for a state that no longer exists.  The combiner
-therefore snapshots its ``(version, bytes)`` memo into every
-:class:`~repro.runtime.journal.RunCheckpoint` and reinstalls it — memo
-*and* the components' ``fp_version`` counters, atomically — on
-:meth:`restore`.  Within one restore epoch versions only move forward
-on mutation, so ``version == memoised version`` implies the component
-is untouched; across restores the memo is reset together with the
-counters, so stale pairs can never survive a rewind.
+Restore safety: the undo journal rewinds value state underneath the
+parts, so a rewind alone would leave them describing a state that no
+longer exists.  The combiner therefore snapshots its parts and stale
+set into every :class:`~repro.runtime.journal.RunCheckpoint` and
+reinstalls both on :meth:`restore`: the rewind brings back the
+checkpointed state, which is exactly what those parts (less the stale
+ones) encode.
 
 The incremental path is **disabled** (``Run.state_key`` falls back to
 full recomputation, still computed once per state) when the program
 creates pointers: ``copy_value`` transmits pointers by reference, so a
 ``*p = v`` in one process can silently change *another* process's
-fingerprint without bumping its version.  Pointer-free programs — which
-includes everything the compiled engine accepts — have no cross-process
-aliasing, making per-component dirty tracking sound.
+fingerprint, which the step does not mark stale.  Pointer-free
+programs — which includes everything the compiled engine accepts —
+have no cross-process aliasing, so a step changes only the stepped
+process and the object it operated on.
 """
 
 from __future__ import annotations
@@ -244,117 +241,81 @@ class RunFingerprinter:
     """Incremental canonical state keys for one run.
 
     Attached by :meth:`System.start` when the program is pointer-free
-    (see the module docstring for why).  :meth:`key` returns bytes
-    bit-identical to ``encode_canonical(run.state_fingerprint())``; the
-    memo participates in checkpoint/restore via :meth:`snapshot` /
+    (see the module docstring for why).  The key is held as its byte
+    parts — the outer header, one part per process, the middle header,
+    one part per object — plus :attr:`stale`, the components whose
+    part is out of date.  The run adds to :attr:`stale` whatever a step
+    or a toss answer changed; :meth:`key` re-encodes only those and
+    returns bytes bit-identical to
+    ``encode_canonical(run.state_fingerprint())``.  The parts and the
+    stale set participate in checkpoint/restore via :meth:`snapshot` /
     :meth:`restore`.
     """
 
-    __slots__ = (
-        "_procs", "_objs", "_head", "_mid",
-        "_pver", "_pbytes", "_over", "_obytes", "_active",
-    )
+    __slots__ = ("_components", "_slot", "_parts", "stale", "_active")
 
     def __init__(self, processes: list["Process"], objects: list["CommunicationObject"]):
-        self._procs = list(processes)
-        self._objs = list(objects)
         # encode_canonical((proc_fps, obj_fps)) == outer 2-tuple header,
         # then the process-tuple header + component encodings, then the
         # object-tuple header + component encodings.
-        self._head = _TAG_TUPLE + _pack_len(2) + _TAG_TUPLE + _pack_len(len(self._procs))
-        self._mid = _TAG_TUPLE + _pack_len(len(self._objs))
-        self._pver: list[int] = [-1] * len(self._procs)
-        self._pbytes: list[bytes | None] = [None] * len(self._procs)
-        self._over: list[int] = [-1] * len(self._objs)
-        self._obytes: list[bytes | None] = [None] * len(self._objs)
-        #: Whether :meth:`key` has ever run.  Until then the memo holds
-        #: nothing worth checkpointing, so :meth:`snapshot` is free.
+        head = _TAG_TUPLE + _pack_len(2) + _TAG_TUPLE + _pack_len(len(processes))
+        mid = _TAG_TUPLE + _pack_len(len(objects))
+        self._components = (*processes, *objects)
+        #: Component -> index of its part in :attr:`_parts`.
+        self._slot = {process: 1 + i for i, process in enumerate(processes)}
+        self._slot.update(
+            (obj, 2 + len(processes) + i) for i, obj in enumerate(objects)
+        )
+        self._parts = [head, *(b"" for _ in processes), mid, *(b"" for _ in objects)]
+        #: Components whose part no longer encodes their state; every
+        #: one of them until the first :meth:`key`.
+        self.stale: set = set(self._components)
+        #: Whether :meth:`key` has ever run.  Until then every part is
+        #: stale and nothing is worth checkpointing, so :meth:`snapshot`
+        #: is free.
         self._active = False
 
     def key(self) -> bytes:
-        """The canonical global-state key, re-encoding dirty components only."""
+        """The canonical global-state key, re-encoding stale components only."""
         self._active = True
-        parts = [self._head]
-        pver, pbytes = self._pver, self._pbytes
-        for index, process in enumerate(self._procs):
-            version = process.fp_version
-            encoded = pbytes[index]
-            if encoded is None or version != pver[index]:
-                encoded = _component_bytes(process.state_fingerprint())
-                pbytes[index] = encoded
-                pver[index] = version
-            parts.append(encoded)
-        parts.append(self._mid)
-        over, obytes = self._over, self._obytes
-        for index, obj in enumerate(self._objs):
-            version = obj.fp_version
-            encoded = obytes[index]
-            if encoded is None or version != over[index]:
-                encoded = _component_bytes(obj.state_fingerprint())
-                obytes[index] = encoded
-                over[index] = version
-            parts.append(encoded)
+        parts = self._parts
+        stale = self.stale
+        if stale:
+            slot = self._slot
+            for component in stale:
+                parts[slot[component]] = _component_bytes(component.state_fingerprint())
+            stale.clear()
         return b"".join(parts)
 
     def invalidate(self) -> None:
-        """Drop every cached component (next :meth:`key` re-encodes all)."""
-        if not self._active:
-            return  # nothing was ever cached
-        self._pbytes = [None] * len(self._procs)
-        self._obytes = [None] * len(self._objs)
+        """Mark every component stale (the next :meth:`key` re-encodes all)."""
+        self.stale.update(self._components)
 
     # -- checkpoint / restore -----------------------------------------------------
 
     def snapshot(self) -> tuple | None:
-        """The memo state, captured into a :class:`RunCheckpoint`.
+        """The parts and the stale set, captured into a
+        :class:`RunCheckpoint`.
 
-        Captures each component's **live** version (so restore can pin
-        the counters to the state being checkpointed) and keeps a memo
-        entry only when it is current — a memo older than the component
-        it describes must not survive into the restored epoch, or the
-        restore would revalidate bytes of a different state.
-
-        Until the first :meth:`key` call the memo is empty and there is
-        nothing to pin: ``None`` is returned (and accepted back by
-        :meth:`Run.restore` as "drop any cached bytes"), keeping
-        checkpoints free for searches that never ask for state keys.
+        A part changed since the last :meth:`key` is in the stale set, so
+        the snapshot never claims its old bytes for the checkpointed
+        state.  Until the first :meth:`key` every part is stale: ``None``
+        is returned (and accepted back by :meth:`Run.restore` as "mark
+        everything stale"), keeping checkpoints free for searches that
+        never ask for state keys.
         """
         if not self._active:
             return None
-        pver = tuple(process.fp_version for process in self._procs)
-        over = tuple(obj.fp_version for obj in self._objs)
-        mem_pver, mem_pbytes = self._pver, self._pbytes
-        mem_over, mem_obytes = self._over, self._obytes
-        return (
-            pver,
-            tuple(
-                mem_pbytes[i] if mem_pver[i] == pver[i] else None
-                for i in range(len(pver))
-            ),
-            over,
-            tuple(
-                mem_obytes[i] if mem_over[i] == over[i] else None
-                for i in range(len(over))
-            ),
-        )
+        return tuple(self._parts), tuple(self.stale)
 
     def restore(self, snap: tuple) -> None:
-        """Reinstall a memo snapshot after a journal rewind.
+        """Reinstall a :meth:`snapshot` after a journal rewind.
 
-        Must run *after* the journal rewind and process restores of
-        :meth:`Run.restore`: resets every component's ``fp_version`` to
-        the version it had when the checkpoint was taken and reinstalls
-        the memo captured at the same instant, atomically, so cached
-        bytes and live state agree again.  Components whose bytes were
-        not current at checkpoint time carry a ``None`` memo and simply
-        re-encode on demand.
+        The rewind brings back the checkpointed state, so the parts and
+        the stale set captured with it describe the live state again,
+        whatever moved in between.
         """
-        pver, pbytes, over, obytes = snap
-        self._pver = list(pver)
-        self._pbytes = list(pbytes)
-        self._over = list(over)
-        self._obytes = list(obytes)
-        for process, version in zip(self._procs, pver):
-            process.fp_version = version
-        for obj, version in zip(self._objs, over):
-            obj.fp_version = version
+        parts, stale = snap
+        self._parts[:] = parts
+        self.stale.clear()
+        self.stale.update(stale)

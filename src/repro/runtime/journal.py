@@ -190,9 +190,9 @@ class RunCheckpoint:
     processes: tuple[Any, ...]
     #: Accounting-model footprint of this checkpoint (for telemetry).
     approx_bytes: int = 0
-    #: Incremental-fingerprint memo captured with the checkpoint
-    #: (:meth:`repro.runtime.fingerprint.RunFingerprinter.snapshot`), or
-    #: ``None`` when the run has no fingerprinter.  The journal rewinds
-    #: value state *underneath* the fingerprint cache, so restore must
-    #: reinstall the memo taken at the same instant as the mark.
+    #: Incremental-fingerprint parts and stale set captured with the
+    #: checkpoint (:meth:`repro.runtime.fingerprint.RunFingerprinter.snapshot`),
+    #: or ``None`` when the run has no fingerprinter or has not keyed a
+    #: state yet.  The journal rewinds value state *underneath* the
+    #: parts, so restore must reinstall those taken with the mark.
     fingerprints: tuple | None = None

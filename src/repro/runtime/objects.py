@@ -24,7 +24,14 @@ from .values import copy_value, fingerprint
 
 
 class CommunicationObject:
-    """Base class: a named object supporting visible operations."""
+    """Base class: a named object supporting visible operations.
+
+    The contract a subclass keeps: its state changes only inside
+    :meth:`perform`, and :meth:`state_fingerprint` reads only that
+    state.  The run marks an object stale for the incremental state key
+    (:class:`~repro.runtime.fingerprint.RunFingerprinter`) whenever it
+    performs an operation on it, so a subclass has nothing to report.
+    """
 
     kind = "object"
     #: Whether every mutation in :meth:`perform` records its inverse in
@@ -39,11 +46,6 @@ class CommunicationObject:
         #: recorded into (``None`` = journaling off; set by
         #: :meth:`System.start`).
         self.journal = None
-        #: Dirty counter for incremental fingerprints: every ``perform``
-        #: branch that can change :meth:`state_fingerprint` must bump it.
-        #: The built-in objects do; it is reset on restore by
-        #: :class:`repro.runtime.fingerprint.RunFingerprinter`.
-        self.fp_version = 0
 
     def enabled(self, op: str) -> bool:
         """Whether ``op`` may currently be executed (history-only)."""
@@ -90,13 +92,11 @@ class FifoChannel(CommunicationObject):
 
     def perform(self, op: str, args: tuple[Any, ...]) -> Any:
         if op == "send":
-            self.fp_version += 1
             if self.journal is not None:
                 self.journal.record_append(self.queue)
             self.queue.append(copy_value(args[0]))
             return None
         if op == "recv":
-            self.fp_version += 1
             value = self.queue.popleft()
             if self.journal is not None:
                 self.journal.record_popleft(self.queue, value)
@@ -145,8 +145,6 @@ class EnvSink(CommunicationObject):
     def perform(self, op: str, args: tuple[Any, ...]) -> Any:
         if op == "send":
             if self.record_outputs:
-                if self.visible_in_state:
-                    self.fp_version += 1
                 if self.journal is not None:
                     self.journal.record_append(self.outputs)
                 self.outputs.append(copy_value(args[0]))
@@ -184,13 +182,11 @@ class Semaphore(CommunicationObject):
 
     def perform(self, op: str, args: tuple[Any, ...]) -> Any:
         if op == "sem_p":
-            self.fp_version += 1
             if self.journal is not None:
                 self.journal.record_attr(self, "count")
             self.count -= 1
             return None
         if op == "sem_v":
-            self.fp_version += 1
             if self.journal is not None:
                 self.journal.record_attr(self, "count")
             self.count += 1
@@ -220,7 +216,6 @@ class SharedVar(CommunicationObject):
         if op == "read":
             return copy_value(self.value)
         if op == "write":
-            self.fp_version += 1
             if self.journal is not None:
                 self.journal.record_attr(self, "value")
             self.value = copy_value(args[0])

@@ -48,11 +48,6 @@ class Process:
         self.status: ProcessStatus | None = None  # None until start()
         self.pending: Request | None = None
         self.crash: Exception | None = None
-        #: Dirty counter for incremental fingerprints: bumped whenever the
-        #: process steps or is restored, i.e. whenever anything covered by
-        #: :meth:`state_fingerprint` may have changed.  Consumed (and reset
-        #: on restore) by :class:`repro.runtime.fingerprint.RunFingerprinter`.
-        self.fp_version = 0
         #: Memoised :meth:`snapshot` tuple — valid until the next step or
         #: restore, making repeated checkpoints of a parked process O(1).
         self._snap: tuple | None = None
@@ -76,7 +71,6 @@ class Process:
         self._resume(self._interpreter.resume, value)
 
     def _resume(self, step, *args) -> None:
-        self.fp_version += 1
         self._snap = None
         try:
             request = step(*args)
@@ -121,7 +115,6 @@ class Process:
 
     def restore(self, snap: tuple) -> None:
         """Rewind to a :meth:`snapshot` (repeatable; safe after crashes)."""
-        self.fp_version += 1
         self._snap = snap  # the state now *is* this snapshot — reseed the memo
         self.status, self.pending, self.crash, interp_snap = snap
         self._interpreter.restore(interp_snap)

@@ -237,8 +237,8 @@ class System:
 
         ``copy_value`` transmits pointers by reference, so a pointer
         program can mutate one process's fingerprint from another
-        process without touching its dirty counter; such programs fall
-        back to full fingerprint recomputation (see
+        process's step, which marks only the stepping process stale;
+        such programs fall back to full fingerprint recomputation (see
         :mod:`repro.runtime.fingerprint`).
         """
         if self._uses_pointers is None:
@@ -369,6 +369,9 @@ class Run:
         #: for pointer-free programs; ``None`` makes :meth:`state_key`
         #: recompute the full encoding (still once per call).
         self.fingerprinter = fingerprinter
+        #: The combiner's stale set, which every step and toss answer
+        #: adds the components it changed to (``None`` without one).
+        self._stale = None if fingerprinter is None else fingerprinter.stale
         self._started = False
 
     def __reduce__(self):
@@ -409,30 +412,35 @@ class Run:
             fingerprints=None if fingerprinter is None else fingerprinter.snapshot(),
         )
 
-    def restore(self, checkpoint: RunCheckpoint) -> None:
-        """Rewind this run to a :meth:`checkpoint` taken earlier.
+    def restore(self, checkpoint: RunCheckpoint) -> list[Process]:
+        """Rewind this run to a :meth:`checkpoint` taken earlier and
+        return the processes whose control state was rewound.
 
         Value state is rewound by the journal (O(changes since)), then
         the control state of every process that moved is overwritten
         from its snapshot: O(journal entries plus moved processes).  A
         process whose memoised snapshot *is* the checkpoint's snapshot
-        object has not stepped since it was taken, so it is skipped.
-        The resulting state is bit-identical to re-execution: the same
-        ``state_fingerprint()`` over the same live cell/frame objects.
+        object has not stepped since it was taken, so it is skipped and
+        left out of the returned list.  The resulting state is
+        bit-identical to re-execution: the same ``state_fingerprint()``
+        over the same live cell/frame objects.
         """
         if self.journal is None:
             raise RuntimeError("run is not journaled; cannot restore")
         self.journal.rewind(checkpoint.mark)
+        moved = []
         for process, snap in zip(self.processes, checkpoint.processes):
             if process._snap is not snap:
                 process.restore(snap)
+                moved.append(process)
         if self.fingerprinter is not None:
             if checkpoint.fingerprints is not None:
                 self.fingerprinter.restore(checkpoint.fingerprints)
             else:
-                # A checkpoint without a memo (hand-built) still rewound
-                # value state under the cache — drop every cached byte.
+                # A checkpoint taken before the first key (or hand-built)
+                # carries no parts, but value state was still rewound.
                 self.fingerprinter.invalidate()
+        return moved
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -446,6 +454,8 @@ class Run:
         if self._started:
             raise RuntimeError("run already started")
         self._started = True
+        if self._stale is not None:
+            self._stale.update(self.processes)
         for process in self.processes:
             process.start()
 
@@ -506,6 +516,11 @@ class Run:
         request = process.visible_request
         if request is None:
             raise RuntimeError(f"process {process.name!r} has no pending visible op")
+        stale = self._stale
+        if stale is not None:
+            stale.add(process)
+            if request.obj is not None:
+                stale.add(request.obj)
         outcome = None
         if request.obj is None:
             # VS_assert: evaluate the (already computed) subject.
@@ -533,6 +548,8 @@ class Run:
             raise RuntimeError(f"process {process.name!r} is not awaiting a toss")
         if not (0 <= value <= request.bound):
             raise ValueError(f"toss value {value} outside 0..{request.bound}")
+        if self._stale is not None:
+            self._stale.add(process)
         process.resume(value)
 
     # -- state inspection ------------------------------------------------------------
@@ -548,8 +565,8 @@ class Run:
         """The canonical byte key of the current global state.
 
         Bit-identical to ``encode_canonical(self.state_fingerprint())``
-        always; computed incrementally (O(components changed since the
-        last call)) when :meth:`System.start` attached a fingerprinter,
+        always; computed incrementally (O(components marked stale since
+        the last call)) when :meth:`System.start` attached a fingerprinter,
         i.e. for every pointer-free program.  This is the *single* key
         shared by seen-state dedup, the statespace stores and the
         frontier codec — compute it once per state.

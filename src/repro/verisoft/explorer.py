@@ -569,14 +569,14 @@ class Explorer:
         info = point.resume
         state = self._live
         run = state.run
-        run.restore(info.checkpoint)
+        moved = run.restore(info.checkpoint)
         self._projection.reinstall(info.projection)
         del state.choices[info.choices_len :]
         del state.steps[info.steps_len :]
         state.noted_broken = set(info.noted_broken)
         state.ptr = len(state.stack)
         if self._observer is not None:
-            self._observer.on_restore(run)
+            self._observer.on_restore(run, moved)
         if point.kind == "schedule":
             return state, info.depth, info.sleep, False, point
         # Answer the bumped toss and fall into the normal loop —

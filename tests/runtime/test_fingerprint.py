@@ -2,8 +2,8 @@
 
 :mod:`repro.runtime.fingerprint` owns the canonical byte encoding of
 state fingerprints and the :class:`RunFingerprinter` incremental
-combiner (per-component ``fp_version`` dirty tracking).  The tests pin
-its three contracts:
+combiner (the run marks the components a step changes stale; a key
+re-encodes only those).  The tests pin its three contracts:
 
 * the codec is an injective, prefix-free bijection over the fingerprint
   value domain (``decode_canonical`` inverts ``encode_canonical``);
@@ -301,30 +301,54 @@ class TestIncrementalKeys:
         run.restore(checkpoint)
         assert_key(run)
 
-    def test_snapshot_drops_stale_component_bytes(self):
+    def test_step_marks_the_process_and_its_object_stale(self):
         run = pingpong_system().start(journal=True)
         run.start_processes()
         fingerprinter = run.fingerprinter
         assert_key(run)
-        # Dirty one process *without* re-keying: the snapshot must not
-        # claim the stale bytes for the new version.
-        run.execute_visible(run.enabled_processes()[0])
-        snap = fingerprinter.snapshot()
-        pver, pbytes, over, obytes = snap
-        assert None in pbytes
-        for index, encoded in enumerate(pbytes):
-            if encoded is not None:
-                assert pver[index] == run.processes[index].fp_version
+        assert fingerprinter.stale == set()
+        process = run.enabled_processes()[0]
+        obj = process.visible_request.obj
+        assert obj is not None
+        run.execute_visible(process)
+        assert fingerprinter.stale == {process, obj}
+        assert_key(run)
+        assert fingerprinter.stale == set()
 
-    def test_mutation_bumps_fp_version(self):
-        run = pingpong_system().start()
+    def test_toss_marks_only_the_tossing_process_stale(self):
+        system = System(TOSSER)
+        system.add_env_sink("out")
+        system.add_process("p", "main", [])
+        run = system.start(journal=True)
         run.start_processes()
-        versions = [p.fp_version for p in run.processes]
-        obj_versions = {name: o.fp_version for name, o in run.objects.items()}
+        assert_key(run)
+        pending = run.toss_pending()
+        run.answer_toss(pending, 1)
+        assert run.fingerprinter.stale == {pending}
+
+    def test_snapshot_never_claims_a_stale_part(self):
+        run = pingpong_system().start(journal=True)
+        run.start_processes()
+        fingerprinter = run.fingerprinter
+        assert_key(run)
+        # Step *without* re-keying: the stepped process and its channel
+        # now hold parts of the previous state.
+        process = run.enabled_processes()[0]
+        obj = process.visible_request.obj
+        run.execute_visible(process)
+        parts, stale = fingerprinter.snapshot()
+        assert {process, obj} <= set(stale)
+        components = [*run.processes, None, *run.objects.values()]
+        for component, part in zip(components, parts[1:]):
+            if component is not None and component not in stale:
+                assert part == encode_canonical(component.state_fingerprint())
+        # Restoring the snapshot keeps the stale parts stale.
+        checkpoint = run.checkpoint()
         run.execute_visible(run.enabled_processes()[0])
-        assert [p.fp_version for p in run.processes] != versions
-        # A send landed in a channel: its version moved too.
-        assert {n: o.fp_version for n, o in run.objects.items()} != obj_versions
+        assert_key(run)
+        run.restore(checkpoint)
+        assert set(stale) <= fingerprinter.stale
+        assert_key(run)
 
 
 # ---------------------------------------------------------------------------
