@@ -13,6 +13,18 @@ may-definition might not actually redefine v).
 
 Parameters are modelled as defined at the START node: the paper treats
 them as fresh variables initialised when the procedure is called.
+
+The reaching definitions at a node are a map from each variable to the
+frozenset of nodes whose definition of it may reach there.  Maps are
+never changed once built, so they are shared: a node that defines
+nothing passes its in-map on as its out-map, and a node with one
+predecessor takes that predecessor's out-map as its in-map.  A defining
+node copies its in-map, sets each strongly defined variable to itself
+alone and adds itself to each weakly defined one; a join merges its
+predecessors' maps variable by variable.  A node's arcs are read from
+its in-map, one lookup per variable it uses.  So the work per node is
+bounded by the number of variables, not by the number of definitions
+in the procedure.
 """
 
 from __future__ import annotations
@@ -22,6 +34,11 @@ from dataclasses import dataclass
 
 from ..cfg.graph import ControlFlowGraph
 from .accesses import NodeAccess, node_access
+
+#: Reaching definitions at one point: variable -> defining nodes.
+Reaching = dict[str, frozenset[int]]
+
+_NOTHING: Reaching = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,13 +58,10 @@ class DefUseGraph:
         proc_name: str,
         arcs: set[DefUseArc],
         accesses: dict[int, NodeAccess],
-        reaching_in: dict[int, frozenset[tuple[str, int]]],
     ):
         self.proc_name = proc_name
         self.arcs = arcs
         self.accesses = accesses
-        #: node -> set of (var, def_node) pairs reaching the node's entry.
-        self.reaching_in = reaching_in
         self._out: dict[int, list[DefUseArc]] = {}
         self._in: dict[int, list[DefUseArc]] = {}
         for arc in arcs:
@@ -66,6 +80,24 @@ class DefUseGraph:
         return len(self.arcs)
 
 
+def _join(maps: list[Reaching]) -> Reaching:
+    """The union of ``maps``, variable by variable."""
+    first = maps[0]
+    merged = None
+    for other in maps[1:]:
+        if other is first:
+            continue
+        if merged is None:
+            merged = dict(first)
+        for var, defs in other.items():
+            mine = merged.get(var)
+            if mine is None:
+                merged[var] = defs
+            elif mine is not defs and not defs <= mine:
+                merged[var] = mine | defs
+    return first if merged is None else merged
+
+
 def compute_defuse(
     cfg: ControlFlowGraph, points_to: dict[str, set[str]] | None = None
 ) -> DefUseGraph:
@@ -76,47 +108,65 @@ def compute_defuse(
     without it, ``*p = e`` statements define nothing locally.
     """
     accesses: dict[int, NodeAccess] = {}
-    gen: dict[int, set[tuple[str, int]]] = {}
-    kill_vars: dict[int, set[str]] = {}
+    #: Defining node -> (its strongly defined variables, its weakly
+    #: defined ones that it does not also define strongly).
+    defines: dict[int, tuple[frozenset[str], frozenset[str]]] = {}
     for node in cfg:
         access = node_access(node, points_to)
         accesses[node.id] = access
-        gen[node.id] = {(definition.var, node.id) for definition in access.defs}
-        kill_vars[node.id] = {
-            definition.var for definition in access.defs if definition.strong
-        }
+        if access.defs:
+            strong = frozenset(d.var for d in access.defs if d.strong)
+            weak = frozenset(d.var for d in access.defs if not d.strong) - strong
+            defines[node.id] = (strong, weak)
     # Parameters are defined at START.
     start = cfg.start_id
-    gen[start] |= {(param, start) for param in cfg.params}
+    if cfg.params:
+        strong, weak = defines.get(start, (frozenset(), frozenset()))
+        defines[start] = (strong, weak | (frozenset(cfg.params) - strong))
 
     # Worklist reaching-definitions.
-    reaching_in: dict[int, set[tuple[str, int]]] = {n: set() for n in cfg.nodes}
-    reaching_out: dict[int, set[tuple[str, int]]] = {n: set() for n in cfg.nodes}
+    preds = {n: [arc.src for arc in cfg.predecessors(n)] for n in cfg.nodes}
+    reaching_in: dict[int, Reaching] = {}
+    reaching_out: dict[int, Reaching] = {n: _NOTHING for n in cfg.nodes}
     worklist: deque[int] = deque(cfg.nodes)
     queued: set[int] = set(cfg.nodes)
     while worklist:
         node_id = worklist.popleft()
         queued.discard(node_id)
-        in_set: set[tuple[str, int]] = set()
-        for arc in cfg.predecessors(node_id):
-            in_set |= reaching_out[arc.src]
-        reaching_in[node_id] = in_set
-        killed = kill_vars[node_id]
-        out_set = {pair for pair in in_set if pair[0] not in killed} | gen[node_id]
-        if out_set != reaching_out[node_id]:
-            reaching_out[node_id] = out_set
+        sources = preds[node_id]
+        if not sources:
+            in_map = _NOTHING
+        elif len(sources) == 1:
+            in_map = reaching_out[sources[0]]
+        else:
+            in_map = _join([reaching_out[src] for src in sources])
+        reaching_in[node_id] = in_map
+        definition = defines.get(node_id)
+        if definition is None:
+            out_map = in_map
+        else:
+            strong, weak = definition
+            own = frozenset((node_id,))
+            out_map = dict(in_map)
+            for var in strong:
+                out_map[var] = own
+            for var in weak:
+                defs = out_map.get(var)
+                out_map[var] = own if defs is None else defs | own
+        previous = reaching_out[node_id]
+        if out_map is not previous and out_map != previous:
+            reaching_out[node_id] = out_map
             for arc in cfg.successors(node_id):
                 if arc.dst not in queued:
                     queued.add(arc.dst)
                     worklist.append(arc.dst)
 
     arcs: set[DefUseArc] = set()
-    for node in cfg:
-        used = accesses[node.id].uses
-        if not used:
+    for node_id, access in accesses.items():
+        if not access.uses:
             continue
-        for var, def_node in reaching_in[node.id]:
-            if var in used:
-                arcs.add(DefUseArc(def_node, node.id, var))
-    frozen_in = {n: frozenset(s) for n, s in reaching_in.items()}
-    return DefUseGraph(cfg.proc_name, arcs, accesses, frozen_in)
+        in_map = reaching_in[node_id]
+        for var in access.uses:
+            for def_node in in_map.get(var, ()):
+                arcs.add(DefUseArc(def_node, node_id, var))
+    return DefUseGraph(cfg.proc_name, arcs, accesses)

@@ -316,7 +316,26 @@ def walk_expr(expr: Expr):
 
 def expr_names(expr: Expr) -> set[str]:
     """The set of variable identifiers occurring anywhere in ``expr``."""
-    return {node.ident for node in walk_expr(expr) if isinstance(node, Name)}
+    names: set[str] = set()
+    stack = [expr]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        if isinstance(node, Name):
+            names.add(node.ident)
+        elif isinstance(node, Binary):
+            push(node.left)
+            push(node.right)
+        elif isinstance(node, Unary):
+            push(node.operand)
+        elif isinstance(node, Index):
+            push(node.base)
+            push(node.index)
+        elif isinstance(node, Field):
+            push(node.base)
+        elif isinstance(node, CallExpr):
+            stack.extend(node.args)
+    return names
 
 
 def walk_stmts(stmts) :

@@ -7,12 +7,16 @@ report precise positions.  Runtime errors live in :mod:`repro.runtime.errors`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class SourceLocation:
-    """A position in an RC source text (1-based line and column)."""
+class SourceLocation(NamedTuple):
+    """A position in an RC source text (1-based line and column).
+
+    A named tuple, so the lexer builds one per token without a frozen
+    dataclass's per-field ``object.__setattr__``; like any tuple it is
+    immutable, hashable and equal to the plain tuple ``(line, column)``.
+    """
 
     line: int
     column: int

@@ -17,6 +17,10 @@ Character classes are ASCII-only: ``str.isdigit()`` and ``\\d`` accept
 characters like ``'²'`` that ``int()`` cannot parse.  Newlines occur
 only in trivia, so the line count is kept there and a token's column is
 its offset from the start of its line.
+
+Each token and its location are named tuples (see
+:mod:`repro.lang.tokens`), built with ``tuple.__new__``: two tuples per
+token and nothing else.
 """
 
 from __future__ import annotations
@@ -56,6 +60,11 @@ def tokenize(source: str) -> list[Token]:
     """Scan the whole of ``source`` and return its tokens, ending in EOF."""
     tokens: list[Token] = []
     append = tokens.append
+    # Tokens and locations are named tuples; tuple.__new__ builds them
+    # without the Python-level __new__ a named tuple's constructor runs.
+    # The kinds are read once (see the note in the parser).
+    new = tuple.__new__
+    ident, integer, string = TokenKind.IDENT, TokenKind.INT, TokenKind.STRING
     line, line_start = 1, 0
     for match in _SCAN.finditer(source):
         group = match.lastgroup
@@ -67,23 +76,23 @@ def tokenize(source: str) -> list[Token]:
                 line += newlines
                 line_start = start + text.rindex("\n") + 1
             continue
-        location = SourceLocation(line, start - line_start + 1)
+        location = new(SourceLocation, (line, start - line_start + 1))
         if group == "word":
             word = match.group(group)
             keyword = KEYWORDS.get(word)
             if keyword is None:
-                append(Token(TokenKind.IDENT, word, location))
+                append(new(Token, (ident, word, location)))
             else:
-                append(Token(keyword, None, location))
+                append(new(Token, (keyword, None, location)))
         elif group == "op":
-            append(Token(_OPERATORS[match.group(group)], None, location))
+            append(new(Token, (_OPERATORS[match.group(group)], None, location)))
         elif group == "int":
-            append(Token(TokenKind.INT, int(match.group(group)), location))
+            append(new(Token, (integer, int(match.group(group)), location)))
         elif group == "string":
             body = match.group(group)[1:-1]
             if "\\" in body:
                 body = re.sub(r"\\(.)", lambda escape: _ESCAPES[escape[1]], body)
-            append(Token(TokenKind.STRING, body, location))
+            append(new(Token, (string, body, location)))
         else:
             raise LexError(_error(group, source, match.end(group)), location)
     append(Token(TokenKind.EOF, None, SourceLocation(line, len(source) - line_start + 1)))

@@ -20,6 +20,11 @@ the CFG builder:
 
 The normalizer introduces temporaries named ``_t0``, ``_t1``, ... chosen
 to avoid every identifier occurring in the procedure.
+
+AST nodes are frozen, so a node whose normal form equals it is returned
+as it is: a name that keeps its identifier, and an expression,
+assignment, declaration or return whose children all came back as the
+same objects.  Only what normalization changes is rebuilt.
 """
 
 from __future__ import annotations
@@ -121,7 +126,9 @@ class _ProcNormalizer:
                 init = self._normalize_expr(init, scope, out)
             unique = self._fresh_unique(stmt.name)
             scope.bindings[stmt.name] = unique
-            out.append(ast.VarDecl(unique, init, stmt.array_size, stmt.location))
+            if unique != stmt.name or init is not stmt.init:
+                stmt = ast.VarDecl(unique, init, stmt.array_size, stmt.location)
+            out.append(stmt)
             return out
 
         if isinstance(stmt, ast.Assign):
@@ -137,7 +144,9 @@ class _ProcNormalizer:
                 return out
             value = self._normalize_expr(value, scope, out)
             target = self._normalize_lvalue(stmt.target, scope, out)
-            out.append(ast.Assign(target, value, stmt.location))
+            if target is not stmt.target or value is not stmt.value:
+                stmt = ast.Assign(target, value, stmt.location)
+            out.append(stmt)
             return out
 
         if isinstance(stmt, ast.CallStmt):
@@ -184,7 +193,9 @@ class _ProcNormalizer:
             value = stmt.value
             if value is not None:
                 value = self._normalize_expr(value, scope, out)
-            out.append(ast.Return(value, stmt.location))
+            if value is not stmt.value:
+                stmt = ast.Return(value, stmt.location)
+            out.append(stmt)
             return out
 
         if isinstance(stmt, ast.Continue):
@@ -261,22 +272,33 @@ class _ProcNormalizer:
         if callee not in self._known_callees:
             raise NormalizationError(f"call to undeclared procedure {callee!r}", location)
 
+    def _normalize_name(self, expr: ast.Name, scope: _Scope) -> ast.Name:
+        unique = scope.lookup(expr.ident)
+        if unique is None:
+            raise NormalizationError(f"undeclared variable {expr.ident!r}", expr.location)
+        if unique == expr.ident:
+            return expr
+        return ast.Name(unique, expr.location)
+
     def _normalize_lvalue(self, expr: ast.Expr, scope: _Scope, out: list[ast.Stmt]) -> ast.Expr:
         """Normalize an assignment target: rename, hoist calls in indices."""
         if isinstance(expr, ast.Name):
-            unique = scope.lookup(expr.ident)
-            if unique is None:
-                raise NormalizationError(f"undeclared variable {expr.ident!r}", expr.location)
-            return ast.Name(unique, expr.location)
+            return self._normalize_name(expr, scope)
         if isinstance(expr, ast.Index):
             base = self._normalize_lvalue(expr.base, scope, out)
             index = self._normalize_expr(expr.index, scope, out)
+            if base is expr.base and index is expr.index:
+                return expr
             return ast.Index(base, index, expr.location)
         if isinstance(expr, ast.Field):
             base = self._normalize_lvalue(expr.base, scope, out)
+            if base is expr.base:
+                return expr
             return ast.Field(base, expr.field, expr.location)
         if isinstance(expr, ast.Unary) and expr.op == "*":
             operand = self._normalize_expr(expr.operand, scope, out)
+            if operand is expr.operand:
+                return expr
             return ast.Unary("*", operand, expr.location)
         raise NormalizationError(
             f"invalid assignment target {type(expr).__name__}",
@@ -288,26 +310,31 @@ class _ProcNormalizer:
         if isinstance(expr, (ast.IntLit, ast.BoolLit, ast.StrLit, ast.AbstractLit)):
             return expr
         if isinstance(expr, ast.Name):
-            unique = scope.lookup(expr.ident)
-            if unique is None:
-                raise NormalizationError(f"undeclared variable {expr.ident!r}", expr.location)
-            return ast.Name(unique, expr.location)
+            return self._normalize_name(expr, scope)
         if isinstance(expr, ast.Unary):
             if expr.op == "&":
                 operand = self._normalize_lvalue(expr.operand, scope, out)
             else:
                 operand = self._normalize_expr(expr.operand, scope, out)
+            if operand is expr.operand:
+                return expr
             return ast.Unary(expr.op, operand, expr.location)
         if isinstance(expr, ast.Binary):
             left = self._normalize_expr(expr.left, scope, out)
             right = self._normalize_expr(expr.right, scope, out)
+            if left is expr.left and right is expr.right:
+                return expr
             return ast.Binary(expr.op, left, right, expr.location)
         if isinstance(expr, ast.Index):
             base = self._normalize_expr(expr.base, scope, out)
             index = self._normalize_expr(expr.index, scope, out)
+            if base is expr.base and index is expr.index:
+                return expr
             return ast.Index(base, index, expr.location)
         if isinstance(expr, ast.Field):
             base = self._normalize_expr(expr.base, scope, out)
+            if base is expr.base:
+                return expr
             return ast.Field(base, expr.field, expr.location)
         if isinstance(expr, ast.CallExpr):
             args = self._normalize_args(expr.callee, expr.args, scope, out)

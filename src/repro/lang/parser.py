@@ -62,6 +62,29 @@ _KEYWORD_STMTS = {
 }
 
 
+# The kinds the parser tests, as module globals.  On CPython 3.11 every
+# ``TokenKind.X`` read goes through the enum metaclass's ``__getattr__``
+# hook, about ten times the cost of reading a global, and the parser
+# tests a kind at nearly every token.
+_IDENT, _INT, _STRING, _TRUE, _FALSE, _TOP = (
+    TokenKind.IDENT, TokenKind.INT, TokenKind.STRING, TokenKind.TRUE, TokenKind.FALSE,
+    TokenKind.TOP,
+)
+_PROC, _EXTERN, _VAR, _IF, _ELSE, _WHILE, _FOR, _SWITCH, _CASE, _DEFAULT, _RETURN = (
+    TokenKind.PROC, TokenKind.EXTERN, TokenKind.VAR, TokenKind.IF, TokenKind.ELSE,
+    TokenKind.WHILE, TokenKind.FOR, TokenKind.SWITCH, TokenKind.CASE, TokenKind.DEFAULT,
+    TokenKind.RETURN,
+)
+_LPAREN, _RPAREN, _LBRACE, _RBRACE, _LBRACKET, _RBRACKET = (
+    TokenKind.LPAREN, TokenKind.RPAREN, TokenKind.LBRACE, TokenKind.RBRACE,
+    TokenKind.LBRACKET, TokenKind.RBRACKET,
+)
+_COMMA, _SEMI, _COLON, _DOT, _ASSIGN, _MINUS, _EOF = (
+    TokenKind.COMMA, TokenKind.SEMI, TokenKind.COLON, TokenKind.DOT, TokenKind.ASSIGN,
+    TokenKind.MINUS, TokenKind.EOF,
+)
+
+
 class Parser:
     """Parses a token stream into a :class:`repro.lang.ast.Program`."""
 
@@ -80,7 +103,7 @@ class Parser:
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
-        if token.kind is not TokenKind.EOF:
+        if token.kind is not _EOF:
             self._pos += 1
         return token
 
@@ -100,8 +123,8 @@ class Parser:
     def parse_program(self) -> ast.Program:
         procs: dict[str, ast.Proc] = {}
         externs: dict[str, ast.ExternDecl] = {}
-        while not self._at(TokenKind.EOF):
-            if self._at(TokenKind.EXTERN):
+        while not self._at(_EOF):
+            if self._at(_EXTERN):
                 decl = self._parse_extern()
                 if decl.name in externs or decl.name in procs:
                     raise ParseError(f"duplicate declaration of {decl.name!r}", decl.location)
@@ -114,181 +137,181 @@ class Parser:
         return ast.Program(procs=procs, externs=externs)
 
     def _parse_extern(self) -> ast.ExternDecl:
-        location = self._expect(TokenKind.EXTERN).location
-        self._expect(TokenKind.PROC)
-        name = self._expect(TokenKind.IDENT)
+        location = self._expect(_EXTERN).location
+        self._expect(_PROC)
+        name = self._expect(_IDENT)
         params = self._parse_params()
-        self._expect(TokenKind.SEMI)
+        self._expect(_SEMI)
         return ast.ExternDecl(str(name.value), params, location)
 
     def _parse_proc(self) -> ast.Proc:
-        location = self._expect(TokenKind.PROC).location
-        name = self._expect(TokenKind.IDENT)
+        location = self._expect(_PROC).location
+        name = self._expect(_IDENT)
         params = self._parse_params()
         body = self._parse_block()
         return ast.Proc(str(name.value), params, body, location)
 
     def _parse_params(self) -> tuple[str, ...]:
-        self._expect(TokenKind.LPAREN)
+        self._expect(_LPAREN)
         params: list[str] = []
-        if not self._at(TokenKind.RPAREN):
+        if not self._at(_RPAREN):
             while True:
-                token = self._expect(TokenKind.IDENT)
+                token = self._expect(_IDENT)
                 if token.value in params:
                     raise ParseError(f"duplicate parameter {token.value!r}", token.location)
                 params.append(str(token.value))
-                if self._accept(TokenKind.COMMA) is None:
+                if self._accept(_COMMA) is None:
                     break
-        self._expect(TokenKind.RPAREN)
+        self._expect(_RPAREN)
         return tuple(params)
 
     # -- statements ----------------------------------------------------------
 
     def _parse_block(self) -> tuple[ast.Stmt, ...]:
-        self._expect(TokenKind.LBRACE)
+        self._expect(_LBRACE)
         stmts: list[ast.Stmt] = []
-        while not self._at(TokenKind.RBRACE):
+        while not self._at(_RBRACE):
             stmts.append(self._parse_stmt())
-        self._expect(TokenKind.RBRACE)
+        self._expect(_RBRACE)
         return tuple(stmts)
 
     def _parse_stmt(self) -> ast.Stmt:
         token = self._peek()
         kind = token.kind
-        if kind is TokenKind.VAR:
+        if kind is _VAR:
             return self._parse_var_decl()
-        if kind is TokenKind.IF:
+        if kind is _IF:
             return self._parse_if()
-        if kind is TokenKind.WHILE:
+        if kind is _WHILE:
             return self._parse_while()
-        if kind is TokenKind.FOR:
+        if kind is _FOR:
             return self._parse_for()
-        if kind is TokenKind.SWITCH:
+        if kind is _SWITCH:
             return self._parse_switch()
-        if kind is TokenKind.RETURN:
+        if kind is _RETURN:
             self._advance()
             value = None
-            if not self._at(TokenKind.SEMI):
+            if not self._at(_SEMI):
                 value = self._parse_expr()
-            self._expect(TokenKind.SEMI)
+            self._expect(_SEMI)
             return ast.Return(value, token.location)
         if kind in _KEYWORD_STMTS:
             self._advance()
-            self._expect(TokenKind.SEMI)
+            self._expect(_SEMI)
             return _KEYWORD_STMTS[kind](token.location)
         stmt = self._parse_simple_stmt()
-        self._expect(TokenKind.SEMI)
+        self._expect(_SEMI)
         return stmt
 
     def _parse_var_decl(self) -> ast.VarDecl:
-        location = self._expect(TokenKind.VAR).location
-        name = self._expect(TokenKind.IDENT)
+        location = self._expect(_VAR).location
+        name = self._expect(_IDENT)
         array_size = None
-        if self._accept(TokenKind.LBRACKET) is not None:
-            size = self._expect(TokenKind.INT)
-            self._expect(TokenKind.RBRACKET)
+        if self._accept(_LBRACKET) is not None:
+            size = self._expect(_INT)
+            self._expect(_RBRACKET)
             array_size = int(size.value)
             if array_size <= 0:
                 raise ParseError("array size must be positive", size.location)
         init = None
-        if self._accept(TokenKind.ASSIGN) is not None:
+        if self._accept(_ASSIGN) is not None:
             if array_size is not None:
                 raise ParseError("array declarations cannot have initializers", location)
             init = self._parse_expr()
-        self._expect(TokenKind.SEMI)
+        self._expect(_SEMI)
         return ast.VarDecl(str(name.value), init, array_size, location)
 
     def _parse_if(self) -> ast.If:
-        location = self._expect(TokenKind.IF).location
-        self._expect(TokenKind.LPAREN)
+        location = self._expect(_IF).location
+        self._expect(_LPAREN)
         cond = self._parse_expr()
-        self._expect(TokenKind.RPAREN)
+        self._expect(_RPAREN)
         then_body = self._parse_block()
         else_body: tuple[ast.Stmt, ...] = ()
-        if self._accept(TokenKind.ELSE) is not None:
-            if self._at(TokenKind.IF):
+        if self._accept(_ELSE) is not None:
+            if self._at(_IF):
                 else_body = (self._parse_if(),)
             else:
                 else_body = self._parse_block()
         return ast.If(cond, then_body, else_body, location)
 
     def _parse_while(self) -> ast.While:
-        location = self._expect(TokenKind.WHILE).location
-        self._expect(TokenKind.LPAREN)
+        location = self._expect(_WHILE).location
+        self._expect(_LPAREN)
         cond = self._parse_expr()
-        self._expect(TokenKind.RPAREN)
+        self._expect(_RPAREN)
         body = self._parse_block()
         return ast.While(cond, body, location)
 
     def _parse_for(self) -> ast.For:
-        location = self._expect(TokenKind.FOR).location
-        self._expect(TokenKind.LPAREN)
+        location = self._expect(_FOR).location
+        self._expect(_LPAREN)
         init = None
-        if self._at(TokenKind.VAR):
+        if self._at(_VAR):
             init = self._parse_var_decl()  # consumes its own semicolon
-        elif not self._at(TokenKind.SEMI):
+        elif not self._at(_SEMI):
             init = self._parse_simple_stmt()
-            self._expect(TokenKind.SEMI)
+            self._expect(_SEMI)
         else:
-            self._expect(TokenKind.SEMI)
+            self._expect(_SEMI)
         cond = None
-        if not self._at(TokenKind.SEMI):
+        if not self._at(_SEMI):
             cond = self._parse_expr()
-        self._expect(TokenKind.SEMI)
+        self._expect(_SEMI)
         step = None
-        if not self._at(TokenKind.RPAREN):
+        if not self._at(_RPAREN):
             step = self._parse_simple_stmt()
-        self._expect(TokenKind.RPAREN)
+        self._expect(_RPAREN)
         body = self._parse_block()
         return ast.For(init, cond, step, body, location)
 
     def _parse_switch(self) -> ast.Switch:
-        location = self._expect(TokenKind.SWITCH).location
-        self._expect(TokenKind.LPAREN)
+        location = self._expect(_SWITCH).location
+        self._expect(_LPAREN)
         subject = self._parse_expr()
-        self._expect(TokenKind.RPAREN)
-        self._expect(TokenKind.LBRACE)
+        self._expect(_RPAREN)
+        self._expect(_LBRACE)
         cases: list[ast.SwitchCase] = []
         default: tuple[ast.Stmt, ...] = ()
         seen_default = False
         seen_values: set[int | str] = set()
-        while not self._at(TokenKind.RBRACE):
-            if self._at(TokenKind.CASE):
+        while not self._at(_RBRACE):
+            if self._at(_CASE):
                 case_loc = self._advance().location
                 if seen_default:
                     raise ParseError("case after default", case_loc)
                 value_token = self._peek()
-                if value_token.kind is TokenKind.INT:
+                if value_token.kind is _INT:
                     value: int | str = int(self._advance().value)
-                elif value_token.kind is TokenKind.STRING:
+                elif value_token.kind is _STRING:
                     value = str(self._advance().value)
-                elif value_token.kind is TokenKind.MINUS:
+                elif value_token.kind is _MINUS:
                     self._advance()
-                    value = -int(self._expect(TokenKind.INT).value)
+                    value = -int(self._expect(_INT).value)
                 else:
                     raise ParseError("case label must be an integer or string literal", value_token.location)
                 if value in seen_values:
                     raise ParseError(f"duplicate case label {value!r}", case_loc)
                 seen_values.add(value)
-                self._expect(TokenKind.COLON)
+                self._expect(_COLON)
                 body = self._parse_case_body()
                 cases.append(ast.SwitchCase(value, body, case_loc))
-            elif self._at(TokenKind.DEFAULT):
+            elif self._at(_DEFAULT):
                 default_loc = self._advance().location
                 if seen_default:
                     raise ParseError("duplicate default case", default_loc)
                 seen_default = True
-                self._expect(TokenKind.COLON)
+                self._expect(_COLON)
                 default = self._parse_case_body()
             else:
                 raise ParseError(f"expected 'case' or 'default', found {self._peek()}", self._peek().location)
-        self._expect(TokenKind.RBRACE)
+        self._expect(_RBRACE)
         return ast.Switch(subject, tuple(cases), default, location)
 
     def _parse_case_body(self) -> tuple[ast.Stmt, ...]:
         stmts: list[ast.Stmt] = []
         while not (
-            self._at(TokenKind.CASE) or self._at(TokenKind.DEFAULT) or self._at(TokenKind.RBRACE)
+            self._at(_CASE) or self._at(_DEFAULT) or self._at(_RBRACE)
         ):
             stmts.append(self._parse_stmt())
         return tuple(stmts)
@@ -297,7 +320,7 @@ class Parser:
         """An assignment or a call statement (no trailing semicolon)."""
         location = self._peek().location
         expr = self._parse_expr()
-        if self._accept(TokenKind.ASSIGN) is not None:
+        if self._accept(_ASSIGN) is not None:
             if not ast.is_lvalue(expr):
                 raise ParseError("assignment target is not an lvalue", location)
             value = self._parse_expr()
@@ -339,49 +362,49 @@ class Parser:
         expr = self._parse_primary()
         while True:
             token = self._tokens[self._pos]
-            if token.kind is TokenKind.LBRACKET:
+            if token.kind is _LBRACKET:
                 self._advance()
                 index = self._parse_expr()
-                self._expect(TokenKind.RBRACKET)
+                self._expect(_RBRACKET)
                 expr = ast.Index(expr, index, token.location)
-            elif token.kind is TokenKind.DOT:
+            elif token.kind is _DOT:
                 self._advance()
-                field = self._expect(TokenKind.IDENT)
+                field = self._expect(_IDENT)
                 expr = ast.Field(expr, str(field.value), token.location)
-            elif token.kind is TokenKind.LPAREN and isinstance(expr, ast.Name):
+            elif token.kind is _LPAREN and isinstance(expr, ast.Name):
                 args = self._parse_args()
                 expr = ast.CallExpr(expr.ident, args, token.location)
             else:
                 return expr
 
     def _parse_args(self) -> tuple[ast.Expr, ...]:
-        self._expect(TokenKind.LPAREN)
+        self._expect(_LPAREN)
         args: list[ast.Expr] = []
-        if not self._at(TokenKind.RPAREN):
+        if not self._at(_RPAREN):
             while True:
                 args.append(self._parse_expr())
-                if self._accept(TokenKind.COMMA) is None:
+                if self._accept(_COMMA) is None:
                     break
-        self._expect(TokenKind.RPAREN)
+        self._expect(_RPAREN)
         return tuple(args)
 
     def _parse_primary(self) -> ast.Expr:
         token = self._tokens[self._pos]
         kind = token.kind
-        if kind is TokenKind.LPAREN:
+        if kind is _LPAREN:
             self._pos += 1
             expr = self._parse_expr()
-            self._expect(TokenKind.RPAREN)
+            self._expect(_RPAREN)
             return expr
-        if kind is TokenKind.IDENT:
+        if kind is _IDENT:
             node = ast.Name(str(token.value), token.location)
-        elif kind is TokenKind.INT:
+        elif kind is _INT:
             node = ast.IntLit(int(token.value), token.location)
-        elif kind is TokenKind.STRING:
+        elif kind is _STRING:
             node = ast.StrLit(str(token.value), token.location)
-        elif kind is TokenKind.TRUE or kind is TokenKind.FALSE:
-            node = ast.BoolLit(kind is TokenKind.TRUE, token.location)
-        elif kind is TokenKind.TOP:
+        elif kind is _TRUE or kind is _FALSE:
+            node = ast.BoolLit(kind is _TRUE, token.location)
+        elif kind is _TOP:
             node = ast.AbstractLit(token.location)
         else:
             raise ParseError(f"expected expression, found {token}", token.location)
@@ -400,6 +423,6 @@ def parse_expr(source: str) -> ast.Expr:
     parser = Parser(tokenize(source))
     expr = parser._parse_expr()
     trailing = parser._peek()
-    if trailing.kind is not TokenKind.EOF:
+    if trailing.kind is not _EOF:
         raise ParseError(f"unexpected trailing input {trailing}", trailing.location)
     return expr

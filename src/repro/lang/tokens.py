@@ -5,18 +5,31 @@ reproduction.  Its statement forms are exactly the four kinds assumed by
 Section 4 of the paper (assignments, conditionals, procedure calls and
 termination statements) plus surface sugar (``for``, ``switch``,
 ``break``/``continue``) that the normalizer and CFG builder lower.
+
+A :class:`Token` is a named tuple ``(kind, value, location)`` and its
+location a named tuple ``(line, column)``: the lexer makes two per
+token, so they cost a tuple each rather than a frozen dataclass.  A
+:class:`TokenKind` hashes by identity.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SourceLocation
 
 
 class TokenKind(enum.Enum):
-    """Every lexical token kind of the RC language."""
+    """Every lexical token kind of the RC language.
+
+    Members are singletons compared by identity, so they hash by
+    identity too: the parser's operator tables then look a kind up
+    without calling ``Enum.__hash__`` in Python.
+    """
+
+    __hash__ = object.__hash__
+
     # Literals and identifiers.
     INT = "int literal"
     STRING = "string literal"
@@ -98,13 +111,16 @@ KEYWORDS: dict[str, TokenKind] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token.
 
     ``value`` holds the decoded payload: an ``int`` for integer literals,
     the string contents for string literals, and the spelling for
     identifiers; it is ``None`` for punctuation and keywords.
+
+    A named tuple ``(kind, value, location)``, like
+    :class:`~repro.lang.errors.SourceLocation`: a source of n tokens
+    costs 2n tuples, not 2n frozen dataclasses.
     """
 
     kind: TokenKind

@@ -14,8 +14,10 @@ re-exports it) and builds the *incremental* layer on top of it:
   key as its byte parts, one per process and one per communication
   object between fixed headers, and a set of **stale** components:
   :meth:`Run.execute_visible` marks the stepped process and the object
-  it operated on, :meth:`Run.answer_toss` the tossing process.  A key
-  re-encodes only the stale components.  Because a tuple encodes as
+  it operated on, :meth:`Run.answer_toss` the tossing process, from the
+  run's first key on (before it every component is stale, so a search
+  that keys no state marks nothing).  A key re-encodes only the stale
+  components.  Because a tuple encodes as
   ``tag + length + concatenated item encodings``, the parts concatenate
   into *exactly* ``encode_canonical(run.state_fingerprint())``.  State
   keys therefore cost O(changes), not O(state), while staying

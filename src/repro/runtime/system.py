@@ -370,8 +370,11 @@ class Run:
         #: recompute the full encoding (still once per call).
         self.fingerprinter = fingerprinter
         #: The combiner's stale set, which every step and toss answer
-        #: adds the components it changed to (``None`` without one).
-        self._stale = None if fingerprinter is None else fingerprinter.stale
+        #: adds the components it changed to.  Bound by the first
+        #: :meth:`state_key`: until then every component is stale
+        #: already, so a search that never keys a state marks nothing
+        #: (``None``).
+        self._stale = None
         self._started = False
 
     def __reduce__(self):
@@ -433,7 +436,7 @@ class Run:
             if process._snap is not snap:
                 process.restore(snap)
                 moved.append(process)
-        if self.fingerprinter is not None:
+        if self._stale is not None:
             if checkpoint.fingerprints is not None:
                 self.fingerprinter.restore(checkpoint.fingerprints)
             else:
@@ -574,6 +577,9 @@ class Run:
         fingerprinter = self.fingerprinter
         if fingerprinter is None:
             return encode_canonical(self.state_fingerprint())
+        if self._stale is None:
+            # The first key: from now on steps mark what they change.
+            self._stale = fingerprinter.stale
         return fingerprinter.key()
 
     def env_outputs(self, sink_name: str) -> list[Any]:

@@ -351,6 +351,56 @@ class TestIncrementalKeys:
         assert_key(run)
 
 
+class _RecordingSet(set):
+    """A stale set that records every component added to it."""
+
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
+
+    def add(self, item):
+        self.log.append(item)
+        super().add(item)
+
+    def update(self, *others):
+        for other in others:
+            self.log.extend(other)
+        super().update(*others)
+
+
+class TestUnkeyedRuns:
+    def test_search_without_keys_marks_nothing_stale(self, monkeypatch):
+        # A restore-mode DFS with no state cache and no state counting
+        # never asks for a key, so its steps, toss answers and restores
+        # need not mark anything: every component is stale until the
+        # first key.
+        from repro import SearchOptions, run_search
+        from repro.fiveess import build_app
+        from repro.runtime import system as system_module
+
+        marked: list = []
+        fingerprinters: list = []
+
+        class Recording(RunFingerprinter):
+            __slots__ = ()
+
+            def __init__(self, processes, objects):
+                super().__init__(processes, objects)
+                self.stale = _RecordingSet(self.stale, marked)
+                fingerprinters.append(self)
+
+        monkeypatch.setattr(system_module, "RunFingerprinter", Recording)
+        app = build_app(n_lines=2, calls_per_line=1)
+        system = app.make_system(app.close(), with_maintenance=False)
+        report = run_search(
+            system,
+            SearchOptions(engine="compiled", backtrack="restore", max_depth=12),
+        )
+        assert fingerprinters and report.stats.restores > 0
+        assert report.states_visited > 0
+        assert marked == []
+
+
 # ---------------------------------------------------------------------------
 # The pointer gate
 # ---------------------------------------------------------------------------
