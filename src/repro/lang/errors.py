@@ -13,9 +13,9 @@ from typing import NamedTuple
 class SourceLocation(NamedTuple):
     """A position in an RC source text (1-based line and column).
 
-    A named tuple, so the lexer builds one per token without a frozen
-    dataclass's per-field ``object.__setattr__``; like any tuple it is
-    immutable, hashable and equal to the plain tuple ``(line, column)``.
+    A named tuple: the lexer builds one per token, and a tuple is the
+    cheapest immutable record to build.  Like any tuple it is hashable
+    and equal to the plain tuple ``(line, column)``.
     """
 
     line: int

@@ -7,9 +7,9 @@ termination statements) plus surface sugar (``for``, ``switch``,
 ``break``/``continue``) that the normalizer and CFG builder lower.
 
 A :class:`Token` is a named tuple ``(kind, value, location)`` and its
-location a named tuple ``(line, column)``: the lexer makes two per
-token, so they cost a tuple each rather than a frozen dataclass.  A
-:class:`TokenKind` hashes by identity.
+location a named tuple ``(line, column)``, the cheapest immutable
+records to build: the lexer makes two per token.  A :class:`TokenKind`
+hashes by identity.
 """
 
 from __future__ import annotations
@@ -118,9 +118,8 @@ class Token(NamedTuple):
     the string contents for string literals, and the spelling for
     identifiers; it is ``None`` for punctuation and keywords.
 
-    A named tuple ``(kind, value, location)``, like
-    :class:`~repro.lang.errors.SourceLocation`: a source of n tokens
-    costs 2n tuples, not 2n frozen dataclasses.
+    A named tuple ``(kind, value, location)``, like its
+    :class:`~repro.lang.errors.SourceLocation`.
     """
 
     kind: TokenKind
