@@ -20,7 +20,9 @@ re-encodes only those).  The tests pin its three contracts:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import System
+from repro import SearchOptions, System, run_search
+from repro.fiveess import build_app
+from repro.runtime import system as system_module
 from repro.runtime.fingerprint import (
     RunFingerprinter,
     decode_canonical,
@@ -374,10 +376,6 @@ class TestUnkeyedRuns:
         # never asks for a key, so its steps, toss answers and restores
         # need not mark anything: every component is stale until the
         # first key.
-        from repro import SearchOptions, run_search
-        from repro.fiveess import build_app
-        from repro.runtime import system as system_module
-
         marked: list = []
         fingerprinters: list = []
 
