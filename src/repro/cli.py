@@ -30,6 +30,13 @@ Subcommands
     Exit code 3 signals "violations found" (0 = clean), so CI jobs can
     gate on it.
 
+    ``--checkpoint FILE`` makes the search resumable (see
+    docs/service.md): Ctrl-C or a spent ``--time-budget`` suspends it to
+    a frontier checkpoint in FILE, and the same command run again
+    resumes from it to the report an uninterrupted run gives::
+
+        repro search system.json --checkpoint ck.json -j 4
+
     Observability (see docs/observability.md): ``--trace-out FILE``
     exports the run as Chrome trace-event JSON (Perfetto-loadable) and
     writes a ``run.json`` manifest; ``--profile`` prints the hot-spot
@@ -54,19 +61,6 @@ Subcommands
 
         repro shrink trace.json -o minimal.json
 
-``submit`` / ``serve`` / ``jobs`` / ``stop`` / ``resume``
-    The durable job service (see docs/service.md): ``submit`` enqueues
-    a search as a self-contained job in an on-disk store, ``serve``
-    claims and runs queued jobs under the work-stealing scheduler,
-    ``jobs`` lists live status from the streamed heartbeats, ``stop``
-    checkpoints a running job's frontier and suspends it, and
-    ``resume`` re-queues it to continue exactly where it left off —
-    across process restarts and machines::
-
-        repro submit system.json --jobs-dir jobs -j 4
-        repro serve --jobs-dir jobs --once
-        repro jobs --jobs-dir jobs
-
 Every search-style command takes ``--engine walk|compiled`` to pick
 the execution engine (see docs/engine.md); ``compiled`` translates the
 CFGs to Python closures for throughput and falls back to the reference
@@ -78,6 +72,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import signal
 import sys
 
 from . import __version__
@@ -194,8 +189,9 @@ def cmd_graph(args) -> int:
     return 0
 
 
-# The description machinery lives in repro.sysdesc (shared with the job
-# service); the CLI's job is converting DescriptionError to a clean exit.
+# The description machinery lives in repro.sysdesc (shared with the
+# trace files); the CLI's job is converting DescriptionError to a clean
+# exit.
 
 
 def _read_description(description_path: pathlib.Path) -> dict:
@@ -269,10 +265,58 @@ def _options_from_args(args) -> SearchOptions:
 #: docs/search.md); 0 = clean search, 2 = usage/input error.
 EXIT_VIOLATIONS = 3
 
+#: Seconds between the rewrites of a running search's ``--checkpoint``
+#: file: a killed search loses at most this much work.
+CHECKPOINT_INTERVAL = 5.0
+
+
+def _checkpointed_search(system: System, options: SearchOptions, path: pathlib.Path):
+    """Search on the parallel driver with a frontier checkpoint at
+    ``path``: resume from it when it exists, rewrite it every
+    :data:`CHECKPOINT_INTERVAL` seconds, and leave the checkpoint in it
+    when Ctrl-C or the spent time budget suspends the search.  A search
+    that ends any other way removes it, so the file exists afterwards
+    exactly when the search is unfinished."""
+    from .service import load_frontier, save_frontier
+    from .verisoft.parallel import parallel_search
+
+    if options.strategy == "random":
+        raise ValueError("--checkpoint resumes a dfs or parallel search, not --strategy random")
+    initial = load_frontier(path) if path.exists() else None
+    interrupted = False
+
+    def interrupt(signum, frame) -> None:
+        nonlocal interrupted
+        interrupted = True
+
+    previous = signal.signal(signal.SIGINT, interrupt)
+    try:
+        report = parallel_search(
+            system,
+            options,
+            initial=initial,
+            should_suspend=lambda: interrupted,
+            on_checkpoint=lambda checkpoint: save_frontier(path, checkpoint),
+            checkpoint_interval=CHECKPOINT_INTERVAL,
+        )
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    if report.checkpoint is None:
+        path.unlink(missing_ok=True)
+    else:
+        save_frontier(path, report.checkpoint)
+        print(
+            f"suspended: {len(report.checkpoint.pending)} pending subtree(s) saved "
+            f"to {path}; run the same command again to resume",
+            file=sys.stderr,
+        )
+    return report
+
 
 def cmd_search(args) -> int:
     """The ``search`` subcommand: the unified search front end."""
     options = _options_from_args(args)
+    checkpoint = getattr(args, "checkpoint", None)
     tracer = options.tracer
     description = _read_description(args.system)
     if tracer is None:
@@ -285,12 +329,18 @@ def cmd_search(args) -> int:
     # Oversubscription warnings are emitted (once) by the search
     # drivers themselves — see repro.verisoft.parallel.warn_oversubscription.
     ticker = options.progress
+
+    def search():
+        if checkpoint is None:
+            return run_search(system, options)
+        return _checkpointed_search(system, options, checkpoint)
+
     try:
         if tracer is None:
-            report = run_search(system, options)
+            report = search()
         else:
             with tracer.phase("search", strategy=options.strategy):
-                report = run_search(system, options)
+                report = search()
     finally:
         if ticker is not None:
             ticker.finish()
@@ -516,130 +566,6 @@ def cmd_profile(args) -> int:
     return cmd_search(args)
 
 
-# ---------------------------------------------------------------------------
-# The job service: submit / serve / jobs / stop / resume
-# ---------------------------------------------------------------------------
-
-
-def _job_store(args):
-    from .service import JobStore
-
-    return JobStore(args.jobs_dir)
-
-
-def cmd_submit(args) -> int:
-    """The ``submit`` subcommand: enqueue a search as a durable job."""
-    description = _read_description(args.system)
-    store = _job_store(args)
-    try:
-        job = store.submit(
-            description,
-            _options_from_args(args),
-            base_dir=args.system.parent,
-            name=args.name or args.system.stem,
-        )
-    except (OSError, KeyError, ValueError) as err:
-        raise SystemExit(f"submit failed: {err}")
-    print(job.id)
-    return 0
-
-
-def cmd_serve(args) -> int:
-    """The ``serve`` subcommand: run queued jobs from a store.  A job
-    with a malformed ``job.json`` is named once and skipped; the exit
-    status is then 2."""
-    from .service.jobs import serve
-
-    store = _job_store(args)
-    malformed: set[str] = set()
-
-    def log(message: str) -> None:
-        print(message, file=sys.stderr)
-
-    def skip(err: ValueError) -> None:
-        if str(err) not in malformed:
-            malformed.add(str(err))
-            log(f"skipping a malformed job: {err}")
-
-    ran = serve(
-        store,
-        once=args.once,
-        poll_interval=args.poll,
-        log=log,
-        max_jobs=args.max_jobs,
-        metrics_out=args.metrics_out,
-        on_malformed=skip,
-    )
-    print(f"ran {ran} job(s)", file=sys.stderr)
-    return 2 if malformed else 0
-
-
-def cmd_jobs(args) -> int:
-    """The ``jobs`` subcommand: list the store, or show one job."""
-    store = _job_store(args)
-    if args.job_id:
-        try:
-            job = store.get(args.job_id)
-        except KeyError as err:
-            raise SystemExit(str(err.args[0]))
-        print(job.describe())
-        if args.json:
-            beat = job.latest_stats()
-            doc = {
-                "id": job.id,
-                "name": job.name,
-                "state": job.state,
-                "error": job.error,
-                "stats": beat.get("stats") if beat else None,
-                "has_frontier": job.frontier_path.exists(),
-                "has_result": job.result_path.exists(),
-                "has_manifest": job.manifest_path.exists(),
-            }
-            print(json.dumps(doc, indent=2))
-        return 0
-    jobs = store.jobs()
-    if not jobs:
-        print("no jobs", file=sys.stderr)
-        return 0
-    for job in jobs:
-        print(job.describe())
-    return 0
-
-
-def cmd_stop(args) -> int:
-    """The ``stop`` subcommand: ask a running job to checkpoint and
-    suspend (honoured at its next path boundary)."""
-    store = _job_store(args)
-    try:
-        job = store.request_stop(args.job_id)
-    except KeyError as err:
-        raise SystemExit(str(err.args[0]))
-    print(f"stop requested for {job.id} (state: {job.state})")
-    return 0
-
-
-def cmd_resume(args) -> int:
-    """The ``resume`` subcommand: re-queue a stopped/failed job; its
-    frontier checkpoint (if any) picks up where the search left off."""
-    store = _job_store(args)
-    try:
-        job = store.resume(args.job_id)
-    except (KeyError, ValueError) as err:
-        raise SystemExit(str(err.args[0]) if err.args else str(err))
-    print(f"{job.id} re-queued")
-    return 0
-
-
-def _add_jobs_dir_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs-dir",
-        type=pathlib.Path,
-        default=pathlib.Path("jobs"),
-        metavar="DIR",
-        help="the on-disk job store (default: ./jobs)",
-    )
-
-
 def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
@@ -655,8 +581,8 @@ def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
 
 def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
     """The flags of every search-running command (``search``,
-    ``profile``, ``submit``): the system, bounds and budgets, the
-    engine and the worker count."""
+    ``profile``): the system, bounds and budgets, the engine and the
+    worker count."""
     parser.add_argument(
         "system",
         type=pathlib.Path,
@@ -689,9 +615,8 @@ def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_strategy_arguments(parser: argparse.ArgumentParser) -> None:
-    """The strategy flags of the commands that run a search in the
-    foreground (``search``, ``profile``), with its live ticker, trace
-    and stats dump."""
+    """The strategy flags of ``search`` and ``profile``, with the live
+    ticker, trace and stats dump."""
     parser.add_argument(
         "--strategy",
         choices=STRATEGIES,
@@ -746,8 +671,8 @@ def _add_strategy_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_exploration_arguments(parser: argparse.ArgumentParser) -> None:
-    """The DFS flags of ``search`` and ``submit``: POR, state counting
-    and caching, backtracking, the event cap and coverage."""
+    """The DFS flags of ``search``: POR, state counting and caching,
+    backtracking, the event cap and coverage."""
     parser.add_argument("--no-por", dest="por", action="store_false", default=argparse.SUPPRESS)
     parser.add_argument("--count-states", action="store_true", default=argparse.SUPPRESS)
     parser.add_argument("--stop-on-first", action="store_true", default=argparse.SUPPRESS)
@@ -789,8 +714,8 @@ def _add_exploration_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         default=argparse.SUPPRESS,
         help="collect CFG node/edge and environment-input (VS_toss) "
-        "coverage: printed after a search, streamed into a job's "
-        "stats.json heartbeats and its final manifest",
+        "coverage: printed after the search and recorded in its run "
+        "manifest",
     )
 
 
@@ -911,6 +836,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallel strategy: warn when a worker makes no progress "
         f"for this long (0 disables; default: {_DEFAULTS.stall_timeout:g})",
     )
+    search_parser.add_argument(
+        "--checkpoint",
+        type=pathlib.Path,
+        default=None,
+        metavar="FILE",
+        help="run on the parallel driver and make the search resumable: "
+        "resume from FILE when it exists, and leave a frontier checkpoint "
+        "in FILE when Ctrl-C or the time budget suspends the search "
+        f"(rewritten every {CHECKPOINT_INTERVAL:g}s while it runs; removed "
+        "when the search ends any other way)",
+    )
     search_parser.set_defaults(func=cmd_search)
 
     profile_parser = sub.add_parser(
@@ -1030,75 +966,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shrink_parser.set_defaults(func=cmd_shrink)
 
-    submit_parser = sub.add_parser(
-        "submit",
-        help="enqueue a search as a durable job (run it with 'repro serve')",
-        epilog=_SYSTEM_SCHEMA,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    _add_search_arguments(submit_parser)
-    _add_exploration_arguments(submit_parser)
-    _add_jobs_dir_argument(submit_parser)
-    submit_parser.add_argument("--name", default=None, help="job display name")
-    submit_parser.set_defaults(func=cmd_submit)
-
-    serve_parser = sub.add_parser(
-        "serve", help="run queued jobs from an on-disk job store"
-    )
-    _add_jobs_dir_argument(serve_parser)
-    serve_parser.add_argument(
-        "--once",
-        action="store_true",
-        help="drain the queue and exit instead of polling forever",
-    )
-    serve_parser.add_argument(
-        "--poll",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="idle polling interval (default: 1)",
-    )
-    serve_parser.add_argument(
-        "--max-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="exit after running N jobs",
-    )
-    serve_parser.add_argument(
-        "--metrics-out",
-        type=pathlib.Path,
-        default=None,
-        metavar="FILE",
-        help="keep FILE updated in Prometheus text format (node_exporter "
-        "textfile collector): per-job search counters, coverage gauges "
-        "and frontier depth",
-    )
-    serve_parser.set_defaults(func=cmd_serve)
-
-    jobs_parser = sub.add_parser("jobs", help="list jobs (or show one)")
-    _add_jobs_dir_argument(jobs_parser)
-    jobs_parser.add_argument(
-        "job_id", nargs="?", default=None, help="show just this job"
-    )
-    jobs_parser.add_argument(
-        "--json", action="store_true", help="with a job id: dump status as JSON"
-    )
-    jobs_parser.set_defaults(func=cmd_jobs)
-
-    stop_parser = sub.add_parser(
-        "stop", help="ask a running job to checkpoint its frontier and suspend"
-    )
-    _add_jobs_dir_argument(stop_parser)
-    stop_parser.add_argument("job_id")
-    stop_parser.set_defaults(func=cmd_stop)
-
-    resume_parser = sub.add_parser(
-        "resume", help="re-queue a stopped job to resume from its frontier"
-    )
-    _add_jobs_dir_argument(resume_parser)
-    resume_parser.add_argument("job_id")
-    resume_parser.set_defaults(func=cmd_resume)
     return parser
 
 

@@ -26,9 +26,7 @@ closing transform → search/replay/shrink):
   shards (``repro search --coverage``);
 * :mod:`repro.obs.report` — self-contained, zero-asset HTML run
   reports rendered from manifests (``repro report run.json -o
-  report.html``);
-* :mod:`repro.obs.metrics` — Prometheus textfile exporter for the job
-  service (``repro serve --metrics-out FILE``).
+  report.html``).
 
 Observation is **near zero-cost when disabled**: a search holds one
 observer reference that is ``None`` when nothing observes, so each
@@ -45,7 +43,6 @@ from .manifest import (
     host_info,
     write_manifest,
 )
-from .metrics import render_prometheus, write_metrics
 from .observer import Observation, SearchObserver
 from .profile import HotSpotProfiler
 from .report import load_manifest, render_html, write_report
@@ -64,9 +61,7 @@ __all__ = [
     "host_info",
     "load_manifest",
     "render_html",
-    "render_prometheus",
     "validate_chrome_trace",
     "write_manifest",
-    "write_metrics",
     "write_report",
 ]

@@ -83,7 +83,6 @@ def build_manifest(
     language: str | None = None,
     engine: str | None = None,
     source: dict[str, str] | None = None,
-    extra: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Assemble the ``run.json`` dictionary.
 
@@ -108,8 +107,7 @@ def build_manifest(
       report's ``stats.engine`` when available;
     * ``source`` — ``{"path": ..., "text": ...}`` of the verified
       program, embedded so ``repro report`` can annotate coverage onto
-      source lines without re-reading the original file;
-    * ``extra`` — any additional JSON-serializable block.
+      source lines without re-reading the original file.
     """
     from .. import __version__
 
@@ -119,7 +117,7 @@ def build_manifest(
         "manifest_version": MANIFEST_VERSION,
         "tool": {"name": "repro", "version": __version__},
         # The one provenance block shared by every manifest writer
-        # (search / replay / shrink / service): what tool, what engine,
+        # (search / replay / shrink): what tool, what engine,
         # what source language.  The legacy top-level "tool" and
         # "language" keys stay for older consumers.
         "meta": {
@@ -191,8 +189,6 @@ def build_manifest(
         }
     if artifacts:
         manifest["artifacts"] = [str(path) for path in artifacts]
-    if extra:
-        manifest.update(extra)
     return manifest
 
 

@@ -1,6 +1,6 @@
 """The versioned on-disk frontier-checkpoint format.
 
-A work-stealing search (:mod:`repro.service.scheduler`) decomposes its
+A parallel search (:mod:`repro.verisoft.parallel`) decomposes its
 remaining work into **subtree leases** — fully pinned
 :class:`~repro.verisoft.parallel.ChoicePrefix` snapshots carrying the
 choice stack, the pinned decisions and the partial-order-reduction
@@ -19,8 +19,9 @@ context (sleep sets, explored-sibling signatures).  A
   canonicalized to strings so the distinct-state union survives JSON;
 * the **search options** snapshot and the **system fingerprint**
   (:meth:`repro.runtime.system.System.fingerprint`), so resuming
-  against a changed program or changed knobs fails loudly instead of
-  producing a report that is half one search and half another.
+  against a changed program or changed knobs (any but
+  :data:`FREE_OPTIONS`) fails loudly instead of producing a report that
+  is half one search and half another.
 
 Because the sleep-set context travels inside the pinned points and the
 runtime is deterministic, a checkpoint written by a ``walk``-engine
@@ -67,6 +68,21 @@ from ..verisoft.stats import SearchStats
 FRONTIER_FORMAT = "repro-frontier"
 #: Current (and only) frontier-format version this build reads and writes.
 FRONTIER_VERSION = 1
+
+#: The options a resumed search may change: they pick how the remaining
+#: subtrees are searched and watched, not which subtrees or what the
+#: report counts.
+FREE_OPTIONS = frozenset(
+    {
+        "engine",
+        "backtrack",
+        "jobs",
+        "scheduler",
+        "time_budget",
+        "progress_interval",
+        "stall_timeout",
+    }
+)
 
 __all__ = [
     "FRONTIER_FORMAT",
@@ -304,13 +320,13 @@ def canonical_fingerprint(value: Any) -> str:
 
 @dataclass
 class SearchCheckpoint:
-    """A suspended work-stealing search, losslessly.
+    """A suspended parallel search, losslessly.
 
     Invariant: ``pending`` and ``completed`` partition the search's
     choice tree — every subtree is either below exactly one pending
     lease or accounted in exactly one completed block.  Resuming the
     checkpoint (feeding it back to
-    :func:`~repro.service.scheduler.work_stealing_search`) therefore
+    :func:`~repro.verisoft.parallel.parallel_search`) therefore
     completes the search with a final report identical to an
     uninterrupted run.
     """
@@ -419,6 +435,22 @@ class SearchCheckpoint:
                 f"current {actual}); refusing to resume"
             )
 
+    def check_options(self, options) -> None:
+        """Raise unless ``options`` (a
+        :class:`~repro.verisoft.search.SearchOptions`) match the
+        checkpointed options in every field but :data:`FREE_OPTIONS`.
+        A recorded key that ``SearchOptions`` no longer has is
+        ignored."""
+        current = options.as_dict()
+        for name, recorded in self.options.items():
+            if name in FREE_OPTIONS or name not in current:
+                continue
+            if current[name] != recorded:
+                raise FrontierFormatError(
+                    f"frontier checkpoint was searched with {name}={recorded!r}, "
+                    f"this search asks for {name}={current[name]!r}; refusing to resume"
+                )
+
 
 def pending_key(prefix: ChoicePrefix | None) -> tuple[int, ...]:
     """DFS-order key of a pending lease (root lease sorts first)."""
@@ -431,8 +463,8 @@ def save_frontier(
     """Atomically write ``checkpoint`` as JSON; returns the path.
 
     Write-then-rename, so a reader (or a crash) never observes a
-    half-written frontier — the job service checkpoints *live* searches
-    on a timer."""
+    half-written frontier — ``repro search --checkpoint`` rewrites the
+    file of a *live* search on a timer."""
     path = pathlib.Path(path)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(json.dumps(checkpoint.to_json(), indent=2) + "\n")
@@ -441,10 +473,15 @@ def save_frontier(
 
 
 def load_frontier(path: str | pathlib.Path) -> SearchCheckpoint:
-    """Read and validate a frontier checkpoint."""
+    """Read and validate a frontier checkpoint; a malformed file raises
+    :class:`FrontierFormatError` naming the file and the JSON path of
+    the bad entry (``ck.json: $.pending[2][0].index: ...``)."""
     path = pathlib.Path(path)
     try:
         doc = json.loads(path.read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise FrontierFormatError(f"{path}: not valid JSON: {err}") from err
-    return SearchCheckpoint.from_json(doc)
+    try:
+        return SearchCheckpoint.from_json(doc)
+    except FrontierFormatError as err:
+        raise FrontierFormatError(f"{path}: {err}") from err

@@ -1,8 +1,8 @@
-"""The job service's scheduler: work stealing.
+"""The work-stealing scheduler.
 
 The one parallel driver, :func:`~repro.verisoft.parallel.parallel_search`,
-hands out subtree leases under one of two policies.  The service always
-uses ``"steal"``: one root lease, idle workers split running ones, dead
+hands out subtree leases under one of two policies.  This module fixes
+it to ``"steal"``: one root lease, idle workers split running ones, dead
 workers' leases are re-queued, and a stop request suspends the search
 to a :class:`~repro.service.frontier.SearchCheckpoint` that resumes it
 later.

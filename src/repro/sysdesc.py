@@ -4,11 +4,10 @@ A *system description* names the program file, the optional closing
 step, the communication objects and the processes — everything needed
 to rebuild a :class:`~repro.runtime.system.System` from scratch.  It is
 the lingua franca of every front end: the ``repro search`` CLI takes
-one, saved counterexample traces embed one (self-contained replay,
-:mod:`repro.counterex.traceio`), and the job service
-(:mod:`repro.service.jobs`) persists one per job so a worker process —
-possibly on another machine, possibly days later — can reconstruct the
-exact system a job talks about.
+one, and saved counterexample traces embed one with the program source
+(self-contained replay, :mod:`repro.counterex.traceio`), so a trace
+replays on another machine, possibly days later, against the exact
+system it was recorded from.
 
 Errors raise :class:`DescriptionError` (a ``ValueError``): library
 callers handle it; the CLI converts it to a clean exit.
@@ -165,8 +164,8 @@ def system_from_description(
 ) -> System:
     """Build a :class:`System` from a parsed description dict.
 
-    ``program_source`` (used when replaying a self-contained trace file
-    or running a self-contained job) supplies the program text
+    ``program_source`` (used when replaying a self-contained trace
+    file) supplies the program text
     directly; otherwise the description's ``program`` path is resolved
     against ``base_dir``.  ``tracer`` records the closing pipeline's
     phase spans.

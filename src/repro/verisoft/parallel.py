@@ -37,8 +37,9 @@ prefix owns everything below it with no shared state whatsoever.
   (:func:`_steal_targets`); the asked worker suspends at its next path
   boundary and commits its residuals.
 
-* A **stop request** (``should_suspend``) suspends every worker at
-  once; the pending leases plus completed blocks come back as a
+* A **stop request** (``should_suspend``) or a spent ``time_budget``
+  suspends every worker at its next path boundary; the pending leases
+  plus completed blocks come back as a
   :class:`~repro.service.frontier.SearchCheckpoint` on
   ``report.checkpoint``, resumable later via the ``initial`` parameter.
 
@@ -56,8 +57,7 @@ the backtracking-cost group and the stealing counters.
 Budget caveat: ``max_paths``/``max_transitions`` are enforced per lease
 and re-checked between lease completions, so a tripped budget truncates
 slightly differently (never *later*) than a sequential run; exact parity
-holds for unbudgeted searches.  Checkpoints are only produced for clean
-suspensions, not for budget-truncated runs.
+holds for unbudgeted searches.
 
 State-caching caveat: with ``state_cache`` enabled every lease owns a
 *private* store (:mod:`repro.statespace`), so a state reached in two
@@ -392,7 +392,11 @@ def _worker_main(
     own process mid-lease after that many completed paths, simulating a
     worker lost to the OOM killer — nothing is committed, exercising
     the coordinator's lease re-queue path.
+
+    A worker ignores SIGINT: Ctrl-C reaches the whole process group, and
+    the coordinator alone decides what it means.
     """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     system = system_or_factory() if callable(system_or_factory) else system_or_factory
     # Checked once per path: a poll object costs a tenth of ``conn.poll()``.
     inbox = select.poll()
@@ -644,12 +648,14 @@ def parallel_search(
 
     * ``initial`` — resume a suspended search from its
       :class:`~repro.service.frontier.SearchCheckpoint` (the system
-      fingerprint is verified first).
+      fingerprint and the options are verified first).
     * ``should_suspend`` — polled by the coordinator (and, in-process,
       between paths); returning true suspends every worker, commits all
       in-flight leases and returns a report with ``report.checkpoint``
       set.  The counters/events of that report cover the explored
-      region only and ``incomplete`` is flagged.
+      region only and ``incomplete`` is flagged.  A spent
+      ``time_budget`` suspends the search the same way, and its report
+      is also flagged ``truncated``.
     * ``on_checkpoint`` / ``checkpoint_interval`` — periodic *live*
       checkpoints: every interval the coordinator snapshots completed
       blocks plus pending **and assigned** leases (an assigned lease's
@@ -693,6 +699,7 @@ def parallel_search(
     leases = steals = requeued = 0
     if initial is not None:
         initial.check_system(system)
+        initial.check_options(options)
         for prefix in initial.pending:
             heapq.heappush(pending, (frontier.pending_key(prefix), lease_seq, prefix))
             lease_seq += 1
@@ -710,15 +717,11 @@ def parallel_search(
         leases = 1
 
     # What a lease runs with: the caller's options minus the in-process
-    # handles (picklable, so the same object travels to workers), with
-    # the wall-clock budget cut down to what is left.  Leases explored
-    # in this process record straight into the caller's tracer.
-    lease_options = replace(
-        options,
-        tracer=None,
-        progress=None,
-        time_budget=None if deadline is None else max(0.0, deadline - time.monotonic()),
-    )
+    # handles (picklable, so the same object travels to workers) and
+    # minus the wall-clock budget, which suspends leases at a path
+    # boundary instead of cutting them short.  Leases explored in this
+    # process record straight into the caller's tracer.
+    lease_options = replace(options, tracer=None, progress=None, time_budget=None)
     local_options = replace(lease_options, tracer=tracer)
 
     # Live coverage gauge: incrementally merged at block commit so
@@ -798,6 +801,22 @@ def parallel_search(
         live.frontier_pending = len(pending)
         return live
 
+    def suspend_due() -> bool:
+        """Whether a stop request or the spent wall-clock budget asks
+        the search to suspend (the in-process leases' yield check)."""
+        return (should_suspend is not None and should_suspend()) or (
+            deadline is not None and time.monotonic() > deadline
+        )
+
+    def stop_requested() -> bool:
+        """:func:`suspend_due`, recording which of the two it was."""
+        nonlocal suspended, expired
+        if should_suspend is not None and should_suspend():
+            suspended = True
+        elif deadline is not None and time.monotonic() > deadline:
+            expired = True
+        return suspended or expired
+
     def budget_spent() -> bool:
         """Whether the committed blocks used up ``max_paths`` or
         ``max_transitions`` (enforced per lease, re-checked here)."""
@@ -838,11 +857,7 @@ def parallel_search(
             {"leases": 0, "stolen_from": 0, "alive": True},
         )
         while pending and not (split and len(pending) >= SPLIT_PER_JOB * jobs):
-            if should_suspend is not None and should_suspend():
-                suspended = True
-                return
-            if deadline is not None and time.monotonic() > deadline:
-                expired = True
+            if stop_requested():
                 return
             if split:
                 entry = min(pending, key=lambda e: (len(e[0]), e[0]))
@@ -855,22 +870,24 @@ def parallel_search(
                 system,
                 prefix,
                 local_options,
-                yield_check=(lambda: True) if split else should_suspend,
+                yield_check=(lambda: True) if split else suspend_due,
                 lease_index=seq,
             )
             commit(key, report, residuals, lease_fps, was_steal=False)
             here["leases"] += 1
-            checkpoint_tick([])
             if options.progress is not None:
                 now = time.monotonic()
                 if now >= next_tick:
                     options.progress(live_stats())
                     next_tick = now + options.progress_interval
+            # A lease cut short by a budget or the first event is no
+            # finished lease: no live checkpoint may record it as one.
             if options.stop_on_first and not report.ok:
                 stop_early = True
                 return
             if budget_spent():
                 return
+            checkpoint_tick([])
 
     if jobs > 1 and not steal:
         with phase("split", jobs=jobs):
@@ -1016,18 +1033,9 @@ def parallel_search(
 
                     dead = receive(tick)
                     progress_tick()
+                    if stop_early or budget_spent() or stop_requested():
+                        break
                     checkpoint_tick([w.assigned for w in busy if w.assigned is not None])
-
-                    if stop_early:
-                        break
-                    if should_suspend is not None and should_suspend():
-                        suspended = True
-                        break
-                    if deadline is not None and time.monotonic() > deadline:
-                        expired = True
-                        break
-                    if budget_spent():
-                        break
 
                     # A dead worker's lease goes back to the pool, and a
                     # replacement is spawned while work remains.
@@ -1049,19 +1057,20 @@ def parallel_search(
             finally:
                 # Suspend and release every worker, then read each pipe to
                 # EOF: a worker holding a lease suspends at its next path
-                # boundary and commits it first.  On a stop request, a
-                # lease not committed within the grace period is
-                # re-queued uncommitted.
+                # boundary and commits it first.  On a stop request or a
+                # spent time budget, a lease not committed within the
+                # grace period is re-queued uncommitted.
+                resumable = suspended or expired
                 for handle in workers.values():
                     post(handle, ("suspend", None, None))
                     post(handle, None)
-                deadline_join = time.monotonic() + (10.0 if suspended else 5.0)
+                deadline_join = time.monotonic() + (10.0 if resumable else 5.0)
                 for handle in workers.values():
                     with contextlib.suppress(EOFError, OSError):
                         while handle.conn.poll(max(0.0, deadline_join - time.monotonic())):
                             fold(handle, handle.conn.recv())
                     handle.conn.close()
-                    if suspended and handle.assigned is not None:
+                    if resumable and handle.assigned is not None:
                         heapq.heappush(pending, handle.assigned)
                         handle.assigned = None
                         requeued += 1
@@ -1088,13 +1097,11 @@ def parallel_search(
         )
     if budget_spent():
         merged.truncated = True
-    if suspended:
+    if suspended or expired:
         merged.incomplete = True
         merged.checkpoint = build_checkpoint()
     if expired:
-        # Some leases were never searched: the sequential explorer's
-        # ``incomplete`` flag.
-        merged.incomplete = True
+        # The sequential explorer flags a spent time budget this way.
         merged.truncated = True
     merged.stats.prefixes = leases
     merged.stats.leases = leases

@@ -144,29 +144,22 @@ class TestWorkerPoolCli:
         assert "reproduced" in capsys.readouterr().out
 
 
-class TestJobService:
-    def test_submit_and_serve_python_program(self, tmp_path, capsys):
-        jobs_dir = tmp_path / "jobs"
-        assert (
-            main(
-                [
-                    "submit",
-                    str(PINGER),
-                    "--jobs-dir",
-                    str(jobs_dir),
-                    "-j",
-                    "1",
-                ]
-            )
-            == 0
-        )
-        job_id = capsys.readouterr().out.strip()
-        assert main(["serve", "--jobs-dir", str(jobs_dir), "--once"]) == 0
-        from repro.service import JobStore
+def search(*argv) -> int:
+    return main(["search", *map(str, argv)])
 
-        job = JobStore(jobs_dir).get(job_id)
-        assert job.state == "done"
-        manifest = json.loads(job.manifest_path.read_text())
+
+class TestCheckpoint:
+    def test_suspended_search_resumes_and_records_the_language(self, tmp_path, capsys):
+        checkpoint = tmp_path / "ck.json"
+        argv = [PINGER, "--checkpoint", checkpoint, "-j", "1"]
+        assert search(*argv, "--time-budget", "0") == 0
+        assert checkpoint.exists()
+        capsys.readouterr()
+        traces = tmp_path / "traces"
+        assert search(*argv, "--save-traces", traces) == 3
+        assert not checkpoint.exists()
+        resumed_summary = capsys.readouterr().out.splitlines()[0]
+        assert search(PINGER) == 3
+        assert capsys.readouterr().out.splitlines()[0] == resumed_summary
+        manifest = json.loads((traces / "run.json").read_text())
         assert manifest["language"] == "python"
-        result = json.loads(job.result_path.read_text())
-        assert result["ok"] is False  # the seeded violation was found

@@ -39,7 +39,6 @@ class TestBlocks:
             system=fig2,
             phases={"search": 0.1234567},
             artifacts=["trace.json"],
-            extra={"note": "test"},
         )
         assert manifest["options"]["profile"] is True
         assert manifest["report"]["transitions_executed"] == (
@@ -53,7 +52,6 @@ class TestBlocks:
         assert manifest["system_fingerprint"] == fig2.fingerprint()
         assert manifest["phases"] == {"search": 0.123457}  # rounded
         assert manifest["artifacts"] == ["trace.json"]
-        assert manifest["note"] == "test"
         json.dumps(manifest, default=str)  # serializable
 
     def test_fingerprint_failure_degrades_to_none(self):
@@ -66,8 +64,8 @@ class TestBlocks:
 
 
 class TestMetaBlock:
-    """Every manifest writer (search / replay / shrink / the job
-    service) goes through :func:`build_manifest`, so the one ``meta``
+    """Every manifest writer (search / replay / shrink) goes through
+    :func:`build_manifest`, so the one ``meta``
     provenance block is schema-stable: tool, version, engine, language."""
 
     def test_meta_keys_always_present(self):

@@ -178,6 +178,40 @@ class TestSuspension:
         )
         assert_report_parity(resumed, base)
 
+    @pytest.mark.parametrize(
+        "make_system, budget",
+        [(fig3_system, {"max_paths": 3}), (lambda: toss_loop_system(12), {"time_budget": 0.02})],
+        ids=["max_paths", "time_budget"],
+    )
+    def test_budgeted_checkpoints_are_resumable(self, make_system, budget):
+        # A lease cut short by a budget is not finished: no checkpoint
+        # may record it as a completed block.  Resumed without the
+        # budget, every checkpoint must finish the whole search.
+        base = run_search(
+            make_system(), SearchOptions(strategy="dfs", count_states=True, max_depth=40)
+        )
+        snapshots = []
+        report = work_stealing_search(
+            make_system(),
+            _steal_options(jobs=1, **budget),
+            on_checkpoint=snapshots.append,
+            checkpoint_interval=0.0,
+        )
+        assert report.truncated
+        if "time_budget" in budget:
+            # A spent time budget suspends the search at a path boundary.
+            assert report.incomplete and report.checkpoint is not None
+            snapshots.append(report.checkpoint)
+        else:
+            assert report.checkpoint is None
+        unbudgeted = {"max_paths": None, "time_budget": None}
+        for snapshot in snapshots:
+            snapshot.options = {**snapshot.options, **unbudgeted}
+            resumed = work_stealing_search(
+                make_system(), _steal_options(jobs=1), initial=snapshot
+            )
+            assert_report_parity(resumed, base)
+
 
 @pytest.mark.slow
 class TestCrashRecovery:

@@ -11,17 +11,15 @@ class TestSearchDefaults:
     def options(self, *argv):
         return _options_from_args(build_parser().parse_args(list(argv)))
 
-    def test_bare_search_and_submit_use_the_search_defaults(self):
-        defaults = SearchOptions().as_dict()
-        assert self.options("search", "s.json").as_dict() == defaults
-        assert self.options("submit", "s.json").as_dict() == defaults
+    def test_bare_search_uses_the_search_defaults(self):
+        assert self.options("search", "s.json").as_dict() == SearchOptions().as_dict()
 
     def test_bare_profile_differs_only_in_profile(self):
         expected = SearchOptions(profile=True).as_dict()
         assert self.options("profile", "s.json").as_dict() == expected
 
     def test_ticker_and_tracer_only_when_asked_for(self, tmp_path):
-        for command in ("search", "profile", "submit"):
+        for command in ("search", "profile"):
             bare = self.options(command, "s.json")
             assert bare.progress is None and bare.tracer is None
         for command in ("search", "profile"):
