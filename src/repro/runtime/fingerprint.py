@@ -24,6 +24,18 @@ re-exports it) and builds the *incremental* layer on top of it:
   bit-identical to the full recomputation (and to every previously
   persisted snapshot, frontier checkpoint and store digest).
 
+The parts are also a key in their own right (:meth:`Run.state_parts`,
+what the exact state store keeps).  The encoding is prefix-free and
+each part is the complete encoding of one component (or one of the two
+interned tuple headers), so two part tuples of one system are equal
+exactly when their concatenations are.  Equal parts are one shared
+``bytes`` object — the headers through :func:`_header`, the components
+through :data:`_COMPONENT_CACHE` — so a stored part tuple costs a
+pointer per component, not the component's bytes.  Past
+``_COMPONENT_LIMIT`` cached encodings, new component encodings are no
+longer shared: the keys stay exact but grow towards the size of the
+joined bytes.
+
 Restore safety: the undo journal rewinds value state underneath the
 parts, so a rewind alone would leave them describing a state that no
 longer exists.  The combiner therefore snapshots its parts and stale
@@ -32,8 +44,8 @@ reinstalls both on :meth:`restore`: the rewind brings back the
 checkpointed state, which is exactly what those parts (less the stale
 ones) encode.
 
-The incremental path is **disabled** (``Run.state_key`` falls back to
-full recomputation, still computed once per state) when the program
+The incremental path is **disabled** (``Run.state_parts`` falls back
+to full recomputation, still split into the same parts) when the program
 creates pointers: ``copy_value`` transmits pointers by reference, so a
 ``*p = v`` in one process can silently change *another* process's
 fingerprint, which the step does not mark stale.  Pointer-free
@@ -44,6 +56,7 @@ process and the object it operated on.
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import TYPE_CHECKING, Any
 
@@ -110,6 +123,28 @@ def _component_bytes(fp: Any) -> bytes:
         if len(_COMPONENT_CACHE) < _COMPONENT_LIMIT:
             _COMPONENT_CACHE[fp] = enc
     return enc
+
+
+@functools.cache
+def _header(*lengths: int) -> bytes:
+    """The encoding of nested tuple headers of the given lengths,
+    interned so that the keys of every run of a system share it."""
+    return b"".join(_TAG_TUPLE + _pack_len(length) for length in lengths)
+
+
+def key_parts(state_fp: tuple) -> tuple[bytes, ...]:
+    """The parts of ``encode_canonical(state_fp)`` for a global-state
+    fingerprint ``(process fingerprints, object fingerprints)``: the
+    outer header, one part per process, the middle header, one part per
+    object.  The full recomputation behind :meth:`Run.state_parts` for
+    programs without an incremental fingerprinter."""
+    process_fps, object_fps = state_fp
+    return (
+        _header(2, len(process_fps)),
+        *map(_component_bytes, process_fps),
+        _header(len(object_fps)),
+        *map(_component_bytes, object_fps),
+    )
 
 
 def _encode_into(value: Any, out: list[bytes]) -> None:
@@ -247,8 +282,8 @@ class RunFingerprinter:
     parts — the outer header, one part per process, the middle header,
     one part per object — plus :attr:`stale`, the components whose
     part is out of date.  The run adds to :attr:`stale` whatever a step
-    or a toss answer changed; :meth:`key` re-encodes only those and
-    returns bytes bit-identical to
+    or a toss answer changed; :meth:`parts` re-encodes only those and
+    returns parts that join into bytes bit-identical to
     ``encode_canonical(run.state_fingerprint())``.  The parts and the
     stale set participate in checkpoint/restore via :meth:`snapshot` /
     :meth:`restore`.
@@ -260,8 +295,8 @@ class RunFingerprinter:
         # encode_canonical((proc_fps, obj_fps)) == outer 2-tuple header,
         # then the process-tuple header + component encodings, then the
         # object-tuple header + component encodings.
-        head = _TAG_TUPLE + _pack_len(2) + _TAG_TUPLE + _pack_len(len(processes))
-        mid = _TAG_TUPLE + _pack_len(len(objects))
+        head = _header(2, len(processes))
+        mid = _header(len(objects))
         self._components = (*processes, *objects)
         #: Component -> index of its part in :attr:`_parts`.
         self._slot = {process: 1 + i for i, process in enumerate(processes)}
@@ -270,15 +305,15 @@ class RunFingerprinter:
         )
         self._parts = [head, *(b"" for _ in processes), mid, *(b"" for _ in objects)]
         #: Components whose part no longer encodes their state; every
-        #: one of them until the first :meth:`key`.
+        #: one of them until the first :meth:`parts`.
         self.stale: set = set(self._components)
-        #: Whether :meth:`key` has ever run.  Until then every part is
+        #: Whether :meth:`parts` has ever run.  Until then every part is
         #: stale and nothing is worth checkpointing, so :meth:`snapshot`
         #: is free.
         self._active = False
 
-    def key(self) -> bytes:
-        """The canonical global-state key, re-encoding stale components only."""
+    def parts(self) -> tuple[bytes, ...]:
+        """The key's parts, re-encoding stale components only."""
         self._active = True
         parts = self._parts
         stale = self.stale
@@ -287,10 +322,10 @@ class RunFingerprinter:
             for component in stale:
                 parts[slot[component]] = _component_bytes(component.state_fingerprint())
             stale.clear()
-        return b"".join(parts)
+        return tuple(parts)
 
     def invalidate(self) -> None:
-        """Mark every component stale (the next :meth:`key` re-encodes all)."""
+        """Mark every component stale (the next :meth:`parts` re-encodes all)."""
         self.stale.update(self._components)
 
     # -- checkpoint / restore -----------------------------------------------------
@@ -299,9 +334,9 @@ class RunFingerprinter:
         """The parts and the stale set, captured into a
         :class:`RunCheckpoint`.
 
-        A part changed since the last :meth:`key` is in the stale set, so
+        A part changed since the last :meth:`parts` is in the stale set, so
         the snapshot never claims its old bytes for the checkpointed
-        state.  Until the first :meth:`key` every part is stale: ``None``
+        state.  Until the first :meth:`parts` every part is stale: ``None``
         is returned (and accepted back by :meth:`Run.restore` as "mark
         everything stale"), keeping checkpoints free for searches that
         never ask for state keys.

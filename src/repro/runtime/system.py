@@ -30,7 +30,7 @@ from .compile import (
 )
 from .engine import validate_engine
 from .errors import ObjectError
-from .fingerprint import RunFingerprinter, encode_canonical
+from .fingerprint import RunFingerprinter, key_parts
 from .interp import Interpreter
 from .journal import RunCheckpoint, UndoJournal
 from .objects import CommunicationObject, EnvSink, FifoChannel, Semaphore, SharedVar
@@ -366,12 +366,12 @@ class Run:
         #: program could not be compiled (see :mod:`repro.runtime.engine`).
         self.engine = engine
         #: Incremental state-key combiner, attached by :meth:`System.start`
-        #: for pointer-free programs; ``None`` makes :meth:`state_key`
+        #: for pointer-free programs; ``None`` makes :meth:`state_parts`
         #: recompute the full encoding (still once per call).
         self.fingerprinter = fingerprinter
         #: The combiner's stale set, which every step and toss answer
         #: adds the components it changed to.  Bound by the first
-        #: :meth:`state_key`: until then every component is stale
+        #: :meth:`state_parts`: until then every component is stale
         #: already, so a search that never keys a state marks nothing
         #: (``None``).
         self._stale = None
@@ -564,23 +564,36 @@ class Run:
             tuple(obj.state_fingerprint() for obj in self.objects.values()),
         )
 
-    def state_key(self) -> bytes:
-        """The canonical byte key of the current global state.
+    def state_parts(self) -> tuple[bytes, ...]:
+        """The canonical key of the current global state as its parts:
+        the outer tuple header, one encoding per process, the middle
+        header, one encoding per object.
 
-        Bit-identical to ``encode_canonical(self.state_fingerprint())``
-        always; computed incrementally (O(components marked stale since
-        the last call)) when :meth:`System.start` attached a fingerprinter,
-        i.e. for every pointer-free program.  This is the *single* key
-        shared by seen-state dedup, the statespace stores and the
-        frontier codec — compute it once per state.
+        The parts join into :meth:`state_key`; equal parts are shared
+        ``bytes`` objects (see :mod:`repro.runtime.fingerprint`), so
+        the tuple is the compact form the exact state store keeps.
+        Computed incrementally (O(components marked stale since the last
+        key)) when :meth:`System.start` attached a fingerprinter, i.e.
+        for every pointer-free program, and recomputed in full
+        otherwise.
         """
         fingerprinter = self.fingerprinter
         if fingerprinter is None:
-            return encode_canonical(self.state_fingerprint())
+            return key_parts(self.state_fingerprint())
         if self._stale is None:
             # The first key: from now on steps mark what they change.
             self._stale = fingerprinter.stale
-        return fingerprinter.key()
+        return fingerprinter.parts()
+
+    def state_key(self) -> bytes:
+        """The canonical byte key of the current global state: the
+        joined :meth:`state_parts`.
+
+        Bit-identical to ``encode_canonical(self.state_fingerprint())``
+        always.  This is the key of seen-state dedup and the frontier
+        codec, and the bytes the hash-compaction store digests.
+        """
+        return b"".join(self.state_parts())
 
     def env_outputs(self, sink_name: str) -> list[Any]:
         """The recorded output trace of an :class:`EnvSink`."""

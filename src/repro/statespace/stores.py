@@ -5,12 +5,21 @@ state, or must I explore it (again)?"* — through a single call,
 :meth:`StateStore.visit`.  The two implementations trade memory for
 soundness exactly like the SPIN family:
 
-=========================  =======================  ===========================
-store                      memory per state         can wrongly prune?
-=========================  =======================  ===========================
-:class:`ExactStore`        full snapshot (~100s B)  never
-:class:`HashCompactStore`  16 bytes                 on a 64-bit digest collision
-=========================  =======================  ===========================
+=========================  ===========================  ===========================
+store                      memory per state             can wrongly prune?
+=========================  ===========================  ===========================
+:class:`ExactStore`        part tuple (~300 B on 5ESS)  never
+:class:`HashCompactStore`  16 bytes                     on a 64-bit digest collision
+=========================  ===========================  ===========================
+
+A state's key is the tuple of its *parts*
+(:meth:`~repro.runtime.system.Run.state_parts`): the canonical
+encodings of its processes and objects between two tuple headers.
+Equal parts are one shared ``bytes`` object, so the exact store keeps
+each state as a vector of references to component encodings stored
+once — SPIN's collapse compression, with the shared strings as the
+index (Holzmann 1997).  The parts join into the canonical snapshot
+bytes, which is what hash compaction digests.
 
 Depth awareness: the explorer searches under a depth bound, so a state
 first reached near the bound has a *shallower* explored subtree than
@@ -19,13 +28,15 @@ remember the largest *remaining depth budget* a state was expanded
 with and force re-expansion when a revisit arrives with more budget —
 revisits never lose coverage to the depth bound.
 
-Stores deliberately know nothing about the explorer; they see byte
-strings and budgets.  Construction from CLI-level configuration goes
+Stores deliberately know nothing about the explorer; they see part
+tuples and budgets.  Construction from CLI-level configuration goes
 through :func:`make_store` so the search layer and the parallel workers
 build identical stores from one picklable description.
 """
 
 from __future__ import annotations
+
+import sys
 
 from .snapshot import digest64
 
@@ -35,6 +46,9 @@ STORE_KINDS = ("off", "exact", "hashcompact")
 #: Bookkeeping bytes per dict entry charged by the accounting model (the
 #: stored remaining-depth integer); keys are charged at their real size.
 _ENTRY_OVERHEAD = 8
+
+#: A state key: the canonical encodings of the state's parts, in order.
+Key = tuple[bytes, ...]
 
 
 class StateStore:
@@ -58,7 +72,7 @@ class StateStore:
         self.hits = 0
         self.misses = 0
 
-    def visit(self, key: bytes, remaining: int) -> bool:
+    def visit(self, key: Key, remaining: int) -> bool:
         """Record a visit to the state ``key`` with ``remaining`` depth
         budget below it; return ``True`` when the explorer must expand
         the state, ``False`` when the subtree can be pruned."""
@@ -90,25 +104,29 @@ class StateStore:
 class ExactStore(StateStore):
     """Full-snapshot store: sound revisit detection, largest footprint.
 
-    Maps each canonical snapshot to the largest remaining depth budget
-    it was expanded with.  Memory model: every stored key is charged at
-    its byte length plus ``8`` bookkeeping bytes.
+    Maps each state's part tuple to the largest remaining depth budget
+    it was expanded with.  Two part tuples of one system are equal
+    exactly when their joined snapshots are, so the store is as exact
+    as one keyed by the snapshot bytes.  Memory model: every stored key
+    is charged at ``sys.getsizeof`` of its tuple (40 B + 8 B per part
+    on 64-bit CPython 3.11) plus ``8`` bookkeeping bytes, and every
+    distinct part once, at its byte length.  Equal parts are one shared
+    object while the component cache has room; past its
+    ``_COMPONENT_LIMIT`` (:mod:`repro.runtime.fingerprint`) repeats
+    are separate objects, and the model undercounts them.
     """
 
     kind = "exact"
 
     def __init__(self) -> None:
         super().__init__()
-        self._table: dict[bytes, int] = {}
-        self._key_bytes = 0
+        self._table: dict[Key, int] = {}
 
-    def visit(self, key: bytes, remaining: int) -> bool:
+    def visit(self, key: Key, remaining: int) -> bool:
         prev = self._table.get(key)
         if prev is not None and prev >= remaining:
             self.hits += 1
             return False
-        if prev is None:
-            self._key_bytes += len(key)
         self._table[key] = remaining
         self.misses += 1
         return True
@@ -119,7 +137,13 @@ class ExactStore(StateStore):
 
     @property
     def memory_bytes(self) -> int:
-        return self._key_bytes + _ENTRY_OVERHEAD * len(self._table)
+        # Computed when asked, so a visit stays one lookup and one store.
+        table = self._table
+        return (
+            sum(map(sys.getsizeof, table))
+            + _ENTRY_OVERHEAD * len(table)
+            + sum(map(len, set().union(*table)))
+        )
 
 
 class HashCompactStore(StateStore):
@@ -138,8 +162,8 @@ class HashCompactStore(StateStore):
         super().__init__()
         self._table: dict[int, int] = {}
 
-    def visit(self, key: bytes, remaining: int) -> bool:
-        digest = digest64(key)
+    def visit(self, key: Key, remaining: int) -> bool:
+        digest = digest64(b"".join(key))
         prev = self._table.get(digest)
         if prev is not None and prev >= remaining:
             self.hits += 1

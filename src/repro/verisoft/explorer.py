@@ -182,12 +182,14 @@ class Explorer:
       into this caller-owned set (so a coordinator can union worker
       sets).
 
-    The hot loop shares **one** canonical state key per global state
-    (:meth:`Run.state_key`, incremental for pointer-free programs)
-    between seen-state dedup and the state store.  It keeps the state's
+    The hot loop keys each global state once per consumer, and only
+    for the consumers present: seen-state dedup takes the canonical
+    bytes (:meth:`Run.state_key`), the state store their parts
+    (:meth:`Run.state_parts`); both are incremental for pointer-free
+    programs.  It keeps the state's
     :class:`ControlProjection` up to date per step and memoizes the
     candidates (persistent with ``por`` on) on it.  With ``profile``
-    its named calls — the engine steps, :meth:`Run.state_key`, the store
+    its named calls — the engine steps, the state keys, the store
     visit, the projection's build, per-step update and candidates, and
     the coverage observer — are timed into the profile's ``engine``,
     ``fingerprint``, ``cache``, ``por`` and ``coverage`` phases.
@@ -243,8 +245,6 @@ class Explorer:
         #: result; the projection both hashes faster than a full state
         #: key and hits far more often.
         self._state_memo: dict[tuple, tuple] = {}
-        # Whether any consumer needs the canonical key at each state.
-        self._need_key = self._state_store is not None or options.count_states
         #: Interned trace records: ScheduleChoice / TossChoice /
         #: TraceStep are frozen value objects drawn from a tiny
         #: per-system domain, so each distinct record is allocated once
@@ -278,6 +278,7 @@ class Explorer:
         self._answer = bind(Run.answer_toss, "engine")
         self._step = bind(Run.execute_visible, "engine")
         self._state_key = bind(Run.state_key, "fingerprint")
+        self._state_parts = bind(Run.state_parts, "fingerprint")
         self._project = bind(ControlProjection, "por")
         self._moved = bind(ControlProjection.moved, "por")
         self._candidates = bind(ControlProjection.candidates, "por")
@@ -638,20 +639,16 @@ class Explorer:
         report.states_visited += 1
         if depth > report.max_depth_reached:
             report.max_depth_reached = depth
-        # One canonical key per state, shared by seen-state dedup and the
-        # state store, and skipped when nothing consumes it.
-        key = None
-        if self._need_key:
-            key = self._state_key(run)
-            if seen_states is not None:
-                seen_states.add(key)
+        if seen_states is not None:
+            seen_states.add(self._state_key(run))
         if self._deadline is not None and time.monotonic() > self._deadline:
             report.incomplete = True
             raise _Leaf()
         # State-space caching: prune the subtree below a state that the
-        # store has already expanded.
+        # store has already expanded.  The store keeps the key's parts,
+        # which share their bytes with every other stored state.
         if self._store_visit is not None and not self._store_visit(
-            key, self._max_depth - depth
+            self._state_parts(run), self._max_depth - depth
         ):
             self._leaf(state)
 

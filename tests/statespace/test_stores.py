@@ -1,9 +1,13 @@
 """The store implementations, independent of any explorer.
 
-Stores see only byte keys and depth budgets, so they can be tested
-exhaustively with synthetic keys; the search-level behaviour lives in
-``test_cached_search.py``.
+Stores see only keys and depth budgets.  A key is a tuple of byte
+parts (``Run.state_parts``: the canonical encodings of a state's
+processes and objects between two tuple headers), so stores can be
+tested exhaustively with synthetic part tuples; the search-level
+behaviour lives in ``test_cached_search.py``.
 """
+
+import sys
 
 import pytest
 
@@ -13,14 +17,17 @@ from repro.statespace import (
     HashCompactStore,
     make_store,
 )
+from repro.statespace.snapshot import digest64
+
+S1 = (b"s", b"1")
 
 
 class TestExactStore:
     def test_first_visit_expands_revisit_prunes(self):
         store = ExactStore()
-        assert store.visit(b"s1", 10) is True
-        assert store.visit(b"s1", 10) is False
-        assert store.visit(b"s1", 5) is False  # smaller budget: still pruned
+        assert store.visit(S1, 10) is True
+        assert store.visit(S1, 10) is False
+        assert store.visit(S1, 5) is False  # smaller budget: still pruned
         assert (store.hits, store.misses) == (2, 1)
         assert store.states_stored == 1
 
@@ -29,24 +36,30 @@ class TestExactStore:
         # subtree; a shallower revisit must be expanded again or the
         # bound would silently eat coverage.
         store = ExactStore()
-        assert store.visit(b"s1", 3) is True
-        assert store.visit(b"s1", 8) is True
-        assert store.visit(b"s1", 8) is False  # budget now remembered
+        assert store.visit(S1, 3) is True
+        assert store.visit(S1, 8) is True
+        assert store.visit(S1, 8) is False  # budget now remembered
         assert store.misses == 2
 
     def test_memory_charges_key_bytes(self):
+        # Each key is charged at its tuple's size plus 8 bookkeeping
+        # bytes, and each distinct part once: the two keys share
+        # ``head``, which is charged once.
         store = ExactStore()
-        store.visit(b"x" * 100, 1)
-        store.visit(b"y" * 50, 1)
+        head = b"h" * 10
+        store.visit((head, b"x" * 100), 1)
+        store.visit((head, b"y" * 50), 1)
         assert store.states_stored == 2
-        assert store.memory_bytes == 100 + 50 + 2 * 8
+        pair = sys.getsizeof((head, head))
+        expected = 2 * (pair + 8) + 10 + 100 + 50
+        assert store.memory_bytes == expected
         # Re-expanding an existing key must not double-charge it.
-        store.visit(b"x" * 100, 9)
-        assert store.memory_bytes == 100 + 50 + 2 * 8
+        store.visit((head, b"x" * 100), 9)
+        assert store.memory_bytes == expected
 
     def test_distinct_keys_never_collide(self):
         store = ExactStore()
-        keys = [bytes([i, j]) for i in range(16) for j in range(16)]
+        keys = [(bytes([i]), bytes([j])) for i in range(16) for j in range(16)]
         assert all(store.visit(k, 1) for k in keys)
         assert store.states_stored == len(keys)
 
@@ -54,17 +67,25 @@ class TestExactStore:
 class TestHashCompactStore:
     def test_visit_semantics_match_exact(self):
         store = HashCompactStore()
-        assert store.visit(b"s1", 10) is True
-        assert store.visit(b"s1", 10) is False
-        assert store.visit(b"s1", 20) is True  # depth-aware, like exact
+        assert store.visit(S1, 10) is True
+        assert store.visit(S1, 10) is False
+        assert store.visit(S1, 20) is True  # depth-aware, like exact
         assert store.states_stored == 1
 
     def test_sixteen_bytes_per_state_regardless_of_key_size(self):
         store = HashCompactStore()
-        store.visit(b"k" * 10_000, 1)
-        store.visit(b"tiny", 1)
+        store.visit((b"k" * 10_000,), 1)
+        store.visit((b"ti", b"ny"), 1)
         assert store.memory_bytes == 32
         assert store.memory_bytes / store.states_stored == 16.0
+
+    def test_digests_the_joined_parts(self):
+        # The digest is that of the canonical snapshot bytes, however
+        # they are split into parts.
+        store = HashCompactStore()
+        store.visit(S1, 1)
+        assert list(store._table) == [digest64(b"s1")]
+        assert store.visit((b"s1",), 1) is False
 
 
 class TestMakeStore:
@@ -90,7 +111,7 @@ class TestMakeStore:
 
     def test_describe_mentions_counts(self):
         store = make_store("exact")
-        store.visit(b"k", 1)
-        store.visit(b"k", 1)
+        store.visit((b"k",), 1)
+        store.visit((b"k",), 1)
         text = store.describe()
         assert "1 states" in text and "1 hits" in text
