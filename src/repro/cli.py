@@ -532,18 +532,16 @@ def cmd_shrink(args) -> int:
 def cmd_report(args) -> int:
     """The ``report`` subcommand: render a run manifest as a
     self-contained HTML report."""
-    from .obs import load_manifest, render_html, write_report
+    from .obs import ManifestFormatError, load_manifest, render_html, write_report
 
     try:
         manifest = load_manifest(args.manifest)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ManifestFormatError) as err:
         print(f"error: cannot read manifest: {err}", file=sys.stderr)
         return 2
     if args.source is not None:
         # Override (or supply) the annotated source listing.
-        manifest.setdefault("program", {})
-        manifest["program"]["path"] = str(args.source)
-        manifest["program"]["text"] = args.source.read_text()
+        manifest["program"] = {"path": str(args.source), "text": args.source.read_text()}
     if args.coverage_json is not None:
         coverage = (manifest.get("report") or {}).get("coverage")
         if coverage is None:

@@ -45,7 +45,13 @@ from .manifest import (
 )
 from .observer import Observation, SearchObserver
 from .profile import HotSpotProfiler
-from .report import load_manifest, render_html, write_report
+from .report import (
+    ManifestFormatError,
+    check_manifest,
+    load_manifest,
+    render_html,
+    write_report,
+)
 from .tracer import Tracer, validate_chrome_trace
 
 __all__ = [
@@ -53,10 +59,12 @@ __all__ = [
     "HotSpotProfiler",
     "MANIFEST_NAME",
     "MANIFEST_VERSION",
+    "ManifestFormatError",
     "Observation",
     "SearchObserver",
     "Tracer",
     "build_manifest",
+    "check_manifest",
     "git_info",
     "host_info",
     "load_manifest",

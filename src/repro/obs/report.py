@@ -33,7 +33,15 @@ import json
 import pathlib
 from typing import Any
 
-__all__ = ["render_html", "write_report"]
+from ..counterex.traceio import _NULL, TraceFormatError, _check, _field, _items
+
+__all__ = [
+    "ManifestFormatError",
+    "check_manifest",
+    "load_manifest",
+    "render_html",
+    "write_report",
+]
 
 
 def _esc(value: Any) -> str:
@@ -463,6 +471,120 @@ def write_report(manifest: dict, path: str | pathlib.Path) -> pathlib.Path:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Loading
+# ---------------------------------------------------------------------------
+
+
+class ManifestFormatError(ValueError):
+    """A run manifest is not JSON or not of the shape
+    :func:`render_html` reads.  The message names the JSON path of the
+    bad entry (``$.report.stats: expected dict or null, got int``),
+    after the file when the manifest was read from one."""
+
+
+def check_manifest(doc: Any) -> dict:
+    """``doc``, if it is a run manifest :func:`render_html` can render;
+    else a :class:`ManifestFormatError` naming the bad entry.
+
+    Every key is optional, since a manifest records what its run
+    produced, and an object may be ``null`` where the report treats it
+    as absent.  Values the report only prints are not checked.
+    """
+    try:
+        _check_manifest(doc)
+    except TraceFormatError as err:
+        raise ManifestFormatError(str(err)) from err
+    return doc
+
+
 def load_manifest(path: str | pathlib.Path) -> dict:
-    """Read a ``run.json`` manifest file."""
-    return json.loads(pathlib.Path(path).read_text())
+    """Read and check a ``run.json`` manifest file; a malformed file
+    raises :class:`ManifestFormatError` naming the file and the JSON
+    path of the bad entry."""
+    path = pathlib.Path(path)
+    try:
+        return check_manifest(json.loads(path.read_text()))
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise ManifestFormatError(f"{path}: not valid JSON: {err}") from err
+    except ManifestFormatError as err:
+        raise ManifestFormatError(f"{path}: {err}") from err
+
+
+_NUMBER = (int, float)
+
+
+def _object(doc: dict, key: str, path: str) -> dict:
+    """``doc[key]``, a JSON object; ``{}`` when absent or null."""
+    return _field(doc, key, (dict, _NULL), path, None) or {}
+
+
+def _objects(doc: dict, key: str, path: str, kinds: tuple = (dict, _NULL)) -> dict:
+    """``doc[key]``, a JSON object whose values are JSON objects."""
+    table = _field(doc, key, kinds, path, None) or {}
+    for name, entry in table.items():
+        _check(entry, (dict,), f"{path}.{key}.{name}")
+    return table
+
+
+def _list(doc: dict, key: str, kinds: tuple, path: str) -> list:
+    """``doc[key]``, a JSON list of ``kinds``; ``[]`` when absent or null."""
+    return _items(_field(doc, key, (list, _NULL), path, None) or [], kinds, f"{path}.{key}")
+
+
+def _numbers(doc: dict, keys: tuple[str, ...], path: str, kinds: tuple = _NUMBER) -> None:
+    for key in keys:
+        _field(doc, key, kinds, path, None)
+
+
+def _counts(doc: dict, key: str, path: str) -> None:
+    """``doc[key]``, a JSON object of numbers; absent or null."""
+    for name, count in _object(doc, key, path).items():
+        _check(count, _NUMBER, f"{path}.{key}.{name}")
+
+
+def _check_manifest(doc: Any) -> None:
+    _check(doc, (dict,), "$")
+    for key in ("meta", "tool", "git", "host"):
+        _object(doc, key, "$")
+    _list(doc, "argv", (str,), "$")
+    _field(_object(doc, "program", "$"), "text", (str, _NULL), "$.program", None)
+    report = _object(doc, "report", "$")
+    stats = _object(report, "stats", "$.report")
+    _numbers(stats, ("states_per_second", "coverage_percent"), "$.report.stats", (*_NUMBER, _NULL))
+    _numbers(stats, ("wall_time",), "$.report.stats")
+    _list(report, "triage", (dict,), "$.report")
+    profile = _object(report, "profile", "$.report")
+    for key in ("nodes", "operations", "tosses"):
+        _counts(profile, key, "$.report.profile")
+    _objects(report, "workers", "$.report")
+    _check_coverage(_object(report, "coverage", "$.report"), "$.report.coverage")
+
+
+def _check_coverage(coverage: dict, path: str) -> None:
+    summary = _object(coverage, "summary", path)
+    _field(summary, "lines_missing", (list, _NULL), f"{path}.summary", None)
+    static = _object(coverage, "static", path)
+    for name, proc in _objects(static, "procs", f"{path}.static").items():
+        where = f"{path}.static.procs.{name}"
+        for nid, info in _objects(proc, "nodes", where, (dict,)).items():
+            _numbers(info, ("line",), f"{where}.nodes.{nid}")
+    for name, info in _objects(coverage, "procs", path).items():
+        where = f"{path}.procs.{name}"
+        _numbers(info, ("nodes_total", "nodes_covered"), where)
+        _field(info, "unreached", (list, _NULL), where, None)
+    for name, info in _objects(coverage, "processes", path).items():
+        where = f"{path}.processes.{name}"
+        _numbers(info, ("nodes_total", "nodes_covered"), where)
+        _list(info, "procs", (str,), where)
+    for name, point in _objects(coverage, "toss_values", path).items():
+        where = f"{path}.toss_values.{name}"
+        for value in _object(point, "values", where):
+            try:
+                int(value)
+            except ValueError:
+                raise TraceFormatError(
+                    f"{where}.values: key {value!r} is not an integer"
+                ) from None
+        _field(point, "missing", (list, _NULL), where, None)
+    _counts(coverage, "nodes", path)
