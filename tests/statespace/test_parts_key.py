@@ -127,19 +127,6 @@ def component_cache(limit: int):
         fingerprint._COMPONENT_LIMIT = saved_limit
 
 
-def cached_search(system, engine, max_depth, count_states):
-    return run_search(
-        system,
-        SearchOptions(
-            backtrack="restore",
-            engine=engine,
-            state_cache="exact",
-            count_states=count_states,
-            max_depth=max_depth,
-        ),
-    )
-
-
 def answers(report) -> tuple:
     """What a search found and how much the store pruned."""
     stats = report.stats
@@ -153,9 +140,17 @@ def answers(report) -> tuple:
 
 
 def checked_search(system, engine, max_depth, count_states):
-    """A checked cached search: its report and its store."""
+    """A checked restore-mode search with the exact cache: its report
+    and its store."""
+    options = SearchOptions(
+        backtrack="restore",
+        engine=engine,
+        state_cache="exact",
+        count_states=count_states,
+        max_depth=max_depth,
+    )
     with checked() as (calls, stores):
-        report = cached_search(system, engine, max_depth, count_states)
+        report = run_search(system, options)
     assert report.stats.backtrack == "restore" and report.stats.engine == engine
     assert len(stores) == 1
     # One parts key per state for the store; count_states asks for the
