@@ -16,7 +16,12 @@ Three experiment families, all merged into ``BENCH_compile.json``
   records the median, min and max wall time of five runs
   (``bench_lib.timed_search``) and the median run's counters.
   End-to-end gains are bounded by Amdahl's law — the scheduler, POR
-  and bookkeeping are engine-independent.
+  and bookkeeping are engine-independent.  The 5ESS rows also record
+  ``calls_per_state``: the Python calls of one extra, untimed search
+  (``call`` events under ``sys.setprofile``) per visited state, a
+  count that does not depend on the host's speed.  Under
+  ``--baseline`` the 5ESS test fails when it exceeds the baseline row's
+  by more than :data:`CALLS_TOLERANCE`.
 * **engine-level drive** (``5ess_engine``): seeded random schedules of
   the bounded 5ESS system are recorded once, then replayed directly
   against fresh engine steppers of each kind, isolating the engine's
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import random
 import statistics
+import sys
 import time
 
 import pytest
@@ -107,18 +113,45 @@ CASES = {
     "5ess": (fiveess_system, dict(max_depth=24, max_events=50_000)),
 }
 
+#: The labels whose rows record ``calls_per_state``.
+COUNTED = ("5ess",)
 
-def _search_row(build, bounds, engine):
+#: How far ``calls_per_state`` may exceed the baseline row's before the
+#: test fails.  CPython 3.11 and 3.12 differ by about 0.2 calls per
+#: state on bounded 5ESS, well inside it.
+CALLS_TOLERANCE = 0.05
+
+
+def calls_per_state(system, options) -> float:
+    """Python calls per visited state of one search of ``system``: the
+    ``call`` events ``sys.setprofile`` sees, over the states visited."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        report = run_search(system, options)
+    finally:
+        sys.setprofile(None)
+    return calls / report.stats.states_visited
+
+
+def _search_row(build, bounds, engine, count_calls=False):
     def build_ready():
         system = build()
         if engine == "compiled":
             system.compiled_program()  # compile outside the timed region
         return system
 
-    report, timing = timed_search(build_ready, SearchOptions(engine=engine, **bounds))
+    options = SearchOptions(engine=engine, **bounds)
+    report, timing = timed_search(build_ready, options)
     stats = report.stats
     assert stats.engine == engine, f"fell back to {stats.engine}"
-    return {
+    row = {
         "engine": stats.engine,
         "states": stats.states_visited,
         "transitions": stats.transitions_executed,
@@ -129,12 +162,16 @@ def _search_row(build, bounds, engine):
         **timing,
         "states_per_second": round(stats.states_per_second),
     }
+    if count_calls:
+        row["calls_per_state"] = round(calls_per_state(build_ready(), options), 2)
+    return row
 
 
 @pytest.mark.parametrize("label", list(CASES))
 def test_bench_compile_search(label, record_table, baseline_results):
     build, bounds = CASES[label]
-    rows = {engine: _search_row(build, bounds, engine) for engine in ENGINES}
+    counted = label in COUNTED
+    rows = {engine: _search_row(build, bounds, engine, counted) for engine in ENGINES}
     walk_row, compiled_row = rows["walk"], rows["compiled"]
 
     # Identical search, different stepper cost — nothing else.
@@ -144,6 +181,16 @@ def test_bench_compile_search(label, record_table, baseline_results):
             f"{walk_row[key]} vs {compiled_row[key]}"
         )
     assert walk_row["triage_signatures"] == compiled_row["triage_signatures"]
+
+    # Calls per state count the interpreter's work, not the host's
+    # speed: gate them against the baseline row, engine by engine.
+    baseline_rows = baseline_results.get("compile", {}).get(label, {})
+    calls_over = []
+    for engine in ENGINES if counted else ():
+        old = baseline_rows.get(engine, {}).get("calls_per_state")
+        new = rows[engine]["calls_per_state"]
+        if old is not None and new > old * (1 + CALLS_TOLERANCE):
+            calls_over.append(f"{engine}: {old} -> {new} calls per state")
 
     speedup = walk_row["wall_time_s"] / max(compiled_row["wall_time_s"], 1e-9)
     compiled_row["speedup_vs_walk"] = round(speedup, 2)
@@ -162,9 +209,18 @@ def test_bench_compile_search(label, record_table, baseline_results):
         )
     lines.append(f"  end-to-end speedup: {speedup:.2f}x (engine cost amortized")
     lines.append("  against engine-independent scheduler/POR work)")
+    if counted:
+        lines.append(
+            "  Python calls per state: "
+            + ", ".join(f"{engine} {rows[engine]['calls_per_state']}" for engine in ENGINES)
+        )
     lines.extend(baseline_delta_lines(baseline_results.get("compile"), label, rows))
     lines.append("wrote BENCH_compile.json")
     record_table(f"BENCH_compile_{label}", lines)
+    assert not calls_over, (
+        f"{label}: calls per state above the baseline by more than "
+        f"{CALLS_TOLERANCE:.0%}: " + "; ".join(calls_over)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,19 @@ from typing import Iterator
 
 from .nodes import Arc, CfgNode, Guard, NodeKind
 
+# The node kinds as module globals: on CPython 3.11 a ``NodeKind.X``
+# read goes through the enum metaclass's ``__getattr__`` hook, about
+# ten times the cost of reading a global.
+_START, _ASSIGN, _COND, _TOSS, _CALL, _RETURN, _EXIT = (
+    NodeKind.START,
+    NodeKind.ASSIGN,
+    NodeKind.COND,
+    NodeKind.TOSS,
+    NodeKind.CALL,
+    NodeKind.RETURN,
+    NodeKind.EXIT,
+)
+
 
 class CfgError(Exception):
     """Structural misuse of a control-flow graph."""
@@ -43,7 +56,7 @@ class ControlFlowGraph:
         self.nodes[node.id] = node
         self._succ[node.id] = []
         self._pred[node.id] = []
-        if kind is NodeKind.START:
+        if kind is _START:
             if self.start_id != -1:
                 raise CfgError(f"{self.proc_name}: duplicate START node")
             self.start_id = node.id
@@ -132,7 +145,7 @@ class ControlFlowGraph:
             raise CfgError(f"{self.proc_name}: START node has incoming arcs")
         for node in self.nodes.values():
             out = self._succ[node.id]
-            if node.kind in (NodeKind.RETURN, NodeKind.EXIT):
+            if node.kind in (_RETURN, _EXIT):
                 if out:
                     raise CfgError(
                         f"{self.proc_name}: termination node {node.id} has outgoing arcs"
@@ -140,13 +153,13 @@ class ControlFlowGraph:
                 continue
             if not out:
                 raise CfgError(f"{self.proc_name}: node {node.id} ({node.kind}) has no out-arcs")
-            if node.kind in (NodeKind.START, NodeKind.ASSIGN, NodeKind.CALL):
+            if node.kind in (_START, _ASSIGN, _CALL):
                 if len(out) != 1 or not isinstance(out[0].guard, AlwaysGuard):
                     raise CfgError(
                         f"{self.proc_name}: node {node.id} ({node.kind}) must have a "
                         "single unconditional out-arc"
                     )
-            elif node.kind is NodeKind.COND:
+            elif node.kind is _COND:
                 guards = [arc.guard for arc in out]
                 if all(isinstance(g, BoolGuard) for g in guards):
                     expected = {g.expected for g in guards}  # type: ignore[union-attr]
@@ -172,7 +185,7 @@ class ControlFlowGraph:
                     raise CfgError(
                         f"{self.proc_name}: COND node {node.id} has inconsistent guards"
                     )
-            elif node.kind is NodeKind.TOSS:
+            elif node.kind is _TOSS:
                 guards = [arc.guard for arc in out]
                 if not all(isinstance(g, TossGuard) for g in guards):
                     raise CfgError(

@@ -47,6 +47,19 @@ from ..runtime.ops import BUILTIN_OPERATIONS
 from .errors import ClosingError
 from .spec import ClosingSpec
 
+# The node kinds as module globals: on CPython 3.11 a ``NodeKind.X``
+# read goes through the enum metaclass's ``__getattr__`` hook, about
+# ten times the cost of reading a global.
+_START, _ASSIGN, _COND, _TOSS, _CALL, _RETURN, _EXIT = (
+    NodeKind.START,
+    NodeKind.ASSIGN,
+    NodeKind.COND,
+    NodeKind.TOSS,
+    NodeKind.CALL,
+    NodeKind.RETURN,
+    NodeKind.EXIT,
+)
+
 #: Built-in operations whose *result* is a value read out of an object.
 _VALUE_SOURCES = frozenset({"recv", "read"})
 
@@ -141,7 +154,7 @@ class _Fixpoint:
         if env_params:
             out[cfg.start_id] = frozenset(env_params)
         for node in cfg:
-            if node.kind is not NodeKind.CALL:
+            if node.kind is not _CALL:
                 continue
             spec = BUILTIN_OPERATIONS.get(node.callee)
             env_source = False
@@ -217,16 +230,16 @@ class _Fixpoint:
         """Step 3: select the nodes preserved by the transformation."""
         marked: set[int] = set()
         for node in pa.cfg:
-            if node.kind in (NodeKind.START, NodeKind.RETURN, NodeKind.EXIT):
+            if node.kind in (_START, _RETURN, _EXIT):
                 marked.add(node.id)
-            elif node.kind is NodeKind.CALL:
+            elif node.kind is _CALL:
                 if self._is_environment_call(proc, node):
                     continue
                 marked.add(node.id)
-            elif node.kind in (NodeKind.ASSIGN, NodeKind.COND):
+            elif node.kind in (_ASSIGN, _COND):
                 if node.id not in pa.n_i:
                     marked.add(node.id)
-            elif node.kind is NodeKind.TOSS:
+            elif node.kind is _TOSS:
                 # Closing an already-closed (transformed) graph: toss
                 # nodes are nondeterministic conditionals of the system.
                 marked.add(node.id)
@@ -270,12 +283,12 @@ class _Fixpoint:
         for proc, pa in analyses.items():
             for node in pa.cfg:
                 vi = pa.vi_of(node.id)
-                if node.kind is NodeKind.RETURN:
+                if node.kind is _RETURN:
                     if vi and proc not in self.env_returns:
                         self.env_returns.add(proc)
                         changed = True
                     continue
-                if node.kind is not NodeKind.CALL:
+                if node.kind is not _CALL:
                     if node.id in pa.n_i or node.id in pa.env_defs:
                         changed |= self._escape_defs(proc, node)
                     continue
@@ -341,10 +354,10 @@ class _Fixpoint:
         that reach *other procedures'* variables; record those."""
         changed = False
         pointer_roots: set[str] = set()
-        if node.kind is NodeKind.ASSIGN and isinstance(node.target, ast.Unary):
+        if node.kind is _ASSIGN and isinstance(node.target, ast.Unary):
             if node.target.op == "*":
                 pointer_roots |= ast.expr_names(node.target.operand)
-        if node.kind is NodeKind.CALL:
+        if node.kind is _CALL:
             if node.result is not None and isinstance(node.result, ast.Unary):
                 if node.result.op == "*":
                     pointer_roots |= ast.expr_names(node.result.operand)

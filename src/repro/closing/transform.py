@@ -36,6 +36,19 @@ from ..runtime.ops import BUILTIN_OPERATIONS
 from .analysis import ClosingAnalysis, ProcAnalysis
 from .errors import ClosingError
 
+# The node kinds as module globals: on CPython 3.11 a ``NodeKind.X``
+# read goes through the enum metaclass's ``__getattr__`` hook, about
+# ten times the cost of reading a global.
+_START, _ASSIGN, _COND, _TOSS, _CALL, _RETURN, _EXIT = (
+    NodeKind.START,
+    NodeKind.ASSIGN,
+    NodeKind.COND,
+    NodeKind.TOSS,
+    NodeKind.CALL,
+    NodeKind.RETURN,
+    NodeKind.EXIT,
+)
+
 
 @dataclass
 class ProcTransformStats:
@@ -147,7 +160,7 @@ class ProcTransformer:
 
         for node_id in sorted(pa.marked):
             node = cfg.nodes[node_id]
-            if node.kind in (NodeKind.RETURN, NodeKind.EXIT):
+            if node.kind in (_RETURN, _EXIT):
                 continue
             src = id_map[node_id]
             wired = 0
@@ -158,7 +171,7 @@ class ProcTransformer:
                     out.add_arc(src, id_map[successors[0]], arc.guard)
                 else:
                     toss = out.new_node(
-                        NodeKind.TOSS,
+                        _TOSS,
                         location=node.location,
                         bound=len(successors) - 1,
                     )
@@ -173,9 +186,9 @@ class ProcTransformer:
             if wired == 0:
                 # Every path from here stayed inside eliminated nodes: the
                 # original could only diverge invisibly.  Terminate instead.
-                sink = out.new_node(NodeKind.EXIT, location=node.location)
+                sink = out.new_node(_EXIT, location=node.location)
                 out.add_arc(src, sink.id, ALWAYS)
-            elif node.kind is NodeKind.COND:
+            elif node.kind is _COND:
                 self._complete_cond(out, cfg, node, src)
 
         out.prune_unreachable()
@@ -193,36 +206,36 @@ class ProcTransformer:
         present = {arc.guard for arc in out.successors(src)}
         for arc in cfg.successors(node.id):
             if arc.guard not in present:
-                sink = out.new_node(NodeKind.EXIT, location=node.location)
+                sink = out.new_node(_EXIT, location=node.location)
                 out.add_arc(src, sink.id, arc.guard)
 
     # -- Step 5 rewrites -------------------------------------------------------------
 
     def _rewrite_node(self, node: CfgNode, out: ControlFlowGraph) -> CfgNode:
         vi = self._pa.vi_of(node.id)
-        if node.kind is NodeKind.RETURN:
+        if node.kind is _RETURN:
             value = node.value
             if value is not None and (vi & ast.expr_names(value)):
                 value = None  # environment-dependent return value dropped
-            return out.new_node(NodeKind.RETURN, location=node.location, value=value)
-        if node.kind is NodeKind.CALL:
+            return out.new_node(_RETURN, location=node.location, value=value)
+        if node.kind is _CALL:
             return self._rewrite_call(node, out, vi)
-        if node.kind is NodeKind.ASSIGN:
+        if node.kind is _ASSIGN:
             return out.new_node(
-                NodeKind.ASSIGN,
+                _ASSIGN,
                 location=node.location,
                 target=node.target,
                 value=node.value,
                 array_size=node.array_size,
             )
-        if node.kind is NodeKind.COND:
-            return out.new_node(NodeKind.COND, location=node.location, expr=node.expr)
-        if node.kind is NodeKind.TOSS:
-            return out.new_node(NodeKind.TOSS, location=node.location, bound=node.bound)
-        if node.kind is NodeKind.START:
-            return out.new_node(NodeKind.START, location=node.location)
-        if node.kind is NodeKind.EXIT:
-            return out.new_node(NodeKind.EXIT, location=node.location)
+        if node.kind is _COND:
+            return out.new_node(_COND, location=node.location, expr=node.expr)
+        if node.kind is _TOSS:
+            return out.new_node(_TOSS, location=node.location, bound=node.bound)
+        if node.kind is _START:
+            return out.new_node(_START, location=node.location)
+        if node.kind is _EXIT:
+            return out.new_node(_EXIT, location=node.location)
         raise ClosingError(f"{self._pa.proc}: cannot rewrite node kind {node.kind}")
 
     def _arg_tainted(self, arg: ast.Expr, vi: frozenset[str]) -> bool:
@@ -272,7 +285,7 @@ class ProcTransformer:
                 # treated as environment-defined downstream).
                 result = None
         return out.new_node(
-            NodeKind.CALL,
+            _CALL,
             location=node.location,
             callee=callee,
             args=tuple(args),

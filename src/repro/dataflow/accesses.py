@@ -27,6 +27,19 @@ from ..cfg.nodes import CfgNode, NodeKind
 from ..lang import ast
 from ..runtime.ops import BUILTIN_OPERATIONS
 
+# The node kinds as module globals: on CPython 3.11 a ``NodeKind.X``
+# read goes through the enum metaclass's ``__getattr__`` hook, about
+# ten times the cost of reading a global.
+_START, _ASSIGN, _COND, _TOSS, _CALL, _RETURN, _EXIT = (
+    NodeKind.START,
+    NodeKind.ASSIGN,
+    NodeKind.COND,
+    NodeKind.TOSS,
+    NodeKind.CALL,
+    NodeKind.RETURN,
+    NodeKind.EXIT,
+)
+
 
 @dataclass(frozen=True, slots=True)
 class Definition:
@@ -95,13 +108,13 @@ def node_access(node: CfgNode, points_to: dict[str, set[str]] | None = None) -> 
     """
     points_to = points_to or {}
 
-    if node.kind in (NodeKind.START, NodeKind.EXIT, NodeKind.TOSS):
+    if node.kind in (_START, _EXIT, _TOSS):
         # Start nodes use and define nothing (paper assumption);
         # termination statements define nothing; TOSS tests a fresh
         # nondeterministic value only.
         return NodeAccess(frozenset(), ())
 
-    if node.kind is NodeKind.ASSIGN:
+    if node.kind is _ASSIGN:
         if node.array_size is not None:
             __, defs = _lvalue_access(node.target, points_to)
             return NodeAccess(frozenset(), tuple(defs))
@@ -109,13 +122,13 @@ def node_access(node: CfgNode, points_to: dict[str, set[str]] | None = None) -> 
         uses = target_uses | _expr_uses(node.value)
         return NodeAccess(frozenset(uses), tuple(defs))
 
-    if node.kind is NodeKind.COND:
+    if node.kind is _COND:
         return NodeAccess(frozenset(_expr_uses(node.expr)), ())
 
-    if node.kind is NodeKind.RETURN:
+    if node.kind is _RETURN:
         return NodeAccess(frozenset(_expr_uses(node.value)), ())
 
-    if node.kind is NodeKind.CALL:
+    if node.kind is _CALL:
         uses: set[str] = set()
         defs: list[Definition] = []
         is_builtin = node.callee in BUILTIN_OPERATIONS

@@ -32,6 +32,15 @@ from ..cfg.nodes import CfgNode, NodeKind
 from ..lang import ast
 from ..runtime.ops import BUILTIN_OPERATIONS
 
+# The node kinds as module globals: on CPython 3.11 a ``NodeKind.X``
+# read goes through the enum metaclass's ``__getattr__`` hook, about
+# ten times the cost of reading a global.
+_ASSIGN, _CALL, _RETURN = (
+    NodeKind.ASSIGN,
+    NodeKind.CALL,
+    NodeKind.RETURN,
+)
+
 
 @dataclass(frozen=True, slots=True)
 class VarLoc:
@@ -243,11 +252,11 @@ class AliasAnalysis:
             return
 
     def _constrain_node(self, proc: str, cfg: ControlFlowGraph, node: CfgNode) -> None:
-        if node.kind is NodeKind.ASSIGN:
+        if node.kind is _ASSIGN:
             if node.array_size is None and node.value is not None:
                 self._lvalue_store(proc, node.target, node.value)
             return
-        if node.kind is not NodeKind.CALL:
+        if node.kind is not _CALL:
             return
 
         spec = BUILTIN_OPERATIONS.get(node.callee)
@@ -267,7 +276,7 @@ class AliasAnalysis:
         if node.result is not None:
             result_loc = self._result_loc(proc, node.result)
             if result_loc is not None:
-                for ret in callee_cfg.nodes_of_kind(NodeKind.RETURN):
+                for ret in callee_cfg.nodes_of_kind(_RETURN):
                     if ret.value is not None:
                         self._rvalue_into(callee, ret.value, result_loc)
 

@@ -78,6 +78,19 @@ from .values import (
     values_equal,
 )
 
+# The node kinds as module globals: on CPython 3.11 a ``NodeKind.X``
+# read goes through the enum metaclass's ``__getattr__`` hook, about
+# ten times the cost of reading a global.
+_START, _ASSIGN, _COND, _TOSS, _CALL, _RETURN, _EXIT = (
+    NodeKind.START,
+    NodeKind.ASSIGN,
+    NodeKind.COND,
+    NodeKind.TOSS,
+    NodeKind.CALL,
+    NodeKind.RETURN,
+    NodeKind.EXIT,
+)
+
 
 class CompileUnsupported(Exception):
     """The program uses a construct the compiled engine does not
@@ -662,7 +675,7 @@ def _compile_proc(cfg: ControlFlowGraph, procs: dict[str, CompiledProc]) -> Comp
     # Successor table for every straight-line node (needed before op
     # compilation: RETURN resolves its caller's CALL successor here).
     for node in cfg.nodes.values():
-        if node.kind in (NodeKind.START, NodeKind.ASSIGN, NodeKind.CALL):
+        if node.kind in (_START, _ASSIGN, _CALL):
             proc.next_of[node.id] = _single_always_dst(cfg, node.id)
 
     for node in cfg.nodes.values():
@@ -687,7 +700,7 @@ def _compile_node(
     procs: dict[str, CompiledProc],
 ):
     kind = node.kind
-    if kind is NodeKind.START:
+    if kind is _START:
         next_id = proc.next_of[node.id]
 
         def op_start(engine, act, _next=next_id):
@@ -695,19 +708,19 @@ def _compile_node(
 
         return op_start
 
-    if kind is NodeKind.ASSIGN:
+    if kind is _ASSIGN:
         return _compile_assign(node, layout, proc.next_of[node.id])
 
-    if kind is NodeKind.COND:
+    if kind is _COND:
         return _compile_cond(cfg, node, layout)
 
-    if kind is NodeKind.TOSS:
+    if kind is _TOSS:
         return _compile_toss_node(cfg, node)
 
-    if kind is NodeKind.CALL:
+    if kind is _CALL:
         return _compile_call(cfg, node, proc, layout, procs)
 
-    if kind is NodeKind.RETURN:
+    if kind is _RETURN:
         value_ev = None
         if node.value is not None:
             value_ev = _compile_expr(node.value, layout)
@@ -735,7 +748,7 @@ def _compile_node(
 
         return op_return
 
-    if kind is NodeKind.EXIT:
+    if kind is _EXIT:
 
         def op_exit(engine, act):
             return _DONE  # the process terminates wherever exit appears.

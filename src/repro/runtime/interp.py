@@ -92,6 +92,19 @@ class TossRequest:
 
 Request = VisibleRequest | TossRequest
 
+# The node kinds ``_advance`` dispatches on, as module globals: on
+# CPython 3.11 a ``NodeKind.X`` read goes through the enum metaclass's
+# ``__getattr__`` hook, about ten times the cost of a global.
+_START, _ASSIGN, _COND, _TOSS, _CALL, _RETURN, _EXIT = (
+    NodeKind.START,
+    NodeKind.ASSIGN,
+    NodeKind.COND,
+    NodeKind.TOSS,
+    NodeKind.CALL,
+    NodeKind.RETURN,
+    NodeKind.EXIT,
+)
+
 _ARITH_OPS = {"+", "-", "*", "/", "%"}
 _ORDER_OPS = {"<", "<=", ">", ">="}
 
@@ -222,25 +235,26 @@ class Interpreter:
                 # Record before executing: a faulting/diverging node is
                 # still logged as visited, its out-edge is not.
                 trace.append((activation.cfg.proc_name, activation.node_id))
+            kind = node.kind
 
-            if node.kind is NodeKind.START:
+            if kind is _START:
                 activation.node_id = self._follow_always(activation, node)
 
-            elif node.kind is NodeKind.ASSIGN:
+            elif kind is _ASSIGN:
                 self._exec_assign(activation, node)
                 activation.node_id = self._follow_always(activation, node)
                 self._invisible_steps += 1
 
-            elif node.kind is NodeKind.COND:
+            elif kind is _COND:
                 subject = self._eval(activation, node.expr)
                 activation.node_id = self._branch(activation, node, subject)
                 self._invisible_steps += 1
 
-            elif node.kind is NodeKind.TOSS:
+            elif kind is _TOSS:
                 self._pending = (_RESUME_TOSS_NODE, activation, node, None)
                 return TossRequest(node.bound, node.id, activation.cfg.proc_name)
 
-            elif node.kind is NodeKind.CALL:
+            elif kind is _CALL:
                 spec = BUILTIN_OPERATIONS.get(node.callee)
                 if spec is None:
                     self._enter_procedure(activation, node)
@@ -258,7 +272,7 @@ class Interpreter:
                 self._invisible_steps += 1
                 activation.node_id = self._follow_always(activation, node)
 
-            elif node.kind is NodeKind.RETURN:
+            elif kind is _RETURN:
                 value = None
                 if node.value is not None:
                     value = self._eval(activation, node.value)
@@ -279,11 +293,11 @@ class Interpreter:
                 caller.node_id = self._follow_always(caller, call_node)
                 self._invisible_steps += 1
 
-            elif node.kind is NodeKind.EXIT:
+            elif kind is _EXIT:
                 return None  # the process terminates wherever exit appears.
 
             else:
-                raise RuntimeFault(f"unknown node kind {node.kind}")
+                raise RuntimeFault(f"unknown node kind {kind}")
 
             if self._invisible_steps > self._budget:
                 raise DivergenceError(self.process_name, self._budget)

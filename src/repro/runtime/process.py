@@ -39,6 +39,19 @@ class ProcessStatus(enum.Enum):
     DIVERGED = "diverged"
 
 
+# The statuses as module globals.  On CPython 3.11 every
+# ``ProcessStatus.X`` read goes through the enum metaclass's
+# ``__getattr__`` hook, about ten times the cost of reading a global,
+# and the search tests a status at every step.
+_AT_VISIBLE, _NEEDS_TOSS, _TERMINATED, _CRASHED, _DIVERGED = (
+    ProcessStatus.AT_VISIBLE,
+    ProcessStatus.NEEDS_TOSS,
+    ProcessStatus.TERMINATED,
+    ProcessStatus.CRASHED,
+    ProcessStatus.DIVERGED,
+)
+
+
 class Process:
     """A running process: engine stepper + status + pending request."""
 
@@ -61,38 +74,50 @@ class Process:
 
     def start(self) -> None:
         """Run the initial invisible prefix up to the first request."""
-        self._resume(self._interpreter.start)
+        self._snap = None
+        try:
+            request = self._interpreter.start()
+        except (DivergenceError, RuntimeFault) as err:
+            self._fail(err)
+            return
+        self.pending = request
+        if request is None:
+            self.status = _TERMINATED
+        elif request.__class__ is TossRequest:
+            self.status = _NEEDS_TOSS
+        else:
+            self.status = _AT_VISIBLE
 
     def resume(self, value: Any = None) -> None:
         """Answer the pending request with ``value`` and run to the next one."""
-        if self.status not in (ProcessStatus.AT_VISIBLE, ProcessStatus.NEEDS_TOSS):
-            raise RuntimeError(f"cannot resume process {self.name!r} in status {self.status}")
-        self.pending = None
-        self._resume(self._interpreter.resume, value)
-
-    def _resume(self, step, *args) -> None:
+        # The same steps as :meth:`start`, inlined: the search resumes a
+        # process once per transition and per toss answer.
+        status = self.status
+        if status is not _AT_VISIBLE and status is not _NEEDS_TOSS:
+            raise RuntimeError(f"cannot resume process {self.name!r} in status {status}")
         self._snap = None
         try:
-            request = step(*args)
-        except DivergenceError as err:
-            self.status = ProcessStatus.DIVERGED
-            self.pending = None
-            self.crash = err
-            return
-        except RuntimeFault as fault:
-            self.status = ProcessStatus.CRASHED
-            self.pending = None
-            self.crash = ProcessCrash(self.name, fault)
-            return
-        if request is None:
-            self.status = ProcessStatus.TERMINATED
-            self.pending = None
+            request = self._interpreter.resume(value)
+        except (DivergenceError, RuntimeFault) as err:
+            self._fail(err)
             return
         self.pending = request
-        if isinstance(request, TossRequest):
-            self.status = ProcessStatus.NEEDS_TOSS
+        if request is None:
+            self.status = _TERMINATED
+        elif request.__class__ is TossRequest:
+            self.status = _NEEDS_TOSS
         else:
-            self.status = ProcessStatus.AT_VISIBLE
+            self.status = _AT_VISIBLE
+
+    def _fail(self, err: Exception) -> None:
+        """The engine raised: a divergence or a runtime fault."""
+        self.pending = None
+        if isinstance(err, DivergenceError):
+            self.status = _DIVERGED
+            self.crash = err
+        else:
+            self.status = _CRASHED
+            self.crash = ProcessCrash(self.name, err)
 
     # -- checkpoint / restore -----------------------------------------------------
 
@@ -135,11 +160,8 @@ class Process:
 
     def is_blocked_forever(self) -> bool:
         """Terminated, crashed and diverged processes never run again."""
-        return self.status in (
-            ProcessStatus.TERMINATED,
-            ProcessStatus.CRASHED,
-            ProcessStatus.DIVERGED,
-        )
+        status = self.status
+        return status is _TERMINATED or status is _CRASHED or status is _DIVERGED
 
     def enabled(self) -> bool:
         """Whether the pending visible operation may currently execute."""
@@ -152,7 +174,7 @@ class Process:
 
     def state_fingerprint(self) -> Any:
         base: tuple[Any, ...] = (self.name, self.status.value if self.status else "new")
-        if self.status in (ProcessStatus.AT_VISIBLE, ProcessStatus.NEEDS_TOSS):
+        if self.status is _AT_VISIBLE or self.status is _NEEDS_TOSS:
             return base + (self._interpreter.state_fingerprint(),)
         return base
 

@@ -37,6 +37,11 @@ from .objects import CommunicationObject, EnvSink, FifoChannel, Semaphore, Share
 from .process import Process, ProcessStatus
 from .values import ObjectRef
 
+# Module globals for the statuses the step path tests (a
+# ``ProcessStatus.X`` read costs an enum ``__getattr__`` on CPython 3.11).
+_AT_VISIBLE = ProcessStatus.AT_VISIBLE
+_NEEDS_TOSS = ProcessStatus.NEEDS_TOSS
+
 
 @dataclass(frozen=True, slots=True)
 class SystemConfig:
@@ -376,6 +381,15 @@ class Run:
         #: (``None``).
         self._stale = None
         self._started = False
+        #: Each process's position in :attr:`processes`.
+        self._position = {process: i for i, process in enumerate(processes)}
+        #: The snapshot tuple and accounting bytes of the last
+        #: :meth:`checkpoint` or :meth:`restore` (``None`` before the
+        #: first), and the processes resumed since: the only entries the
+        #: next checkpoint must take afresh.
+        self._snapshots: tuple | None = None
+        self._snapshot_bytes = 0
+        self._resumed: set[Process] = set()
 
     def __reduce__(self):
         raise TypeError(
@@ -389,9 +403,13 @@ class Run:
         """Capture a restorable point of this run.
 
         Requires the run to have been started with ``journal=True``
-        (:meth:`System.start`).  Cost is O(total stack depth) — one
-        shallow control snapshot per process; value state is covered by
-        the journal mark.
+        (:meth:`System.start`).  Value state is covered by the journal
+        mark; control state by one shallow snapshot per process.  The
+        run keeps the snapshot tuple of its last checkpoint or restore
+        and the set of processes resumed since, so a checkpoint costs
+        one snapshot (O(stack depth)) per *moved* process, not a pass
+        over every process: the others' snapshots are the same objects
+        as last time.
         """
         if self.journal is None:
             raise RuntimeError(
@@ -400,13 +418,24 @@ class Run:
             )
         # Accounting-model footprint: a checkpoint tuple plus, per
         # process, its snapshot tuple and one slot per stack entry.
-        snapshots = []
-        approx_bytes = 96
-        for process in self.processes:
-            snap = process.snapshot()
-            snapshots.append(snap)
-            approx_bytes += 112 + 56 * len(snap[3][0])
-        snapshots = tuple(snapshots)
+        snapshots = self._snapshots
+        resumed = self._resumed
+        if snapshots is None:
+            snapshots = tuple(process.snapshot() for process in self.processes)
+            approx_bytes = 96 + sum(112 + 56 * len(snap[3][0]) for snap in snapshots)
+        else:
+            approx_bytes = self._snapshot_bytes
+            if resumed:
+                taken = list(snapshots)
+                for process in resumed:
+                    index = self._position[process]
+                    snap = process.snapshot()
+                    approx_bytes += 56 * (len(snap[3][0]) - len(taken[index][3][0]))
+                    taken[index] = snap
+                snapshots = tuple(taken)
+        self._snapshots = snapshots
+        self._snapshot_bytes = approx_bytes
+        resumed.clear()
         fingerprinter = self.fingerprinter
         return RunCheckpoint(
             mark=self.journal.mark(),
@@ -436,6 +465,10 @@ class Run:
             if process._snap is not snap:
                 process.restore(snap)
                 moved.append(process)
+        # Every process's snapshot is now the checkpoint's.
+        self._snapshots = checkpoint.processes
+        self._snapshot_bytes = checkpoint.approx_bytes
+        self._resumed.clear()
         if self._stale is not None:
             if checkpoint.fingerprints is not None:
                 self.fingerprinter.restore(checkpoint.fingerprints)
@@ -459,6 +492,7 @@ class Run:
         self._started = True
         if self._stale is not None:
             self._stale.update(self.processes)
+        self._snapshots = None
         for process in self.processes:
             process.start()
 
@@ -472,14 +506,14 @@ class Run:
         distinct processes commute).
         """
         for process in self.processes:
-            if process.status is ProcessStatus.NEEDS_TOSS:
+            if process.status is _NEEDS_TOSS:
                 return process
         return None
 
     def at_global_state(self) -> bool:
         """All processes stopped at a visible op or blocked forever."""
         return all(
-            process.status is ProcessStatus.AT_VISIBLE or process.is_blocked_forever()
+            process.status is _AT_VISIBLE or process.is_blocked_forever()
             for process in self.processes
         )
 
@@ -488,7 +522,7 @@ class Run:
         return [
             process
             for process in self.processes
-            if process.status is ProcessStatus.AT_VISIBLE and process.enabled()
+            if process.status is _AT_VISIBLE and process.enabled()
         ]
 
     def is_deadlock(self) -> bool:
@@ -501,9 +535,7 @@ class Run:
             return False
         if self.enabled_processes():
             return False
-        return any(
-            process.status is ProcessStatus.AT_VISIBLE for process in self.processes
-        )
+        return any(process.status is _AT_VISIBLE for process in self.processes)
 
     def all_terminated(self) -> bool:
         return all(
@@ -516,16 +548,19 @@ class Run:
         The caller must have checked enabledness.  Returns the assertion
         outcome when the operation was a ``VS_assert``.
         """
-        request = process.visible_request
-        if request is None:
+        if process.status is not _AT_VISIBLE:
             raise RuntimeError(f"process {process.name!r} has no pending visible op")
+        # At a visible operation, the pending request is a VisibleRequest.
+        request = process.pending
+        obj = request.obj
         stale = self._stale
         if stale is not None:
             stale.add(process)
-            if request.obj is not None:
-                stale.add(request.obj)
+            if obj is not None:
+                stale.add(obj)
+        self._resumed.add(process)
         outcome = None
-        if request.obj is None:
+        if obj is None:
             # VS_assert: evaluate the (already computed) subject.
             subject = request.args[0]
             violated = _assert_violated(subject)
@@ -537,11 +572,10 @@ class Run:
             )
             result = None
         else:
-            if not request.obj.enabled(request.op):
-                raise RuntimeError(
-                    f"visible op {request.op!r} on {request.obj.name!r} is not enabled"
-                )
-            result = request.obj.perform(request.op, request.args)
+            op = request.op
+            if not obj.enabled(op):
+                raise RuntimeError(f"visible op {op!r} on {obj.name!r} is not enabled")
+            result = obj.perform(op, request.args)
         process.resume(result)
         return outcome
 
@@ -553,6 +587,7 @@ class Run:
             raise ValueError(f"toss value {value} outside 0..{request.bound}")
         if self._stale is not None:
             self._stale.add(process)
+        self._resumed.add(process)
         process.resume(value)
 
     # -- state inspection ------------------------------------------------------------

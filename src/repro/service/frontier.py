@@ -183,7 +183,22 @@ def prefix_from_json(payload: Any, path: str = "$") -> ChoicePrefix:
                 f"{at}.index: {index} is out of range for {len(alternatives)} alternatives"
             )
         sleep = _field(entry, "sleep", (list,), at, [])
-        sigs = _field(entry, "sigs", (list,), at, [])
+        sigs = tuple(
+            None if sig is None else _sig_from_json(sig, f"{at}.sigs[{j}]")
+            for j, sig in enumerate(_field(entry, "sigs", (list,), at, []))
+        )
+        if kind == "schedule":
+            # The explorer's sleep sets and path record read the
+            # signature of every alternative of a schedule point.
+            if len(sigs) != len(alternatives):
+                raise FrontierFormatError(
+                    f"{at}.sigs: expected {len(alternatives)} signatures, one per "
+                    f"alternative, got {len(sigs)}"
+                )
+            if None in sigs:
+                raise FrontierFormatError(
+                    f"{at}.sigs[{sigs.index(None)}]: expected a signature, got null"
+                )
         points.append(
             PrefixPoint(
                 kind=kind,
@@ -192,10 +207,7 @@ def prefix_from_json(payload: Any, path: str = "$") -> ChoicePrefix:
                 sleep=frozenset(
                     _sig_from_json(sig, f"{at}.sleep[{j}]") for j, sig in enumerate(sleep)
                 ),
-                sigs=tuple(
-                    None if sig is None else _sig_from_json(sig, f"{at}.sigs[{j}]")
-                    for j, sig in enumerate(sigs)
-                ),
+                sigs=sigs,
             )
         )
     return ChoicePrefix(tuple(points))

@@ -75,6 +75,18 @@ from .results import (
 from .search import SearchOptions, search_options
 from .stats import SearchStats
 
+# The statuses as module globals: on CPython 3.11 a ``ProcessStatus.X``
+# read goes through the enum metaclass's ``__getattr__`` hook, about ten
+# times the cost of a global, and the hot loop tests a status per step.
+# (The control ids further down are ``_ID_*``; keep the two apart.)
+_AT_VISIBLE, _NEEDS_TOSS, _TERMINATED, _CRASHED, _DIVERGED = (
+    ProcessStatus.AT_VISIBLE,
+    ProcessStatus.NEEDS_TOSS,
+    ProcessStatus.TERMINATED,
+    ProcessStatus.CRASHED,
+    ProcessStatus.DIVERGED,
+)
+
 
 class _ChoicePoint:
     """One branching decision in the DFS, with its untried alternatives.
@@ -82,14 +94,15 @@ class _ChoicePoint:
     ``kind`` is ``"schedule"`` or ``"toss"``; ``alternatives`` the
     process names or toss values (any sequence); ``sleep`` the sleep
     mask inherited at the point's state; ``sigs`` the signature per
-    alternative (schedule points; used for sleep sets), stored as
-    given.  ``resume`` is the restore-mode bookkeeping
-    (:class:`_ResumeInfo`): ``None`` in replay mode and for
+    alternative (schedule points; used for sleep sets and for the
+    trace's steps), stored as given.  ``process`` names the process
+    that tossed (toss points).  ``resume`` is the restore-mode
+    bookkeeping (:class:`_ResumeInfo`): ``None`` in replay mode and for
     single-alternative points, which are exhausted at creation and can
     never become a backtrack target.
     """
 
-    __slots__ = ("kind", "alternatives", "index", "sleep", "sigs", "resume")
+    __slots__ = ("kind", "alternatives", "index", "sleep", "sigs", "resume", "process")
 
     def __init__(
         self,
@@ -99,6 +112,7 @@ class _ChoicePoint:
         sleep: int = 0,
         sigs: Sequence[TransitionSig | None] = (),
         resume: Any = None,
+        process: str | None = None,
     ):
         self.kind = kind
         self.alternatives = alternatives
@@ -106,6 +120,7 @@ class _ChoicePoint:
         self.sleep = sleep
         self.sigs = sigs
         self.resume = resume
+        self.process = process
 
     @property
     def chosen(self) -> Any:
@@ -119,20 +134,18 @@ class _ChoicePoint:
 class _ResumeInfo:
     """Everything needed to re-enter the DFS at a choice point without
     re-executing the path prefix: the runtime checkpoint plus the
-    explorer-side execution state (depth, carried sleep mask, lengths
-    to truncate the recorded choice/step lists back to, which processes
-    had already been noted as crashed/diverged, and the
+    explorer-side execution state (depth, carried sleep mask, which
+    processes had already been noted as crashed/diverged, and the
     :meth:`ControlProjection.capture` of the state).  Captured by
     :meth:`Explorer._choice` *before* the point's own choice is
-    appended.  Immutable by contract: nothing writes a field after
+    executed.  The path record needs no entry: it is the choice stack
+    itself.  Immutable by contract: nothing writes a field after
     construction (the record is not frozen only because frozen
     dataclasses pay ``object.__setattr__`` per field on creation)."""
 
     checkpoint: Any
     depth: int
     sleep: int
-    choices_len: int
-    steps_len: int
     noted_broken: frozenset[str]
     projection: tuple
 
@@ -193,6 +206,16 @@ class Explorer:
     visit, the projection's build, per-step update and candidates, and
     the coverage observer — are timed into the profile's ``engine``,
     ``fingerprint``, ``cache``, ``por`` and ``coverage`` phases.
+
+    The path record lives on the choice stack: every executed point of
+    ``stack[:ptr]`` is one choice of the path, and a schedule point's
+    chosen signature names its step.  Nothing is appended per step;
+    :meth:`PathState.trace` builds the records when an event or
+    ``on_leaf`` asks for them.  A fresh state with a single awake
+    candidate under an empty sleep mask pushes a point shared by every
+    such state with that candidate's signature: it is exhausted at
+    creation, never bumped and never checkpointed, so one object
+    serves them all.
     """
 
     def __init__(
@@ -245,13 +268,11 @@ class Explorer:
         #: result; the projection both hashes faster than a full state
         #: key and hits far more often.
         self._state_memo: dict[tuple, tuple] = {}
-        #: Interned trace records: ScheduleChoice / TossChoice /
-        #: TraceStep are frozen value objects drawn from a tiny
-        #: per-system domain, so each distinct record is allocated once
-        #: and shared across every append of a long search.
-        self._sched_cache: dict[str, ScheduleChoice] = {}
-        self._toss_cache: dict[tuple[str, int], TossChoice] = {}
-        self._step_cache: dict[tuple, TraceStep] = {}
+        #: The shared single-alternative schedule point per interned
+        #: signature id (see the class docstring).
+        self._single_points: dict[int, _ChoicePoint] = {}
+        #: Interned trace records, shared by every trace of the search.
+        self._records = TraceRecords()
 
     @staticmethod
     def _compute_footprints(system: System) -> dict[str, set[str]]:
@@ -447,12 +468,15 @@ class Explorer:
         else:
             state, depth, sleep, may_toss, point = self._reenter(resume_point)
         run = state.run
+        process_map = run.process_map
+        stack = state.stack
+        replay_len = state.replay_len
         observer = self._observer
         step = self._step
         moved = self._moved
+        stop_on_first = self._stop_on_first
         sleep_sets = self._sleep_sets
-        sched_cache = self._sched_cache
-        step_cache = self._step_cache
+        single_points = self._single_points
         while True:
             if point is not None:
                 # Resuming at a bumped schedule point: its global state
@@ -464,7 +488,7 @@ class Explorer:
             else:
                 if may_toss:
                     self._answer_tosses(state, depth, sleep)
-                if state.ptr < state.replay_len:
+                if state.ptr < replay_len:
                     # A replayed state (inside the stacked prefix) was
                     # fully processed when first reached and — having a
                     # choice point below it — is not a leaf: skip
@@ -474,38 +498,45 @@ class Explorer:
                     fanout = len(point.alternatives)
                 else:
                     names, sigs = self._visit(state, stats, seen_states, depth, sleep)
-                    before = len(state.stack)
-                    point = self._choice(state, "schedule", names, sleep, sigs, depth, sleep)
-                    created = len(state.stack) > before
+                    created = True
                     fanout = len(names)
+                    if fanout > 1:
+                        point = self._choice(state, "schedule", names, sleep, sigs, depth, sleep)
+                    else:
+                        # One candidate: exhausted at creation, so never
+                        # bumped and never checkpointed.  With nothing
+                        # asleep, the point shared by every state whose
+                        # candidate has this signature serves.  (Fresh
+                        # ground: the stack ends at ``ptr``.)
+                        if sleep:
+                            point = _ChoicePoint("schedule", names, 0, sleep, sigs)
+                        else:
+                            point = single_points.get(sigs[0].id)
+                            if point is None:
+                                point = single_points[sigs[0].id] = _ChoicePoint(
+                                    "schedule", names, 0, 0, sigs
+                                )
+                        stack.append(point)
+                        state.ptr += 1
 
             index = point.index
             name = point.alternatives[index]
-            chosen = run.process_map[name]
-            sigs = point.sigs
-            chosen_sig = sigs[index] if sigs else signature_of(chosen)
-            choice = sched_cache.get(name)
-            if choice is None:
-                choice = sched_cache[name] = ScheduleChoice(name)
-            state.choices.append(choice)
-            request = chosen.visible_request
+            chosen = process_map[name]
+            # The chosen process is at a visible operation: its pending
+            # request is the one the step performs.
+            request = chosen.pending
             outcome = step(run, chosen)
             obj = request.obj
             projection = self._projection
             if projection is not None:
                 moved(projection, name, obj)
-            fresh = state.ptr >= state.replay_len
+            fresh = state.ptr >= replay_len
             if observer is not None:
                 observer.on_step(chosen, request, depth, fanout, created, fresh)
             if fresh:
                 report.transitions_executed += 1
             else:
                 stats.replayed_transitions += 1
-            key = (name, request.op, None if obj is None else obj.name)
-            trace_step = step_cache.get(key)
-            if trace_step is None:
-                trace_step = step_cache[key] = TraceStep(*key)
-            state.steps.append(trace_step)
             depth += 1
             if outcome is not None and outcome.violated and fresh:
                 state.record(
@@ -516,24 +547,28 @@ class Explorer:
                     outcome.node_id,
                 )
             status = chosen.status
-            may_toss = status is ProcessStatus.NEEDS_TOSS
-            if status is not ProcessStatus.AT_VISIBLE and not may_toss:
-                state.note_broken(chosen, depth)
-            if self._stop_on_first and not report.ok:
+            if status is _AT_VISIBLE:
+                may_toss = False
+            else:
+                may_toss = status is _NEEDS_TOSS
+                if not may_toss:
+                    state.note_broken(chosen, depth)
+            if stop_on_first and not report.ok:
                 self._leaf(state)
 
             # Sleep mask carried into the successor state: the inherited
-            # mask and the explored siblings, less what ``chosen_sig``
-            # depends on.  The first alternative under an empty inherited
-            # mask has nothing to merge and nothing to filter.
-            if not sleep_sets or chosen_sig is None or (index == 0 and not point.sleep):
+            # mask and the explored siblings, less what the chosen
+            # transition depends on.  The first alternative under an
+            # empty inherited mask has nothing to merge and nothing to
+            # filter.
+            if not sleep_sets or (index == 0 and not point.sleep):
                 sleep = 0
             else:
                 sleep = point.sleep
+                sigs = point.sigs
                 for sig in sigs[:index]:
-                    if sig is not None:
-                        sleep |= sig.bit
-                sleep &= ~dependent_bits(chosen_sig)
+                    sleep |= sig.bit
+                sleep &= ~dependent_bits(sigs[index])
             point = None
 
     def _start_run(self, stack: list[_ChoicePoint], report: ExplorationReport) -> PathState:
@@ -545,7 +580,9 @@ class Explorer:
         self._start(run)
         self._projection = None
         replay_len = len(stack)
-        state = PathState(run, stack, replay_len, report, self._max_events, self._observer)
+        state = PathState(
+            run, stack, replay_len, report, self._max_events, self._observer, self._records
+        )
         if self._observer is not None:
             # The startup segments are fresh ground exactly when nothing
             # precedes them: the sequential first path, the root lease.
@@ -561,19 +598,17 @@ class Explorer:
         choice ``point``'s checkpoint and resume the DFS there.
 
         The execution state is exactly what a replay would have rebuilt
-        on reaching the point: choices/steps truncated to the prefix,
-        ``ptr`` past every stacked point (so ``fresh`` holds on all
-        ground below, as it would after consuming the bumped point
-        during a replay).  Returns ``(state, depth, sleep,
-        may_toss, pending schedule point)``.
+        on reaching the point: ``ptr`` past every stacked point, the
+        bumped one included (so the path record ends with its new
+        choice, and ``fresh`` holds on all ground below, as it would
+        after consuming the bumped point during a replay).  Returns
+        ``(state, depth, sleep, may_toss, pending schedule point)``.
         """
         info = point.resume
         state = self._live
         run = state.run
         moved = run.restore(info.checkpoint)
         self._projection.reinstall(info.projection)
-        del state.choices[info.choices_len :]
-        del state.steps[info.steps_len :]
         state.noted_broken = set(info.noted_broken)
         state.ptr = len(state.stack)
         if self._observer is not None:
@@ -584,9 +619,8 @@ class Explorer:
         # mirroring a replay's pass over the bumped point (not a created
         # point: toss points count at creation only).
         tossing = run.toss_pending()
-        request = tossing.toss_request
+        request = tossing.pending
         value = point.chosen
-        state.choices.append(self._toss_choice(tossing.name, value))
         self._answer(run, tossing, value)
         self._moved(self._projection, tossing.name, None)
         if self._observer is not None:
@@ -606,11 +640,14 @@ class Explorer:
             tossing = run.toss_pending()
             if tossing is None:
                 return
-            request = tossing.toss_request
+            request = tossing.pending
             before = len(state.stack)
             point = self._choice(state, "toss", range(request.bound + 1), 0, (), depth, sleep)
+            # The path record names the tossing process: set on created
+            # points and on a thawed prefix's points alike, before any
+            # event below can read it.
+            point.process = tossing.name
             value = point.chosen
-            state.choices.append(self._toss_choice(tossing.name, value))
             self._answer(run, tossing, value)
             if self._projection is not None:
                 self._moved(self._projection, tossing.name, None)
@@ -655,19 +692,21 @@ class Explorer:
         # The deadlock, termination and enabled-count facts are reads of
         # the projection; the candidates are asked for only below the
         # depth bound.
-        projection = self._projection_of(run)
+        projection = self._projection
+        if projection is None:
+            projection = self._projection_of(run)
         enabled_mask = projection.mask
-        if not enabled_mask and projection.deadlocked():
-            state.record(DeadlockEvent, depth, *_blocked_info(run))
-            self._leaf(state)
-        if not enabled_mask and projection.all_terminated():
+        if not enabled_mask:
+            if projection.deadlocked():
+                state.record(DeadlockEvent, depth, *_blocked_info(run))
+            elif not projection.all_terminated() and depth >= self._max_depth:
+                report.truncated = True
+            # A deadlock, every process terminated, or every live
+            # process blocked while others crashed, diverged or
+            # terminated: nothing can move.
             self._leaf(state)
         if depth >= self._max_depth:
             report.truncated = True
-            self._leaf(state)
-        if not enabled_mask:
-            # Every live process is blocked but some processes
-            # crashed/diverged/terminated: nothing can move.
             self._leaf(state)
         names, sigs = self._candidates(projection, self._persistent, self._state_memo)
         stats.enabled_transitions += enabled_mask.bit_count()
@@ -717,18 +756,16 @@ class Explorer:
             # Counted at creation so replays do not double-count.
             state.report.toss_points += 1
         if self._restore and len(point.alternatives) > 1:
-            # Checkpoint *before* the point's own choice/step is appended,
-            # so re-entry truncates back to exactly this prefix.  Points
-            # with a single alternative are exhausted at creation — they
-            # are popped during backtracking without ever being resumed,
-            # so checkpointing them would be pure waste.
+            # Checkpoint *before* the point's own choice executes, so
+            # re-entry resumes exactly at this state.  Points with a
+            # single alternative are exhausted at creation — they are
+            # popped during backtracking without ever being resumed, so
+            # checkpointing them would be pure waste.
             checkpoint = state.run.checkpoint()
             point.resume = _ResumeInfo(
                 checkpoint=checkpoint,
                 depth=depth,
                 sleep=resume_sleep,
-                choices_len=len(state.choices),
-                steps_len=len(state.steps),
                 noted_broken=(
                     frozenset(state.noted_broken) if state.noted_broken else _NONE_BROKEN
                 ),
@@ -751,13 +788,6 @@ class Explorer:
             self._projection = self._project(run)
         return self._projection
 
-    def _toss_choice(self, name: str, value: int) -> TossChoice:
-        key = (name, value)
-        choice = self._toss_cache.get(key)
-        if choice is None:
-            choice = self._toss_cache[key] = TossChoice(name, value)
-        return choice
-
     def _leaf(self, state: PathState) -> None:
         if self._on_leaf is not None and state.fresh:
             self._on_leaf(state.run, state.trace())
@@ -766,10 +796,10 @@ class Explorer:
 
 #: Control ids of the processes with no pending visible operation (an
 #: ``AT_VISIBLE`` process's id is its interned signature id, >= 0).
-_TERMINATED = -1
-_CRASHED = -2
-_DIVERGED = -3
-_UNPARKED = -4  # needs a toss, or not started
+_ID_TERMINATED = -1
+_ID_CRASHED = -2
+_ID_DIVERGED = -3
+_ID_UNPARKED = -4  # needs a toss, or not started
 
 
 class ControlProjection:
@@ -802,7 +832,7 @@ class ControlProjection:
         #: object -> bitmask of the processes ever seen pending on it.
         self._waiters: dict[Any, int] = {}
         #: Control id per process, updated in place.
-        self.ids = [_UNPARKED] * len(run.processes)
+        self.ids = [_ID_UNPARKED] * len(run.processes)
         self.mask = 0
         for process in run.processes:
             self.moved(process.name, None)
@@ -816,7 +846,7 @@ class ControlProjection:
         bit = 1 << index
         mask = self.mask
         status = process.status
-        if status is ProcessStatus.AT_VISIBLE:
+        if status is _AT_VISIBLE:
             request = process.pending
             sig = request.sig
             if sig is None:
@@ -835,14 +865,14 @@ class ControlProjection:
                     self._waiters[target] = waiters | bit
         else:
             mask &= ~bit
-            if status is ProcessStatus.TERMINATED:
-                self.ids[index] = _TERMINATED
-            elif status is ProcessStatus.CRASHED:
-                self.ids[index] = _CRASHED
-            elif status is ProcessStatus.DIVERGED:
-                self.ids[index] = _DIVERGED
+            if status is _TERMINATED:
+                self.ids[index] = _ID_TERMINATED
+            elif status is _CRASHED:
+                self.ids[index] = _ID_CRASHED
+            elif status is _DIVERGED:
+                self.ids[index] = _ID_DIVERGED
             else:
-                self.ids[index] = _UNPARKED
+                self.ids[index] = _ID_UNPARKED
         if obj is not None:
             processes = self._processes
             waiting = self._waiters.get(obj, 0) & ~bit
@@ -851,7 +881,7 @@ class ControlProjection:
                 waiting ^= low
                 other = processes[low.bit_length() - 1]
                 request = other.pending
-                if other.status is ProcessStatus.AT_VISIBLE and request.obj is obj:
+                if other.status is _AT_VISIBLE and request.obj is obj:
                     if obj.enabled(request.op):
                         mask |= low
                     else:
@@ -862,11 +892,11 @@ class ControlProjection:
         """Some process waits at a visible operation, none is enabled
         and none is mid-transition."""
         ids = self.ids
-        return not self.mask and max(ids, default=-1) >= 0 and _UNPARKED not in ids
+        return not self.mask and max(ids, default=-1) >= 0 and _ID_UNPARKED not in ids
 
     def all_terminated(self) -> bool:
         """Every process has terminated normally."""
-        return self.ids.count(_TERMINATED) == len(self.ids)
+        return self.ids.count(_ID_TERMINATED) == len(self.ids)
 
     def capture(self) -> tuple:
         """The projection's state, for :meth:`reinstall` after a restore."""
@@ -907,9 +937,9 @@ def _blocked_info(run: Run) -> tuple[tuple[str, ...], tuple[tuple[str, str, str 
     blocked = []
     waiting = []
     for process in run.processes:
-        if process.status is ProcessStatus.AT_VISIBLE:
+        if process.status is _AT_VISIBLE:
             blocked.append(process.name)
-            request = process.visible_request
+            request = process.pending
             obj = request.obj.name if request.obj is not None else None
             waiting.append((process.name, request.op, obj))
     return tuple(blocked), tuple(waiting)
@@ -924,11 +954,55 @@ _EVENT_LISTS = {
 }
 
 
+class TraceRecords:
+    """Interned trace records, and the builder of a path's trace.
+
+    ``ScheduleChoice``, ``TossChoice`` and ``TraceStep`` are frozen value
+    objects drawn from a tiny per-system domain, so each distinct record
+    is allocated once and shared by every trace built from the same
+    table (one per search).
+    """
+
+    __slots__ = ("_schedules", "_tosses", "_steps")
+
+    def __init__(self) -> None:
+        self._schedules: dict[str, ScheduleChoice] = {}
+        self._tosses: dict[tuple[str, int], TossChoice] = {}
+        self._steps: dict[tuple, TraceStep] = {}
+
+    def trace(self, points: Iterable[_ChoicePoint]) -> Trace:
+        """The trace of a path's executed choice ``points``: one choice
+        per point, and per schedule point the step its chosen signature
+        names."""
+        choices: list[Choice] = []
+        steps: list[TraceStep] = []
+        for point in points:
+            value = point.alternatives[point.index]
+            if point.kind == "toss":
+                key = (point.process, value)
+                choice = self._tosses.get(key)
+                if choice is None:
+                    choice = self._tosses[key] = TossChoice(*key)
+            else:
+                choice = self._schedules.get(value)
+                if choice is None:
+                    choice = self._schedules[value] = ScheduleChoice(value)
+                sig = point.sigs[point.index]
+                key = (sig.process, sig.op, sig.obj)
+                trace_step = self._steps.get(key)
+                if trace_step is None:
+                    trace_step = self._steps[key] = TraceStep(*key)
+                steps.append(trace_step)
+            choices.append(choice)
+        return Trace(tuple(choices), tuple(steps))
+
+
 @dataclass
 class PathState:
     """Mutable state of one (re-)execution of a path, and the one place
     its events are recorded (shared by the explorer and the random
-    walks)."""
+    walks).  ``stack[:ptr]`` are the path's executed choice points: its
+    record."""
 
     run: Run
     stack: list[_ChoicePoint]
@@ -936,9 +1010,8 @@ class PathState:
     report: ExplorationReport
     max_events: int
     observer: SearchObserver | None = None
+    records: TraceRecords = field(default_factory=TraceRecords)
     ptr: int = 0
-    choices: list[Choice] = field(default_factory=list)
-    steps: list[TraceStep] = field(default_factory=list)
     noted_broken: set[str] = field(default_factory=set)
 
     @property
@@ -949,7 +1022,8 @@ class PathState:
         return self.ptr >= self.replay_len
 
     def trace(self) -> Trace:
-        return Trace(tuple(self.choices), tuple(self.steps))
+        """The path's trace so far, built from ``stack[:ptr]``."""
+        return self.records.trace(self.stack[: self.ptr])
 
     def record(self, event_type: type, depth: int, *details: Any) -> None:
         """Record one event of ``event_type`` (built from ``details``)
@@ -977,14 +1051,14 @@ class PathState:
         rescanning the whole system.
         """
         status = process.status
-        if status is not ProcessStatus.CRASHED and status is not ProcessStatus.DIVERGED:
+        if status is not _CRASHED and status is not _DIVERGED:
             return
         if process.name in self.noted_broken:
             return
         self.noted_broken.add(process.name)
         if not self.fresh:
             return
-        if status is ProcessStatus.CRASHED:
+        if status is _CRASHED:
             self.record(CrashEvent, depth, process.name, str(process.crash))
         else:
             self.record(DivergenceEvent, depth, process.name)
@@ -1044,7 +1118,7 @@ def apply_choice(run: Run, index: int, choice: Choice) -> tuple[Any, Any]:
         )
         if process is None:
             raise ReplayMismatch(index, choice, "no such process")
-        if process.status is not ProcessStatus.AT_VISIBLE:
+        if process.status is not _AT_VISIBLE:
             raise ReplayMismatch(
                 index,
                 choice,
@@ -1106,11 +1180,21 @@ def collect_output_traces(
     observed, and collects the sink's output sequence at each leaf.
     Used by the Figure 2/3 behaviour-equivalence experiments.
     """
-    traces: set[tuple] = set()
+    explorer = _OutputCollector(system, search_options(options, overrides), sink)
+    explorer.run()
+    return explorer.outputs
 
-    def on_leaf(run: Run, _trace: Trace) -> None:
-        traces.add(tuple(run.env_outputs(sink)))
 
-    options = search_options(options, overrides)
-    Explorer(system, options, por=False, on_leaf=on_leaf).run()
-    return traces
+class _OutputCollector(Explorer):
+    """An explorer that collects the sink's output sequence at every
+    fresh leaf, and builds no trace for it."""
+
+    def __init__(self, system: System, options: SearchOptions, sink: str):
+        super().__init__(system, options, por=False, on_leaf=None)
+        self.sink = sink
+        self.outputs: set[tuple] = set()
+
+    def _leaf(self, state: PathState) -> None:
+        if state.fresh:
+            self.outputs.add(tuple(state.run.env_outputs(self.sink)))
+        raise _Leaf()

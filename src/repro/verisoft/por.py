@@ -51,6 +51,10 @@ from ..runtime.values import ObjectRef
 #: Sentinel meaning "may touch any object".
 ANY_OBJECT = "<any>"
 
+# A module global: ``ProcessStatus.AT_VISIBLE`` costs an enum
+# ``__getattr__`` per read on CPython 3.11.
+_AT_VISIBLE = ProcessStatus.AT_VISIBLE
+
 
 # ---------------------------------------------------------------------------
 # Static object footprints
@@ -220,9 +224,9 @@ def intern_signature(process: Process, request) -> TransitionSig:
 
 def signature_of(process: Process) -> TransitionSig | None:
     """The pending transition's signature, or None if none is pending."""
-    request = process.visible_request
-    if request is None:
+    if process.status is not _AT_VISIBLE:
         return None
+    request = process.pending
     sig = request.sig
     return sig if sig is not None else intern_signature(process, request)
 
@@ -333,7 +337,7 @@ class PersistentSetComputer:
         enabled_mask = 0
         live = []
         for index, process in enumerate(run.processes):
-            if process.status is not ProcessStatus.AT_VISIBLE:
+            if process.status is not _AT_VISIBLE:
                 continue
             bit = 1 << index
             sig = signature_of(process)

@@ -19,15 +19,9 @@ from typing import Any
 
 from ..obs.observer import Observation
 from ..runtime.system import System
-from .explorer import PathState, _blocked_info
-from .results import (
-    AssertionViolationEvent,
-    DeadlockEvent,
-    ExplorationReport,
-    ScheduleChoice,
-    TossChoice,
-    TraceStep,
-)
+from .explorer import PathState, TraceRecords, _blocked_info, _ChoicePoint
+from .por import signature_of
+from .results import AssertionViolationEvent, DeadlockEvent, ExplorationReport
 from .search import SearchOptions, search_options
 from .stats import SearchStats
 
@@ -49,6 +43,9 @@ def random_walks(
     observers see every step with ``created`` and ``fresh_edge`` set,
     and events are recorded exactly like the explorer's (past
     ``max_events`` counting continues with trace-less placeholders).
+    A walk records its path as the explorer does, as a stack of choice
+    points each pinned to the choice made, so events carry their traces
+    through the same builder.
     """
     options = search_options(options, overrides)
     engine = options.resolve(system).engine
@@ -74,6 +71,7 @@ def random_walks(
         options, system, live_stats=live_stats, span=("walk", "walk")
     )
     observer = observation.observer
+    records = TraceRecords()
 
     for _ in range(options.walks):
         if deadline is not None and time.monotonic() > deadline:
@@ -82,7 +80,7 @@ def random_walks(
             break
         run = system.start(engine=engine, trace=options.coverage)
         run.start_processes()
-        state = PathState(run, [], 0, report, options.max_events, observer)
+        state = PathState(run, [], 0, report, options.max_events, observer, records)
         if observer is not None:
             observer.on_run_start(run, True)
         depth = 0
@@ -94,7 +92,9 @@ def random_walks(
                 report.toss_points += 1
                 request = tossing.toss_request
                 value = rng.randint(0, request.bound)
-                state.choices.append(TossChoice(tossing.name, value))
+                alternatives = range(request.bound + 1)
+                state.stack.append(_ChoicePoint("toss", alternatives, value, process=tossing.name))
+                state.ptr += 1
                 run.answer_toss(tossing, value)
                 if observer is not None:
                     observer.on_toss(tossing, request, value, depth, True, True)
@@ -111,12 +111,12 @@ def random_walks(
 
             chosen = rng.choice(enabled)
             request = chosen.visible_request
-            state.choices.append(ScheduleChoice(chosen.name))
-            obj_name = request.obj.name if request.obj is not None else None
+            sigs = (signature_of(chosen),)
+            state.stack.append(_ChoicePoint("schedule", (chosen.name,), 0, 0, sigs))
+            state.ptr += 1
             outcome = run.execute_visible(chosen)
             if observer is not None:
                 observer.on_step(chosen, request, depth, len(enabled), True, True)
-            state.steps.append(TraceStep(chosen.name, request.op, obj_name))
             report.transitions_executed += 1
             depth += 1
             if outcome is not None and outcome.violated:

@@ -70,7 +70,12 @@ class SearchOptions:
     strategy: str = "dfs"
 
     # -- shared bounds and budgets -----------------------------------------
-    #: Transitions per path; exploration is complete up to this depth.
+    #: Transitions per path.  The search is complete up to this depth
+    #: for deadlocks.  For assertion violations it is complete only when
+    #: no process can keep running on its own: with ``por`` a process
+    #: that can step for ever is a persistent set by itself, and the
+    #: others are put off past the bound (the ignoring problem, ROADMAP
+    #: item 1; ``tests/verisoft/test_reference_oracle_ignoring.py``).
     max_depth: int = 100
     #: Persistent-set + sleep-set partial-order reduction (dfs/parallel).
     por: bool = True
