@@ -125,9 +125,7 @@ def _frontier_errors(decode):
 _SIG_ROW = ((str,), (int,), (str,), (str, _NULL), (bool,))
 
 
-def _sig_to_json(sig: TransitionSig | None) -> list | None:
-    if sig is None:
-        return None
+def _sig_to_json(sig: TransitionSig) -> list:
     return [sig.process, sig.node_id, sig.op, sig.obj, sig.local]
 
 
@@ -184,21 +182,16 @@ def prefix_from_json(payload: Any, path: str = "$") -> ChoicePrefix:
             )
         sleep = _field(entry, "sleep", (list,), at, [])
         sigs = tuple(
-            None if sig is None else _sig_from_json(sig, f"{at}.sigs[{j}]")
+            _sig_from_json(sig, f"{at}.sigs[{j}]")
             for j, sig in enumerate(_field(entry, "sigs", (list,), at, []))
         )
-        if kind == "schedule":
+        if kind == "schedule" and len(sigs) != len(alternatives):
             # The explorer's sleep sets and path record read the
             # signature of every alternative of a schedule point.
-            if len(sigs) != len(alternatives):
-                raise FrontierFormatError(
-                    f"{at}.sigs: expected {len(alternatives)} signatures, one per "
-                    f"alternative, got {len(sigs)}"
-                )
-            if None in sigs:
-                raise FrontierFormatError(
-                    f"{at}.sigs[{sigs.index(None)}]: expected a signature, got null"
-                )
+            raise FrontierFormatError(
+                f"{at}.sigs: expected {len(alternatives)} signatures, one per "
+                f"alternative, got {len(sigs)}"
+            )
         points.append(
             PrefixPoint(
                 kind=kind,

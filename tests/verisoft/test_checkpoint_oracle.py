@@ -87,7 +87,7 @@ def test_bounded_fiveess(engine):
 
 
 def test_pointer_program():
-    report, counts = checked_search(pointer_system(), max_depth=20, engine="walk")
+    _, counts = checked_search(pointer_system(), max_depth=20, engine="walk")
     assert counts["restores"] > 0
 
 
