@@ -234,6 +234,8 @@ class TestMalformedDocuments:
                 ["t", "b"],
                 "$.completed[0].report.deadlocks[0].choices[1]: expected 3 entries",
             ),
+            (1, ("pending", 0, 0, "sigs", 0), None, "$.pending[0][0].sigs[0]: expected list, got null"),
+            (1, ("pending", 0, 0, "sigs"), [], "$.pending[0][0].sigs: expected 2 signatures"),
         ],
     )
     def test_the_error_names_the_entry(self, document, path, value, message):
