@@ -13,8 +13,9 @@ Three experiment families, all merged into ``BENCH_compile.json``
 
 * **end-to-end searches** (fig2 / fig3 / bounded 5ESS): ``run_search``
   under each engine, counter-for-counter parity asserted; each row
-  records the median, min and max wall time of five runs
-  (``bench_lib.timed_search``) and the median run's counters.
+  times ``PAIRS`` alternating walk/compiled pairs of searches and
+  records each engine's median, min and max wall time and the
+  counters, and its speedup is the median of the per-pair ratios.
   End-to-end gains are bounded by Amdahl's law — the scheduler, POR
   and bookkeeping are engine-independent.  The 5ESS rows also record
   ``calls_per_state``: the Python calls of one extra, untimed search
@@ -25,11 +26,10 @@ Three experiment families, all merged into ``BENCH_compile.json``
 * **engine-level drive** (``5ess_engine``): seeded random schedules of
   the bounded 5ESS system are recorded once, then replayed directly
   against fresh engine steppers of each kind, isolating the engine's
-  own per-choice cost from scheduler overhead.  Each engine-level row
-  times ``PAIRS`` alternating walk/compiled pairs, and its speedup is
-  the median of the per-pair ratios: the host's speed swings over tens
-  of seconds, far longer than one pair, so both sides of a pair see the
-  same speed.
+  own per-choice cost from scheduler overhead, timed in pairs the same
+  way.  Rows are timed in pairs because the host's speed swings over
+  tens of seconds, far longer than one pair, so both sides of a pair
+  see the same speed.
 * **dispatch kernel** (``kernel``): a computation-heavy closed program
   (long invisible runs between visible operations) — the compiler's
   best case, dominated by node dispatch and expression evaluation.
@@ -58,7 +58,6 @@ from benchmarks.bench_lib import (
     fiveess_system,
     merge_bench_json,
     spread,
-    timed_search,
 )
 from tests.statespace.conftest import FIG2_SRC, FIG3_SRC, figure_system
 
@@ -113,6 +112,10 @@ CASES = {
     "5ess": (fiveess_system, dict(max_depth=24, max_events=50_000)),
 }
 
+#: Alternating walk/compiled timing pairs per row, end-to-end and
+#: engine-level alike.
+PAIRS = 7
+
 #: The labels whose rows record ``calls_per_state``.
 COUNTED = ("5ess",)
 
@@ -140,38 +143,65 @@ def calls_per_state(system, options) -> float:
     return calls / report.stats.states_visited
 
 
-def _search_row(build, bounds, engine, count_calls=False):
-    def build_ready():
+def _search_rows(build, bounds, count_calls=False) -> tuple[dict, list[float]]:
+    """Time ``PAIRS`` alternating walk/compiled searches of a freshly
+    built system (building and compiling it is not timed).
+
+    Returns one row per engine and the per-pair walk/compiled ratios.
+    Asserts that every search of an engine reports the same summary."""
+    options = {engine: SearchOptions(engine=engine, **bounds) for engine in ENGINES}
+    first = {}
+    summaries = {engine: set() for engine in ENGINES}
+
+    def build_ready(engine):
         system = build()
         if engine == "compiled":
-            system.compiled_program()  # compile outside the timed region
+            system.compiled_program()
         return system
 
-    options = SearchOptions(engine=engine, **bounds)
-    report, timing = timed_search(build_ready, options)
-    stats = report.stats
-    assert stats.engine == engine, f"fell back to {stats.engine}"
-    row = {
-        "engine": stats.engine,
-        "states": stats.states_visited,
-        "transitions": stats.transitions_executed,
-        "toss_points": stats.toss_points,
-        "paths": stats.paths_explored,
-        "violation_groups": len(report.triage()),
-        "triage_signatures": sorted(g.signature for g in report.triage()),
-        **timing,
-        "states_per_second": round(stats.states_per_second),
-    }
-    if count_calls:
-        row["calls_per_state"] = round(calls_per_state(build_ready(), options), 2)
-    return row
+    def search(engine):
+        system = build_ready(engine)
+        started = time.perf_counter()
+        report = run_search(system, options[engine])
+        elapsed = time.perf_counter() - started
+        first.setdefault(engine, report)
+        summaries[engine].add(report.summary())
+        return elapsed
+
+    times = dict(zip(ENGINES, alternating_pairs(PAIRS, search, *ENGINES)))
+    rows = {}
+    for engine in ENGINES:
+        report = first[engine]
+        stats = report.stats
+        assert stats.engine == engine, f"fell back to {stats.engine}"
+        assert len(summaries[engine]) == 1, summaries[engine]
+        rows[engine] = {
+            "engine": stats.engine,
+            "states": stats.states_visited,
+            "transitions": stats.transitions_executed,
+            "toss_points": stats.toss_points,
+            "paths": stats.paths_explored,
+            "violation_groups": len(report.triage()),
+            "triage_signatures": sorted(g.signature for g in report.triage()),
+            "pairs": PAIRS,
+            **spread(times[engine]),
+            "states_per_second": round(
+                stats.states_visited / statistics.median(times[engine])
+            ),
+        }
+        if count_calls:
+            rows[engine]["calls_per_state"] = round(
+                calls_per_state(build_ready(engine), options[engine]), 2
+            )
+    ratios = [walk / compiled for walk, compiled in zip(times["walk"], times["compiled"])]
+    return rows, ratios
 
 
 @pytest.mark.parametrize("label", list(CASES))
 def test_bench_compile_search(label, record_table, baseline_results):
     build, bounds = CASES[label]
     counted = label in COUNTED
-    rows = {engine: _search_row(build, bounds, engine, counted) for engine in ENGINES}
+    rows, ratios = _search_rows(build, bounds, counted)
     walk_row, compiled_row = rows["walk"], rows["compiled"]
 
     # Identical search, different stepper cost — nothing else.
@@ -192,8 +222,10 @@ def test_bench_compile_search(label, record_table, baseline_results):
         if old is not None and new > old * (1 + CALLS_TOLERANCE):
             calls_over.append(f"{engine}: {old} -> {new} calls per state")
 
-    speedup = walk_row["wall_time_s"] / max(compiled_row["wall_time_s"], 1e-9)
+    speedup = statistics.median(ratios)
     compiled_row["speedup_vs_walk"] = round(speedup, 2)
+    compiled_row["speedup_min"] = round(min(ratios), 2)
+    compiled_row["speedup_max"] = round(max(ratios), 2)
     merge_bench_json("compile", label, rows)
 
     lines = [
@@ -207,7 +239,10 @@ def test_bench_compile_search(label, record_table, baseline_results):
             f"  {engine:<9} {row['states']:>7} {row['transitions']:>12} "
             f"{row['wall_time_s']:>7.2f}s {row['states_per_second']:>10,}"
         )
-    lines.append(f"  end-to-end speedup: {speedup:.2f}x (engine cost amortized")
+    lines.append(
+        f"  end-to-end speedup: {speedup:.2f}x, median of {PAIRS} pairs "
+        f"({min(ratios):.2f}-{max(ratios):.2f}x; engine cost amortized"
+    )
     lines.append("  against engine-independent scheduler/POR work)")
     if counted:
         lines.append(
@@ -368,10 +403,6 @@ def _replay_scripts(system, engine, scripts_per_seed, reps):
                 choices += 1 + len(script)
         log_requests = False
     return time.perf_counter() - started, choices, request_log
-
-
-#: Alternating walk/compiled timing pairs per engine-level row.
-PAIRS = 7
 
 
 def _engine_rows(make_system, scripts_per_seed, reps):

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 from ..cfg.graph import ControlFlowGraph
 from ..cfg.nodes import CfgNode, NodeKind
-from ..dataflow.alias import PointsToResult, analyze_aliases
+from ..dataflow.alias import analyze_aliases
 from ..dataflow.defuse import DefUseGraph, compute_defuse
 from ..lang import ast
 from ..runtime.ops import BUILTIN_OPERATIONS
@@ -70,7 +70,6 @@ class ProcAnalysis:
 
     proc: str
     cfg: ControlFlowGraph
-    defuse: DefUseGraph
     #: node id -> variables that node defines *with environment values*.
     env_defs: dict[int, frozenset[str]] = field(default_factory=dict)
     n_es: frozenset[int] = frozenset()
@@ -92,7 +91,6 @@ class ClosingAnalysis:
     tainted_objects: frozenset[str]
     all_objects_tainted: bool
     escaped_env_vars: dict[str, frozenset[str]]
-    points_to: PointsToResult
     spec: ClosingSpec
     rounds: int
 
@@ -145,11 +143,12 @@ class _Fixpoint:
 
     # -- per-round, per-procedure computation -----------------------------------------
 
-    def _env_defs(self, proc: str, pa: ProcAnalysis) -> dict[int, frozenset[str]]:
+    def _env_defs(
+        self, proc: str, cfg: ControlFlowGraph, defuse: DefUseGraph
+    ) -> dict[int, frozenset[str]]:
         """Which nodes introduce environment-defined values, and for
         which variables."""
         out: dict[int, frozenset[str]] = {}
-        cfg = pa.cfg
         env_params = self.env_params[proc]
         if env_params:
             out[cfg.start_id] = frozenset(env_params)
@@ -175,24 +174,24 @@ class _Fixpoint:
             ):
                 env_source = True
             if env_source:
-                defined = pa.defuse.accesses[node.id].defined_vars()
+                defined = defuse.accesses[node.id].defined_vars()
                 if defined:
                     out[node.id] = frozenset(defined)
         return out
 
-    def _compute_proc(self, proc: str) -> ProcAnalysis:
+    def _compute_proc(self, proc: str, defuse: DefUseGraph) -> ProcAnalysis:
         cfg = self._cfgs[proc]
-        pa = ProcAnalysis(proc=proc, cfg=cfg, defuse=self._defuse[proc])
-        pa.env_defs = self._env_defs(proc, pa)
+        pa = ProcAnalysis(proc=proc, cfg=cfg)
+        pa.env_defs = self._env_defs(proc, cfg, defuse)
         escaped = self.escaped_env_vars[proc]
 
         # N_ES: nodes using a variable defined by the environment.
         n_es: set[int] = set()
-        for arc in pa.defuse.arcs:
+        for arc in defuse.arcs:
             if arc.var in pa.env_defs.get(arc.def_node, ()):  # env def reaches use
                 n_es.add(arc.use_node)
         if escaped:
-            for node_id, access in pa.defuse.accesses.items():
+            for node_id, access in defuse.accesses.items():
                 if access.uses & escaped:
                     n_es.add(node_id)
 
@@ -204,16 +203,16 @@ class _Fixpoint:
             if node_id in n_i:
                 continue
             n_i.add(node_id)
-            for arc in pa.defuse.uses_fed_by(node_id):
+            for arc in defuse.uses_fed_by(node_id):
                 if arc.use_node not in n_i:
                     stack.append(arc.use_node)
 
         # V_I(n) for n in N_I.
         vi: dict[int, frozenset[str]] = {}
         for node_id in n_i:
-            access = pa.defuse.accesses[node_id]
+            access = defuse.accesses[node_id]
             tainted_vars: set[str] = set(access.uses & escaped)
-            for arc in pa.defuse.defs_feeding(node_id):
+            for arc in defuse.defs_feeding(node_id):
                 if arc.var in pa.env_defs.get(arc.def_node, ()):
                     tainted_vars.add(arc.var)
                 elif arc.def_node in n_i:
@@ -385,7 +384,9 @@ class _Fixpoint:
         analyses: dict[str, ProcAnalysis] = {}
         while True:
             rounds += 1
-            analyses = {proc: self._compute_proc(proc) for proc in self._cfgs}
+            analyses = {
+                proc: self._compute_proc(proc, defuse) for proc, defuse in self._defuse.items()
+            }
             if not self._derive(analyses):
                 break
             if rounds > len(self._cfgs) * 50 + 100:
@@ -399,7 +400,6 @@ class _Fixpoint:
             escaped_env_vars={
                 proc: frozenset(vars_) for proc, vars_ in self.escaped_env_vars.items()
             },
-            points_to=self._points_to,
             spec=self._spec,
             rounds=rounds,
         )
@@ -408,5 +408,9 @@ class _Fixpoint:
 def analyze_for_closing(
     cfgs: dict[str, ControlFlowGraph], spec: ClosingSpec | None = None
 ) -> ClosingAnalysis:
-    """Run Steps 2–3 (with the interprocedural fixpoint) over a program."""
+    """Run Steps 2–3 (with the interprocedural fixpoint) over a program.
+
+    The alias result and the define-use graphs are the fixpoint's
+    working state: the result does not hold them, so they are freed
+    when this returns."""
     return _Fixpoint(cfgs, spec or ClosingSpec()).run()

@@ -9,7 +9,9 @@ Pipeline (Figure 1 end to end):
 4. Steps 4–5 (:mod:`repro.closing.transform`);
 5. package the result as a :class:`ClosedProgram` — directly executable
    by :class:`repro.runtime.System`, exportable back to RC source, with
-   full per-procedure statistics.
+   full per-procedure statistics.  It keeps ``S'`` and its statistics,
+   not the analysis that built them: the open CFGs, the define-use
+   graphs and the alias result are freed once Steps 4–5 have run.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from ..cfg.graph import ControlFlowGraph
 from ..gcpause import collector_paused
 from ..lang import ast
 from ..lang.parser import parse_program
-from .analysis import ClosingAnalysis, analyze_for_closing
+from .analysis import analyze_for_closing
 from .spec import ClosingSpec
 from .transform import ProcTransformStats, transform_program
 
@@ -33,7 +35,6 @@ class ClosedProgram:
     """The closed, self-executable system ``S'`` produced by the algorithm."""
 
     cfgs: dict[str, ControlFlowGraph]
-    analysis: ClosingAnalysis
     proc_stats: dict[str, ProcTransformStats]
     elapsed_seconds: float
     #: Populated when the optional clean-up passes ran (optimize=True):
@@ -69,7 +70,6 @@ class ClosedProgram:
                 break
         return ClosedProgram(
             cfgs=cfgs,
-            analysis=self.analysis,
             proc_stats=self.proc_stats,
             elapsed_seconds=self.elapsed_seconds,
             optimize_stats={proc: tuple(v) for proc, v in totals.items()},
@@ -94,6 +94,17 @@ class ClosedProgram:
 
     def kept_params(self, proc: str) -> tuple[str, ...]:
         return self.cfgs[proc].params
+
+    def launch_args(self, proc: str, args: list) -> list:
+        """The arguments that launch ``proc`` in ``S'``: ``args``, given
+        for the open procedure's parameters, less those of the
+        parameters Step 5 removed."""
+        stats = self.proc_stats[proc]
+        return [
+            arg
+            for param, arg in zip(stats.params_before, args)
+            if param not in stats.removed_params
+        ]
 
     def to_source(self) -> str:
         """Export the closed system as runnable RC source (see
@@ -140,7 +151,10 @@ def close_program(
 
     Returns a :class:`ClosedProgram`.  Feed its ``cfgs`` straight into
     :class:`repro.runtime.System`, remembering that parameters listed in
-    ``removed_params`` no longer exist.
+    ``removed_params`` no longer exist (:meth:`ClosedProgram.launch_args`
+    drops their launch arguments).  The analysis is not part of the
+    result; call :func:`~repro.closing.analysis.analyze_for_closing` for
+    its sets.
 
     ``tracer`` (a :class:`~repro.obs.tracer.Tracer`) records the
     pipeline as phase spans — ``parse``, ``analyze``, ``transform``,
@@ -185,7 +199,6 @@ def close_program(
     elapsed = time.perf_counter() - started
     closed = ClosedProgram(
         cfgs=closed_cfgs,
-        analysis=analysis,
         proc_stats=stats,
         elapsed_seconds=elapsed,
     )

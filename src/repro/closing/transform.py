@@ -62,6 +62,8 @@ class ProcTransformStats:
     marked: int = 0
     eliminated: int = 0
     toss_nodes: int = 0
+    #: The open procedure's parameters, and those of them Step 5 removed.
+    params_before: tuple[str, ...] = ()
     removed_params: tuple[str, ...] = ()
     erased_args: int = 0
     max_out_degree_before: int = 0
@@ -150,6 +152,7 @@ class ProcTransformer:
 
         removed = self._analysis.env_params.get(pa.proc, frozenset())
         kept_params = tuple(p for p in cfg.params if p not in removed)
+        stats.params_before = cfg.params
         stats.removed_params = tuple(p for p in cfg.params if p in removed)
 
         out = ControlFlowGraph(proc_name=cfg.proc_name, params=kept_params)

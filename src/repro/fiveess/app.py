@@ -70,11 +70,7 @@ class CallProcessingApp:
             system.add_shared(f"fwd_{i}", initial=-1)
         system.add_env_sink("status")
 
-        def args_for(proc: str, args: list) -> list:
-            """Drop launch arguments whose parameter Step 5 removed."""
-            removed = closed.removed_params.get(proc, ())
-            original = closed.analysis.procs[proc].cfg.params
-            return [a for p, a in zip(original, args) if p not in removed]
+        args_for = closed.launch_args
 
         for i in range(n):
             system.add_process(

@@ -435,7 +435,11 @@ def _workers_section(manifest: dict) -> str:
 
 
 def render_html(manifest: dict) -> str:
-    """Render a ``run.json`` manifest dict as a self-contained HTML page."""
+    """Render a ``run.json`` manifest dict as a self-contained HTML page.
+
+    A dict of another shape raises :class:`ManifestFormatError` naming
+    the bad entry (:func:`check_manifest`)."""
+    check_manifest(manifest)
     meta = manifest.get("meta") or {}
     title = "repro run report"
     program = (manifest.get("program") or {}).get("path")

@@ -377,12 +377,14 @@ def _worker_main(
     the result.
 
     ``conn`` is the worker's end of its pipe.  It receives ``("lease",
-    seq, prefix)``, ``("steal", seq, None)``, ``("suspend", None,
-    None)`` and ``None`` (exit), and sends ``("beat", seq, states,
-    transitions)`` and ``("result", seq, report, residuals,
+    seq, prefix, steal)``, ``("steal", seq, None)``, ``("suspend",
+    None, None)`` and ``None`` (exit), and sends ``("beat", seq,
+    states, transitions)`` and ``("result", seq, report, residuals,
     fingerprints, was_steal)``.  Between paths the lease reads its
     requests: a steal naming it, or a suspend, ends it (a steal naming
     an earlier lease is stale); a suspend also ends every later lease.
+    A lease sent with ``steal`` true was asked for a steal as it was
+    handed out, and ends at its first path boundary.
     With ``trace`` each lease records into a private tracer whose buffer
     travels back as ``report.trace_payload``.  With ``beats`` the
     lease's progress callback sends a beat (transitions include
@@ -407,11 +409,11 @@ def _worker_main(
         message = conn.recv()
         if message is None:
             return
-        kind, seq, prefix = message
+        kind, seq, *payload = message
         suspend = suspend or kind == "suspend"
         if kind != "lease":
             continue
-        stolen = False
+        prefix, stolen = payload
 
         def yield_check() -> bool:
             nonlocal paths_seen, suspend, stolen
@@ -1016,19 +1018,29 @@ def parallel_search(
                     # Assign pending leases to idle workers only — the
                     # coordinator always knows who holds what, so a death
                     # never loses a lease.
+                    handed = []
                     for handle in workers.values():
                         if not pending:
                             break
                         if handle.assigned is None:
-                            entry = heapq.heappop(pending)
-                            handle.assign(entry, time.monotonic())
-                            post(handle, ("lease", entry[1], entry[2]))
+                            handle.assign(heapq.heappop(pending), time.monotonic())
+                            handed.append(handle)
                     busy = [w for w in workers.values() if w.assigned is not None]
                     if not pending and not busy:
                         break
+                    asked = []
                     if not pending:
-                        for handle in _steal_targets(options.scheduler, workers.values()):
+                        asked = _steal_targets(options.scheduler, workers.values())
+                        for handle in asked:
                             handle.asked = handle.assigned[1]
+                    # A lease asked for a steal as it is handed out carries
+                    # the request: sent apart, the request could arrive
+                    # after a short lease has finished.
+                    for handle in handed:
+                        _, seq, prefix = handle.assigned
+                        post(handle, ("lease", seq, prefix, handle.asked == seq))
+                    for handle in asked:
+                        if handle not in handed:
                             post(handle, ("steal", handle.asked, None))
 
                     dead = receive(tick)

@@ -3,7 +3,8 @@
 import pytest
 
 from tests.helpers import dfs_search
-from repro.cfg import NodeKind
+from repro.cfg import NodeKind, build_cfgs
+from repro.closing import analyze_for_closing
 from repro.fiveess import build_app
 from repro.lang.parser import parse_program
 
@@ -80,7 +81,8 @@ class TestClosing:
     def test_location_taint_erases_audit_subject(self, app, closed):
         from repro.lang import ast
 
-        assert "location" in closed.analysis.tainted_objects
+        analysis = analyze_for_closing(build_cfgs(parse_program(app.source)), app.spec)
+        assert "location" in analysis.tainted_objects
         cfg = closed.cfgs["audit_daemon"]
         asserts = [n for n in cfg.nodes_of_kind(NodeKind.CALL) if n.callee == "VS_assert"]
         erased = [n for n in asserts if isinstance(n.args[0], ast.AbstractLit)]
@@ -113,8 +115,8 @@ class TestExploration:
         fresh = build_app(n_lines=2, calls_per_line=1)
         closed = fresh.close()
         original = parse_program(fresh.source)
-        for proc, pa in closed.analysis.procs.items():
-            assert pa.cfg.params == original.procs[proc].params
+        for proc, stats in closed.proc_stats.items():
+            assert stats.params_before == original.procs[proc].params
         calls = []
         monkeypatch.setattr(
             repro.lang, "parse_program", lambda *args: calls.append(args) or original

@@ -67,6 +67,10 @@ class TestMalformedManifests:
         except ManifestFormatError as err:
             where = str(err).split(": ")[0]
             assert _json_path(path).startswith(where), (str(err), _json_path(path))
+            # A library caller's unchecked dict gets the same located error.
+            with pytest.raises(ManifestFormatError) as rendered:
+                render_html(doc)
+            assert str(rendered.value) == str(err)
         else:
             assert render_html(manifest).startswith("<!DOCTYPE html>")
 
