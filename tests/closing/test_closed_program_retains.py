@@ -47,26 +47,17 @@ proc main() {
 """
 
 
-def _fiveess():
-    app = build_app(n_lines=2, calls_per_line=1)
-    return app.source, app.spec
-
-
+#: Case name -> a call that closes it.
 CASES = {
-    "fig2": lambda: (FIG2_SRC, None, {"env_params": {"p": ["x"]}}),
-    "fig3": lambda: (FIG3_SRC, None, {"env_params": {"q": ["x"]}}),
-    "5ess": lambda: (*_fiveess(), {}),
-    "pointers": lambda: (POINTER_SRC, None, {}),
+    "fig2": lambda: close_program(FIG2_SRC, env_params={"p": ["x"]}),
+    "fig3": lambda: close_program(FIG3_SRC, env_params={"q": ["x"]}),
+    "5ess": lambda: build_app(n_lines=2, calls_per_line=1).close(),
+    "pointers": lambda: close_program(POINTER_SRC),
     **{
-        f"sized-400-{seed}": (lambda seed=seed: (generate_sized_program(400, seed), None, {}))
+        f"sized-400-{seed}": lambda seed=seed: close_program(generate_sized_program(400, seed))
         for seed in (0, 1, 2)
     },
 }
-
-
-def _close(case: str):
-    source, spec, kwargs = CASES[case]()
-    return close_program(source, spec, **kwargs)
 
 
 def _reachable(*roots):
@@ -102,11 +93,11 @@ def _leaks(closed, *roots) -> list[str]:
 @pytest.mark.parametrize("case", list(CASES))
 class TestNothingOfTheAnalysisIsRetained:
     def test_closed_program(self, case):
-        closed = _close(case)
+        closed = CASES[case]()
         assert _leaks(closed, closed) == []
 
     def test_compiled_system(self, case):
-        closed = _close(case)
+        closed = CASES[case]()
         system = System(closed.cfgs)
         system.compiled_program()
         assert _leaks(closed, system) == []
@@ -128,7 +119,7 @@ class TestNothingOfTheAnalysisIsRetained:
 
         monkeypatch.setattr(repro.closing.analysis, "compute_defuse", recording_defuse)
         monkeypatch.setattr(repro.closing.closer, "transform_program", checked_transform)
-        closed = _close(case)
+        closed = CASES[case]()
         assert graphs and len(graphs) == len(closed.cfgs)
 
 
@@ -165,3 +156,12 @@ def test_launch_args_match_the_open_parameters(mobility, maintenance, forwarding
     assert ("handover_manager" in families) == mobility
     assert ("audit_daemon" in families) == maintenance
     assert ("provisioning_daemon" in families) == forwarding
+
+
+def test_launch_args_drop_the_removed_parameters_only():
+    closed = close_program(
+        "proc main(a, x, b) { send(out, a); if (x > 0) { send(out, b); } }",
+        env_params={"main": ["x"]},
+    )
+    assert closed.removed_params == {"main": ("x",)}
+    assert closed.launch_args("main", [1, 2, 3]) == [1, 3]
