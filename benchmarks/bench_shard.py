@@ -16,18 +16,26 @@ This experiment runs the identical bounded search three ways — the
 sequential DFS baseline, ``--scheduler static`` and ``--scheduler
 steal`` — over Figure 2, Figure 3, the skewed tree and bounded 5ESS
 (perfbench search-5ess's search: compiled engine, ``max_depth=24``),
-and records wall time plus the lease/steal telemetry.  Each row is
-timed five times (:func:`benchmarks.bench_lib.timed_search`):
-``wall_time_s`` is the median, with ``wall_time_min_s`` and
-``wall_time_max_s`` beside it, and the counters are the median run's.
-The figure and skewed trees are so small that sequential DFS beats
-both policies; the 5ESS row is the one where the workers pay.
+and records wall time plus the lease/steal telemetry.  Each of the
+three also runs with ``count_states`` (rows ``dfs+count_states``,
+``static+count_states``, ``steal+count_states``), whose state keys
+every lease ships back to the coordinator; those rows record
+``distinct_states``.  Each parallel row records ``vs_dfs``, its median
+over the DFS row's median with the same ``count_states`` setting, so
+the parallel driver's overhead with and without ``count_states`` can be
+compared.  Each row is timed five times
+(:func:`benchmarks.bench_lib.timed_search`): ``wall_time_s`` is the
+median, with ``wall_time_min_s`` and ``wall_time_max_s`` beside it, and
+the counters are the median run's.  The figure and skewed trees are so
+small that sequential DFS beats both policies; the 5ESS row is the one
+where the workers pay.
 
 Asserted unconditionally (the policies must differ *only* in how work
 is distributed):
 
 * states / transitions / paths / toss points / violation groups all
-  identical to sequential DFS for both policies, on every repeat;
+  identical to sequential DFS for both policies, on every repeat, and
+  with ``count_states`` the distinct states too;
 * the static policy never steals (``steals == 0``);
 * on the skewed tree, stealing actually happens (``steals > 0``) and
   the work is split across leases (``leases > jobs``).
@@ -99,11 +107,13 @@ CASES = {
 }
 
 
-def _run_one(build, bounds, *, strategy, scheduler="static", jobs=0):
-    options = SearchOptions(strategy=strategy, scheduler=scheduler, jobs=jobs, **bounds)
+def _run_one(build, bounds, *, strategy, scheduler="static", jobs=0, count_states=False):
+    options = SearchOptions(
+        strategy=strategy, scheduler=scheduler, jobs=jobs, count_states=count_states, **bounds
+    )
     report, timing = timed_search(build, options)
     stats = report.stats
-    return {
+    row = {
         "strategy": stats.strategy,
         "scheduler": scheduler if strategy == "parallel" else None,
         "jobs": stats.jobs,
@@ -118,30 +128,49 @@ def _run_one(build, bounds, *, strategy, scheduler="static", jobs=0):
         **timing,
         "states_per_second": round(stats.states_per_second),
     }
+    if count_states:
+        row["distinct_states"] = report.distinct_states
+    return row
+
+
+#: Each row's variant and its ``count_states`` twin.
+VARIANTS = [
+    (f"{variant}{suffix}", variant, count_states)
+    for count_states, suffix in ((False, ""), (True, "+count_states"))
+    for variant in ("dfs", "static", "steal")
+]
 
 
 @pytest.mark.parametrize("label", list(CASES))
 def test_bench_shard(label, record_table, baseline_results):
     build, bounds = CASES[label]
     rows = {
-        "dfs": _run_one(build, bounds, strategy="dfs"),
-        "static": _run_one(
-            build, bounds, strategy="parallel", scheduler="static", jobs=JOBS
-        ),
-        "steal": _run_one(
-            build, bounds, strategy="parallel", scheduler="steal", jobs=JOBS
-        ),
+        name: _run_one(
+            build,
+            bounds,
+            strategy="dfs" if variant == "dfs" else "parallel",
+            scheduler="static" if variant == "dfs" else variant,
+            jobs=0 if variant == "dfs" else JOBS,
+            count_states=count_states,
+        )
+        for name, variant, count_states in VARIANTS
     }
 
     # Identical search, different distribution cost — nothing else.
-    for variant in ("static", "steal"):
-        for key in PARITY_KEYS:
-            assert rows[variant][key] == rows["dfs"][key], (
-                f"{label}: {key} differs between {variant} and dfs: "
-                f"{rows[variant][key]} vs {rows['dfs'][key]}"
+    for name, variant, count_states in VARIANTS:
+        dfs = rows["dfs+count_states" if count_states else "dfs"]
+        keys = PARITY_KEYS + ("distinct_states",) if count_states else PARITY_KEYS
+        for key in keys:
+            assert rows[name][key] == dfs[key], (
+                f"{label}: {key} differs between {name} and dfs: "
+                f"{rows[name][key]} vs {dfs[key]}"
             )
+        if variant != "dfs":
+            ratio = rows[name]["wall_time_s"] / max(dfs["wall_time_s"], 1e-9)
+            rows[name]["vs_dfs"] = round(ratio, 2)
 
-    assert rows["static"]["steals"] == 0, "the static policy never steals"
+    for name in ("static", "static+count_states"):
+        assert rows[name]["steals"] == 0, "the static policy never steals"
 
     if label == "skewed":
         assert rows["steal"]["steals"] > 0, "skewed tree must trigger steals"
@@ -164,13 +193,14 @@ def test_bench_shard(label, record_table, baseline_results):
     lines = [
         f"Schedulers on {label} (bounds {bounds}, jobs {JOBS})",
         "",
-        f"  {'variant':<8} {'paths':>6} {'states':>7} {'leases':>7} "
-        f"{'steals':>7} {'time':>9}",
+        f"  {'variant':<20} {'paths':>6} {'states':>7} {'distinct':>8} {'leases':>7} "
+        f"{'steals':>7} {'time':>9} {'vs dfs':>7}",
     ]
     for variant, row in rows.items():
         lines.append(
-            f"  {variant:<8} {row['paths']:>6} {row['states']:>7} "
-            f"{row['leases']:>7} {row['steals']:>7} {row['wall_time_s']:>8.3f}s"
+            f"  {variant:<20} {row['paths']:>6} {row['states']:>7} "
+            f"{row.get('distinct_states', ''):>8} {row['leases']:>7} {row['steals']:>7} "
+            f"{row['wall_time_s']:>8.3f}s {row.get('vs_dfs', ''):>7}"
         )
     lines.extend(baseline_delta_lines(baseline_results.get("shard"), label, rows))
     record_table(f"bench_shard_{label}", lines)

@@ -152,13 +152,15 @@ class _Builder:
 
         if isinstance(stmt, ast.Break):
             if not self._loops:
-                raise CfgError(f"{self._proc.name}: 'break' outside of a loop")
+                raise CfgError(f"{stmt.location}: {self._proc.name}: 'break' outside of a loop")
             self._loops[-1].breaks.extend(incoming)
             return []
 
         if isinstance(stmt, ast.Continue):
             if not self._loops:
-                raise CfgError(f"{self._proc.name}: 'continue' outside of a loop")
+                raise CfgError(
+                    f"{stmt.location}: {self._proc.name}: 'continue' outside of a loop"
+                )
             self._connect(incoming, self._loops[-1].head_id)
             return []
 

@@ -76,8 +76,8 @@ import signal
 import sys
 
 from . import __version__
-from .cfg import build_cfgs, to_dot
-from .closing import ClosingSpec, close_program
+from .cfg import CfgError, build_cfgs, to_dot
+from .closing import ClosingError, ClosingSpec, close_program
 from .lang.errors import LangError
 from .runtime import System
 from .sysdesc import (
@@ -973,7 +973,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LangError as err:
+    except (LangError, CfgError, ClosingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except FileNotFoundError as err:

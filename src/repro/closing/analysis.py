@@ -256,8 +256,8 @@ class _Fixpoint:
             env_side = objects & self._spec.env_objects
             if env_side and objects - self._spec.env_objects:
                 raise ClosingError(
-                    f"{proc}: node {node.id} may {node.callee} from both an "
-                    f"environment object and a system object ({sorted(objects)}); "
+                    f"{node.location}: {proc}: node {node.id} may {node.callee} from "
+                    f"both an environment object and a system object ({sorted(objects)}); "
                     "declare the interface unambiguously"
                 )
             return bool(env_side)
@@ -265,8 +265,8 @@ class _Fixpoint:
             objects = self._objects_of(proc, node)
             if objects and objects & self._spec.env_objects:
                 raise ClosingError(
-                    f"{proc}: node {node.id} sends into environment input object "
-                    f"{sorted(objects & self._spec.env_objects)}; outputs to the "
+                    f"{node.location}: {proc}: node {node.id} sends into environment "
+                    f"input object {sorted(objects & self._spec.env_objects)}; outputs to the "
                     "environment should use an env sink channel instead"
                 )
         return False

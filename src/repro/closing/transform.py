@@ -254,9 +254,9 @@ class ProcTransformer:
                 if index == spec.object_arg:
                     if self._arg_tainted(arg, vi):
                         raise ClosingError(
-                            f"{self._pa.proc}: node {node.id} performs {callee} on an "
-                            "environment-dependent object; the synchronization "
-                            "structure cannot be closed automatically"
+                            f"{node.location}: {self._pa.proc}: node {node.id} performs "
+                            f"{callee} on an environment-dependent object; the "
+                            "synchronization structure cannot be closed automatically"
                         )
                     args.append(arg)
                 elif self._arg_tainted(arg, vi):

@@ -77,7 +77,6 @@ class ReplayOutcome:
 def run_choices(
     system: System,
     choices: tuple[Choice, ...] | list,
-    tracer: Any | None = None,
     engine: str = "walk",
 ) -> ReplayOutcome:
     """Deterministically re-execute ``choices`` and observe violations.
@@ -86,15 +85,9 @@ def run_choices(
     ``ok=False`` and the mismatch recorded, which is exactly the "this
     candidate does not reproduce" answer the shrinking oracle needs.
 
-    ``tracer`` (a :class:`~repro.obs.tracer.Tracer`), when given,
-    records the whole re-execution as one ``"replay"`` span carrying
-    the prefix length — replay prefixes show up on the run timeline.
     ``engine`` picks the execution engine; both engines replay any
     trace identically (the choice tree is engine-independent).
     """
-    if tracer is not None:
-        with tracer.span("replay", cat="replay", n_choices=len(choices)):
-            return run_choices(system, choices, engine=engine)
     choices = tuple(choices)
     steps: list[TraceStep] = []
     events: list[Any] = []

@@ -151,15 +151,12 @@ def shrink_choices(
     signature: Signature,
     *,
     max_oracle_runs: int = 100_000,
-    tracer: Any | None = None,
 ) -> tuple[tuple[Choice, ...], int]:
     """Minimize ``choices`` while preserving the violation ``signature``.
 
     Returns ``(minimal choices, oracle runs)``.  Raises
     :class:`ShrinkError` when the original sequence does not reproduce
-    the signature (wrong system, or a changed program).  ``tracer``
-    records one span per ddmin / toss-minimize round (category
-    ``"shrink"``), so slow shrinks show where the oracle runs went.
+    the signature (wrong system, or a changed program).
     """
     oracle = _Oracle(system, signature, max_oracle_runs)
     minimal = tuple(choices)
@@ -172,22 +169,9 @@ def shrink_choices(
     # shrinking idempotent by construction — re-shrinking a shrunk trace
     # runs one verification pass that changes nothing — and the oracle's
     # memo cache makes that verification pass almost free.
-    rounds = 0
     while True:
         before = minimal
-        rounds += 1
-        if tracer is None:
-            minimal = ddmin(minimal, oracle)
-            minimal = _minimize_tosses(minimal, oracle)
-        else:
-            with tracer.span(
-                "ddmin", cat="shrink", round=rounds, length=len(minimal)
-            ):
-                minimal = ddmin(minimal, oracle)
-            with tracer.span(
-                "toss-minimize", cat="shrink", round=rounds, length=len(minimal)
-            ):
-                minimal = _minimize_tosses(minimal, oracle)
+        minimal = _minimize_tosses(ddmin(minimal, oracle), oracle)
         if minimal == before:
             break
     return minimal, oracle.runs
@@ -198,15 +182,13 @@ def shrink(
     event: Any,
     *,
     max_oracle_runs: int = 100_000,
-    tracer: Any | None = None,
 ) -> ShrinkResult:
     """Minimize one violation event to its smallest reproducer.
 
     The returned :class:`ShrinkResult` carries a fresh event of the
     same violation signature whose trace is the 1-minimal choice
     sequence (with toss answers minimized toward 0), re-executed so the
-    recorded steps describe the *minimal* scenario.  ``tracer`` records
-    the per-round shrink spans (see :func:`shrink_choices`).
+    recorded steps describe the *minimal* scenario.
     """
     signature = event_signature(event)
     minimal, runs = shrink_choices(
@@ -214,9 +196,8 @@ def shrink(
         event.trace.choices,
         signature,
         max_oracle_runs=max_oracle_runs,
-        tracer=tracer,
     )
-    final = run_choices(system, minimal, tracer=tracer)
+    final = run_choices(system, minimal)
     shrunk_event = next(
         e for e in final.events if event_signature(e) == signature
     )

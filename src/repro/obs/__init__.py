@@ -3,12 +3,11 @@
 VeriSoft-style stateless search spends nearly all of its time
 re-executing the program; this package is the measurement layer over
 that machinery, threaded through the whole pipeline (parse → dataflow →
-closing transform → search/replay/shrink):
+closing transform → search):
 
 * :mod:`repro.obs.tracer` — a lightweight span/event tracer with
   Chrome trace-event JSON export (``chrome://tracing`` / Perfetto):
-  pipeline phases, per-path DFS spans, replay prefixes, per-worker
-  parallel timelines;
+  pipeline phases, per-path DFS spans, per-worker parallel timelines;
 * :mod:`repro.obs.observer` — the one observer protocol every search
   driver reports to (run start and restore, steps, tosses, recorded
   events, path end, finish), and :class:`Observation`, which builds the

@@ -7,9 +7,8 @@ re-exports it) and builds the *incremental* layer on top of it:
 * :func:`encode_canonical` — structure → canonical bytes.  Type-tagged
   and length-prefixed, so the encoding is **prefix-free**: every valid
   byte string decodes to exactly one structure.
-* :func:`decode_canonical` — the exact inverse.  The frontier codec
-  uses it to keep checkpoint fingerprints format-compatible with the
-  structural ``repr`` wire format of earlier versions.
+* :func:`decode_canonical` — the exact inverse, which the differential
+  tests check keys against.
 * :class:`RunFingerprinter` — the incremental combiner.  It holds the
   key as its byte parts, one per process and one per communication
   object between fixed headers, and a set of **stale** components:
@@ -21,11 +20,11 @@ re-exports it) and builds the *incremental* layer on top of it:
   ``tag + length + concatenated item encodings``, the parts concatenate
   into *exactly* ``encode_canonical(run.state_fingerprint())``.  State
   keys therefore cost O(changes), not O(state), while staying
-  bit-identical to the full recomputation (and to every previously
-  persisted snapshot, frontier checkpoint and store digest).
+  bit-identical to the full recomputation.
 
-The parts are also a key in their own right (:meth:`Run.state_parts`,
-what the exact state store keeps).  The encoding is prefix-free and
+The parts are the key a search uses (:meth:`Run.state_parts`: the
+seen-state set, the exact state store and the frontier's part table
+all keep them).  The encoding is prefix-free and
 each part is the complete encoding of one component (or one of the two
 interned tuple headers), so two part tuples of one system are equal
 exactly when their concatenations are.  Equal parts are one shared

@@ -606,7 +606,8 @@ class Run:
 
         The parts join into :meth:`state_key`; equal parts are shared
         ``bytes`` objects (see :mod:`repro.runtime.fingerprint`), so
-        the tuple is the compact form the exact state store keeps.
+        the tuple is the compact key a search keeps: in its seen-state
+        set, its exact state store and its frontier checkpoints.
         Computed incrementally (O(components marked stale since the last
         key)) when :meth:`System.start` attached a fingerprinter, i.e.
         for every pointer-free program, and recomputed in full
@@ -625,8 +626,9 @@ class Run:
         joined :meth:`state_parts`.
 
         Bit-identical to ``encode_canonical(self.state_fingerprint())``
-        always.  This is the key of seen-state dedup and the frontier
-        codec, and the bytes the hash-compaction store digests.
+        always.  A search keys states by :meth:`state_parts`; the joined
+        bytes are what the differential tests compare with
+        :func:`~repro.statespace.snapshot.snapshot`.
         """
         return b"".join(self.state_parts())
 

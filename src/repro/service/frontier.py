@@ -15,8 +15,10 @@ context (sleep sets, explored-sibling signatures).  A
   (:func:`~repro.verisoft.parallel.prefix_key`), kept *unmerged* so the
   final merge reproduces sequential event order exactly no matter how
   many suspend/resume cycles the search went through;
-* the **state fingerprints** seen so far (``count_states`` searches),
-  canonicalized to strings so the distinct-state union survives JSON;
+* the **state keys** seen so far (``count_states`` searches): each
+  key's parts (:meth:`~repro.runtime.system.Run.state_parts`) as
+  indices into one table of the distinct parts, so the distinct-state
+  union survives JSON and a part shared by many states is written once;
 * the **search options** snapshot and the **system fingerprint**
   (:meth:`repro.runtime.system.System.fingerprint`), so resuming
   against a changed program or changed knobs (any but
@@ -33,11 +35,14 @@ Version policy (same contract as :mod:`repro.counterex.traceio`):
 readers would misinterpret.  Readers accept exactly the versions they
 know; unknown versions raise :class:`FrontierFormatError` instead of
 guessing.  New *optional* keys may be added without a bump — readers
-must ignore unknown keys.
+must ignore unknown keys.  Version 2 replaced version 1's state keys,
+``repr`` strings of the decoded key structures, with the part table; a
+version-1 document is refused at ``$.version``.
 """
 
 from __future__ import annotations
 
+import base64
 import functools
 import json
 import pathlib
@@ -58,7 +63,6 @@ from ..counterex.traceio import (
     violation_from_json,
     violation_to_json,
 )
-from ..runtime.fingerprint import decode_canonical
 from ..verisoft.parallel import ChoicePrefix, PrefixPoint, prefix_key
 from ..verisoft.por import TransitionSig
 from ..verisoft.results import ExplorationReport, Trace
@@ -67,7 +71,7 @@ from ..verisoft.stats import SearchStats
 #: Magic format tag of every frontier-checkpoint file.
 FRONTIER_FORMAT = "repro-frontier"
 #: Current (and only) frontier-format version this build reads and writes.
-FRONTIER_VERSION = 1
+FRONTIER_VERSION = 2
 
 #: The options a resumed search may change: they pick how the remaining
 #: subtrees are searched and watched, not which subtrees or what the
@@ -303,24 +307,45 @@ def _block_from_json(
 # ---------------------------------------------------------------------------
 
 
-def canonical_fingerprint(value: Any) -> str:
-    """The canonical string form of a state fingerprint.
+#: A state key: the parts of :meth:`~repro.runtime.system.Run.state_parts`.
+StateKey = tuple[bytes, ...]
 
-    State fingerprints are nested tuples of primitives — hashable but
-    not JSON-stable (tuples come back as lists).  ``repr`` is injective
-    on them, so unioning canonical strings counts distinct states
-    exactly as unioning the raw values would; the scheduler
-    canonicalizes every fingerprint at lease-commit time so suspend/
-    resume cycles never mix representations.
 
-    The explorer now collects fingerprints as canonical *bytes*
-    (:meth:`~repro.runtime.system.Run.state_key`); those decode back to
-    the structural tuple first, so the wire form — and therefore every
-    frontier checkpoint written before the incremental-fingerprint
-    change — stays bit-identical (``FRONTIER_VERSION`` unchanged)."""
-    if isinstance(value, bytes):
-        value = decode_canonical(value)
-    return repr(value)
+def _keys_to_json(keys: set[StateKey]) -> dict:
+    """State keys as ``{"parts": [...], "states": [[...], ...]}``: the
+    distinct parts in base64, in first-use order, and each key as the
+    indices of its parts.  The keys are sorted first, so equal sets
+    serialize byte-identically."""
+    index: dict[bytes, int] = {}
+    states = [[index.setdefault(part, len(index)) for part in key] for key in sorted(keys)]
+    return {
+        "parts": [base64.b64encode(part).decode("ascii") for part in index],
+        "states": states,
+    }
+
+
+def _keys_from_json(payload: Any, path: str) -> set[StateKey]:
+    """Inverse of :func:`_keys_to_json`.  A part that is not base64 or
+    an index out of range raises :class:`FrontierFormatError` naming
+    its JSON ``path``."""
+    parts = []
+    texts = _items(_field(payload, "parts", (list,), path), (str,), f"{path}.parts")
+    for i, text in enumerate(texts):
+        try:
+            parts.append(base64.b64decode(text, validate=True))
+        except ValueError as err:
+            raise FrontierFormatError(f"{path}.parts[{i}]: not base64: {err}") from err
+    keys = set()
+    states = _items(_field(payload, "states", (list,), path), (list,), f"{path}.states")
+    for i, state in enumerate(states):
+        at = f"{path}.states[{i}]"
+        for j, index in enumerate(_items(state, (int,), at)):
+            if not 0 <= index < len(parts):
+                raise FrontierFormatError(
+                    f"{at}[{j}]: part index {index} is out of range for {len(parts)} parts"
+                )
+        keys.add(tuple([parts[index] for index in state]))
+    return keys
 
 
 @dataclass
@@ -353,9 +378,9 @@ class SearchCheckpoint:
     completed: list[tuple[tuple[int, ...], ExplorationReport]] = field(
         default_factory=list
     )
-    #: Canonicalized state fingerprints seen so far (``count_states``
-    #: searches only; see :func:`canonical_fingerprint`).
-    fingerprints: set[str] = field(default_factory=set)
+    #: State keys seen so far (``count_states`` searches only): part
+    #: tuples of :meth:`~repro.runtime.system.Run.state_parts`.
+    fingerprints: set[StateKey] = field(default_factory=set)
     #: Lifetime work-stealing counters, carried across resume cycles.
     leases: int = 0
     steals: int = 0
@@ -381,7 +406,7 @@ class SearchCheckpoint:
                 {"key": list(key), "report": report_to_json(report)}
                 for key, report in self.completed
             ],
-            "fingerprints": sorted(self.fingerprints),
+            "fingerprints": _keys_to_json(self.fingerprints),
             "leases": self.leases,
             "steals": self.steals,
             "leases_requeued": self.leases_requeued,
@@ -407,8 +432,6 @@ class SearchCheckpoint:
             )
         pending = _field(doc, "pending", (list,), "$")
         completed = _field(doc, "completed", (list,), "$")
-        fingerprints = _field(doc, "fingerprints", (list,), "$", [])
-        _items(fingerprints, (str,), "$.fingerprints")
         return cls(
             fingerprint=_field(doc, "fingerprint", (str, _NULL), "$", None),
             options=_field(doc, "options", (dict,), "$", {}),
@@ -419,7 +442,10 @@ class SearchCheckpoint:
             completed=[
                 _block_from_json(entry, f"$.completed[{i}]") for i, entry in enumerate(completed)
             ],
-            fingerprints=set(fingerprints),
+            fingerprints=_keys_from_json(
+                _field(doc, "fingerprints", (dict,), "$", {"parts": [], "states": []}),
+                "$.fingerprints",
+            ),
             leases=_field(doc, "leases", (int,), "$", 0),
             steals=_field(doc, "steals", (int,), "$", 0),
             leases_requeued=_field(doc, "leases_requeued", (int,), "$", 0),

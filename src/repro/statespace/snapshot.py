@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 
 from ..runtime.fingerprint import (  # noqa: F401  (re-exported API)
-    _encode_into,
     decode_canonical,
     encode_canonical,
 )
@@ -42,8 +41,8 @@ def snapshot(run: Run) -> bytes:
     sinks only when ``visible_in_state``).
 
     Always a full recomputation — the differential oracle against
-    :meth:`Run.state_key`, which returns the same bytes through the
-    incremental per-component cache.
+    :meth:`Run.state_key`, the joined parts of the incremental key
+    (:meth:`Run.state_parts`).
     """
     return encode_canonical(run.state_fingerprint())
 

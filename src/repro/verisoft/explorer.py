@@ -191,14 +191,13 @@ class Explorer:
       report covers exactly the paths completed so far, so a partial
       report plus the residual prefixes partitions the subtree
       losslessly.
-    * ``fingerprint_set`` — with ``count_states``, collect fingerprints
-      into this caller-owned set (so a coordinator can union worker
+    * ``fingerprint_set`` — with ``count_states``, collect the state
+      keys into this caller-owned set (so a coordinator can union worker
       sets).
 
-    The hot loop keys each global state once per consumer, and only
-    for the consumers present: seen-state dedup takes the canonical
-    bytes (:meth:`Run.state_key`), the state store their parts
-    (:meth:`Run.state_parts`); both are incremental for pointer-free
+    The hot loop keys a global state at most once, and only when
+    seen-state dedup or the state store wants it: both take the same
+    part tuple (:meth:`Run.state_parts`), incremental for pointer-free
     programs.  It keeps the state's
     :class:`ControlProjection` up to date per step and memoizes the
     candidates (persistent with ``por`` on) on it.  With ``profile``
@@ -298,7 +297,6 @@ class Explorer:
         self._start = bind(Run.start_processes, "engine")
         self._answer = bind(Run.answer_toss, "engine")
         self._step = bind(Run.execute_visible, "engine")
-        self._state_key = bind(Run.state_key, "fingerprint")
         self._state_parts = bind(Run.state_parts, "fingerprint")
         self._project = bind(ControlProjection, "por")
         self._moved = bind(ControlProjection.moved, "por")
@@ -676,17 +674,17 @@ class Explorer:
         report.states_visited += 1
         if depth > report.max_depth_reached:
             report.max_depth_reached = depth
-        if seen_states is not None:
-            seen_states.add(self._state_key(run))
+        if seen_states is not None or self._store_visit is not None:
+            key = self._state_parts(run)
+            if seen_states is not None:
+                seen_states.add(key)
         if self._deadline is not None and time.monotonic() > self._deadline:
             report.incomplete = True
             raise _Leaf()
         # State-space caching: prune the subtree below a state that the
-        # store has already expanded.  The store keeps the key's parts,
-        # which share their bytes with every other stored state.
-        if self._store_visit is not None and not self._store_visit(
-            self._state_parts(run), self._max_depth - depth
-        ):
+        # store has already expanded.  The key's parts share their bytes
+        # with every other stored state.
+        if self._store_visit is not None and not self._store_visit(key, self._max_depth - depth):
             self._leaf(state)
 
         # The deadlock, termination and enabled-count facts are reads of

@@ -43,6 +43,10 @@ prefix owns everything below it with no shared state whatsoever.
   :class:`~repro.service.frontier.SearchCheckpoint` on
   ``report.checkpoint``, resumable later via the ``initial`` parameter.
 
+* With ``count_states`` a lease returns the state keys it visited, the
+  part tuples of :meth:`~repro.runtime.system.Run.state_parts`; the
+  coordinator unions them, and a checkpoint carries the union.
+
 * Each worker shares **one duplex pipe** with the coordinator and
   nothing else: leases and requests go down, beats and results come up.
   A worker that dies, even halfway through a send, reads as end-of-file
@@ -246,15 +250,14 @@ def explore_lease(
     subtrees as new fully pinned prefixes (sequential DFS order) and
     ``report`` covers exactly the paths completed — together they
     partition the lease losslessly.  ``residuals`` is empty for a lease
-    run to exhaustion.  Fingerprints (``count_states``) come back
-    canonicalized (:func:`~repro.service.frontier.canonical_fingerprint`)
-    so they survive checkpoint round-trips.  ``options.tracer`` gets one
+    run to exhaustion.  ``fingerprints`` (``count_states``) is the set
+    of the explorer's state keys, the part tuples of
+    :meth:`~repro.runtime.system.Run.state_parts`, as they are: a pickled
+    result carries each shared part once.  ``options.tracer`` gets one
     ``lease`` span around the lease's paths.
     """
-    from ..service.frontier import canonical_fingerprint
-
     options = search_options(options, overrides)
-    fingerprints: set[Any] | None = set() if options.count_states else None
+    fingerprints: set[tuple[bytes, ...]] | None = set() if options.count_states else None
     explorer = Explorer(
         system,
         options,
@@ -270,12 +273,7 @@ def explore_lease(
     residuals: list[ChoicePrefix] = []
     if explorer.suspended and explorer.final_stack is not None:
         residuals = harvest_residual(explorer.final_stack, explorer.final_base)
-    canonical = (
-        None
-        if fingerprints is None
-        else frozenset(canonical_fingerprint(fp) for fp in fingerprints)
-    )
-    return report, residuals, canonical
+    return report, residuals, None if fingerprints is None else frozenset(fingerprints)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +694,7 @@ def parallel_search(
     # -- seed the lease pool (fresh root lease, or a checkpoint) ----------
     pending: list[tuple[tuple[int, ...], int, ChoicePrefix | None]] = []
     blocks: list[tuple[tuple[int, ...], ExplorationReport]] = []
-    fingerprints: set[str] | None = set() if options.count_states else None
+    fingerprints: set[tuple[bytes, ...]] | None = set() if options.count_states else None
     lease_seq = 0
     leases = steals = requeued = 0
     if initial is not None:

@@ -12,9 +12,7 @@ re-encodes only those).  The tests pin its three contracts:
   across epochs, where a stale memo would silently corrupt dedup;
 * the pointer gate: programs that create pointers get no fingerprinter
   (aliasing defeats per-component tracking) but keep a correct
-  ``state_key`` via full recomputation, and the frontier's
-  ``canonical_fingerprint`` keeps byte keys wire-compatible with the
-  structural ``repr`` format of pre-incremental checkpoints.
+  ``state_key`` via full recomputation.
 """
 
 import pytest
@@ -28,7 +26,6 @@ from repro.runtime.fingerprint import (
     decode_canonical,
     encode_canonical,
 )
-from repro.service.frontier import canonical_fingerprint
 
 # ---------------------------------------------------------------------------
 # Codec: encode_canonical / decode_canonical
@@ -422,21 +419,3 @@ class TestPointerGate:
         assert isinstance(
             system.start().fingerprinter, RunFingerprinter
         )
-
-
-# ---------------------------------------------------------------------------
-# Frontier wire-format compatibility
-# ---------------------------------------------------------------------------
-
-
-class TestFrontierCompatibility:
-    def test_byte_keys_canonicalize_like_structural_fingerprints(self):
-        # Pre-incremental frontier checkpoints stored repr(structure);
-        # the explorer now collects canonical bytes.  Both must land on
-        # the same canonical string, or resumed searches would re-count
-        # every previously seen state.
-        run = pingpong_system().start()
-        run.start_processes()
-        structure = run.state_fingerprint()
-        assert canonical_fingerprint(run.state_key()) == repr(structure)
-        assert canonical_fingerprint(structure) == repr(structure)

@@ -5,14 +5,17 @@ and resumed — in another process, on either execution engine — must
 finish with a report identical to the uninterrupted run.
 """
 
+import base64
 import functools
 import json
+import pathlib
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import SearchOptions, run_search
+from repro.cli import main
 from repro.service import (
     FRONTIER_FORMAT,
     FRONTIER_VERSION,
@@ -26,8 +29,6 @@ from repro.service import (
     save_frontier,
     work_stealing_search,
 )
-from repro.service.frontier import canonical_fingerprint
-
 from .conftest import assert_report_parity, deadlock_system, fig3_system, racing_system
 
 
@@ -138,6 +139,23 @@ class TestCheckpointDocument:
         with pytest.raises(FrontierFormatError):
             load_frontier(path)
 
+    def test_the_cli_refuses_a_version_1_checkpoint(self, tmp_path, capsys):
+        # Version 1 carried each state key as the repr of its decoded
+        # structure; version 2 refuses the document at its version.
+        doc = _suspended_checkpoint(fig3_system(), count_states=True, max_depth=40).to_json()
+        doc.update(version=1, fingerprints=["((('p', 0),), ())"])
+        path = tmp_path / "ck.json"
+        text = json.dumps(doc, indent=2)
+        path.write_text(text)
+        fig3 = pathlib.Path(__file__).parents[2] / "examples" / "fig3.json"
+        assert main(["search", str(fig3), "--checkpoint", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [
+            f"error: {path}: $.version: unsupported frontier format version 1 "
+            f"(this build reads version {FRONTIER_VERSION})"
+        ]
+        assert path.read_text() == text
+
 
 @functools.lru_cache(maxsize=None)
 def _suspended_documents():
@@ -227,7 +245,7 @@ class TestMalformedDocuments:
                 None,
                 "$.completed[0].report.stats.jobs: expected int, got null",
             ),
-            (0, ("fingerprints", 0), 1, "$.fingerprints[0]: expected str, got int"),
+            (0, ("fingerprints", "parts", 0), 1, "$.fingerprints.parts[0]: expected str, got int"),
             (
                 1,
                 ("completed", 0, "report", "deadlocks", 0, "choices", 1),
@@ -236,6 +254,16 @@ class TestMalformedDocuments:
             ),
             (1, ("pending", 0, 0, "sigs", 0), None, "$.pending[0][0].sigs[0]: expected list, got null"),
             (1, ("pending", 0, 0, "sigs"), [], "$.pending[0][0].sigs: expected 2 signatures"),
+            (0, ("fingerprints", "parts", 1), "QQ", "$.fingerprints.parts[1]: not base64"),
+            (
+                0,
+                ("fingerprints", "states", 2, 3),
+                999,
+                "$.fingerprints.states[2][3]: part index 999 is out of range",
+            ),
+            (0, ("fingerprints", "states", 1), {}, "$.fingerprints.states[1]: expected list"),
+            (0, ("fingerprints",), [], "$.fingerprints: expected dict, got list"),
+            (0, ("version",), 1, "$.version: unsupported frontier format version 1"),
         ],
     )
     def test_the_error_names_the_entry(self, document, path, value, message):
@@ -252,10 +280,67 @@ class TestMalformedDocuments:
             load_frontier(path)
 
 
-class TestCanonicalFingerprint:
-    def test_injective_on_distinct_states(self):
-        values = [(1, (2, 3)), (1, (2, 4)), ("1", (2, 3)), (1, 2, 3)]
-        assert len({canonical_fingerprint(v) for v in values}) == len(values)
+def _not_base64(text):
+    try:
+        base64.b64decode(text, validate=True)
+    except ValueError:
+        return True
+    return False
+
+
+#: Sets of state keys: tuples over a few shared parts, as a search's
+#: keys share the encodings of unchanged components.
+KEY_SETS = st.lists(st.binary(min_size=1, max_size=6), min_size=1, max_size=6).flatmap(
+    lambda parts: st.sets(
+        st.lists(st.sampled_from(parts), min_size=1, max_size=5).map(tuple), max_size=12
+    )
+)
+
+
+class TestStateKeyTable:
+    """The state keys of a checkpoint travel as a table of distinct
+    parts plus one list of part indices per key."""
+
+    @given(KEY_SETS)
+    def test_keys_round_trip(self, keys):
+        doc = json.loads(json.dumps(SearchCheckpoint(fingerprints=keys).to_json()))
+        assert SearchCheckpoint.from_json(doc).fingerprints == keys
+
+    @given(st.data())
+    def test_equal_sets_serialize_byte_identically(self, data):
+        keys = data.draw(KEY_SETS)
+        order = data.draw(st.permutations(sorted(keys)))
+        text = json.dumps(SearchCheckpoint(fingerprints=keys).to_json())
+        assert json.dumps(SearchCheckpoint(fingerprints=set(order)).to_json()) == text
+
+    @given(st.data())
+    def test_a_mutated_table_names_the_mutated_entry(self, data):
+        keys = data.draw(KEY_SETS.filter(bool))
+        doc = SearchCheckpoint(fingerprints=keys).to_json()
+        table = doc["fingerprints"]
+        kind = data.draw(st.sampled_from(["not base64", "index", "type"]))
+        if kind == "not base64":
+            path = ("fingerprints", "parts", data.draw(st.sampled_from(range(len(table["parts"])))))
+            value = data.draw(st.text(min_size=1).filter(_not_base64))
+        elif kind == "index":
+            i = data.draw(st.sampled_from(range(len(table["states"]))))
+            j = data.draw(st.sampled_from(range(len(table["states"][i]))))
+            path = ("fingerprints", "states", i, j)
+            value = data.draw(
+                st.integers(max_value=-1) | st.integers(min_value=len(table["parts"]))
+            )
+        else:
+            path = ("fingerprints",) + data.draw(
+                st.sampled_from([(), *(path for path, _ in _spots(table))])
+            )
+            old = functools.reduce(lambda node, part: node[part], path, doc)
+            value = data.draw(
+                st.sampled_from([v for v in JSON_VALUES if type(v) is not type(old)])
+            )
+        _mutate(doc, path, value)
+        with pytest.raises(FrontierFormatError) as err:
+            SearchCheckpoint.from_json(doc)
+        assert str(err.value).startswith(_json_path(path) + ":"), str(err.value)
 
 
 class TestResumeParity:

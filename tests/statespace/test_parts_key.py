@@ -1,15 +1,23 @@
-"""The exact store's part-tuple key against the canonical bytes.
+"""The part-tuple state key against the canonical bytes.
 
-The exact state store keeps each state as the tuple of its parts
-(``Run.state_parts``): the outer tuple header, one canonical encoding
-per process, the middle header, one per object.  The encoding is
-prefix-free and each part encodes one whole component, so two part
-tuples of one system are equal exactly when their joined bytes are.
-Here, in restore-mode DFS with the exact cache, with and without
-``count_states``:
+A search keys each state by the tuple of its parts (``Run.state_parts``):
+the outer tuple header, one canonical encoding per process, the middle
+header, one per object.  The seen-state set of ``count_states`` and the
+exact state store keep the same tuple.  The encoding is prefix-free and
+each part encodes one whole component, so two part tuples of one
+system are equal exactly when their joined bytes are.
+
+The run marks the components a step or a toss answer changes stale, and
+:class:`~repro.runtime.fingerprint.RunFingerprinter` re-encodes only
+those.  A missed mark leaves a part describing an earlier state, and the
+exact cache then merges states that differ.  Here, in restore-mode DFS
+with the exact cache, with and without ``count_states``:
 
 * every ``Run.state_parts`` call returns 2 + processes + objects parts
   whose join is ``encode_canonical(run.state_fingerprint())``;
+* the search asks for one key per visited state, never for the joined
+  bytes (``Run.state_key``), and with ``count_states`` its distinct
+  keys are its distinct states;
 * a checking store runs the bytes-keyed exact store beside the parts
   store, and both give the same answer on every visit and the same
   hits, misses and stored counts;
@@ -79,11 +87,14 @@ class CheckedStore(ExactStore):
 
 @contextmanager
 def checked():
-    """Check every ``Run.state_parts`` call and run every exact store as
-    a :class:`CheckedStore`; yields ``(parts calls, stores)``."""
+    """Check every ``Run.state_parts`` call, count the ``Run.state_key``
+    calls and run every exact store as a :class:`CheckedStore`; yields
+    ``(parts calls, joined-key calls, stores)``."""
     calls: list[tuple] = []
+    joined: list[bytes] = []
     stores: list[CheckedStore] = []
     original_parts = Run.state_parts
+    original_key = Run.state_key
     original_store = SearchOptions.make_state_store
 
     def state_parts(run):
@@ -92,6 +103,11 @@ def checked():
         assert b"".join(parts) == encode_canonical(run.state_fingerprint())
         calls.append(parts)
         return parts
+
+    def state_key(run):
+        key = original_key(run)
+        joined.append(key)
+        return key
 
     def make_state_store(options):
         if options.state_cache != "exact":
@@ -103,11 +119,13 @@ def checked():
     # Patched by hand, not through pytest's monkeypatch: Hypothesis runs
     # many examples within one test call.
     Run.state_parts = state_parts
+    Run.state_key = state_key
     SearchOptions.make_state_store = make_state_store
     try:
-        yield calls, stores
+        yield calls, joined, stores
     finally:
         Run.state_parts = original_parts
+        Run.state_key = original_key
         SearchOptions.make_state_store = original_store
 
 
@@ -149,14 +167,15 @@ def checked_search(system, engine, max_depth, count_states):
         count_states=count_states,
         max_depth=max_depth,
     )
-    with checked() as (calls, stores):
+    with checked() as (calls, joined, stores):
         report = run_search(system, options)
     assert report.stats.backtrack == "restore" and report.stats.engine == engine
     assert len(stores) == 1
-    # One parts key per state for the store; count_states asks for the
-    # joined key as well.
-    per_state = 2 if count_states else 1
-    assert len(calls) == per_state * report.states_visited
+    # One key per state, shared by the store and count_states.
+    assert len(calls) == report.states_visited
+    assert not joined
+    if count_states:
+        assert len(set(calls)) == report.distinct_states
     return report, stores[0]
 
 

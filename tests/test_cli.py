@@ -313,6 +313,55 @@ class TestCounterexampleCommands:
             main(["replay", str(trace), "--module", "no-colon"])
 
 
+#: Programs the CFG builder or the closing refuses, with the located
+#: message each must print.
+REFUSED = {
+    "break": (
+        "proc main() { break; }",
+        "1:15: main: 'break' outside of a loop",
+    ),
+    "env-object": (
+        "extern proc get();\nproc main() { var i; i = get(); send(channel(i), 1); }",
+        "2:33: main: node 5 performs send on an environment-dependent object",
+    ),
+}
+
+
+class TestRefusedPrograms:
+    """A program that the CFG builder or the closing refuses exits 2
+    with one located ``error:`` line, not a traceback."""
+
+    def _assert_one_line(self, capsys, message):
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+
+    @pytest.mark.parametrize("name", list(REFUSED))
+    def test_close(self, tmp_path, capsys, name):
+        source, message = REFUSED[name]
+        path = tmp_path / "prog.rc"
+        path.write_text(source)
+        assert main(["close", str(path)]) == 2
+        self._assert_one_line(capsys, message)
+
+    @pytest.mark.parametrize("name", list(REFUSED))
+    def test_search(self, tmp_path, capsys, name):
+        source, message = REFUSED[name]
+        (tmp_path / "prog.rc").write_text(source)
+        system = tmp_path / "system.json"
+        system.write_text(
+            json.dumps(
+                {
+                    "program": "prog.rc",
+                    "close": {},
+                    "objects": [],
+                    "processes": [{"name": "m", "proc": "main", "args": []}],
+                }
+            )
+        )
+        assert main(["search", str(system)]) == 2
+        self._assert_one_line(capsys, message)
+
+
 class TestMisc:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as err:

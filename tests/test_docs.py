@@ -104,3 +104,40 @@ def test_every_alternative_has_a_row_with_evidence():
             for part in key.split("/") if key else ():
                 assert part in data, f"{name} has no entry {key}"
                 data = data[part]
+
+
+#: The documents whose backticked ``repro.…`` names must exist.
+NAMED_DOCUMENTS = [
+    ROOT / "DESIGN.md",
+    ROOT / "README.md",
+    ROOT / "EXPERIMENTS.md",
+    *sorted((ROOT / "docs").glob("*.md")),
+]
+
+
+def _resolves(name: str) -> bool:
+    """``name`` imports as a module, or is an attribute (chain) of the
+    longest importable module prefix."""
+    parts = name.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            value = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(value, attr):
+                return False
+            value = getattr(value, attr)
+        return True
+    return False
+
+
+def test_documented_module_names_exist():
+    names = {
+        (path.name, name)
+        for path in NAMED_DOCUMENTS
+        for name in re.findall(r"`(repro(?:\.\w+)+)", path.read_text())
+    }
+    assert len(names) > 40
+    missing = sorted((doc, name) for doc, name in names if not _resolves(name))
+    assert not missing, missing
