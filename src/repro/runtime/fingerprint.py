@@ -56,6 +56,7 @@ process and the object it operated on.
 from __future__ import annotations
 
 import functools
+import marshal
 import struct
 from typing import TYPE_CHECKING, Any
 
@@ -109,18 +110,25 @@ def _encode_int(value: int) -> bytes:
 # Whole-component interning: processes and objects cycle through a
 # bounded set of local states during a search, so the (structure →
 # canonical bytes) mapping — a pure function, never invalidated — turns
-# most dirty-component re-encodes into one tuple hash + dict hit
-# instead of a recursive serialization.
-_COMPONENT_CACHE: dict[Any, bytes] = {}
+# most dirty-component re-encodes into a dict hit.  The key is the
+# structure's marshal bytes: the structure itself would take True for 1
+# (equal as dict keys) and merge states the program tells apart.
+# Format 2 writes each value by its type and content alone; later
+# formats add back-references, so equal values could marshal apart.
+_COMPONENT_CACHE: dict[bytes, bytes] = {}
 _COMPONENT_LIMIT = 65536
 
 
 def _component_bytes(fp: Any) -> bytes:
-    enc = _COMPONENT_CACHE.get(fp)
+    try:
+        key = marshal.dumps(fp, 2)
+    except ValueError:  # a subclass of int, str or tuple
+        return encode_canonical(fp)
+    enc = _COMPONENT_CACHE.get(key)
     if enc is None:
         enc = encode_canonical(fp)
         if len(_COMPONENT_CACHE) < _COMPONENT_LIMIT:
-            _COMPONENT_CACHE[fp] = enc
+            _COMPONENT_CACHE[key] = enc
     return enc
 
 
@@ -165,20 +173,12 @@ def _encode_into(value: Any, out: list[bytes]) -> None:
         for item in value:
             _encode_into(item, out)
     # Exact-type dispatch above covers every value the fingerprint layer
-    # produces; subclasses of int/str/tuple funnel through here so the
-    # historic semantics (and error message) are preserved.
-    elif isinstance(value, bool):
-        out.append(_TAG_TRUE if value else _TAG_FALSE)
+    # produces; subclasses of int, str and tuple encode as their base
+    # type (bool has no subclasses).
     elif isinstance(value, int):
-        payload = b"%d" % value
-        out.append(_TAG_INT)
-        out.append(_pack_len(len(payload)))
-        out.append(payload)
+        out.append(_encode_int(value))
     elif isinstance(value, str):
-        payload = value.encode("utf-8")
-        out.append(_TAG_STR)
-        out.append(_pack_len(len(payload)))
-        out.append(payload)
+        out.append(_encode_str(value))
     elif isinstance(value, tuple):
         out.append(_TAG_TUPLE)
         out.append(_pack_len(len(value)))

@@ -25,6 +25,7 @@ from repro.runtime.fingerprint import (
     RunFingerprinter,
     decode_canonical,
     encode_canonical,
+    key_parts,
 )
 
 # ---------------------------------------------------------------------------
@@ -62,6 +63,14 @@ class TestCodec:
         assert decode_canonical(encode_canonical(True)) is True
         assert decode_canonical(encode_canonical(1)) == 1
 
+    def test_component_parts_keep_bool_and_int_apart(self):
+        # True == 1 and False == 0 as dict keys; each component's part
+        # must still be its own encoding, in either order of first use.
+        for first, second in ((1, True), (True, 1), (0, False), (False, 0)):
+            for value in (first, second):
+                state = ((("p", "at-visible", (("x", value),)),), (("channel", "c", (value,)),))
+                assert b"".join(key_parts(state)) == encode_canonical(state)
+
     def test_subclasses_funnel_to_base_encoding(self):
         class MyInt(int):
             pass
@@ -71,6 +80,8 @@ class TestCodec:
 
         assert encode_canonical(MyInt(7)) == encode_canonical(7)
         assert encode_canonical(MyStr("x")) == encode_canonical("x")
+        state = (((MyStr("p"), MyInt(7)),), ())
+        assert b"".join(key_parts(state)) == encode_canonical(state)
 
     def test_unsupported_type_rejected(self):
         with pytest.raises(TypeError, match="canonically encode"):

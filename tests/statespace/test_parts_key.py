@@ -23,7 +23,9 @@ with the exact cache, with and without ``count_states``:
   hits, misses and stored counts;
 * the search's answers stay the same when no component encoding is
   shared (an empty component cache with no room) and on a pointer
-  program, whose keys come from the full recomputation.
+  program, whose keys come from the full recomputation;
+* a state holding True and one holding 1 stay two states, though the
+  two values are equal as dict keys.
 
 On bounded 5ESS at depth 12 (10 processes, 17 objects) on both engines,
 and on Hypothesis-drawn random systems.
@@ -259,3 +261,44 @@ def test_random_system_parts_match_the_canonical_bytes(seed, engine, count_state
     with component_cache(0):
         unshared, _ = checked_search(random_system(seed), engine, 14, count_states)
     assert answers(unshared) == answers(report)
+
+
+#: The producer sends 1 or True and then stops where it stops either
+#: way, so two states differ only in the channel's value; the
+#: consumer's ``v + 1`` crashes on True only.
+ONE_OR_TRUE = """
+proc producer() {
+    var t;
+    t = VS_toss(1);
+    if (t == 0) { send(c, 1); } else { send(c, 0 < 1); }
+    t = 0;
+    sem_p(m);
+}
+proc consumer() {
+    var v;
+    v = recv(c);
+    v = v + 1;
+    sem_p(m);
+}
+"""
+
+
+def one_or_true_system():
+    system = System(ONE_OR_TRUE)
+    system.add_channel("c", capacity=1)
+    system.add_semaphore("m", initial=2)
+    system.add_process("p", "producer")
+    system.add_process("q", "consumer")
+    return system
+
+
+@pytest.mark.parametrize("engine", ["walk", "compiled"])
+def test_true_and_one_are_distinct_states(engine):
+    report, _ = checked_search(one_or_true_system(), engine, 20, True)
+    uncached = run_search(
+        one_or_true_system(),
+        SearchOptions(backtrack="restore", engine=engine, max_depth=20),
+    )
+    # The store prunes neither path on which the consumer gets True.
+    assert len(report.crashes) == len(uncached.crashes) == 2
+    assert all("non-int values True" in crash.message for crash in report.crashes)
