@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from ..errors import ReproError
 from .nodes import Arc, CfgNode, Guard, NodeKind
 
 # The node kinds as module globals: on CPython 3.11 a ``NodeKind.X``
@@ -21,7 +22,7 @@ _START, _ASSIGN, _COND, _TOSS, _CALL, _RETURN, _EXIT = (
 )
 
 
-class CfgError(Exception):
+class CfgError(ReproError):
     """Structural misuse of a control-flow graph."""
 
 

@@ -70,21 +70,21 @@ walking interpreter when the program is not compilable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import pathlib
 import signal
 import sys
 
 from . import __version__
-from .cfg import CfgError, build_cfgs, to_dot
-from .closing import ClosingError, ClosingSpec, close_program
-from .lang.errors import LangError
+from .cfg import build_cfgs, to_dot
+from .closing import ClosingSpec, close_program
+from .errors import ReproError
 from .runtime import System
 from .sysdesc import (
     SYSTEM_SCHEMA as _SYSTEM_SCHEMA,
 )
 from .sysdesc import (
-    DescriptionError,
     description_language,
     load_description,
     load_program,
@@ -98,10 +98,6 @@ from .verisoft.search import BACKTRACK_MODES, CACHE_MODES, ENGINES, SCHEDULERS, 
 #: Every search default lives in :class:`SearchOptions`; the help texts
 #: quote them from here.
 _DEFAULTS = SearchOptions()
-
-
-def _load_program(path: pathlib.Path):
-    return load_program(path)
 
 
 def _parse_env_params(pairs: list[str]) -> dict[str, list[str]]:
@@ -124,7 +120,7 @@ def _spec_from_args(args) -> ClosingSpec:
 
 def cmd_close(args) -> int:
     """The ``close`` subcommand."""
-    program = _load_program(args.file)
+    program = load_program(args.file)
     closed = close_program(program, _spec_from_args(args), optimize=args.optimize)
     source = closed.to_source()
     if args.output:
@@ -143,7 +139,7 @@ def cmd_analyze(args) -> int:
     """The ``analyze`` subcommand."""
     from .closing import analyze_for_closing
 
-    program = _load_program(args.file)
+    program = load_program(args.file)
     cfgs = build_cfgs(program)
     analysis = analyze_for_closing(cfgs, _spec_from_args(args))
     print(f"fixpoint rounds: {analysis.rounds}")
@@ -169,7 +165,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_graph(args) -> int:
     """The ``graph`` subcommand."""
-    program = _load_program(args.file)
+    program = load_program(args.file)
     cfgs = build_cfgs(program)
     if args.closed:
         closed = close_program(program, _spec_from_args(args))
@@ -187,37 +183,6 @@ def cmd_graph(args) -> int:
         else:
             print(dot)
     return 0
-
-
-# The description machinery lives in repro.sysdesc (shared with the
-# trace files); the CLI's job is converting DescriptionError to a clean
-# exit.
-
-
-def _read_description(description_path: pathlib.Path) -> dict:
-    try:
-        return load_description(description_path)
-    except DescriptionError as err:
-        raise SystemExit(str(err))
-
-
-def _system_from_description(
-    description: dict,
-    base_dir: pathlib.Path | None,
-    program_source: str | None = None,
-    tracer=None,
-) -> System:
-    try:
-        return system_from_description(
-            description, base_dir, program_source=program_source, tracer=tracer
-        )
-    except DescriptionError as err:
-        raise SystemExit(str(err))
-
-
-def _build_system(description_path: pathlib.Path) -> System:
-    description = _read_description(description_path)
-    return _system_from_description(description, description_path.parent)
 
 
 def _print_report(report, system=None, program: str | None = None) -> None:
@@ -261,8 +226,8 @@ def _options_from_args(args) -> SearchOptions:
     return options
 
 
-#: ``repro search`` exit code when violations were found (see
-#: docs/search.md); 0 = clean search, 2 = usage/input error.
+#: ``repro search`` exit code when violations were found (the exit
+#: codes are listed in docs/search.md).
 EXIT_VIOLATIONS = 3
 
 #: Seconds between the rewrites of a running search's ``--checkpoint``
@@ -318,29 +283,22 @@ def cmd_search(args) -> int:
     options = _options_from_args(args)
     checkpoint = getattr(args, "checkpoint", None)
     tracer = options.tracer
-    description = _read_description(args.system)
-    if tracer is None:
-        system = _system_from_description(description, args.system.parent)
-    else:
-        with tracer.phase("build-system"):
-            system = _system_from_description(
-                description, args.system.parent, tracer=tracer
-            )
+
+    def phase(name: str, **fields):
+        return contextlib.nullcontext() if tracer is None else tracer.phase(name, **fields)
+
+    description = load_description(args.system)
+    with phase("build-system"):
+        system = system_from_description(description, args.system.parent, tracer=tracer)
     # Oversubscription warnings are emitted (once) by the search
     # drivers themselves — see repro.verisoft.parallel.warn_oversubscription.
     ticker = options.progress
-
-    def search():
-        if checkpoint is None:
-            return run_search(system, options)
-        return _checkpointed_search(system, options, checkpoint)
-
     try:
-        if tracer is None:
-            report = search()
-        else:
-            with tracer.phase("search", strategy=options.strategy):
-                report = search()
+        with phase("search", strategy=options.strategy):
+            if checkpoint is None:
+                report = run_search(system, options)
+            else:
+                report = _checkpointed_search(system, options, checkpoint)
     finally:
         if ticker is not None:
             ticker.finish()
@@ -397,13 +355,9 @@ def cmd_search(args) -> int:
         source = None
         program_name = description.get("program")
         if program_name:
-            try:
-                source = {
-                    "path": str(program_name),
-                    "text": (args.system.parent / program_name).read_text(),
-                }
-            except OSError:
-                source = None
+            with contextlib.suppress(OSError):
+                text = (args.system.parent / program_name).read_text()
+                source = {"path": program_name, "text": text}
         manifest = build_manifest(
             argv=sys.argv,
             options=options,
@@ -436,7 +390,7 @@ def _system_for_trace(args, trace_file) -> System:
     callable returning a :class:`System`), ``--system description.json``,
     then the trace file's own embedded system payload.
     """
-    if getattr(args, "module", None):
+    if args.module:
         import importlib
 
         target = args.module
@@ -451,10 +405,10 @@ def _system_for_trace(args, trace_file) -> System:
         if not isinstance(system, System):
             raise SystemExit(f"{target} did not return a System")
         return system
-    if getattr(args, "system", None):
-        return _build_system(args.system)
+    if args.system:
+        return system_from_description(load_description(args.system), args.system.parent)
     if trace_file.system is not None:
-        return _system_from_description(
+        return system_from_description(
             trace_file.system["description"],
             base_dir=None,
             program_source=trace_file.system.get("program_source"),
@@ -468,13 +422,9 @@ def _system_for_trace(args, trace_file) -> System:
 def cmd_replay(args) -> int:
     """The ``replay`` subcommand: re-execute a saved trace and verify
     that the recorded violation reproduces."""
-    from .counterex import TraceFormatError, load_trace, verify_trace
+    from .counterex import load_trace, verify_trace
 
-    try:
-        trace_file = load_trace(args.trace)
-    except TraceFormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    trace_file = load_trace(args.trace)
     system = _system_for_trace(args, trace_file)
     verdict = verify_trace(
         system, trace_file, engine=getattr(args, "engine", _DEFAULTS.engine)
@@ -489,23 +439,14 @@ def cmd_replay(args) -> int:
 def cmd_shrink(args) -> int:
     """The ``shrink`` subcommand: minimize a saved trace with ddmin +
     toss-value minimization and write the minimal reproducer."""
-    from .counterex import (
-        ShrinkError,
-        TraceFormatError,
-        load_trace,
-        save_trace,
-        shrink,
-    )
+    from .counterex import ShrinkError, load_trace, save_trace, shrink
 
-    try:
-        trace_file = load_trace(args.trace)
-    except TraceFormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    trace_file = load_trace(args.trace)
     system = _system_for_trace(args, trace_file)
     try:
         result = shrink(system, trace_file.event(), max_oracle_runs=args.max_runs)
     except ShrinkError as err:
+        # Not refused input but a verdict, like replay's exit 1.
         print(f"error: {err}", file=sys.stderr)
         return 1
     print(result.describe())
@@ -532,13 +473,9 @@ def cmd_shrink(args) -> int:
 def cmd_report(args) -> int:
     """The ``report`` subcommand: render a run manifest as a
     self-contained HTML report."""
-    from .obs import ManifestFormatError, load_manifest, render_html, write_report
+    from .obs import load_manifest, render_html, write_report
 
-    try:
-        manifest = load_manifest(args.manifest)
-    except (OSError, ManifestFormatError) as err:
-        print(f"error: cannot read manifest: {err}", file=sys.stderr)
-        return 2
+    manifest = load_manifest(args.manifest)
     if args.source is not None:
         # Override (or supply) the annotated source listing.
         manifest["program"] = {"path": str(args.source), "text": args.source.read_text()}
@@ -555,13 +492,6 @@ def cmd_report(args) -> int:
     else:
         print(render_html(manifest))
     return 0
-
-
-def cmd_profile(args) -> int:
-    """The ``profile`` subcommand: a search run whose deliverable is the
-    hot-spot table (``repro search --profile`` with profiling-first
-    defaults)."""
-    return cmd_search(args)
 
 
 def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
@@ -741,6 +671,26 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
+    """The trace file of ``replay`` and ``shrink`` and the two ways to
+    rebuild its system other than its embedded payload."""
+    parser.add_argument("trace", type=pathlib.Path, help="trace JSON file")
+    parser.add_argument(
+        "--system",
+        type=pathlib.Path,
+        default=None,
+        help="rebuild the system from this description instead of the "
+        "trace's embedded payload",
+    )
+    parser.add_argument(
+        "--module",
+        default=None,
+        metavar="MODULE:FACTORY",
+        help="rebuild the system by calling a zero-argument factory, "
+        "e.g. repro.fiveess.app:demo_system",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for the tests)."""
     parser = argparse.ArgumentParser(
@@ -863,8 +813,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=f"rows per hot-spot table (default: {DEFAULT_TOP})",
     )
+    # ``repro search --profile`` with profiling-first defaults.
     profile_parser.set_defaults(
-        func=cmd_profile, profile=True, stats=False, save_traces=None
+        func=cmd_search, profile=True, stats=False, save_traces=None
     )
 
     report_parser = sub.add_parser(
@@ -903,21 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
         "replay",
         help="re-execute a saved counterexample trace and verify it reproduces",
     )
-    replay_parser.add_argument("trace", type=pathlib.Path, help="trace JSON file")
-    replay_parser.add_argument(
-        "--system",
-        type=pathlib.Path,
-        default=None,
-        help="rebuild the system from this description instead of the "
-        "trace's embedded payload",
-    )
-    replay_parser.add_argument(
-        "--module",
-        default=None,
-        metavar="MODULE:FACTORY",
-        help="rebuild the system by calling a zero-argument factory, "
-        "e.g. repro.fiveess.app:demo_system",
-    )
+    _add_trace_arguments(replay_parser)
     replay_parser.add_argument(
         "--show-trace",
         action="store_true",
@@ -930,26 +867,13 @@ def build_parser() -> argparse.ArgumentParser:
         "shrink",
         help="minimize a saved trace (ddmin + toss minimization)",
     )
-    shrink_parser.add_argument("trace", type=pathlib.Path, help="trace JSON file")
+    _add_trace_arguments(shrink_parser)
     shrink_parser.add_argument(
         "-o",
         "--output",
         type=pathlib.Path,
         default=None,
         help="where to write the minimal trace (default: overwrite input)",
-    )
-    shrink_parser.add_argument(
-        "--system",
-        type=pathlib.Path,
-        default=None,
-        help="rebuild the system from this description instead of the "
-        "trace's embedded payload",
-    )
-    shrink_parser.add_argument(
-        "--module",
-        default=None,
-        metavar="MODULE:FACTORY",
-        help="rebuild the system by calling a zero-argument factory",
     )
     shrink_parser.add_argument(
         "--max-runs",
@@ -968,21 +892,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.  Refused input
+    exits 2 with one ``error:`` line."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LangError, CfgError, ClosingError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # stdout went away (e.g. piped into head); exit quietly.
         return 0
-    except ValueError as err:
+    except (ReproError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from ..errors import ReproError
 
-class ClosingError(Exception):
+
+class ClosingError(ReproError):
     """The program violates an assumption of the closing algorithm.
 
     The main instance: performing a communication-object operation on an

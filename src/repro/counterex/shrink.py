@@ -32,13 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as dc_replace
 from typing import Any, Callable
 
+from ..errors import ReproError
 from ..runtime.system import System
 from ..verisoft.results import Choice, Trace, TossChoice
 from .replay import run_choices
 from .triage import Signature, event_signature
 
 
-class ShrinkError(ValueError):
+class ShrinkError(ReproError, ValueError):
     """The event to shrink does not reproduce on the given system."""
 
 

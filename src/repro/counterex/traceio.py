@@ -35,6 +35,8 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..jsondoc import NULL, REQUIRED, FormatError, Shape
+from ..sysdesc import check_description
 from ..verisoft.results import (
     AssertionViolationEvent,
     Choice,
@@ -61,57 +63,13 @@ FORMAT = "repro-trace"
 VERSION = 1
 
 
-class TraceFormatError(ValueError):
+class TraceFormatError(FormatError):
     """A trace file is malformed or of an unsupported version.  The
     message starts with the JSON path of the bad entry
     (``$.choices[3][2]: expected int, got str``)."""
 
 
-# ---------------------------------------------------------------------------
-# JSON shape checks (the frontier loader runs them too)
-# ---------------------------------------------------------------------------
-
-
-_MISSING = object()
-_NULL = type(None)
-
-
-def _check(value: Any, kinds: tuple[type, ...], path: str) -> Any:
-    """``value``, if its JSON type is one of ``kinds`` (``bool`` does
-    not pass for ``int``); else a :class:`TraceFormatError` naming the
-    JSON ``path``."""
-    if type(value) not in kinds:
-        expected = " or ".join(map(_type_name, kinds))
-        raise TraceFormatError(f"{path}: expected {expected}, got {_type_name(type(value))}")
-    return value
-
-
-def _type_name(kind: type) -> str:
-    return "null" if kind is _NULL else kind.__name__
-
-
-def _field(doc: dict, key: str, kinds: tuple[type, ...], path: str, default: Any = _MISSING) -> Any:
-    """``doc[key]``, type-checked; ``default`` when the key is absent,
-    unless the key is required."""
-    if key not in doc:
-        if default is _MISSING:
-            raise TraceFormatError(f"{path}: missing key {key!r}")
-        return default
-    return _check(doc[key], kinds, f"{path}.{key}")
-
-
-def _items(payload: Any, kinds: tuple[type, ...], path: str) -> list:
-    """A JSON list whose entries all have one of ``kinds``."""
-    for i, value in enumerate(_check(payload, (list,), path)):
-        _check(value, kinds, f"{path}[{i}]")
-    return payload
-
-
-def _row(payload: Any, kinds: tuple[tuple[type, ...], ...], path: str) -> tuple:
-    """A fixed-length JSON list whose entries have the given types."""
-    if len(_check(payload, (list,), path)) != len(kinds):
-        raise TraceFormatError(f"{path}: expected {len(kinds)} entries, got {len(payload)}")
-    return tuple(_check(v, k, f"{path}[{i}]") for i, (v, k) in enumerate(zip(payload, kinds)))
+_TRACE = Shape(TraceFormatError)
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +92,19 @@ def choices_to_json(choices: tuple[Choice, ...]) -> list:
 _CHOICE_ROWS = {"s": ((str,), (str,)), "t": ((str,), (str,), (int,))}
 
 
-def choices_from_json(payload: Any, path: str = "$.choices") -> tuple[Choice, ...]:
+def choices_from_json(
+    payload: Any, path: str = "$.choices", shape: Shape = _TRACE
+) -> tuple[Choice, ...]:
     """Inverse of :func:`choices_to_json`.  A malformed entry raises
-    :class:`TraceFormatError` naming its JSON ``path``."""
+    the ``shape``'s error (:class:`TraceFormatError` unless another
+    format embeds the choices) at its JSON ``path``."""
     choices: list[Choice] = []
-    for i, entry in enumerate(_check(payload, (list,), path)):
+    for i, entry in enumerate(shape.check(payload, (list,), path)):
         at = f"{path}[{i}]"
         tag = entry[0] if type(entry) is list and entry else None
         if type(tag) is not str or tag not in _CHOICE_ROWS:
-            raise TraceFormatError(f'{at}: expected ["s", process] or ["t", process, value]')
-        row = _row(entry, _CHOICE_ROWS[tag], at)
+            raise shape.error('expected ["s", process] or ["t", process, value]', at)
+        row = shape.row(entry, _CHOICE_ROWS[tag], at)
         choices.append(ScheduleChoice(row[1]) if tag == "s" else TossChoice(row[1], row[2]))
     return tuple(choices)
 
@@ -154,15 +115,17 @@ def steps_to_json(steps: tuple[TraceStep, ...]) -> list:
 
 
 #: ``[process, op, obj, detail]``.
-_STEP_ROW = ((str,), (str,), (str, _NULL), (str,))
+_STEP_ROW = ((str,), (str,), (str, NULL), (str,))
 
 
-def steps_from_json(payload: Any, path: str = "$.steps") -> tuple[TraceStep, ...]:
-    """Inverse of :func:`steps_to_json`.  A malformed entry raises
-    :class:`TraceFormatError` naming its JSON ``path``."""
+def steps_from_json(
+    payload: Any, path: str = "$.steps", shape: Shape = _TRACE
+) -> tuple[TraceStep, ...]:
+    """Inverse of :func:`steps_to_json`; errors as in
+    :func:`choices_from_json`."""
     return tuple(
-        TraceStep(*_row(step, _STEP_ROW, f"{path}[{i}]"))
-        for i, step in enumerate(_check(payload, (list,), path))
+        TraceStep(*shape.row(step, _STEP_ROW, f"{path}[{i}]"))
+        for i, step in enumerate(shape.check(payload, (list,), path))
     )
 
 
@@ -203,25 +166,29 @@ _VIOLATION_FIELDS = {
     "divergence": (("process", (str,), True),),
 }
 #: A deadlock's ``waiting`` entry: ``[process, op, obj]``.
-_WAIT_ROW = ((str,), (str,), (str, _NULL))
+_WAIT_ROW = ((str,), (str,), (str, NULL))
 
 
-def violation_from_json(payload: Any, trace: Trace, path: str = "$.violation") -> Any:
-    """Rebuild the typed event object carrying ``trace``.  A malformed
-    entry raises :class:`TraceFormatError` naming its JSON ``path``."""
-    _check(payload, (dict,), path)
-    kind = _field(payload, "kind", (str,), path)
+def violation_from_json(
+    payload: Any, trace: Trace, path: str = "$.violation", shape: Shape = _TRACE
+) -> Any:
+    """Rebuild the typed event object carrying ``trace``; errors as in
+    :func:`choices_from_json`."""
+    shape.check(payload, (dict,), path)
+    kind = shape.field(payload, "kind", (str,), path)
     if kind not in _VIOLATION_FIELDS:
-        raise TraceFormatError(f"{path}.kind: unknown violation kind {kind!r}")
+        raise shape.error(f"unknown violation kind {kind!r}", f"{path}.kind")
     for key, kinds, required in _VIOLATION_FIELDS[kind]:
-        _field(payload, key, kinds, path, _MISSING if required else None)
+        shape.field(payload, key, kinds, path, REQUIRED if required else None)
     if kind == "deadlock":
-        blocked = _items(payload.get("blocked", []), (str,), f"{path}.blocked")
-        waiting = _items(payload.get("waiting", []), (list,), f"{path}.waiting")
+        blocked = shape.items(payload.get("blocked", []), (str,), f"{path}.blocked")
+        waiting = shape.items(payload.get("waiting", []), (list,), f"{path}.waiting")
         return DeadlockEvent(
             trace,
             tuple(blocked),
-            tuple(_row(row, _WAIT_ROW, f"{path}.waiting[{i}]") for i, row in enumerate(waiting)),
+            tuple(
+                shape.row(row, _WAIT_ROW, f"{path}.waiting[{i}]") for i, row in enumerate(waiting)
+            ),
         )
     if kind == "assertion":
         return AssertionViolationEvent(
@@ -235,11 +202,11 @@ def violation_from_json(payload: Any, trace: Trace, path: str = "$.violation") -
 def _check_signature(payload: Any, path: str) -> None:
     """A triage signature: a JSON list of strings, ints, nulls and such
     lists (so :func:`signature_from_json` gives a hashable tuple)."""
-    for i, item in enumerate(_check(payload, (list,), path)):
+    for i, item in enumerate(_TRACE.check(payload, (list,), path)):
         if type(item) is list:
             _check_signature(item, f"{path}[{i}]")
         else:
-            _check(item, (str, int, _NULL), f"{path}[{i}]")
+            _TRACE.check(item, (str, int, NULL), f"{path}[{i}]")
 
 
 # ---------------------------------------------------------------------------
@@ -303,42 +270,44 @@ class TraceFile:
         replay and shrink read.  Anything malformed raises
         :class:`TraceFormatError` naming the JSON path of the bad entry
         (``$.violation.signature[1]``)."""
-        if not isinstance(doc, dict) or doc.get("format") != FORMAT:
+        if not isinstance(doc, dict):
+            raise TraceFormatError("not a trace file: top level must be a JSON object", "$")
+        if doc.get("format") != FORMAT:
             raise TraceFormatError(
-                f"$.format: not a {FORMAT} file (format tag: {doc.get('format')!r})"
-                if isinstance(doc, dict)
-                else "$: not a trace file: top level must be a JSON object"
+                f"not a {FORMAT} file (format tag: {doc.get('format')!r})", "$.format"
             )
         version = doc.get("version")
         if type(version) is not int or version != VERSION:
             raise TraceFormatError(
-                f"$.version: unsupported trace format version {version!r} "
-                f"(this build reads version {VERSION})"
+                f"unsupported trace format version {version!r} "
+                f"(this build reads version {VERSION})",
+                "$.version",
             )
         trace = Trace(
-            choices_from_json(_field(doc, "choices", (list,), "$")),
-            steps_from_json(_field(doc, "steps", (list,), "$", [])),
+            choices_from_json(_TRACE.field(doc, "choices", (list,), "$")),
+            steps_from_json(_TRACE.field(doc, "steps", (list,), "$", [])),
         )
-        violation = _field(doc, "violation", (dict,), "$")
+        violation = _TRACE.field(doc, "violation", (dict,), "$")
         violation_from_json(violation, trace)
         _check_signature(
-            _field(violation, "signature", (list,), "$.violation"), "$.violation.signature"
+            _TRACE.field(violation, "signature", (list,), "$.violation"), "$.violation.signature"
         )
-        search = _field(doc, "search", (dict,), "$", {})
-        _field(search, "engine", (str, _NULL), "$.search", None)
-        options = _field(search, "options", (dict,), "$.search", {})
-        _field(options, "engine", (str, _NULL), "$.search.options", None)
-        system = _field(doc, "system", (dict, _NULL), "$", None)
+        search = _TRACE.field(doc, "search", (dict,), "$", {})
+        _TRACE.field(search, "engine", (str, NULL), "$.search", None)
+        options = _TRACE.field(search, "options", (dict,), "$.search", {})
+        _TRACE.field(options, "engine", (str, NULL), "$.search.options", None)
+        system = _TRACE.field(doc, "system", (dict, NULL), "$", None)
         if system is not None:
-            _field(system, "description", (dict,), "$.system")
-            _field(system, "program_source", (str, _NULL), "$.system", None)
+            description = _TRACE.field(system, "description", (dict,), "$.system")
+            check_description(description, "$.system.description", _TRACE)
+            _TRACE.field(system, "program_source", (str, NULL), "$.system", None)
         return cls(
             violation=violation,
             trace=trace,
-            fingerprint=_field(doc, "fingerprint", (str, _NULL), "$", None),
+            fingerprint=_TRACE.field(doc, "fingerprint", (str, NULL), "$", None),
             search=search,
             system=system,
-            shrink=_field(doc, "shrink", (dict, _NULL), "$", None),
+            shrink=_TRACE.field(doc, "shrink", (dict, NULL), "$", None),
             version=version,
         )
 
@@ -404,13 +373,9 @@ def save_trace(path: str | pathlib.Path, trace_file: TraceFile) -> pathlib.Path:
 
 
 def load_trace(path: str | pathlib.Path) -> TraceFile:
-    """Read and validate a trace file."""
-    path = pathlib.Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise TraceFormatError(f"{path}: not valid JSON: {err}") from err
-    return TraceFile.from_json(doc)
+    """Read and validate a trace file; a malformed file raises
+    :class:`TraceFormatError` naming the file and the bad entry."""
+    return _TRACE.read_json(path, TraceFile.from_json)
 
 
 def save_report_traces(

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from ..errors import ReproError
+
 
 class SourceLocation(NamedTuple):
     """A position in an RC source text (1-based line and column).
@@ -30,14 +32,12 @@ class SourceLocation(NamedTuple):
 SYNTHETIC = SourceLocation(0, 0)
 
 
-class LangError(Exception):
+class LangError(ReproError):
     """Base class of all RC front-end errors."""
 
     def __init__(self, message: str, location: SourceLocation | None = None):
+        super().__init__(message, None if location == SYNTHETIC else location)
         self.location = location
-        if location is not None and location != SYNTHETIC:
-            message = f"{location}: {message}"
-        super().__init__(message)
 
 
 class LexError(LangError):

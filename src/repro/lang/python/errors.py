@@ -30,16 +30,11 @@ class PyFrontError(LangError):
         location: SourceLocation | None = None,
         filename: str | None = None,
     ):
+        where = None if location == SYNTHETIC else location
+        prefix = ":".join(str(part) for part in (filename, where) if part)
+        super().__init__(f"{prefix}: {message}" if prefix else message)
+        self.location = location
         self.filename = filename
-        if location is not None and location != SYNTHETIC:
-            prefix = f"{filename}:{location}" if filename else str(location)
-            super().__init__(f"{prefix}: {message}", None)
-            self.location = location
-        else:
-            if filename:
-                message = f"{filename}: {message}"
-            super().__init__(message, None)
-            self.location = location
 
 
 def location_of(node) -> SourceLocation:

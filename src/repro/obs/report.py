@@ -29,11 +29,10 @@ out), so it is equally usable as a library:
 from __future__ import annotations
 
 import html as _html
-import json
 import pathlib
 from typing import Any
 
-from ..counterex.traceio import _NULL, TraceFormatError, _check, _field, _items
+from ..jsondoc import NULL, FormatError, Shape
 
 __all__ = [
     "ManifestFormatError",
@@ -480,11 +479,15 @@ def write_report(manifest: dict, path: str | pathlib.Path) -> pathlib.Path:
 # ---------------------------------------------------------------------------
 
 
-class ManifestFormatError(ValueError):
+class ManifestFormatError(FormatError):
     """A run manifest is not JSON or not of the shape
     :func:`render_html` reads.  The message names the JSON path of the
     bad entry (``$.report.stats: expected dict or null, got int``),
     after the file when the manifest was read from one."""
+
+
+_MANIFEST = Shape(ManifestFormatError)
+_NUMBER = (int, float)
 
 
 def check_manifest(doc: Any) -> dict:
@@ -495,67 +498,14 @@ def check_manifest(doc: Any) -> dict:
     produced, and an object may be ``null`` where the report treats it
     as absent.  Values the report only prints are not checked.
     """
-    try:
-        _check_manifest(doc)
-    except TraceFormatError as err:
-        raise ManifestFormatError(str(err)) from err
-    return doc
-
-
-def load_manifest(path: str | pathlib.Path) -> dict:
-    """Read and check a ``run.json`` manifest file; a malformed file
-    raises :class:`ManifestFormatError` naming the file and the JSON
-    path of the bad entry."""
-    path = pathlib.Path(path)
-    try:
-        return check_manifest(json.loads(path.read_text()))
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise ManifestFormatError(f"{path}: not valid JSON: {err}") from err
-    except ManifestFormatError as err:
-        raise ManifestFormatError(f"{path}: {err}") from err
-
-
-_NUMBER = (int, float)
-
-
-def _object(doc: dict, key: str, path: str) -> dict:
-    """``doc[key]``, a JSON object; ``{}`` when absent or null."""
-    return _field(doc, key, (dict, _NULL), path, None) or {}
-
-
-def _objects(doc: dict, key: str, path: str, kinds: tuple = (dict, _NULL)) -> dict:
-    """``doc[key]``, a JSON object whose values are JSON objects."""
-    table = _field(doc, key, kinds, path, None) or {}
-    for name, entry in table.items():
-        _check(entry, (dict,), f"{path}.{key}.{name}")
-    return table
-
-
-def _list(doc: dict, key: str, kinds: tuple, path: str) -> list:
-    """``doc[key]``, a JSON list of ``kinds``; ``[]`` when absent or null."""
-    return _items(_field(doc, key, (list, _NULL), path, None) or [], kinds, f"{path}.{key}")
-
-
-def _numbers(doc: dict, keys: tuple[str, ...], path: str, kinds: tuple = _NUMBER) -> None:
-    for key in keys:
-        _field(doc, key, kinds, path, None)
-
-
-def _counts(doc: dict, key: str, path: str) -> None:
-    """``doc[key]``, a JSON object of numbers; absent or null."""
-    for name, count in _object(doc, key, path).items():
-        _check(count, _NUMBER, f"{path}.{key}.{name}")
-
-
-def _check_manifest(doc: Any) -> None:
-    _check(doc, (dict,), "$")
+    _MANIFEST.check(doc, (dict,), "$")
     for key in ("meta", "tool", "git", "host"):
         _object(doc, key, "$")
     _list(doc, "argv", (str,), "$")
-    _field(_object(doc, "program", "$"), "text", (str, _NULL), "$.program", None)
+    _MANIFEST.field(_object(doc, "program", "$"), "text", (str, NULL), "$.program", None)
     report = _object(doc, "report", "$")
     stats = _object(report, "stats", "$.report")
-    _numbers(stats, ("states_per_second", "coverage_percent"), "$.report.stats", (*_NUMBER, _NULL))
+    _numbers(stats, ("states_per_second", "coverage_percent"), "$.report.stats", (*_NUMBER, NULL))
     _numbers(stats, ("wall_time",), "$.report.stats")
     _list(report, "triage", (dict,), "$.report")
     profile = _object(report, "profile", "$.report")
@@ -563,11 +513,49 @@ def _check_manifest(doc: Any) -> None:
         _counts(profile, key, "$.report.profile")
     _objects(report, "workers", "$.report")
     _check_coverage(_object(report, "coverage", "$.report"), "$.report.coverage")
+    return doc
+
+
+def load_manifest(path: str | pathlib.Path) -> dict:
+    """Read and check a ``run.json`` manifest file; a malformed file
+    raises :class:`ManifestFormatError` naming the file and the JSON
+    path of the bad entry."""
+    return _MANIFEST.read_json(path, check_manifest)
+
+
+def _object(doc: dict, key: str, path: str) -> dict:
+    """``doc[key]``, a JSON object; ``{}`` when absent or null."""
+    return _MANIFEST.field(doc, key, (dict, NULL), path, None) or {}
+
+
+def _objects(doc: dict, key: str, path: str, kinds: tuple = (dict, NULL)) -> dict:
+    """``doc[key]``, a JSON object whose values are JSON objects."""
+    table = _MANIFEST.field(doc, key, kinds, path, None) or {}
+    for name, entry in table.items():
+        _MANIFEST.check(entry, (dict,), f"{path}.{key}.{name}")
+    return table
+
+
+def _list(doc: dict, key: str, kinds: tuple, path: str) -> list:
+    """``doc[key]``, a JSON list of ``kinds``; ``[]`` when absent or null."""
+    entries = _MANIFEST.field(doc, key, (list, NULL), path, None) or []
+    return _MANIFEST.items(entries, kinds, f"{path}.{key}")
+
+
+def _numbers(doc: dict, keys: tuple[str, ...], path: str, kinds: tuple = _NUMBER) -> None:
+    for key in keys:
+        _MANIFEST.field(doc, key, kinds, path, None)
+
+
+def _counts(doc: dict, key: str, path: str) -> None:
+    """``doc[key]``, a JSON object of numbers; absent or null."""
+    for name, count in _object(doc, key, path).items():
+        _MANIFEST.check(count, _NUMBER, f"{path}.{key}.{name}")
 
 
 def _check_coverage(coverage: dict, path: str) -> None:
     summary = _object(coverage, "summary", path)
-    _field(summary, "lines_missing", (list, _NULL), f"{path}.summary", None)
+    _MANIFEST.field(summary, "lines_missing", (list, NULL), f"{path}.summary", None)
     static = _object(coverage, "static", path)
     for name, proc in _objects(static, "procs", f"{path}.static").items():
         where = f"{path}.static.procs.{name}"
@@ -576,7 +564,7 @@ def _check_coverage(coverage: dict, path: str) -> None:
     for name, info in _objects(coverage, "procs", path).items():
         where = f"{path}.procs.{name}"
         _numbers(info, ("nodes_total", "nodes_covered"), where)
-        _field(info, "unreached", (list, _NULL), where, None)
+        _MANIFEST.field(info, "unreached", (list, NULL), where, None)
     for name, info in _objects(coverage, "processes", path).items():
         where = f"{path}.processes.{name}"
         _numbers(info, ("nodes_total", "nodes_covered"), where)
@@ -587,8 +575,8 @@ def _check_coverage(coverage: dict, path: str) -> None:
             try:
                 int(value)
             except ValueError:
-                raise TraceFormatError(
-                    f"{where}.values: key {value!r} is not an integer"
+                raise ManifestFormatError(
+                    f"key {value!r} is not an integer", f"{where}.values"
                 ) from None
-        _field(point, "missing", (list, _NULL), where, None)
+        _MANIFEST.field(point, "missing", (list, NULL), where, None)
     _counts(coverage, "nodes", path)

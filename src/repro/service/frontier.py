@@ -43,19 +43,12 @@ version-1 document is refused at ``$.version``.
 from __future__ import annotations
 
 import base64
-import functools
 import json
 import pathlib
 from dataclasses import dataclass, field, fields
 from typing import Any
 
 from ..counterex.traceio import (
-    _NULL,
-    TraceFormatError,
-    _check,
-    _field,
-    _items,
-    _row,
     choices_from_json,
     choices_to_json,
     steps_from_json,
@@ -63,6 +56,7 @@ from ..counterex.traceio import (
     violation_from_json,
     violation_to_json,
 )
+from ..jsondoc import NULL, FormatError, Shape
 from ..verisoft.parallel import ChoicePrefix, PrefixPoint, prefix_key
 from ..verisoft.por import TransitionSig
 from ..verisoft.results import ExplorationReport, Trace
@@ -102,22 +96,11 @@ __all__ = [
 ]
 
 
-class FrontierFormatError(ValueError):
+class FrontierFormatError(FormatError):
     """A frontier checkpoint is malformed or of an unsupported version."""
 
 
-def _frontier_errors(decode):
-    """``decode`` with the shared JSON checks' :class:`TraceFormatError`
-    re-raised as a :class:`FrontierFormatError` (same path, same text)."""
-
-    @functools.wraps(decode)
-    def checked(*args, **kwargs):
-        try:
-            return decode(*args, **kwargs)
-        except TraceFormatError as err:
-            raise FrontierFormatError(str(err)) from err
-
-    return checked
+_FRONTIER = Shape(FrontierFormatError)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +109,7 @@ def _frontier_errors(decode):
 
 
 #: ``[process, node_id, op, obj, local]``.
-_SIG_ROW = ((str,), (int,), (str,), (str, _NULL), (bool,))
+_SIG_ROW = ((str,), (int,), (str,), (str, NULL), (bool,))
 
 
 def _sig_to_json(sig: TransitionSig) -> list:
@@ -134,7 +117,7 @@ def _sig_to_json(sig: TransitionSig) -> list:
 
 
 def _sig_from_json(payload: Any, path: str) -> TransitionSig:
-    return TransitionSig(*_row(payload, _SIG_ROW, path))
+    return TransitionSig(*_FRONTIER.row(payload, _SIG_ROW, path))
 
 
 def prefix_to_json(prefix: ChoicePrefix) -> list:
@@ -165,36 +148,38 @@ def prefix_to_json(prefix: ChoicePrefix) -> list:
 _ALTERNATIVE = {"schedule": (str,), "toss": (int,)}
 
 
-@_frontier_errors
 def prefix_from_json(payload: Any, path: str = "$") -> ChoicePrefix:
     """Inverse of :func:`prefix_to_json`.  A malformed entry raises
     :class:`FrontierFormatError` naming its JSON ``path``."""
     points = []
-    for i, entry in enumerate(_check(payload, (list,), path)):
+    for i, entry in enumerate(_FRONTIER.check(payload, (list,), path)):
         at = f"{path}[{i}]"
-        _check(entry, (dict,), at)
-        kind = _field(entry, "kind", (str,), at)
+        _FRONTIER.check(entry, (dict,), at)
+        kind = _FRONTIER.field(entry, "kind", (str,), at)
         if kind not in _ALTERNATIVE:
-            raise FrontierFormatError(f"{at}.kind: unknown choice-point kind {kind!r}")
-        alternatives = _items(
-            _field(entry, "alternatives", (list,), at), _ALTERNATIVE[kind], f"{at}.alternatives"
+            raise FrontierFormatError(f"unknown choice-point kind {kind!r}", f"{at}.kind")
+        alternatives = _FRONTIER.items(
+            _FRONTIER.field(entry, "alternatives", (list,), at),
+            _ALTERNATIVE[kind],
+            f"{at}.alternatives",
         )
-        index = _field(entry, "index", (int,), at)
+        index = _FRONTIER.field(entry, "index", (int,), at)
         if not 0 <= index < len(alternatives):
             raise FrontierFormatError(
-                f"{at}.index: {index} is out of range for {len(alternatives)} alternatives"
+                f"{index} is out of range for {len(alternatives)} alternatives", f"{at}.index"
             )
-        sleep = _field(entry, "sleep", (list,), at, [])
+        sleep = _FRONTIER.field(entry, "sleep", (list,), at, [])
         sigs = tuple(
             _sig_from_json(sig, f"{at}.sigs[{j}]")
-            for j, sig in enumerate(_field(entry, "sigs", (list,), at, []))
+            for j, sig in enumerate(_FRONTIER.field(entry, "sigs", (list,), at, []))
         )
         if kind == "schedule" and len(sigs) != len(alternatives):
             # The explorer's sleep sets and path record read the
             # signature of every alternative of a schedule point.
             raise FrontierFormatError(
-                f"{at}.sigs: expected {len(alternatives)} signatures, one per "
-                f"alternative, got {len(sigs)}"
+                f"expected {len(alternatives)} signatures, one per "
+                f"alternative, got {len(sigs)}",
+                f"{at}.sigs",
             )
         points.append(
             PrefixPoint(
@@ -226,13 +211,15 @@ def _event_to_json(event: Any) -> dict:
 
 
 def _event_from_json(payload: Any, path: str) -> Any:
-    _check(payload, (dict,), path)
+    _FRONTIER.check(payload, (dict,), path)
+    choices = _FRONTIER.field(payload, "choices", (list,), path)
+    steps = _FRONTIER.field(payload, "steps", (list,), path, [])
     trace = Trace(
-        choices_from_json(_field(payload, "choices", (list,), path), f"{path}.choices"),
-        steps_from_json(_field(payload, "steps", (list,), path, []), f"{path}.steps"),
+        choices_from_json(choices, f"{path}.choices", _FRONTIER),
+        steps_from_json(steps, f"{path}.steps", _FRONTIER),
     )
-    violation = _field(payload, "violation", (dict,), path)
-    return violation_from_json(violation, trace, f"{path}.violation")
+    violation = _FRONTIER.field(payload, "violation", (dict,), path)
+    return violation_from_json(violation, trace, f"{path}.violation", _FRONTIER)
 
 
 def report_to_json(report: ExplorationReport) -> dict:
@@ -266,26 +253,25 @@ _STATS_KINDS = {
 }
 
 
-@_frontier_errors
 def report_from_json(payload: Any, path: str = "$") -> ExplorationReport:
     """Inverse of :func:`report_to_json`.  A malformed entry raises
     :class:`FrontierFormatError` naming its JSON ``path``."""
-    _check(payload, (dict,), path)
+    _FRONTIER.check(payload, (dict,), path)
     report = ExplorationReport(
-        **{name: _field(payload, name, (int,), path, 0) for name in _REPORT_COUNTERS},
-        truncated=_field(payload, "truncated", (bool,), path, False),
-        incomplete=_field(payload, "incomplete", (bool,), path, False),
+        **{name: _FRONTIER.field(payload, name, (int,), path, 0) for name in _REPORT_COUNTERS},
+        truncated=_FRONTIER.field(payload, "truncated", (bool,), path, False),
+        incomplete=_FRONTIER.field(payload, "incomplete", (bool,), path, False),
     )
     for name in _EVENT_LISTS:
-        events = _field(payload, name, (list,), path, [])
+        events = _FRONTIER.field(payload, name, (list,), path, [])
         getattr(report, name).extend(
             _event_from_json(entry, f"{path}.{name}[{i}]") for i, entry in enumerate(events)
         )
     if "stats" in payload:
-        stats = _field(payload, "stats", (dict,), path)
+        stats = _FRONTIER.field(payload, "stats", (dict,), path)
         report.stats = SearchStats(
             **{
-                name: _check(value, _STATS_KINDS[name], f"{path}.stats.{name}")
+                name: _FRONTIER.check(value, _STATS_KINDS[name], f"{path}.stats.{name}")
                 for name, value in stats.items()
                 if name in _STATS_KINDS
             }
@@ -297,9 +283,10 @@ def _block_from_json(
     entry: Any, path: str
 ) -> tuple[tuple[int, ...], ExplorationReport]:
     """One completed block: ``{"key": [...], "report": {...}}``."""
-    _check(entry, (dict,), path)
-    key = _items(_field(entry, "key", (list,), path), (int,), f"{path}.key")
-    return tuple(key), report_from_json(_field(entry, "report", (dict,), path), f"{path}.report")
+    _FRONTIER.check(entry, (dict,), path)
+    key = _FRONTIER.items(_FRONTIER.field(entry, "key", (list,), path), (int,), f"{path}.key")
+    report = _FRONTIER.field(entry, "report", (dict,), path)
+    return tuple(key), report_from_json(report, f"{path}.report")
 
 
 # ---------------------------------------------------------------------------
@@ -329,20 +316,20 @@ def _keys_from_json(payload: Any, path: str) -> set[StateKey]:
     an index out of range raises :class:`FrontierFormatError` naming
     its JSON ``path``."""
     parts = []
-    texts = _items(_field(payload, "parts", (list,), path), (str,), f"{path}.parts")
-    for i, text in enumerate(texts):
+    texts = _FRONTIER.field(payload, "parts", (list,), path)
+    for i, text in enumerate(_FRONTIER.items(texts, (str,), f"{path}.parts")):
         try:
             parts.append(base64.b64decode(text, validate=True))
         except ValueError as err:
-            raise FrontierFormatError(f"{path}.parts[{i}]: not base64: {err}") from err
+            raise FrontierFormatError(f"not base64: {err}", f"{path}.parts[{i}]") from err
     keys = set()
-    states = _items(_field(payload, "states", (list,), path), (list,), f"{path}.states")
-    for i, state in enumerate(states):
+    states = _FRONTIER.field(payload, "states", (list,), path)
+    for i, state in enumerate(_FRONTIER.items(states, (list,), f"{path}.states")):
         at = f"{path}.states[{i}]"
-        for j, index in enumerate(_items(state, (int,), at)):
+        for j, index in enumerate(_FRONTIER.items(state, (int,), at)):
             if not 0 <= index < len(parts):
                 raise FrontierFormatError(
-                    f"{at}[{j}]: part index {index} is out of range for {len(parts)} parts"
+                    f"part index {index} is out of range for {len(parts)} parts", f"{at}[{j}]"
                 )
         keys.add(tuple([parts[index] for index in state]))
     return keys
@@ -413,28 +400,30 @@ class SearchCheckpoint:
         }
 
     @classmethod
-    @_frontier_errors
     def from_json(cls, doc: Any) -> "SearchCheckpoint":
         """Parse and validate a JSON document.  Anything malformed
         raises :class:`FrontierFormatError` naming the JSON path of the
         bad entry (``$.pending[2][0].index``)."""
-        if not isinstance(doc, dict) or doc.get("format") != FRONTIER_FORMAT:
+        if not isinstance(doc, dict):
             raise FrontierFormatError(
-                f"$.format: not a {FRONTIER_FORMAT} file (format tag: {doc.get('format')!r})"
-                if isinstance(doc, dict)
-                else "$: not a frontier checkpoint: top level must be a JSON object"
+                "not a frontier checkpoint: top level must be a JSON object", "$"
+            )
+        if doc.get("format") != FRONTIER_FORMAT:
+            raise FrontierFormatError(
+                f"not a {FRONTIER_FORMAT} file (format tag: {doc.get('format')!r})", "$.format"
             )
         version = doc.get("version")
         if type(version) is not int or version != FRONTIER_VERSION:
             raise FrontierFormatError(
-                f"$.version: unsupported frontier format version {version!r} "
-                f"(this build reads version {FRONTIER_VERSION})"
+                f"unsupported frontier format version {version!r} "
+                f"(this build reads version {FRONTIER_VERSION})",
+                "$.version",
             )
-        pending = _field(doc, "pending", (list,), "$")
-        completed = _field(doc, "completed", (list,), "$")
+        pending = _FRONTIER.field(doc, "pending", (list,), "$")
+        completed = _FRONTIER.field(doc, "completed", (list,), "$")
         return cls(
-            fingerprint=_field(doc, "fingerprint", (str, _NULL), "$", None),
-            options=_field(doc, "options", (dict,), "$", {}),
+            fingerprint=_FRONTIER.field(doc, "fingerprint", (str, NULL), "$", None),
+            options=_FRONTIER.field(doc, "options", (dict,), "$", {}),
             pending=[
                 None if entry is None else prefix_from_json(entry, f"$.pending[{i}]")
                 for i, entry in enumerate(pending)
@@ -443,12 +432,12 @@ class SearchCheckpoint:
                 _block_from_json(entry, f"$.completed[{i}]") for i, entry in enumerate(completed)
             ],
             fingerprints=_keys_from_json(
-                _field(doc, "fingerprints", (dict,), "$", {"parts": [], "states": []}),
+                _FRONTIER.field(doc, "fingerprints", (dict,), "$", {"parts": [], "states": []}),
                 "$.fingerprints",
             ),
-            leases=_field(doc, "leases", (int,), "$", 0),
-            steals=_field(doc, "steals", (int,), "$", 0),
-            leases_requeued=_field(doc, "leases_requeued", (int,), "$", 0),
+            leases=_FRONTIER.field(doc, "leases", (int,), "$", 0),
+            steals=_FRONTIER.field(doc, "steals", (int,), "$", 0),
+            leases_requeued=_FRONTIER.field(doc, "leases_requeued", (int,), "$", 0),
             version=version,
         )
 
@@ -507,12 +496,4 @@ def load_frontier(path: str | pathlib.Path) -> SearchCheckpoint:
     """Read and validate a frontier checkpoint; a malformed file raises
     :class:`FrontierFormatError` naming the file and the JSON path of
     the bad entry (``ck.json: $.pending[2][0].index: ...``)."""
-    path = pathlib.Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise FrontierFormatError(f"{path}: not valid JSON: {err}") from err
-    try:
-        return SearchCheckpoint.from_json(doc)
-    except FrontierFormatError as err:
-        raise FrontierFormatError(f"{path}: {err}") from err
+    return _FRONTIER.read_json(path, SearchCheckpoint.from_json)

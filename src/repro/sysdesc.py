@@ -9,22 +9,28 @@ one, and saved counterexample traces embed one with the program source
 replays on another machine, possibly days later, against the exact
 system it was recorded from.
 
-Errors raise :class:`DescriptionError` (a ``ValueError``): library
-callers handle it; the CLI converts it to a clean exit.
+A description that is not of this shape, names an object it does not
+declare, or does not fit its program raises :class:`DescriptionError`
+at the JSON path of the bad entry (``$.processes[0]: missing key
+'name'``), whether it came from a ``.json`` file, a ``.py`` program or a
+trace's embedded payload.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
+from typing import Any
 
 from .closing import ClosingSpec, close_program
+from .jsondoc import FormatError, Shape
 from .lang import parse_program
 from .runtime import System
+from .runtime.errors import ObjectError
 
 __all__ = [
     "SYSTEM_SCHEMA",
     "DescriptionError",
+    "check_description",
     "description_language",
     "load_description",
     "load_program",
@@ -59,8 +65,11 @@ its Queue(...)/spawn(...) prelude; see docs/python_frontend.md):
 """
 
 
-class DescriptionError(ValueError):
+class DescriptionError(FormatError):
     """A system description is malformed or references missing pieces."""
+
+
+_DESCRIPTION = Shape(DescriptionError)
 
 
 #: Program-file suffix -> front-end language.
@@ -121,6 +130,69 @@ def program_from_source(name: str, text: str, filename: str | None = None):
     return parse_program(text)
 
 
+#: A process argument or a shared variable's initial value.
+_VALUE = (int, bool, str)
+#: Each object kind's declaring method of :class:`System` and its
+#: optional parameter, with the parameter's JSON types.
+_OBJECT_KINDS: dict[str, tuple[str, str | None, tuple[type, ...]]] = {
+    "channel": ("add_channel", "capacity", (int,)),
+    "semaphore": ("add_semaphore", "initial", (int,)),
+    "shared": ("add_shared", "initial", _VALUE),
+    "sink": ("add_env_sink", None, ()),
+}
+
+
+def check_description(doc: Any, path: str = "$", shape: Shape = _DESCRIPTION) -> dict:
+    """``doc``, if it is a system description of the shape
+    :data:`SYSTEM_SCHEMA` shows whose process arguments name declared
+    objects; else the ``shape``'s error (:class:`DescriptionError`
+    unless a trace file embeds the description) at the bad entry.
+    Unknown keys are ignored, and every key is optional here."""
+    shape.check(doc, (dict,), path)
+    shape.field(doc, "program", (str,), path, None)
+    shape.field(doc, "language", (str,), path, None)
+    close = shape.field(doc, "close", (dict,), path, {})
+    at = f"{path}.close"
+    for proc, params in shape.field(close, "env_params", (dict,), at, {}).items():
+        shape.items(params, (str,), f"{at}.env_params.{proc}")
+    for key in ("env_channels", "env_shared"):
+        shape.items(shape.field(close, key, (list,), at, []), (str,), f"{at}.{key}")
+    for key, objects in shape.field(close, "object_bindings", (dict,), at, {}).items():
+        proc, sep, param = key.partition(".")
+        if not (proc and sep and param):
+            raise shape.error(
+                f"keys must look like 'proc.param', got {key!r}", f"{at}.object_bindings"
+            )
+        shape.items(objects, (str,), f"{at}.object_bindings.{key}")
+    shape.field(close, "optimize", (bool,), at, False)
+    names = set()
+    for i, obj in enumerate(shape.field(doc, "objects", (list,), path, [])):
+        at = f"{path}.objects[{i}]"
+        shape.check(obj, (dict,), at)
+        kind = shape.field(obj, "kind", (str,), at)
+        if kind not in _OBJECT_KINDS:
+            raise shape.error(f"unknown object kind {kind!r}", f"{at}.kind")
+        name = shape.field(obj, "name", (str,), at)
+        if name in names:
+            raise shape.error(f"duplicate object name {name!r}", f"{at}.name")
+        names.add(name)
+        _, param, kinds = _OBJECT_KINDS[kind]
+        if param is not None:
+            shape.field(obj, param, kinds, at, None)
+    for i, proc in enumerate(shape.field(doc, "processes", (list,), path, [])):
+        at = f"{path}.processes[{i}]"
+        shape.check(proc, (dict,), at)
+        shape.field(proc, "name", (str,), at)
+        shape.field(proc, "proc", (str,), at)
+        for j, arg in enumerate(shape.field(proc, "args", (list,), at, [])):
+            where = f"{at}.args[{j}]"
+            if type(shape.check(arg, (*_VALUE, dict), where)) is dict:
+                name = shape.field(arg, "object", (str,), where)
+                if name not in names:
+                    raise shape.error(f"unknown object {name!r}", f"{where}.object")
+    return doc
+
+
 def load_description(description_path: pathlib.Path) -> dict:
     """Read a system description file.
 
@@ -133,9 +205,7 @@ def load_description(description_path: pathlib.Path) -> dict:
         from .lang.python import PyFrontError, description_from_python
 
         try:
-            return description_from_python(
-                path.read_text(), path.name, filename=str(path)
-            )
+            return description_from_python(path.read_text(), path.name, filename=str(path))
         except PyFrontError as err:
             raise DescriptionError(f"bad Python system description: {err}") from err
     if path.suffix and path.suffix != ".json":
@@ -145,14 +215,8 @@ def load_description(description_path: pathlib.Path) -> dict:
             f"extension {path.suffix!r} (expected a .json description or "
             f"a .py program; programs inside descriptions may be {supported})"
         )
-    try:
-        description = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise DescriptionError(
-            f"bad JSON system description {path.name!r}: {err}\n\n{SYSTEM_SCHEMA}"
-        ) from err
-    if isinstance(description, dict):
-        description.setdefault("language", program_language(description.get("program", "")))
+    description = _DESCRIPTION.read_json(path, check_description)
+    description.setdefault("language", program_language(description.get("program", "")))
     return description
 
 
@@ -168,39 +232,32 @@ def system_from_description(
     file) supplies the program text
     directly; otherwise the description's ``program`` path is resolved
     against ``base_dir``.  ``tracer`` records the closing pipeline's
-    phase spans.
+    phase spans.  A malformed description, or one whose processes do
+    not fit the program, raises :class:`DescriptionError` at the bad
+    entry.
     """
+    check_description(description)
     if program_source is not None:
         program = program_from_source(description.get("program", ""), program_source)
+    elif base_dir is None:
+        raise DescriptionError("system description has no embedded program source")
     else:
-        if base_dir is None:
-            raise DescriptionError(
-                "system description has no embedded program source"
-            )
-        program = load_program(pathlib.Path(base_dir) / description["program"])
+        name = _DESCRIPTION.field(description, "program", (str,), "$")
+        program = load_program(pathlib.Path(base_dir) / name)
 
     close_cfg = description.get("close")
     if close_cfg is not None:
-        bindings: dict[tuple[str, str], list] = {}
-        for key, objects in close_cfg.get("object_bindings", {}).items():
-            proc_name, sep, param = str(key).partition(".")
-            if not sep or not proc_name or not param:
-                raise DescriptionError(
-                    f"close.object_bindings keys must look like "
-                    f"'proc.param', got {key!r}"
-                )
-            bindings[(proc_name, param)] = list(objects)
         spec = ClosingSpec.make(
             env_params=close_cfg.get("env_params", {}),
             env_channels=close_cfg.get("env_channels", ()),
             env_shared=close_cfg.get("env_shared", ()),
-            object_bindings=bindings,
+            object_bindings={
+                tuple(key.split(".", 1)): objects
+                for key, objects in close_cfg.get("object_bindings", {}).items()
+            },
         )
         closed = close_program(
-            program,
-            spec,
-            optimize=close_cfg.get("optimize", False),
-            tracer=tracer,
+            program, spec, optimize=close_cfg.get("optimize", False), tracer=tracer
         )
         system = System(closed.cfgs)
     else:
@@ -208,30 +265,14 @@ def system_from_description(
 
     refs = {}
     for obj in description.get("objects", []):
-        kind = obj["kind"]
-        name = obj["name"]
-        if kind == "channel":
-            refs[name] = system.add_channel(name, capacity=obj.get("capacity", 1))
-        elif kind == "semaphore":
-            refs[name] = system.add_semaphore(name, initial=obj.get("initial", 1))
-        elif kind == "shared":
-            refs[name] = system.add_shared(name, initial=obj.get("initial", 0))
-        elif kind == "sink":
-            refs[name] = system.add_env_sink(name)
-        else:
-            raise DescriptionError(f"unknown object kind {kind!r}")
+        declare, param, _ = _OBJECT_KINDS[obj["kind"]]
+        params = {param: obj[param]} if param in obj else {}
+        refs[obj["name"]] = getattr(system, declare)(obj["name"], **params)
 
-    for proc in description.get("processes", []):
-        proc_args = []
-        for arg in proc.get("args", []):
-            if isinstance(arg, dict) and "object" in arg:
-                ref = refs.get(arg["object"])
-                if ref is None:
-                    raise DescriptionError(
-                        f"process argument references unknown object {arg['object']!r}"
-                    )
-                proc_args.append(ref)
-            else:
-                proc_args.append(arg)
-        system.add_process(proc["name"], proc["proc"], proc_args)
+    for i, proc in enumerate(description.get("processes", [])):
+        args = [refs[arg["object"]] if type(arg) is dict else arg for arg in proc.get("args", [])]
+        try:
+            system.add_process(proc["name"], proc["proc"], args)
+        except ObjectError as err:
+            raise DescriptionError(str(err), f"$.processes[{i}]") from None
     return system

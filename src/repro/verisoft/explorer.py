@@ -313,11 +313,7 @@ class Explorer:
             backtrack="restore" if self._restore else "replay",
             engine=self._engine,
         )
-        if self._state_store is not None:
-            report.state_caching = {
-                **self._state_store.config(),
-                "sleep_sets": self._sleep_sets,
-            }
+        report.options = self._options
         seen_states: set[Any] | None = None
         if self._count_states:
             report.distinct_states = 0

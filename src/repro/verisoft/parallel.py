@@ -449,6 +449,9 @@ def _worker_main(
             continue
         if trace:
             report.trace_payload = lease_options.tracer.export(label=f"worker-{os.getpid()}")
+        # The lease options hold this worker's tracer and beat callback;
+        # the coordinator records the search's own options.
+        report.options = None
         conn.send(("result", seq, report, residuals, fps, stolen and bool(residuals)))
 
 
@@ -1122,13 +1125,6 @@ def parallel_search(
     merged.stats.jobs = jobs
     merged.stats.wall_time = time.monotonic() - started
     merged.worker_summary = dict(sorted(worker_summary.items())) or None
-    # Self-reproducing, like :func:`~repro.verisoft.search.run_search`
-    # reports, with the per-lease-stores caching provenance.
     merged.options = options
-    if options.state_cache != "off":
-        merged.stats.state_cache = options.state_cache
-        merged.state_caching = {
-            **(options.state_caching_info() or {}),
-            "per_worker_stores": True,
-        }
+    merged.stats.state_cache = options.state_cache
     return merged

@@ -50,8 +50,7 @@ def random_walks(
     options = search_options(options, overrides)
     engine = options.resolve(system).engine
     rng = random.Random(options.seed)
-    report = ExplorationReport()
-    report.seed = options.seed  # walks are reproducible from the seed alone
+    report = ExplorationReport(options=options)
     stats = report.stats = SearchStats(strategy="random", engine=engine)
     started = time.monotonic()
     cpu_started = time.process_time()

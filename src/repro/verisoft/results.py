@@ -159,19 +159,10 @@ class ExplorationReport:
     #: (:class:`~repro.verisoft.stats.SearchStats`), when collected.
     stats: "SearchStats | None" = field(default=None, repr=False, compare=False)
     #: The :class:`~repro.verisoft.search.SearchOptions` the search ran
-    #: with, recorded by :func:`~repro.verisoft.search.run_search` so
-    #: every report is self-reproducing without the caller's shell
-    #: history (persisted into saved traces by :mod:`repro.counterex`).
+    #: with, recorded by every driver so every report is
+    #: self-reproducing without the caller's shell history (persisted
+    #: into saved traces by :mod:`repro.counterex`).
     options: "SearchOptions | None" = field(default=None, repr=False, compare=False)
-    #: PRNG seed of the random strategy (``None`` for deterministic
-    #: strategies, which need no seed to reproduce).
-    seed: int | None = field(default=None, repr=False, compare=False)
-    #: State-space caching configuration of the search that produced
-    #: this report (``None`` when caching was off): store kind, the
-    #: cache ``mode`` and whether sleep sets stayed active.  A cached report's counters are
-    #: *not* comparable to an uncached one's — revisited subtrees were
-    #: pruned — so the provenance travels with the numbers.
-    state_caching: dict | None = field(default=None, repr=False, compare=False)
     #: Hot-spot profile of the search
     #: (:class:`~repro.obs.profile.HotSpotProfiler`), attached when the
     #: search ran with ``profile=True``; parallel runs merge the
@@ -203,6 +194,36 @@ class ExplorationReport:
     violations: list[AssertionViolationEvent] = field(default_factory=list)
     crashes: list[CrashEvent] = field(default_factory=list)
     divergences: list[DivergenceEvent] = field(default_factory=list)
+
+    @property
+    def seed(self) -> int | None:
+        """PRNG seed of the random strategy (``None`` for deterministic
+        strategies, which need no seed to reproduce)."""
+        return self.options.seed if self._driver() == "random" else None
+
+    @property
+    def state_caching(self) -> dict | None:
+        """State-space caching configuration of the search that produced
+        this report (``None`` when no store was consulted): store kind,
+        the cache ``mode``, whether sleep sets stayed active and, from
+        the parallel driver, ``per_worker_stores`` (each lease has its
+        own store).  A cached report's counters are *not* comparable to
+        an uncached one's — revisited subtrees were pruned — so the
+        provenance travels with the numbers."""
+        driver, options = self._driver(), self.options
+        if driver in (None, "random") or options.state_cache == "off":
+            return None
+        return {
+            "store": options.state_cache,
+            "mode": options.cache_mode,
+            "sleep_sets": options.sleep_sets_active,
+            **({"per_worker_stores": True} if driver == "parallel" else {}),
+        }
+
+    def _driver(self) -> str | None:
+        """The strategy that ran (``None`` unless options and stats were
+        recorded)."""
+        return None if self.options is None or self.stats is None else self.stats.strategy
 
     @property
     def ok(self) -> bool:

@@ -206,10 +206,10 @@ class SearchOptions:
 
     @property
     def sleep_sets_active(self) -> bool:
-        """Whether the explorer keeps sleep-set pruning: always without
-        caching, only in ``unsafe-fast`` mode with it (sleep sets are
+        """Whether the explorer keeps sleep-set pruning: only with POR,
+        and with caching only in ``unsafe-fast`` mode (sleep sets are
         path-dependent and unsound under revisit pruning)."""
-        return self.state_cache == "off" or self.cache_mode != "safe"
+        return self.por and (self.state_cache == "off" or self.cache_mode != "safe")
 
     def resolve(self, system: System) -> "ResolvedModes":
         """The modes a search of ``system`` actually runs with, after the
@@ -223,18 +223,7 @@ class SearchOptions:
         engine = self.engine
         if engine == "compiled" and system.compiled_program() is None:
             engine = "walk"
-        return ResolvedModes(backtrack, engine, self.por and self.sleep_sets_active)
-
-    def state_caching_info(self) -> dict | None:
-        """The ``state_caching`` provenance block recorded on reports
-        (``None`` when caching is off)."""
-        if self.state_cache == "off":
-            return None
-        return {
-            "store": self.state_cache,
-            "mode": self.cache_mode,
-            "sleep_sets": self.sleep_sets_active,
-        }
+        return ResolvedModes(backtrack, engine, self.sleep_sets_active)
 
     def validate(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -324,23 +313,7 @@ def run_search(
     worker for systems that cannot be pickled.
     """
     options = search_options(options, overrides)
-    report = _dispatch(system, options, system_factory)
-    # Every report is self-reproducing: it records how it was produced
-    # (including the PRNG seed for the random strategy), so a saved
-    # trace or a bug report never depends on the caller's shell history.
-    report.options = options
-    if options.strategy == "random":
-        report.seed = options.seed
-    elif options.state_cache != "off":
-        # Merge the mode into whatever the explorer recorded (store
-        # kind, shape, sleep-set status) — the explorer does not know
-        # the search-layer mode name.
-        report.state_caching = {
-            **(options.state_caching_info() or {}),
-            **(report.state_caching or {}),
-            "mode": options.cache_mode,
-        }
-    return report
+    return _dispatch(system, options, system_factory)
 
 
 def _dispatch(

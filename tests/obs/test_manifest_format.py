@@ -113,10 +113,7 @@ class TestMalformedManifests:
         assert main(["report", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == (
-            f"error: cannot read manifest: {path}: "
-            "$.report.coverage: expected dict or null, got list\n"
-        )
+        assert err == f"error: {path}: $.report.coverage: expected dict or null, got list\n"
 
 
 def test_source_override_replaces_a_null_program(tmp_path, capsys):

@@ -172,14 +172,14 @@ class TestSearchFrontEnd:
         assert main(["search", str(system), "--strategy", "random", "--walks", "5"]) == 0
         assert "paths=5" in capsys.readouterr().out
 
-    def test_bad_json_reports_schema(self, tmp_path):
+    def test_bad_json_reports_schema(self, tmp_path, capsys):
         system = tmp_path / "system.json"
         system.write_text("{not json")
-        with pytest.raises(SystemExit) as err:
-            main(["search", str(system)])
-        assert "schema" in str(err.value)
+        assert main(["search", str(system)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {system}: not valid JSON"), err
 
-    def test_unknown_object_reference(self, tmp_path):
+    def test_unknown_object_reference(self, tmp_path, capsys):
         system = self._write_system(
             tmp_path,
             DEADLOCK_RC,
@@ -190,8 +190,10 @@ class TestSearchFrontEnd:
                 ],
             },
         )
-        with pytest.raises(SystemExit):
-            main(["search", str(system)])
+        assert main(["search", str(system)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        expected = f"error: {system}: $.processes[0].args[0].object: unknown object 'ghost'"
+        assert err == [expected]
 
 
 DEADLOCK_DESCRIPTION = {
